@@ -32,20 +32,14 @@ from .polybasis import (
     gauss_legendre,
     legendre,
     multi_index_set,
-    orthonormal_legendre,
-    tensor_basis_eval,
     triple_products,
 )
 from .randomspace import (
     Decomposition,
     Element,
     SampleSet,
-    element_probability,
-    locate,
     sample_uniform,
     split_element,
-    to_global,
-    to_local,
 )
 from .refine import (
     GalerkinState,
@@ -65,8 +59,6 @@ from .surrogate import (
     LimitStateModel,
     MultiElementSurrogate,
     build_collocation,
-    eval_expansion,
-    eval_me_surrogate,
     gamma_bound,
     local_variance,
     lp_error,

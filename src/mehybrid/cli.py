@@ -58,6 +58,8 @@ from .surrogate import (
 )
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
+REFINE_KEYS = ("theta1", "N0", "theta2", "alpha", "max_elements", "check_interval",
+               "dt", "resolve_from_t0", "collocation_nodes")
 
 
 class UsageError(ValueError):
@@ -92,6 +94,12 @@ class RunConfig:
         for required in ("problem", "method", "seed"):
             if required not in raw:
                 raise UsageError(f"missing required config field {required!r}")
+        refine = raw.get("refine", {})
+        if not isinstance(refine, dict):
+            raise UsageError("field 'refine' must be an object")
+        unknown = sorted(set(refine) - set(REFINE_KEYS))
+        if unknown:
+            raise UsageError(f"unknown refine key(s) {unknown}; accepted keys: {', '.join(REFINE_KEYS)}")
         raw = dict(raw)
         for key in ("m", "order", "delta_m", "max_exact"):
             if raw.get(key) is not None:
@@ -115,14 +123,10 @@ class RunConfig:
 
 def _refine_config(cfg: RunConfig, defaults: dict, order: int) -> RefinementConfig:
     opts = {**defaults, **cfg.refine}
-    if "tol1" in cfg.refine and "theta1" not in cfg.refine:
-        theta1 = cfg.refine["tol1"]
-    else:
-        theta1 = opts.get("theta1", opts.get("tol1"))
-    if theta1 is None:
-        raise UsageError("field 'refine.theta1' (or 'refine.tol1') is required")
+    if opts.get("theta1") is None:
+        raise UsageError("field 'refine.theta1' is required")
     return RefinementConfig(
-        theta1=float(theta1),
+        theta1=float(opts["theta1"]),
         N=order,
         N0=opts.get("N0"),
         theta2=float(opts.get("theta2", 0.1)),
@@ -130,6 +134,15 @@ def _refine_config(cfg: RunConfig, defaults: dict, order: int) -> RefinementConf
         max_elements=int(opts.get("max_elements", 256)),
         check_interval=opts.get("check_interval"),
     )
+
+
+def _load_cache(path: str):
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return surrogate_from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed surrogate cache {path}: {exc!r}") from exc
 
 
 def _build_surrogate(cfg: RunConfig, model):
@@ -142,8 +155,7 @@ def _build_surrogate(cfg: RunConfig, model):
     params = {**spec.parameters, **cfg.problem_params}
     events: list = []
     if cfg.surrogate_cache:
-        with open(cfg.surrogate_cache) as fh:
-            surr = surrogate_from_json(fh.read())
+        surr = _load_cache(cfg.surrogate_cache)
         issues = check_partition(surr.decomposition)
         if issues:
             raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
@@ -505,12 +517,7 @@ def _check_rk4_order() -> tuple[bool, str]:
     return 12.0 <= ratio <= 20.0, f"error ratio {ratio:.2f}"
 
 
-def _check_cache(path: str) -> tuple[bool, str]:
-    try:
-        with open(path) as fh:
-            surr = surrogate_from_json(fh.read())
-    except Exception as exc:
-        return False, f"cannot load cache: {exc}"
+def _check_cache(surr) -> tuple[bool, str]:
     issues = check_partition(surr.decomposition)
     return not issues, issues[0] if issues else f"{len(surr)} elements ok"
 
@@ -527,7 +534,8 @@ def validate(cache: str | None = None) -> int:
         ("rk4-order", _check_rk4_order),
     ]
     if cache:
-        checks.append(("surrogate-cache", lambda: _check_cache(cache)))
+        surr = _load_cache(cache)
+        checks.append(("surrogate-cache", lambda: _check_cache(surr)))
     failures = 0
     for name, fn in checks:
         try:

@@ -9,7 +9,6 @@ equals the plain Monte Carlo estimate on the same samples bit for bit.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -66,11 +65,6 @@ class Estimate:
         if not 0.0 <= self.p_f <= 1.0:
             raise ValueError(f"estimate {self.p_f} outside [0, 1]")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"p_f": self.p_f, "n_exact": self.n_exact, "n_surrogate": self.n_surrogate, "stddev": self.stddev}
-        )
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -98,14 +92,6 @@ class HybridTrace:
             writer.writerow(["iteration", "estimate", "n_exact", "element"])
             for r in self.records:
                 writer.writerow([r.iteration, repr(r.estimate), r.n_exact, "" if r.element is None else r.element])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"iteration": r.iteration, "estimate": r.estimate, "n_exact": r.n_exact, "element": r.element}
-                for r in self.records
-            ]
-        )
 
 
 def _points(samples) -> np.ndarray:
@@ -157,59 +143,34 @@ def direct_hybrid(model: LimitStateModel, surrogate, samples, gamma: float) -> E
     return Estimate(p, n_exact, m, mc_stddev(p, m))
 
 
-def _iterate_block_loop(
-    model: LimitStateModel,
-    pts: np.ndarray,
-    surr_neg: np.ndarray,
-    order: np.ndarray,
-    m_total: int,
-    base_fails: int,
-    cfg: HybridConfig,
-    trace: HybridTrace,
-    exact_before: int,
-    element: int | None = None,
-) -> tuple[int, int]:
-    """Run the block-replacement iteration over samples listed in `order`.
+def _walks(approx: np.ndarray, groups: np.ndarray | None):
+    """(group label, sample indices in ascending |g~|) for every nonempty group.
 
-    ``surr_neg`` are surrogate-failure flags for all samples, ``base_fails``
-    the failing count the iteration starts from (already normalized by the
-    global m_total elsewhere).  Returns the corrected count and the number of
-    exact calls spent here.
+    Without groups all samples form one unlabeled walk.  Ties keep sample
+    order (stable sort), which keeps runs deterministic.
     """
-    fails = base_fails
-    pos = 0
-    n_here = order.size
-    n_exact = 0
-    iteration = 0
-    while pos < n_here:
-        take = cfg.delta_m
-        if cfg.max_exact is not None:
-            take = min(take, cfg.max_exact - (exact_before + n_exact))
-            if take <= 0:
-                break
-        block = order[pos : pos + take]
-        iteration += 1
-        exact_vals = model.evaluate_many(pts[block])
-        delta = int(np.count_nonzero(exact_vals < 0.0)) - int(np.count_nonzero(surr_neg[block]))
-        fails += delta
-        pos += block.size
-        n_exact += block.size
-        trace.append(iteration, fails / m_total, exact_before + n_exact, element)
-        if abs(delta) / m_total <= cfg.eta_stop:
-            break
-        if cfg.max_exact is not None and exact_before + n_exact >= cfg.max_exact:
-            break
-    return fails, n_exact
+    if groups is None:
+        yield None, np.argsort(np.abs(approx), kind="stable")
+        return
+    mag = np.abs(approx)
+    for k in range(int(groups.max()) + 1):
+        members = np.flatnonzero(groups == k)
+        if members.size:
+            yield k, members[np.argsort(mag[members], kind="stable")]
 
 
-def iterative_hybrid(model: LimitStateModel, surrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
+def iterative_hybrid(
+    model: LimitStateModel, surrogate, samples, cfg: HybridConfig, groups: np.ndarray | None = None
+) -> tuple[Estimate, HybridTrace]:
     """Iterative hybrid estimation: replace surrogate calls by exact ones in
     blocks of delta_m, walking samples in ascending surrogate magnitude.
 
-    The starting point is the surrogate's own failure count; each block
-    swaps surrogate classifications for exact ones, and iteration stops once
-    a block changes the estimate by at most eta_stop (or samples / the call
-    budget run out).
+    The failure count starts at the surrogate's own count over all samples,
+    and each block adds its exact-minus-surrogate change.  ``groups`` (one
+    integer label per sample) splits the walk: each group is walked on its
+    own, in label order, and stops once a block changes the estimate by at
+    most eta_stop (or its samples run out).  The call budget ``max_exact``
+    ends the whole run; samples never reached keep their surrogate class.
     """
     pts = _points(samples)
     m = pts.shape[0]
@@ -217,60 +178,43 @@ def iterative_hybrid(model: LimitStateModel, surrogate, samples, cfg: HybridConf
         raise ValueError(f"config expects m = {cfg.m}, got {m} samples")
     if cfg.delta_m > m:
         raise ValueError("step size cannot exceed the sample count")
+    if groups is not None and len(groups) != m:
+        raise ValueError(f"expected one group label per sample, got {len(groups)} for {m} samples")
     approx = np.asarray(as_evaluable(surrogate)(pts), dtype=float)
     surr_neg = approx < 0.0
-    base = int(np.count_nonzero(surr_neg))
-    order = np.argsort(np.abs(approx), kind="stable")
+    fails = int(np.count_nonzero(surr_neg))
+    budget = m if cfg.max_exact is None else cfg.max_exact
+    n_exact = 0
     trace = HybridTrace()
-    trace.append(0, base / m, 0, None)
-    fails, n_exact = _iterate_block_loop(model, pts, surr_neg, order, m, base, cfg, trace, 0)
+    for label, order in _walks(approx, groups):
+        if n_exact >= budget:
+            break
+        trace.append(0, fails / m, n_exact, label)
+        for iteration, pos in enumerate(range(0, order.size, cfg.delta_m), start=1):
+            block = order[pos : pos + min(cfg.delta_m, budget - n_exact)]
+            exact_vals = model.evaluate_many(pts[block])
+            delta = int(np.count_nonzero(exact_vals < 0.0)) - int(np.count_nonzero(surr_neg[block]))
+            fails += delta
+            n_exact += block.size
+            trace.append(iteration, fails / m, n_exact, label)
+            if abs(delta) / m <= cfg.eta_stop or n_exact >= budget:
+                break
     p = fails / m
     return Estimate(p, n_exact, m, mc_stddev(p, m)), trace
 
 
-def me_gha(model: LimitStateModel, s: MultiElementSurrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
-    """Global hybrid over a multi-element surrogate: one sorted pass over all samples."""
-    return iterative_hybrid(model, s, samples, cfg)
+# ME-GHA is the iterative hybrid over a multi-element surrogate: one walk over all samples.
+me_gha = iterative_hybrid
 
 
 def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
-    """Local hybrid: run the iteration inside every element and sum the contributions.
+    """Local hybrid: the iterative hybrid walked inside every element of the mesh.
 
-    Counts stay normalized by the global sample size, elements without
-    samples contribute nothing, and every nonempty element performs at least
-    one block of exact evaluations.
+    Every nonempty element performs at least one block of exact evaluations
+    (unless the call budget is spent); trace rows carry the running global
+    estimate and the element index.
     """
-    pts = _points(samples)
-    m = pts.shape[0]
-    if cfg.m is not None and cfg.m != m:
-        raise ValueError(f"config expects m = {cfg.m}, got {m} samples")
-    approx = np.asarray(s.eval_many(pts), dtype=float)
-    surr_neg = approx < 0.0
-    owners = locate_many(s.decomposition, pts)
-    abs_approx = np.abs(approx)
-    trace = HybridTrace()
-    total_fails = 0
-    total_exact = 0
-    for k in range(len(s.decomposition.elements)):
-        members = np.flatnonzero(owners == k)
-        if members.size == 0:
-            continue
-        local_order = members[np.argsort(abs_approx[members], kind="stable")]
-        base = int(np.count_nonzero(surr_neg[members]))
-        trace.append(0, base / m, total_exact, k)
-        fails, n_exact = _iterate_block_loop(
-            model, pts, surr_neg, local_order, m, base, cfg, trace, total_exact, element=k
-        )
-        total_fails += fails
-        total_exact += n_exact
-        if cfg.max_exact is not None and total_exact >= cfg.max_exact:
-            # remaining elements keep their surrogate classification
-            seen = owners <= k
-            rest = int(np.count_nonzero(surr_neg[~seen]))
-            total_fails += rest
-            break
-    p = total_fails / m
-    return Estimate(p, total_exact, m, mc_stddev(p, m)), trace
+    return iterative_hybrid(model, s, samples, cfg, groups=locate_many(s.decomposition, _points(samples)))
 
 
 def relative_error(p_hat: float, p_ref: float) -> float:

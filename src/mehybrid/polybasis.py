@@ -21,9 +21,7 @@ __all__ = [
     "QuadratureRule",
     "TripleProductTensor",
     "legendre",
-    "orthonormal_legendre",
     "legendre_table",
-    "tensor_basis_eval",
     "basis_matrix",
     "gauss_legendre",
     "multi_index_set",
@@ -89,11 +87,6 @@ def legendre(n: int, x):
     return p if arr.ndim else float(p)
 
 
-def orthonormal_legendre(n: int, x):
-    """Legendre polynomial scaled to unit norm under the uniform density: sqrt(2n+1) P_n."""
-    return math.sqrt(2 * n + 1) * legendre(n, x)
-
-
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal Legendre values for all degrees 0..nmax at once.
 
@@ -108,18 +101,6 @@ def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
             table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
     table *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)
     return table
-
-
-def tensor_basis_eval(i, x) -> float:
-    """Tensor-product orthonormal basis function at a point of matching dimension."""
-    idx = as_multi_index(i)
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.size != idx.dim:
-        raise ValueError(f"point dimension {pt.size} does not match index dimension {idx.dim}")
-    out = 1.0
-    for d, n in enumerate(idx):
-        out *= orthonormal_legendre(n, pt[d])
-    return float(out)
 
 
 def basis_matrix(indices: Sequence[MultiIndex], points: np.ndarray) -> np.ndarray:
@@ -225,8 +206,7 @@ class TripleProductTensor:
     """Expectations of basis-function triples, e_{ijk} = E[Phi_i Phi_j Phi_k].
 
     ``dense[a, b, c]`` is the entry for the a-th, b-th, c-th members of
-    ``multi_index_set(dim, order)``; ``nonzeros`` gives the sparse view keyed
-    by multi-index triples.
+    ``multi_index_set(dim, order)``.
     """
 
     dim: int
@@ -245,15 +225,6 @@ class TripleProductTensor:
     def entry(self, i, j, k) -> float:
         pos = {idx: a for a, idx in enumerate(self.indices)}
         return float(self.dense[pos[as_multi_index(i)], pos[as_multi_index(j)], pos[as_multi_index(k)]])
-
-    def nonzeros(self, cutoff: float = 1e-13) -> dict:
-        idx = self.indices
-        out = {}
-        for (a, b, c), v in np.ndenumerate(self.dense):
-            if abs(v) > cutoff:
-                out[(idx[a], idx[b], idx[c])] = float(v)
-        return out
-
 
 @lru_cache(maxsize=None)
 def triple_products(d: int, n_max: int) -> TripleProductTensor:

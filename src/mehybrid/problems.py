@@ -392,10 +392,6 @@ class ProblemSpec:
     make_model: Callable[..., LimitStateModel] = field(repr=False)
     defaults: dict = field(default_factory=dict, repr=False)
 
-    def model(self, **overrides) -> LimitStateModel:
-        params = {**self.parameters, **overrides}
-        return self.make_model(**params)
-
 
 PROBLEMS: dict[str, ProblemSpec] = {
     "step": ProblemSpec(

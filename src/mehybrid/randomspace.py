@@ -8,7 +8,6 @@ chunk) is bit-exact for a given (m, d, seed).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,18 +21,12 @@ __all__ = [
     "Element",
     "Decomposition",
     "SampleSet",
-    "element_probability",
-    "to_local",
-    "to_global",
     "to_local_many",
     "to_global_many",
     "split_element",
-    "locate",
     "locate_many",
     "sample_uniform",
     "check_partition",
-    "decomposition_to_json",
-    "decomposition_from_json",
 ]
 
 DOMAIN_LO = -1.0
@@ -44,11 +37,10 @@ _SAMPLE_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class Element:
-    """Axis-aligned box [lower, upper) with its probability mass under the uniform density."""
+    """Axis-aligned box [lower, upper); `box` validates the bounds."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    prob: float
 
     @classmethod
     def box(cls, lower: Sequence[float], upper: Sequence[float]) -> "Element":
@@ -58,53 +50,23 @@ class Element:
             raise ValueError("lower and upper bounds must have the same nonzero dimension")
         if any(not (DOMAIN_LO <= a < b <= DOMAIN_HI) for a, b in zip(lo, hi)):
             raise ValueError(f"invalid box inside [-1,1]^d: lower={lo} upper={hi}")
-        prob = 1.0
-        for a, b in zip(lo, hi):
-            prob *= (b - a) / 2.0
-        return cls(lo, hi, prob)
+        return cls(lo, hi)
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
+    @property
+    def prob(self) -> float:
+        """Probability mass under the uniform density: prod (b-a)/2.
 
-def element_probability(e: Element) -> float:
-    """Probability mass of the box under the uniform density: prod (b-a)/2."""
-    prob = 1.0
-    for a, b in zip(e.lower, e.upper):
-        if not b > a:
-            raise ValueError(f"degenerate box: [{a}, {b})")
-        prob *= (b - a) / 2.0
-    return prob
-
-
-def _inside_closed(e: Element, z: np.ndarray) -> bool:
-    return all(a <= v <= b for a, b, v in zip(e.lower, e.upper, z))
-
-
-def to_local(e: Element, z) -> np.ndarray:
-    """Map a global point in the element onto the reference cube [-1, 1]^d."""
-    pt = np.atleast_1d(np.asarray(z, dtype=float))
-    if pt.size != e.dim:
-        raise ValueError(f"point dimension {pt.size} does not match element dimension {e.dim}")
-    if not _inside_closed(e, pt):
-        raise DomainError(f"point {pt.tolist()} outside element [{e.lower}, {e.upper})")
-    lo = np.array(e.lower)
-    hi = np.array(e.upper)
-    # rounding may overshoot the reference cube by one ulp on boundary points
-    return np.clip((2.0 * pt - (lo + hi)) / (hi - lo), -1.0, 1.0)
-
-
-def to_global(e: Element, x) -> np.ndarray:
-    """Inverse of `to_local`: map a reference point into the element."""
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.size != e.dim:
-        raise ValueError(f"point dimension {pt.size} does not match element dimension {e.dim}")
-    if np.any(np.abs(pt) > 1.0):
-        raise DomainError(f"reference point {pt.tolist()} outside [-1,1]^d")
-    lo = np.array(e.lower)
-    hi = np.array(e.upper)
-    return (lo + hi) / 2.0 + pt * (hi - lo) / 2.0
+        Exact for every element bisection produces, since all bounds are
+        dyadic, so partition sums stay exact across refinements.
+        """
+        prob = 1.0
+        for a, b in zip(self.lower, self.upper):
+            prob *= (b - a) / 2.0
+        return prob
 
 
 def to_local_many(e: Element, Z: np.ndarray) -> np.ndarray:
@@ -126,9 +88,7 @@ def to_global_many(e: Element, X: np.ndarray) -> np.ndarray:
 def split_element(e: Element, dims: Iterable[int]) -> list[Element]:
     """Bisect the element along each requested dimension.
 
-    Returns 2^len(dims) children in a fixed binary order.  Child probabilities
-    are set to parent.prob / 2^len(dims) exactly, so partition sums are
-    preserved bit-for-bit across refinements.
+    Returns 2^len(dims) children in a fixed binary order.
     """
     dim_list = sorted(set(int(d) for d in dims))
     if not dim_list:
@@ -136,7 +96,6 @@ def split_element(e: Element, dims: Iterable[int]) -> list[Element]:
     if any(d < 0 or d >= e.dim for d in dim_list):
         raise ValueError(f"split dimensions {dim_list} out of range for dimension {e.dim}")
     mids = {d: (e.lower[d] + e.upper[d]) / 2.0 for d in dim_list}
-    child_prob = e.prob / (2 ** len(dim_list))
     children = []
     for mask in range(2 ** len(dim_list)):
         lo = list(e.lower)
@@ -146,7 +105,7 @@ def split_element(e: Element, dims: Iterable[int]) -> list[Element]:
                 lo[d] = mids[d]
             else:
                 hi[d] = mids[d]
-        children.append(Element(tuple(lo), tuple(hi), child_prob))
+        children.append(Element(tuple(lo), tuple(hi)))
     return children
 
 
@@ -187,19 +146,8 @@ def _member_mask(e: Element, pts: np.ndarray) -> np.ndarray:
     return mask
 
 
-def locate(dec: Decomposition, z) -> int:
-    """Index of the unique element containing the point."""
-    pt = np.atleast_2d(np.asarray(z, dtype=float))
-    if np.any(pt < DOMAIN_LO) or np.any(pt > DOMAIN_HI):
-        raise DomainError(f"point {np.asarray(z).tolist()} outside [-1,1]^d")
-    for k, e in enumerate(dec.elements):
-        if _member_mask(e, pt)[0]:
-            return k
-    raise DomainError(f"point {np.asarray(z).tolist()} not covered by the decomposition")
-
-
 def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:
-    """Vectorized `locate`; returns one element index per row of Z."""
+    """Index of the unique element containing each row of Z."""
     pts = np.atleast_2d(np.asarray(Z, dtype=float))
     if np.any(pts < DOMAIN_LO) or np.any(pts > DOMAIN_HI):
         raise DomainError("points outside [-1,1]^d")
@@ -265,14 +213,6 @@ def check_partition(dec: Decomposition, n_probe: int = 4096, seed: int = 0) -> l
     total = sum(e.prob for e in dec.elements)
     if abs(total - 1.0) > 1e-12:
         issues.append(f"element probabilities sum to {total!r}, not 1")
-    for k, e in enumerate(dec.elements):
-        try:
-            recomputed = element_probability(e)
-        except ValueError:
-            issues.append(f"element {k} is degenerate")
-            continue
-        if abs(recomputed - e.prob) > 1e-12:
-            issues.append(f"element {k} stores prob {e.prob!r} but bounds give {recomputed!r}")
     pts = sample_uniform(n_probe, dec.dim, seed).points
     counts = np.zeros(n_probe, dtype=int)
     owners = np.full(n_probe, -1, dtype=int)
@@ -288,22 +228,3 @@ def check_partition(dec: Decomposition, n_probe: int = 4096, seed: int = 0) -> l
         miss = pts[counts == 0][0]
         issues.append(f"uncovered region near {miss.tolist()}")
     return issues
-
-
-def decomposition_to_json(dec: Decomposition) -> str:
-    payload = {
-        "dim": dec.dim,
-        "elements": [
-            {"lower": list(e.lower), "upper": list(e.upper), "prob": e.prob} for e in dec.elements
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def decomposition_from_json(text: str) -> Decomposition:
-    payload = json.loads(text)
-    elements = tuple(
-        Element(tuple(item["lower"]), tuple(item["upper"]), float(item["prob"]))
-        for item in payload["elements"]
-    )
-    return Decomposition(elements)

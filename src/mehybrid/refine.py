@@ -48,25 +48,25 @@ __all__ = [
 class RefinementConfig:
     """Thresholds and orders shared by both refinement criteria.
 
-    ``tol1`` is an alias for the split threshold ``theta1``; exactly one of
-    the two must be given.
+    ``theta1`` is the split threshold (eta^alpha * prob for the static
+    criterion, Q * prob for the dynamic one); ``N`` and ``N0`` are the full
+    and reduced orders (``N0`` defaults to N - 2); ``theta2`` selects the
+    split dimensions relative to the strongest one; ``alpha`` is the static
+    criterion's exponent; ``max_elements`` caps the mesh (hitting it marks
+    the surrogate truncated); ``check_interval`` is the dynamic criterion's
+    time between checks (default 10 dt).
     """
 
-    theta1: float | None = None
+    theta1: float
     N: int = 3
     N0: int | None = None
     theta2: float = 0.1
     alpha: float = 0.5
     max_elements: int = 256
     check_interval: float | None = None
-    tol1: float | None = None
 
     def __post_init__(self):
-        if self.theta1 is None:
-            self.theta1 = self.tol1
-        elif self.tol1 is not None and self.tol1 != self.theta1:
-            raise ValueError("theta1 and tol1 are aliases; give one value")
-        if self.theta1 is None or self.theta1 <= 0:
+        if self.theta1 <= 0:
             raise ValueError("split threshold theta1 must be positive")
         if not 0 < self.theta2 < 1:
             raise ValueError("theta2 must lie in (0, 1)")

@@ -30,9 +30,7 @@ __all__ = [
     "GpcExpansion",
     "MultiElementSurrogate",
     "build_collocation",
-    "eval_expansion",
     "eval_expansion_many",
-    "eval_me_surrogate",
     "eval_me_surrogate_many",
     "local_variance",
     "lp_error",
@@ -119,9 +117,6 @@ class GpcExpansion:
         idx = as_multi_index(i)
         return float(self.coeffs[self.indices.index(idx)])
 
-    def coeff_map(self) -> dict[MultiIndex, float]:
-        return {idx: float(c) for idx, c in zip(self.indices, self.coeffs)}
-
     def eval_many(self, Z: np.ndarray) -> np.ndarray:
         return eval_expansion_many(self, Z)
 
@@ -202,12 +197,6 @@ def _points_for(dim: int, Z) -> np.ndarray:
     return arr
 
 
-def eval_expansion(exp: GpcExpansion, z) -> float:
-    """Value of the expansion at one global point inside its element."""
-    pt = np.atleast_1d(np.asarray(z, dtype=float))
-    return float(eval_expansion_many(exp, pt[None, :])[0])
-
-
 def eval_expansion_many(exp: GpcExpansion, Z: np.ndarray) -> np.ndarray:
     pts = _points_for(exp.element.dim, Z)
     local = to_local_many(exp.element, pts)
@@ -216,11 +205,6 @@ def eval_expansion_many(exp: GpcExpansion, Z: np.ndarray) -> np.ndarray:
 
 def _eval_local(exp: GpcExpansion, local: np.ndarray) -> np.ndarray:
     return basis_matrix(exp.indices, local) @ exp.coeffs
-
-
-def eval_me_surrogate(s: MultiElementSurrogate, z) -> float:
-    pt = np.atleast_1d(np.asarray(z, dtype=float))
-    return float(eval_me_surrogate_many(s, pt[None, :])[0])
 
 
 def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray) -> np.ndarray:
@@ -262,10 +246,6 @@ def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> 
 
 
 def as_evaluable(surrogate) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(surrogate, GpcExpansion):
-        return lambda Z: eval_expansion_many(surrogate, Z)
-    if isinstance(surrogate, MultiElementSurrogate):
-        return lambda Z: eval_me_surrogate_many(surrogate, Z)
     if hasattr(surrogate, "eval_many"):
         return surrogate.eval_many
     if callable(surrogate):
@@ -293,7 +273,6 @@ def surrogate_to_json(s: MultiElementSurrogate) -> str:
             {
                 "lower": list(exp.element.lower),
                 "upper": list(exp.element.upper),
-                "prob": exp.element.prob,
                 "order": exp.order,
                 "coeffs": exp.coeffs.tolist(),
             }
@@ -308,7 +287,7 @@ def surrogate_from_json(text: str) -> MultiElementSurrogate:
     expansions = []
     elements = []
     for item in payload["elements"]:
-        e = Element(tuple(item["lower"]), tuple(item["upper"]), float(item["prob"]))
+        e = Element.box(item["lower"], item["upper"])
         elements.append(e)
         expansions.append(GpcExpansion(e, int(item["order"]), np.array(item["coeffs"])))
     return MultiElementSurrogate(

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from mehybrid.cli import RunConfig, UsageError, main, run, table, validate
-from mehybrid.randomspace import Decomposition, Element, decomposition_to_json
-from mehybrid.surrogate import surrogate_to_json
 
 
 def base_config(**overrides):
@@ -33,6 +31,9 @@ def test_config_validation_errors():
         RunConfig.from_dict(base_config(problem="ko3"))
     with pytest.raises(UsageError, match="seed"):
         RunConfig.from_dict(base_config(seed=-1))
+    for key in ("tol1", "theta"):
+        with pytest.raises(UsageError, match="accepted keys: theta1, N0, theta2"):
+            RunConfig.from_dict(base_config(refine={key: 1e-3}))
 
 
 def test_run_report_fields_and_determinism():
@@ -87,6 +88,13 @@ def test_estimate_command_usage_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps(base_config(method="nope")))
     assert main(["estimate", "--config", str(cfg_path)]) == 1
     assert main(["estimate", "--config", str(tmp_path / "missing.json")]) == 1
+    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=3)))
+    for key in ("tol1", "theta"):
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(cfg_path), "--set", f"refine.{key}=1e-9"]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown refine key(s) ['{key}']" in err
+        assert "collocation_nodes" in err
 
 
 def test_refine_then_estimate_with_cache(tmp_path, capsys):
@@ -109,6 +117,25 @@ def test_refine_then_estimate_with_cache(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["n_elements"] >= 4
     assert printed["n_exact_build"] == 0
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        {"lower": [-1.0], "upper": [1.0], "order": 1, "coeffs": [1.0]},  # order 1 needs two coefficients
+        {"lower": [0.5], "upper": [0.5], "order": 0, "coeffs": [1.0]},  # empty box
+        {"lower": [-1.0], "upper": [1.5], "order": 0, "coeffs": [1.0]},  # outside [-1, 1]
+    ],
+)
+def test_malformed_cache_is_usage_error(tmp_path, capsys, element):
+    cache = tmp_path / "bad.json"
+    cache.write_text(json.dumps({"dim": 1, "order": element["order"], "elements": [element]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(m=1000, delta_m=100, surrogate_cache=str(cache))))
+    assert main(["estimate", "--config", str(cfg_path)]) == 1
+    assert main(["validate", "--cache", str(cache)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage error: malformed surrogate cache") == 2
 
 
 def test_table_one_downscaled(tmp_path):

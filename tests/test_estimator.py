@@ -191,26 +191,60 @@ def test_me_lha_element_order_invariance():
     assert est_a.n_exact == est_b.n_exact
 
 
-def test_conservation_of_count_reconstruction():
-    # reclassify every sample by the documented rule and reproduce p_f bit for bit
-    samples = sample_uniform(25_000, 1, 11)
-    model = StepModel()
-    surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
-    cfg = HybridConfig(delta_m=400)
-    est, _ = iterative_hybrid(model, surrogate, samples, cfg)
+def linear_mesh_surrogate() -> MultiElementSurrogate:
+    """g~(z) = z - 0.3 on four elements, except a constant -1 on the last one."""
+    expansions = []
+    for a, b in ((-1.0, -0.5), (-0.5, 0.0), (0.0, 0.5), (0.5, 1.0)):
+        coeffs = [(a + b) / 2.0 - 0.3, (b - a) / (2.0 * math.sqrt(3.0))] if b < 1.0 else [-1.0, 0.0]
+        expansions.append(GpcExpansion(Element.box([a], [b]), 1, np.array(coeffs)))
+    return MultiElementSurrogate(Decomposition(tuple(e.element for e in expansions)), tuple(expansions))
 
+
+def test_conservation_of_count_reconstruction():
+    # reclassify every sample by the documented rule and reproduce p_f bit for bit:
+    # exact classes on the samples each walk evaluated, surrogate classes on all others
+    samples = sample_uniform(25_000, 1, 11)
     pts = samples.points
-    ghat = surrogate.eval_many(pts)
-    order = np.argsort(np.abs(ghat), kind="stable")
-    evaluated = order[: est.n_exact]
-    fresh = StepModel()
-    exact_fail = fresh.evaluate_many(pts[evaluated]) < 0
-    surr_fail = ghat < 0
-    count = int(np.count_nonzero(exact_fail))
-    mask = np.ones(len(pts), dtype=bool)
-    mask[evaluated] = False
-    count += int(np.count_nonzero(surr_fail[mask]))
-    assert est.p_f == count / samples.m
+    line = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    mesh = linear_mesh_surrogate()
+    owners = locate_many(mesh.decomposition, pts)
+    cases = [
+        (iterative_hybrid, line, HybridConfig(delta_m=400), None),
+        (me_gha, mesh, HybridConfig(delta_m=400), None),
+        (me_lha, mesh, HybridConfig(delta_m=400), owners),
+        # the call budget runs out inside element 2, mid-block; element 3 is never visited
+        (me_lha, mesh, HybridConfig(delta_m=400, max_exact=3923), owners),
+    ]
+    for runner, surrogate, cfg, groups in cases:
+        est, trace = runner(StepModel(), surrogate, samples, cfg)
+        assert trace.records[-1].estimate == est.p_f
+
+        walk_start, walk_calls = {}, {}
+        for r in trace.records:
+            if r.iteration == 0:
+                walk_start[r.element] = r.n_exact
+            walk_calls[r.element] = r.n_exact - walk_start[r.element]
+        assert sum(walk_calls.values()) == est.n_exact
+
+        ghat = surrogate.eval_many(pts)
+        evaluated = []
+        for label, calls in walk_calls.items():
+            members = np.arange(len(pts)) if label is None else np.flatnonzero(groups == label)
+            evaluated.append(members[np.argsort(np.abs(ghat[members]), kind="stable")][:calls])
+        evaluated = np.concatenate(evaluated)
+        count = int(np.count_nonzero(StepModel().evaluate_many(pts[evaluated]) < 0))
+        mask = np.ones(len(pts), dtype=bool)
+        mask[evaluated] = False
+        count += int(np.count_nonzero(ghat[mask] < 0))
+        assert est.p_f == count / samples.m
+
+        if cfg.max_exact is not None:
+            assert est.n_exact == cfg.max_exact
+            assert sorted(walk_calls) == [0, 1, 2]
+            assert 0 < walk_calls[2] % cfg.delta_m
+            assert walk_calls[2] < np.count_nonzero(owners == 2)
+            # element 3's surrogate says fail everywhere while the model is safe there
+            assert est.p_f > mc_estimate(StepModel(), samples).p_f
 
 
 def test_trace_invariants():

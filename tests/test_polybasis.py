@@ -9,8 +9,6 @@ from mehybrid.polybasis import (
     legendre,
     legendre_table,
     multi_index_set,
-    orthonormal_legendre,
-    tensor_basis_eval,
     basis_matrix,
     triple_products,
 )
@@ -42,28 +40,31 @@ def test_legendre_rejects_negative_degree():
 
 
 def test_orthonormal_values():
-    assert orthonormal_legendre(0, -0.9) == 1.0
-    assert orthonormal_legendre(1, 1.0) == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert legendre_table(1, [-0.9])[0, 0] == 1.0
+    assert legendre_table(1, [1.0])[0, 1] == pytest.approx(math.sqrt(3.0), abs=1e-15)
 
 
 def test_orthonormal_unit_norm_by_quadrature():
     # independent oracle: numpy's Gauss rule against the uniform density
     x, w = np.polynomial.legendre.leggauss(8)
     w = w / 2.0
-    val = np.sum(w * orthonormal_legendre(2, x) ** 2)
+    val = np.sum(w * legendre_table(2, x)[:, 2] ** 2)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_tensor_basis_eval():
-    assert tensor_basis_eval((0, 0), (0.2, -0.4)) == 1.0
-    assert tensor_basis_eval((1, 0), (0.5, 0.9)) == pytest.approx(math.sqrt(3) * 0.5, abs=1e-15)
+    def phi(i, x):
+        return basis_matrix([MultiIndex(i)], [x])[0, 0]
+
+    assert phi((0, 0), (0.2, -0.4)) == 1.0
+    assert phi((1, 0), (0.5, 0.9)) == pytest.approx(math.sqrt(3) * 0.5, abs=1e-15)
     # separability: product of two 1-D degree-1 values
-    assert tensor_basis_eval((1, 1), (0.5, 0.5)) == pytest.approx(0.75, abs=1e-15)
+    assert phi((1, 1), (0.5, 0.5)) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_tensor_basis_dimension_mismatch():
     with pytest.raises(ValueError):
-        tensor_basis_eval((1, 0), (0.5,))
+        basis_matrix([MultiIndex((1, 0))], [[0.5]])
 
 
 def test_multi_index_invariants():
@@ -190,4 +191,4 @@ def test_legendre_table_consistency():
     x = np.linspace(-1, 1, 11)
     table = legendre_table(5, x)
     for n in range(6):
-        assert np.allclose(table[:, n], orthonormal_legendre(n, x), atol=1e-14)
+        assert np.allclose(table[:, n], math.sqrt(2 * n + 1) * legendre(n, x), atol=1e-14)

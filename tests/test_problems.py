@@ -8,7 +8,7 @@ from mehybrid.errors import DomainError, RootSolveError
 from mehybrid.estimator import mc_estimate, mc_stddev
 from mehybrid.polybasis import gauss_legendre, legendre_table
 from mehybrid.randomspace import sample_uniform
-from mehybrid.surrogate import eval_expansion, eval_expansion_many, lp_error
+from mehybrid.surrogate import eval_expansion_many, lp_error
 from mehybrid.problems import (
     PROBLEMS,
     BurgersModel,
@@ -231,11 +231,12 @@ def test_problem_registry():
     assert set(PROBLEMS) == {"step", "linear-ode", "ko3", "burgers"}
     for spec in PROBLEMS.values():
         assert 0.0 < spec.reference_p_f < 1.0
-        model = spec.model()
+        model = spec.make_model(**spec.parameters)
         assert model.dim == 1
         assert model.call_count == 0
 
 
 def test_problem_registry_parameter_overrides():
-    model = PROBLEMS["ko3"].model(dt=0.02)
+    spec = PROBLEMS["ko3"]
+    model = spec.make_model(**{**spec.parameters, "dt": 0.02})
     assert model.dt == 0.02

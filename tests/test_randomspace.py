@@ -10,17 +10,13 @@ from mehybrid.randomspace import (
     Decomposition,
     Element,
     check_partition,
-    decomposition_from_json,
-    decomposition_to_json,
-    element_probability,
-    locate,
     locate_many,
     sample_uniform,
     split_element,
-    to_global,
-    to_local,
+    to_global_many,
     to_local_many,
 )
+from mehybrid.surrogate import GpcExpansion, MultiElementSurrogate, surrogate_from_json, surrogate_to_json
 
 
 def two_element_line():
@@ -28,15 +24,14 @@ def two_element_line():
 
 
 def test_element_probability_examples():
-    assert element_probability(Element.box([-1.0], [1.0])) == 1.0
-    assert element_probability(Element.box([0.0], [1.0])) == 0.5
-    assert element_probability(Element.box([-1.0, 0.0], [0.0, 1.0])) == 0.25
+    assert Element.box([-1.0], [1.0]).prob == 1.0
+    assert Element.box([0.0], [1.0]).prob == 0.5
+    assert Element.box([-1.0, 0.0], [0.0, 1.0]).prob == 0.25
 
 
 def test_element_probability_degenerate():
-    bad = Element((0.0,), (0.0,), 0.0)
     with pytest.raises(ValueError):
-        element_probability(bad)
+        Element.box([0.0], [0.0])
 
 
 def test_element_box_rejects_bad_bounds():
@@ -47,14 +42,14 @@ def test_element_box_rejects_bad_bounds():
 
 
 def test_to_local_examples():
-    assert to_local(Element.box([0.0], [1.0]), 0.5)[0] == pytest.approx(0.0, abs=1e-15)
-    assert to_local(Element.box([-1.0], [1.0]), 0.25)[0] == pytest.approx(0.25, abs=1e-15)
-    assert to_local(Element.box([0.0], [0.5]), 0.125)[0] == pytest.approx(-0.5, abs=1e-15)
+    assert to_local_many(Element.box([0.0], [1.0]), [[0.5]])[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert to_local_many(Element.box([-1.0], [1.0]), [[0.25]])[0, 0] == pytest.approx(0.25, abs=1e-15)
+    assert to_local_many(Element.box([0.0], [0.5]), [[0.125]])[0, 0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_to_local_outside_raises():
     with pytest.raises(DomainError):
-        to_local(Element.box([0.0], [1.0]), -0.5)
+        to_local_many(Element.box([0.0], [1.0]), [[-0.5]])
     with pytest.raises(DomainError):
         to_local_many(Element.box([0.0], [1.0]), np.array([[0.2], [1.5]]))
 
@@ -69,7 +64,7 @@ def test_affine_round_trip(lo, width, frac):
     hi = min(lo + width, 1.0)
     e = Element.box([lo], [hi])
     z = min(lo + frac * (hi - lo), hi)
-    back = to_global(e, to_local(e, z))[0]
+    back = to_global_many(e, to_local_many(e, [[z]]))[0, 0]
     assert abs(back - z) < 1e-14
 
 
@@ -97,22 +92,19 @@ def test_split_element_validates_dims():
 
 def test_locate_examples():
     dec = two_element_line()
-    assert locate(dec, 0.0) == 1  # half-open boxes: 0 belongs to [0, 1)
-    assert locate(dec, -0.3) == 0
-    assert locate(dec, 1.0) == 1  # right domain edge closed
+    # half-open boxes: 0 belongs to [0, 1); the right domain edge is closed
+    assert locate_many(dec, [[0.0], [-0.3], [1.0]]).tolist() == [1, 0, 1]
 
 
 def test_locate_outside_domain():
     with pytest.raises(DomainError):
-        locate(two_element_line(), 1.5)
+        locate_many(two_element_line(), [[1.5]])
 
 
-def test_locate_many_matches_scalar():
+def test_locate_many_matches_bounds():
     dec = two_element_line()
     pts = sample_uniform(500, 1, 3).points
-    many = locate_many(dec, pts)
-    scalar = np.array([locate(dec, p) for p in pts])
-    assert np.array_equal(many, scalar)
+    assert np.array_equal(locate_many(dec, pts), (pts[:, 0] >= 0.0).astype(int))
 
 
 def test_sampling_determinism_and_bounds():
@@ -170,8 +162,11 @@ def test_split_locate_consistency():
 
 def test_decomposition_json_round_trip():
     dec = two_element_line()
-    text = decomposition_to_json(dec)
-    payload = json.loads(text)
+    surr = MultiElementSurrogate(dec, tuple(GpcExpansion(e, 0, np.array([1.0])) for e in dec))
+    payload = json.loads(surrogate_to_json(surr))
     assert payload["dim"] == 1
-    back = decomposition_from_json(text)
+    # probabilities come from the bounds; a stored value from an older cache is ignored
+    payload["elements"][0]["prob"] = 0.9
+    back = surrogate_from_json(json.dumps(payload)).decomposition
     assert back == dec
+    assert [e.prob for e in back] == [0.5, 0.5]

@@ -341,8 +341,4 @@ def test_refinement_config_validation():
         RefinementConfig(theta1=1e-3, N=3, theta2=1.5)
     with pytest.raises(ValueError):
         RefinementConfig(theta1=1e-3, N=3, alpha=0.0)
-    with pytest.raises(ValueError):
-        RefinementConfig(theta1=1e-2, tol1=1e-3, N=3)
-    tolcfg = RefinementConfig(tol1=5e-4, N=4)
-    assert tolcfg.theta1 == 5e-4
-    assert tolcfg.N0 == 2
+    assert RefinementConfig(theta1=5e-4, N=4).N0 == 2

@@ -11,9 +11,7 @@ from mehybrid.surrogate import (
     GpcExpansion,
     MultiElementSurrogate,
     build_collocation,
-    eval_expansion,
     eval_expansion_many,
-    eval_me_surrogate,
     eval_me_surrogate_many,
     gamma_bound,
     local_variance,
@@ -77,24 +75,23 @@ def test_collocation_propagates_model_failure():
 
 def test_eval_expansion_examples():
     const = GpcExpansion(full_line(), 0, np.array([-1.0]))
-    assert eval_expansion(const, 0.77) == -1.0
+    assert eval_expansion_many(const, [0.77])[0] == -1.0
 
     lin = GpcExpansion(full_line(), 1, np.array([0.0, 1.0 / math.sqrt(3.0)]))
-    assert eval_expansion(lin, 0.5) == pytest.approx(0.5, abs=1e-14)
+    assert eval_expansion_many(lin, [0.5])[0] == pytest.approx(0.5, abs=1e-14)
 
-    assert eval_expansion(step_global_gpc(0), 0.0) == pytest.approx(-0.5, abs=1e-15)
+    assert eval_expansion_many(step_global_gpc(0), [0.0])[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_eval_expansion_outside_element():
     exp = GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([2.0]))
     with pytest.raises(DomainError):
-        eval_expansion(exp, -0.5)
+        eval_expansion_many(exp, [-0.5])
 
 
 def test_me_surrogate_examples():
     me = step_me_exact()
-    assert eval_me_surrogate(me, -0.5) == -1.0
-    assert eval_me_surrogate(me, 0.5) == 0.0
+    assert eval_me_surrogate_many(me, [-0.5, 0.5]).tolist() == [-1.0, 0.0]
     # single-element surrogate behaves exactly like its expansion
     exp = GpcExpansion(full_line(), 1, np.array([0.3, 0.9]))
     single = MultiElementSurrogate(Decomposition((full_line(),)), (exp,))
@@ -126,7 +123,7 @@ def test_projection_reproduces_polynomials():
         truth = GpcExpansion(e, n, coeffs)
 
         model = CallableModel(
-            lambda z: float(eval_expansion(truth, z)),
+            lambda z: float(eval_expansion_many(truth, np.reshape(z, (1, d)))[0]),
             dim=d,
             fn_many=lambda Z: eval_expansion_many(truth, Z),
         )
