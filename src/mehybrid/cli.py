@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from . import problems as prob
 from .errors import DomainError, IntegrationError, ModelEvaluationError, RootSolveError
@@ -31,35 +28,22 @@ from .estimator import (
     me_lha,
     relative_error,
 )
-from .polybasis import gauss_legendre, multi_index_set, triple_products
-from .randomspace import (
-    Decomposition,
-    Element,
-    check_partition,
-    sample_uniform,
-    split_element,
-)
-from .refine import (
-    PolynomialOde,
-    RefinementConfig,
-    adapt_dynamic,
-    adapt_static,
-    dynamic_indicator,
-    limit_state_surrogate,
-    rk4_step,
-    write_events_csv,
-    _batched_rhs,
-)
+from .invariants import CHECKS
+from .randomspace import check_partition, sample_uniform
+from .refine import RefinementConfig, write_events_csv
 from .surrogate import (
     GpcExpansion,
-    build_collocation,
+    MultiElementSurrogate,
+    collocation_nodes,
     surrogate_from_json,
     surrogate_to_json,
 )
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
+GLOBAL_METHODS = ("direct-hybrid", "global-hybrid")
 REFINE_KEYS = ("theta1", "N0", "theta2", "alpha", "max_elements", "check_interval",
                "dt", "resolve_from_t0", "collocation_nodes")
+TABLE_KEYS = ("seed", "m", "delta_m")
 
 
 class UsageError(ValueError):
@@ -110,21 +94,27 @@ class RunConfig:
         cfg = cls(**raw)
         if cfg.problem not in prob.PROBLEMS:
             raise UsageError(f"unknown problem {cfg.problem!r}; choose from {sorted(prob.PROBLEMS)}")
+        if cfg.delta_m is None:
+            cfg.delta_m = prob.PROBLEMS[cfg.problem].defaults["delta_m"]
         if cfg.method not in METHODS:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
         if cfg.method == "direct-hybrid" and cfg.gamma is None:
             raise UsageError("field 'gamma' is required for the direct-hybrid method")
-        if cfg.method != "mc" and cfg.order is None and cfg.problem != "step":
+        if cfg.method != "mc" and cfg.order is None and (cfg.problem != "step" or cfg.method in GLOBAL_METHODS):
             raise UsageError("field 'order' is required for surrogate methods")
         if not isinstance(cfg.seed, int) or cfg.seed < 0:
             raise UsageError("field 'seed' must be a nonnegative integer")
+        if cfg.m < 1:
+            raise UsageError("field 'm' must be at least one")
         return cfg
 
 
-def _refine_config(cfg: RunConfig, defaults: dict, order: int) -> RefinementConfig:
-    opts = {**defaults, **cfg.refine}
+def _refine_config(opts: dict, order: int) -> RefinementConfig:
+    """Parse the refinement options (problem defaults merged with the run's ``refine`` object)."""
     if opts.get("theta1") is None:
         raise UsageError("field 'refine.theta1' is required")
+    if "collocation_nodes" in opts:
+        collocation_nodes(order, int(opts["collocation_nodes"]))
     return RefinementConfig(
         theta1=float(opts["theta1"]),
         N=order,
@@ -136,88 +126,65 @@ def _refine_config(cfg: RunConfig, defaults: dict, order: int) -> RefinementConf
     )
 
 
-def _load_cache(path: str):
+def _prepare(cfg: RunConfig):
+    """Models and settings a run makes before it samples; a bad value among them is a usage error.
+
+    Returns the exact model, a second one charged with the surrogate build, and
+    the hybrid and refinement settings (None where unused)."""
+    spec = prob.PROBLEMS[cfg.problem]
+    params = {**spec.parameters, **cfg.problem_params}
+    refines = cfg.method != "mc" and not cfg.surrogate_cache and "theta1" in spec.defaults
+    try:
+        model = spec.make_model(**params)
+        build_model = spec.make_model(**params)
+        hycfg = None if cfg.method == "mc" else HybridConfig(
+            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact, m=cfg.m)
+        rcfg = _refine_config({**spec.defaults, **cfg.refine}, cfg.order) if refines else None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid configuration: {exc}") from exc
+    return model, build_model, hycfg, rcfg
+
+
+def _load_cache(path: str) -> tuple[MultiElementSurrogate, list[str]]:
+    """Parse a surrogate cache; returns it with its partition issues (empty when valid)."""
     with open(path) as fh:
         text = fh.read()
     try:
-        return surrogate_from_json(text)
+        surr = surrogate_from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed surrogate cache {path}: {exc!r}") from exc
+    return surr, check_partition(surr.decomposition)
 
 
-def _build_surrogate(cfg: RunConfig, model):
-    """Build (or load) the surrogate a non-mc method needs.
-
-    Returns (surrogate, n_elements, build_calls, truncated, events).
-    """
-    spec = prob.PROBLEMS[cfg.problem]
-    defaults = dict(spec.defaults)
-    params = {**spec.parameters, **cfg.problem_params}
-    events: list = []
+def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event_log: list):
+    """Load the cached surrogate, or have the problem registry build the one the method needs."""
     if cfg.surrogate_cache:
-        surr = _load_cache(cfg.surrogate_cache)
-        issues = check_partition(surr.decomposition)
+        surr, issues = _load_cache(cfg.surrogate_cache)
         if issues:
             raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
-        return surr, len(surr), 0, surr.truncated, events
-    name, method, order = cfg.problem, cfg.method, cfg.order
-    global_only = method in ("global-hybrid", "direct-hybrid")
-    if name == "step":
-        if global_only:
-            if order is None:
-                raise UsageError("field 'order' (half-order p) is required for the step global surrogate")
-            return prob.step_global_gpc(order), 1, 0, False, events
-        surr = prob.step_me_exact()
-        return surr, len(surr), 0, False, events
-    if name in ("linear-ode", "ko3"):
-        dt = float(cfg.refine.get("dt", defaults.get("dt", 0.01)))
-        if name == "linear-ode":
-            system = prob.ode_galerkin_system(order, u0=params["u0"], mu=params["mu"], sigma=params["sigma"])
-            T, offset = params["T"], -params["u_d"]
-        else:
-            system = prob.ko_galerkin_system()
-            T, offset = params["T"], -params["u_d"]
-        rcfg = _refine_config(cfg, defaults, order)
-        if global_only:
-            rcfg.theta1 = math.inf
-        status: dict = {}
-        dec, states = adapt_dynamic(
-            system, rcfg, T=T, dt=dt,
-            resolve_from_t0=bool(cfg.refine.get("resolve_from_t0", False)),
-            event_log=events, status=status,
-        )
-        surr = limit_state_surrogate(dec, states, var=0, offset=offset, truncated=status.get("truncated", False))
-        return surr, len(surr), 0, surr.truncated, events
-    if name == "burgers":
-        q = int(cfg.refine.get("collocation_nodes", defaults.get("collocation_nodes", 21)))
-        if global_only:
-            exp = build_collocation(model, Element.box([-1.0], [1.0]), order, q)
-            return exp, 1, model.call_count, False, events
-        rcfg = _refine_config(cfg, defaults, order)
-        surr = adapt_static(model, rcfg, order=order, q=q, event_log=events)
-        return surr, len(surr), model.call_count, surr.truncated, events
-    raise UsageError(f"no surrogate builder for problem {cfg.problem!r}")
+        if surr.dim != model.dim:
+            raise UsageError(f"cached surrogate has dim {surr.dim}, problem {cfg.problem!r} has dim {model.dim}")
+        return surr
+    spec = prob.PROBLEMS[cfg.problem]
+    return spec.build_surrogate(
+        model, {**spec.parameters, **cfg.problem_params}, cfg.order, {**spec.defaults, **cfg.refine},
+        rcfg, cfg.method in GLOBAL_METHODS, event_log,
+    )
 
 
 def run(cfg: RunConfig) -> dict:
     """Execute one configured estimation and return the report dictionary."""
     t0 = time.perf_counter()
     spec = prob.PROBLEMS[cfg.problem]
-    params = {**spec.parameters, **cfg.problem_params}
-    model = spec.make_model(**params)
-    build_model = spec.make_model(**params)
+    model, build_model, hycfg, rcfg = _prepare(cfg)
     samples = sample_uniform(cfg.m, model.dim, cfg.seed)
-    delta_m = cfg.delta_m if cfg.delta_m is not None else spec.defaults.get("delta_m", 100)
     trace: HybridTrace | None = None
-    n_elements = 0
-    build_calls = 0
-    truncated = False
+    surr = None
     events: list = []
     if cfg.method == "mc":
         est = mc_estimate(model, samples)
     else:
-        surr, n_elements, build_calls, truncated, events = _build_surrogate(cfg, build_model)
-        hycfg = HybridConfig(delta_m=delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact, m=cfg.m)
+        surr = _build_surrogate(cfg, build_model, rcfg, events)
         if cfg.method == "direct-hybrid":
             est = direct_hybrid(model, surr, samples, cfg.gamma)
         elif cfg.method == "global-hybrid":
@@ -226,6 +193,7 @@ def run(cfg: RunConfig) -> dict:
             est, trace = me_gha(model, surr, samples, hycfg)
         else:
             est, trace = me_lha(model, surr, samples, hycfg)
+    multi = isinstance(surr, MultiElementSurrogate)
     reference = cfg.reference if cfg.reference is not None else spec.reference_p_f
     report = {
         "problem": cfg.problem,
@@ -233,16 +201,16 @@ def run(cfg: RunConfig) -> dict:
         "estimate": est.p_f,
         "stddev": est.stddev,
         "n_exact": est.n_exact,
-        "n_exact_build": build_calls,
+        "n_exact_build": build_model.call_count,
         "n_surrogate": est.n_surrogate,
-        "n_elements": n_elements,
-        "truncated": truncated,
+        "n_elements": len(surr) if multi else int(surr is not None),
+        "truncated": multi and surr.truncated,
         "reference": reference,
         "reference_tag": spec.reference_tag if cfg.reference is None else "configured",
         "relative_error": relative_error(est.p_f, reference) if reference > 0 else None,
-        "model_calls_total": model.call_count + build_calls,
+        "model_calls_total": model.call_count + build_model.call_count,
         "wall_time_s": time.perf_counter() - t0,
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
     }
     out = cfg.output or {}
     if out.get("report"):
@@ -259,14 +227,13 @@ def run(cfg: RunConfig) -> dict:
     return report
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo["delta_m"] = cfg.delta_m if cfg.delta_m is not None else prob.PROBLEMS[cfg.problem].defaults.get("delta_m", 100)
-    return echo
-
-
 # ---------------------------------------------------------------------------
 # benchmark tables
+
+# Published element counts of the three-mode meshes, shared by tables 3 and 4.
+KO_ELEMENTS = {(3, 1e-2): 22, (3, 1e-3): 38, (3, 1e-4): 58,
+               (5, 1e-2): 12, (5, 1e-3): 22, (5, 1e-4): 30,
+               (7, 1e-2): 10, (7, 1e-3): 16, (7, 1e-4): 26}
 
 # Published benchmark results the table command reproduces side by side.
 REFERENCE_TABLES = {
@@ -295,9 +262,7 @@ REFERENCE_TABLES = {
         "orders": (3, 5, 7),
         "tols": (1e-2, 1e-3, 1e-4),
         "rows": {
-            "elements": {(3, 1e-2): 22, (3, 1e-3): 38, (3, 1e-4): 58,
-                         (5, 1e-2): 12, (5, 1e-3): 22, (5, 1e-4): 30,
-                         (7, 1e-2): 10, (7, 1e-3): 16, (7, 1e-4): 26},
+            "elements": KO_ELEMENTS,
             "me_gha_exact_calls": {(3, 1e-2): 6900, (3, 1e-3): 500, (3, 1e-4): 200,
                                    (5, 1e-2): 3900, (5, 1e-3): 200, (5, 1e-4): 200,
                                    (7, 1e-2): 1400, (7, 1e-3): 2200, (7, 1e-4): 300},
@@ -312,9 +277,7 @@ REFERENCE_TABLES = {
         "orders": (3, 5, 7),
         "tols": (1e-2, 1e-3, 1e-4),
         "rows": {
-            "elements": {(3, 1e-2): 22, (3, 1e-3): 38, (3, 1e-4): 58,
-                         (5, 1e-2): 12, (5, 1e-3): 22, (5, 1e-4): 30,
-                         (7, 1e-2): 10, (7, 1e-3): 16, (7, 1e-4): 26},
+            "elements": KO_ELEMENTS,
             "me_lha_exact_calls": {(3, 1e-2): 12245, (3, 1e-3): 4700, (3, 1e-4): 6029,
                                    (5, 1e-2): 3400, (5, 1e-3): 3000, (5, 1e-4): 3400,
                                    (7, 1e-2): 2900, (7, 1e-3): 2200, (7, 1e-4): 2800},
@@ -350,6 +313,9 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
     if n not in REFERENCE_TABLES:
         raise UsageError(f"table number must be one of {sorted(REFERENCE_TABLES)}")
     overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(TABLE_KEYS))
+    if unknown:
+        raise UsageError(f"unknown table override(s) {unknown}; accepted keys: {', '.join(TABLE_KEYS)}")
     ref = REFERENCE_TABLES[n]
     problem = ref["problem"]
     seed = int(overrides.get("seed", 42))
@@ -371,16 +337,15 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
             rep = _run_cell(problem, "global-hybrid", p, seed, m, delta_m)
             add("hybrid_exact_calls", p, None, rep["n_exact"], ref["rows"]["hybrid_exact_calls"][p])
             add("hybrid_estimate", p, None, rep["estimate"], None)
-    elif n == 2:
+    elif n in (2, 5):
         for p in ref["orders"]:
-            rep_g = _run_cell(problem, "global-hybrid", p, seed, m, delta_m)
-            add("global_exact_calls", p, None, rep_g["n_exact"], ref["rows"]["global_exact_calls"][p])
-            rep_a = _run_cell(problem, "me-gha", p, seed, m, delta_m)
-            add("elements", p, None, rep_a["n_elements"], ref["rows"]["elements"][p])
-            add("me_gha_exact_calls", p, None, rep_a["n_exact"], ref["rows"]["me_gha_exact_calls"][p])
-            rep_l = _run_cell(problem, "me-lha", p, seed, m, delta_m)
-            add("me_lha_exact_calls", p, None, rep_l["n_exact"], ref["rows"]["me_lha_exact_calls"][p])
-    elif n in (3, 4):
+            for method, row in (("global-hybrid", "global_exact_calls"), ("me-gha", "me_gha_exact_calls"),
+                                ("me-lha", "me_lha_exact_calls")):
+                rep = _run_cell(problem, method, p, seed, m, delta_m)
+                if method == "me-gha":
+                    add("elements", p, None, rep["n_elements"], ref["rows"]["elements"][p])
+                add(row, p, None, rep["n_exact"] + rep["n_exact_build"], ref["rows"][row][p])
+    else:
         method = "me-gha" if n == 3 else "me-lha"
         call_row = "me_gha_exact_calls" if n == 3 else "me_lha_exact_calls"
         for p in ref["orders"]:
@@ -391,18 +356,6 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
                 if n == 3:
                     add("relative_error", p, tol, rep["relative_error"],
                         ref["rows"]["relative_error"][(p, tol)])
-    else:
-        for p in ref["orders"]:
-            rep_g = _run_cell(problem, "global-hybrid", p, seed, m, delta_m)
-            add("global_exact_calls", p, None, rep_g["n_exact"] + rep_g["n_exact_build"],
-                ref["rows"]["global_exact_calls"][p])
-            rep_a = _run_cell(problem, "me-gha", p, seed, m, delta_m)
-            add("elements", p, None, rep_a["n_elements"], ref["rows"]["elements"][p])
-            add("me_gha_exact_calls", p, None, rep_a["n_exact"] + rep_a["n_exact_build"],
-                ref["rows"]["me_gha_exact_calls"][p])
-            rep_l = _run_cell(problem, "me-lha", p, seed, m, delta_m)
-            add("me_lha_exact_calls", p, None, rep_l["n_exact"] + rep_l["n_exact_build"],
-                ref["rows"]["me_lha_exact_calls"][p])
     return rows
 
 
@@ -417,125 +370,12 @@ def _write_csv(rows: list[list], path) -> None:
 # validation suite
 
 
-def _check_orthonormality() -> tuple[bool, str]:
-    from .polybasis import basis_matrix
-    from .surrogate import tensor_grid
-
-    worst = 0.0
-    for d, n in ((1, 8), (2, 6), (3, 4)):
-        pts, w = tensor_grid(n + 2, d)
-        phi = basis_matrix(multi_index_set(d, n), pts)
-        gram = phi.T @ (w[:, None] * phi)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-    return worst < 1e-12, f"gram deviation {worst:.2e}"
-
-
-def _check_quadrature() -> tuple[bool, str]:
-    worst = 0.0
-    for q in range(1, 10):
-        rule = gauss_legendre(q)
-        for k in range(0, 2 * q - 1, 2):
-            exact = 1.0 / (k + 1)
-            got = float(np.sum(rule.weights * rule.nodes**k))
-            worst = max(worst, abs(got - exact) / exact)
-    return worst < 1e-13, f"moment error {worst:.2e}"
-
-
-def _check_partition() -> tuple[bool, str]:
-    rng = np.random.default_rng(5)
-    dec = Decomposition.whole_domain(2)
-    elements = list(dec.elements)
-    for _ in range(25):
-        k = int(rng.integers(len(elements)))
-        dims = set(rng.choice(2, size=int(rng.integers(1, 3)), replace=False).tolist())
-        elements[k : k + 1] = split_element(elements[k], dims)
-    issues = check_partition(Decomposition(tuple(elements)))
-    return not issues, issues[0] if issues else f"{len(elements)} elements"
-
-
-def _check_hybrid_exhaustion() -> tuple[bool, str]:
-    from .surrogate import CallableModel
-
-    m = 5000
-    samples = sample_uniform(m, 1, 11)
-    model = CallableModel(lambda z: 1.0, fn_many=lambda Z: np.ones(len(Z)))
-    est, _ = iterative_hybrid(model, lambda Z: -np.ones(len(Z)), samples,
-                              HybridConfig(delta_m=300))
-    ok = est.p_f == 0.0 and est.n_exact == m
-    return ok, f"estimate {est.p_f}, n_exact {est.n_exact}/{m}"
-
-
-def _check_linear_closure() -> tuple[bool, str]:
-    system = PolynomialOde(
-        n_state=2, dim=1,
-        initial=lambda pts: np.stack([np.ones(pts.shape[0]), pts[:, 0]]),
-        linear=((0, -1.0, 0), (0, 0.5, 1), (1, -0.25, 1)),
-    )
-    dense = triple_products(1, 5).dense
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(10):
-        c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {})
-        red = _batched_rhs(system, c[:, :, :4], dense, {})
-        q, _ = dynamic_indicator(full[0], red[0], c[0], dim=1)
-        worst = max(worst, q)
-    return worst < 1e-10, f"max Q {worst:.2e}"
-
-
-def _check_ko_invariants() -> tuple[bool, str]:
-    rng = np.random.default_rng(9)
-    xi = rng.uniform(-1, 1, size=10)
-    y = prob.ko_trajectory(xi, 15.0, 0.01)
-    drift = float(np.max(np.abs(y[0] * y[1] - 0.1 * xi)))
-    y_neg = prob.ko_trajectory(-xi, 15.0, 0.01)
-    sym = float(np.max(np.abs(y[0] - y_neg[0])))
-    return drift < 1e-8 and sym < 1e-10, f"conservation {drift:.2e}, symmetry {sym:.2e}"
-
-
-def _check_burgers_residuals() -> tuple[bool, str]:
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(50):
-        delta = float(rng.uniform(0, 0.1))
-        nu = float(rng.uniform(0.02, 0.1))
-        z, a = prob.burgers_transition_z(delta, nu, return_amplitude=True)
-        f1, f2 = prob._tanh_system(a, z, delta, nu)
-        worst = max(worst, math.hypot(f1, f2))
-    return worst < 1e-12, f"max residual {worst:.2e}"
-
-
-def _check_rk4_order() -> tuple[bool, str]:
-    def err(h: float) -> float:
-        y, t = 1.0, 0.0
-        for _ in range(round(1.0 / h)):
-            y = rk4_step(lambda _t, v: -v, y, t, h)
-            t += h
-        return abs(y - math.exp(-1.0))
-
-    ratio = err(0.02) / err(0.01)
-    return 12.0 <= ratio <= 20.0, f"error ratio {ratio:.2f}"
-
-
-def _check_cache(surr) -> tuple[bool, str]:
-    issues = check_partition(surr.decomposition)
-    return not issues, issues[0] if issues else f"{len(surr)} elements ok"
-
-
 def validate(cache: str | None = None) -> int:
-    checks = [
-        ("orthonormality", _check_orthonormality),
-        ("quadrature-exactness", _check_quadrature),
-        ("partition-of-unity", _check_partition),
-        ("hybrid-exhaustion", _check_hybrid_exhaustion),
-        ("linear-closure", _check_linear_closure),
-        ("ko-invariants", _check_ko_invariants),
-        ("burgers-residuals", _check_burgers_residuals),
-        ("rk4-order", _check_rk4_order),
-    ]
+    """Run the invariant suite (and check a cached surrogate); 0 when all pass, 2 otherwise."""
+    checks = list(CHECKS)
     if cache:
-        surr = _load_cache(cache)
-        checks.append(("surrogate-cache", lambda: _check_cache(surr)))
+        surr, issues = _load_cache(cache)
+        checks.append(("surrogate-cache", lambda: (not issues, issues[0] if issues else f"{len(surr)} elements ok")))
     failures = 0
     for name, fn in checks:
         try:
@@ -629,25 +469,20 @@ def main(argv: list[str] | None = None) -> int:
             }
             _apply_set(raw, args.set)
             if raw.get("order") is None:
-                defaults = {"step": 0, "linear-ode": 5, "ko3": 5, "burgers": 3}
-                raw["order"] = defaults[args.problem]
+                raw["order"] = prob.PROBLEMS[args.problem].defaults["order"]
             cfg = RunConfig.from_dict(raw)
-            spec = prob.PROBLEMS[cfg.problem]
-            model = spec.make_model(**{**spec.parameters, **cfg.problem_params})
-            surr, n_elem, build_calls, truncated, events = _build_surrogate(cfg, model)
+            _, build_model, _, rcfg = _prepare(cfg)
+            surr = _build_surrogate(cfg, build_model, rcfg, [])
             if isinstance(surr, GpcExpansion):
                 raise UsageError("refine builds multi-element surrogates; got a single expansion")
             with open(args.cache, "w") as fh:
                 fh.write(surrogate_to_json(surr))
-            print(f"wrote {args.cache}: {n_elem} elements, {build_calls} build calls")
+            print(f"wrote {args.cache}: {len(surr)} elements, {build_model.call_count} build calls")
             return 0
         if args.command == "validate":
             return validate(args.cache)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (RootSolveError, IntegrationError, ModelEvaluationError, DomainError) as exc:

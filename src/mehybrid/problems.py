@@ -21,17 +21,17 @@ consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .errors import DomainError, IntegrationError, RootSolveError
+from .errors import DomainError, RootSolveError
 from .polybasis import legendre_table, gauss_legendre
 from .randomspace import Decomposition, Element
-from .refine import PolynomialOde, rk4_step
-from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate
+from .refine import PolynomialOde, adapt_dynamic, adapt_static, limit_state_surrogate, rk4_integrate
+from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation
 
 __all__ = [
     "ProblemSpec",
@@ -59,15 +59,6 @@ __all__ = [
 # step function
 
 
-def step_g(z: float) -> float:
-    """Step limit state on [-1, 1]: -1 left of zero, -0.5 at zero, 0 to the right."""
-    if z < 0.0:
-        return -1.0
-    if z == 0.0:
-        return -0.5
-    return 0.0
-
-
 def _step_many(z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     out[z < 0.0] = -1.0
@@ -75,11 +66,13 @@ def _step_many(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def step_g(z: float) -> float:
+    """Step limit state on [-1, 1]: -1 left of zero, -0.5 at zero, 0 to the right."""
+    return float(_step_many(np.array([float(z)]))[0])
+
+
 class StepModel(LimitStateModel):
     dim = 1
-
-    def _g_one(self, z):
-        return step_g(float(z[0]))
 
     def _g_many(self, Z):
         return _step_many(Z[:, 0])
@@ -175,12 +168,8 @@ class OdeModel(LimitStateModel):
         super().__init__()
         self.u0, self.T, self.u_d, self.mu, self.sigma = u0, T, u_d, mu, sigma
 
-    def _g_one(self, z):
-        return ode_limit_state(float(z[0]), self.u0, self.T, self.u_d, self.mu, self.sigma)
-
     def _g_many(self, Z):
-        z = gaussian_from_uniform(Z[:, 0], self.mu, self.sigma)
-        return self.u0 * np.exp(-z * self.T) - self.u_d
+        return ode_limit_state(Z[:, 0], self.u0, self.T, self.u_d, self.mu, self.sigma)
 
     def analytic_p_f(self) -> float:
         """Exact tail probability Prob(Z > ln(u0/u_d) / T) of the Gaussian rate."""
@@ -213,20 +202,13 @@ def _ko_rhs(_t, y: np.ndarray) -> np.ndarray:
 
 
 def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
-    """Integrate the three-mode system from (1, 0.1 xi, 0); returns state (3, n) at T."""
+    """Integrate the three-mode system from (1, 0.1 xi, 0) in ceil(T / dt) RK4 steps;
+    returns the state (3, n) at T."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     y = np.stack([np.ones_like(xi_arr), 0.1 * xi_arr, np.zeros_like(xi_arr)])
-    steps = max(1, round(T / dt))
-    h = T / steps
-    t = 0.0
-    for _ in range(steps):
-        y = rk4_step(_ko_rhs, y, t, h)
-        t += h
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"three-mode integration diverged at t = {t:.6g}", t=t)
-    return y
+    return rk4_integrate(_ko_rhs, y, 0.0, T, dt)
 
 
 def ko_limit_state(xi, T: float = 15.0, u_d: float = 0.03, dt: float = 0.01):
@@ -243,9 +225,6 @@ class KoModel(LimitStateModel):
     def __init__(self, T=15.0, u_d=0.03, dt=0.01):
         super().__init__()
         self.T, self.u_d, self.dt = T, u_d, dt
-
-    def _g_one(self, z):
-        return ko_limit_state(float(z[0]), self.T, self.u_d, self.dt)
 
     def _g_many(self, Z):
         return ko_limit_state(Z[:, 0], self.T, self.u_d, self.dt)
@@ -378,18 +357,56 @@ class BurgersModel(LimitStateModel):
 
 
 # ---------------------------------------------------------------------------
+# surrogate builders (see ProblemSpec for the call signature)
+
+
+def _step_surrogate(model, params, order, opts, rcfg, global_only, event_log):
+    return step_global_gpc(order) if global_only else step_me_exact()
+
+
+def _galerkin_builder(make_system: Callable[[int, dict], PolynomialOde]):
+    """Dynamic refinement of ``make_system(order, params)`` to time T; observes y1 - u_d."""
+
+    def build(model, params, order, opts, rcfg, global_only, event_log):
+        if global_only:
+            rcfg = replace(rcfg, theta1=math.inf)
+        status: dict = {}
+        dec, states = adapt_dynamic(
+            make_system(order, params), rcfg, T=params["T"], dt=float(opts["dt"]),
+            resolve_from_t0=bool(opts.get("resolve_from_t0", False)),
+            event_log=event_log, status=status,
+        )
+        return limit_state_surrogate(dec, states, var=0, offset=-params["u_d"], truncated=status["truncated"])
+
+    return build
+
+
+def _burgers_surrogate(model, params, order, opts, rcfg, global_only, event_log):
+    q = int(opts["collocation_nodes"])
+    if global_only:
+        return build_collocation(model, Element.box([-1.0], [1.0]), order, q)
+    return adapt_static(model, rcfg, order=order, q=q, event_log=event_log)
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Canonical description of one benchmark: parameters, reference value, builders."""
+    """Canonical description of one benchmark: parameters, reference value, builders.
+
+    ``build_surrogate(model, params, order, opts, rcfg, global_only, event_log)``
+    charges ``model`` with its exact calls; ``opts`` are ``defaults`` merged with the
+    run's refine options, ``rcfg`` their RefinementConfig (None without ``theta1``).
+    """
 
     name: str
     parameters: dict
     reference_p_f: float
     reference_tag: str
     make_model: Callable[..., LimitStateModel] = field(repr=False)
+    build_surrogate: Callable[..., GpcExpansion | MultiElementSurrogate] = field(repr=False)
     defaults: dict = field(default_factory=dict, repr=False)
 
 
@@ -400,7 +417,8 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_p_f=0.5,
         reference_tag="analytic",
         make_model=lambda **kw: StepModel(),
-        defaults={"delta_m": 1000},
+        build_surrogate=_step_surrogate,
+        defaults={"delta_m": 1000, "order": 0},
     ),
     "linear-ode": ProblemSpec(
         name="linear-ode",
@@ -408,7 +426,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_p_f=0.003541,
         reference_tag="published",
         make_model=lambda **kw: OdeModel(**kw),
-        defaults={"delta_m": 100, "theta1": 0.05, "dt": 0.01},
+        build_surrogate=_galerkin_builder(
+            lambda order, p: ode_galerkin_system(order, u0=p["u0"], mu=p["mu"], sigma=p["sigma"])
+        ),
+        defaults={"delta_m": 100, "order": 5, "theta1": 0.05, "dt": 0.01},
     ),
     "ko3": ProblemSpec(
         name="ko3",
@@ -416,7 +437,8 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_p_f=0.102651,
         reference_tag="published",
         make_model=lambda **kw: KoModel(**kw),
-        defaults={"delta_m": 100, "theta1": 1e-4, "dt": 0.01},
+        build_surrogate=_galerkin_builder(lambda order, p: ko_galerkin_system()),
+        defaults={"delta_m": 100, "order": 5, "theta1": 1e-4, "dt": 0.01},
     ),
     "burgers": ProblemSpec(
         name="burgers",
@@ -424,6 +446,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_p_f=0.127478,
         reference_tag="published-for-uncalibrated-parameters",
         make_model=lambda **kw: BurgersModel(**kw),
-        defaults={"delta_m": 100, "theta1": 0.01, "collocation_nodes": 21},
+        build_surrogate=_burgers_surrogate,
+        defaults={"delta_m": 100, "order": 3, "theta1": 0.01, "collocation_nodes": 21},
     ),
 }

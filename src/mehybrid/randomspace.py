@@ -120,10 +120,6 @@ class Decomposition:
         if not self.elements:
             raise ValueError("decomposition needs at least one element")
 
-    @classmethod
-    def whole_domain(cls, d: int) -> "Decomposition":
-        return cls((Element.box([DOMAIN_LO] * d, [DOMAIN_HI] * d),))
-
     @property
     def dim(self) -> int:
         return self.elements[0].dim

@@ -40,6 +40,7 @@ __all__ = [
     "adapt_dynamic",
     "limit_state_surrogate",
     "rk4_step",
+    "rk4_integrate",
     "write_events_csv",
 ]
 
@@ -291,33 +292,28 @@ def galerkin_rhs(system, state: GalerkinState, tp: TripleProductTensor) -> np.nd
 def dynamic_indicator(
     full_rhs: np.ndarray,
     reduced_rhs: np.ndarray,
-    state: GalerkinState | np.ndarray,
-    dim: int | None = None,
+    coeffs: np.ndarray,
+    dim: int,
 ) -> tuple[float, np.ndarray]:
     """Energy-rate mismatch Q between the full system and its truncation, plus
     the per-dimension contributions s.
 
     ``full_rhs`` has one column per full-order mode, ``reduced_rhs`` one per
-    reduced-order mode; the reduced state is the truncation of the full one.
+    reduced-order mode; the reduced state is the truncation of the full one,
+    whose mode coefficients ``coeffs`` live in ``dim`` random dimensions.
     """
-    if isinstance(state, GalerkinState):
-        coeffs = state.coeffs
-        d = state.element.dim
-    else:
-        coeffs = np.asarray(state, dtype=float)
-        d = 1 if dim is None else dim
     n_red = reduced_rhs.shape[1]
-    indices = _indices_for_modes(d, n_red)
+    indices = _indices_for_modes(dim, n_red)
     n0 = indices[-1].degree
     u_red = coeffs[:, :n_red]
     q_per_var = np.abs(
         2.0 * np.sum(full_rhs[:, :n_red] * u_red, axis=1) - 2.0 * np.sum(reduced_rhs * u_red, axis=1)
     )
     q_total = float(np.sum(q_per_var))
-    s = np.zeros(d)
+    s = np.zeros(dim)
     positions = {idx: k for k, idx in enumerate(indices)}
-    for j in range(d):
-        axis = MultiIndex(tuple(n0 if k == j else 0 for k in range(d)))
+    for j in range(dim):
+        axis = MultiIndex(tuple(n0 if k == j else 0 for k in range(dim)))
         pos = positions[axis]
         s[j] = float(
             np.sum(np.abs(2.0 * full_rhs[:, pos] * coeffs[:, pos] - 2.0 * reduced_rhs[:, pos] * coeffs[:, pos]))
@@ -344,6 +340,20 @@ def rk4_step(f: Callable, y, t: float, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_integrate(f: Callable, y, t0: float, t1: float, dt: float):
+    """Integrate y' = f(t, y) from t0 to t1 in ceil((t1 - t0) / dt) equal RK4 steps;
+    raises IntegrationError at the first step that leaves a non-finite state."""
+    steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        y = rk4_step(f, y, t, h)
+        t += h
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state at t = {t:.6g}", t=t)
+    return y
+
+
 def _projection_grid(d: int, order: int):
     ref, w = tensor_grid(order + 2, d)
     phi = basis_matrix(multi_index_set(d, order), ref)
@@ -351,28 +361,20 @@ def _projection_grid(d: int, order: int):
 
 
 def _project_function(fn: Callable, elements: Sequence[Element], d: int, order: int,
-                      n_out: int | None = None) -> np.ndarray:
-    """Quadrature projection of a scalar function of the global point onto each element."""
+                      lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Quadrature projection of a function of the global points onto each element.
+
+    ``fn`` maps the (npts, d) point array to values of shape ``lead + (npts,)``.
+    """
     ref, w, phi = _projection_grid(d, order)
+    shape = lead + (ref.shape[0],)
     rows = []
     for e in elements:
-        pts = to_global_many(e, ref)
-        vals = np.asarray(fn(pts), dtype=float)
-        rows.append((w * vals) @ phi)
-    out = np.stack(rows)
-    return out if n_out is None else out[:, :n_out]
-
-
-def _project_initial(system: PolynomialOde, elements: Sequence[Element], order: int) -> np.ndarray:
-    ref, w, phi = _projection_grid(system.dim, order)
-    blocks = []
-    for e in elements:
-        pts = to_global_many(e, ref)
-        vals = np.asarray(system.initial(pts), dtype=float)
-        if vals.shape != (system.n_state, ref.shape[0]):
-            raise ValueError("initial data must return shape (n_state, npts)")
-        blocks.append((vals * w) @ phi)
-    return np.stack(blocks)
+        vals = np.asarray(fn(to_global_many(e, ref)), dtype=float)
+        if vals.shape != shape:
+            raise ValueError(f"projected data must have shape {shape}, got {vals.shape}")
+        rows.append((vals * w) @ phi)
+    return np.stack(rows)
 
 
 def _project_child_state(parent: Element, child: Element, coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -418,26 +420,14 @@ def adapt_dynamic(
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
     next_id = 1
-    coeffs = _project_initial(sys_, elements, cfg.N)
+    coeffs = _project_function(sys_.initial, elements, d, cfg.N, (sys_.n_state,))
     fields = _field_coeffs(sys_, elements, cfg.N)
     truncated = False
-
-    def integrate(c: np.ndarray, f: dict[str, np.ndarray], t0: float, t1: float) -> np.ndarray:
-        steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
-        h = (t1 - t0) / steps
-        rhs = lambda _t, y: _batched_rhs(sys_, y, dense, f)
-        t_cur = t0
-        for _ in range(steps):
-            c = rk4_step(rhs, c, t_cur, h)
-            t_cur += h
-            if not np.all(np.isfinite(c)):
-                raise IntegrationError(f"non-finite Galerkin state at t = {t_cur:.6g}", t=t_cur)
-        return c
 
     t = 0.0
     while t < T - 1e-12:
         t_next = min(t + check, T)
-        coeffs = integrate(coeffs, fields, t, t_next)
+        coeffs = rk4_integrate(lambda _t, y: _batched_rhs(sys_, y, dense, fields), coeffs, t, t_next, dt)
         t = t_next
         if t >= T - 1e-12:
             break
@@ -464,9 +454,10 @@ def adapt_dynamic(
             if event_log is not None:
                 event_log.append(RefinementEvent(t, ids[k], q_val, tuple(sorted(dims))))
             if resolve_from_t0:
-                child_coeffs = _project_initial(sys_, children, cfg.N)
+                child_coeffs = _project_function(sys_.initial, children, d, cfg.N, (sys_.n_state,))
                 child_fields = _field_coeffs(sys_, children, cfg.N)
-                child_coeffs = integrate(child_coeffs, child_fields, 0.0, t)
+                child_coeffs = rk4_integrate(lambda _t, y: _batched_rhs(sys_, y, dense, child_fields),
+                                             child_coeffs, 0.0, t, dt)
                 for child, row in zip(children, child_coeffs):
                     new_elements.append(child)
                     new_ids.append(next_id)

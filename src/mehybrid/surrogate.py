@@ -30,6 +30,7 @@ __all__ = [
     "GpcExpansion",
     "MultiElementSurrogate",
     "build_collocation",
+    "collocation_nodes",
     "eval_expansion_many",
     "eval_me_surrogate_many",
     "local_variance",
@@ -45,8 +46,8 @@ __all__ = [
 class LimitStateModel:
     """Exact limit-state function g(z); failure is the event {g < 0}.
 
-    Subclasses implement `_g_one` (and may override `_g_many` with a
-    vectorized version).  Every exact evaluation is counted.
+    Subclasses implement `_g_one` for one point or override `_g_many` with a
+    vectorized version.  Every exact evaluation is counted.
     """
 
     dim: int = 1
@@ -57,11 +58,6 @@ class LimitStateModel:
     @property
     def call_count(self) -> int:
         return self._calls
-
-    def evaluate(self, z) -> float:
-        pt = np.atleast_1d(np.asarray(z, dtype=float))
-        self._calls += 1
-        return float(self._g_one(pt))
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -162,16 +158,20 @@ def tensor_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, weights.ravel()
 
 
+def collocation_nodes(order: int, q: int | None = None) -> int:
+    """Gauss nodes per dimension of a collocation build: q (at least order + 1), by
+    default order + 2, which slightly over-integrates to damp aliasing."""
+    if q is not None and q < order + 1:
+        raise ValueError(f"need at least order+1 = {order + 1} nodes per dimension, got {q}")
+    return order + 2 if q is None else q
+
+
 def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | None = None) -> GpcExpansion:
     """Project the exact model onto the element basis using a tensor Gauss grid.
 
-    Costs exactly q^d exact-model calls.  The default q = order + 2 slightly
-    over-integrates to damp aliasing.
+    Costs exactly q^d exact-model calls, with q from `collocation_nodes`.
     """
-    if q is None:
-        q = order + 2
-    if q < order + 1:
-        raise ValueError(f"need at least order+1 = {order + 1} nodes per dimension, got {q}")
+    q = collocation_nodes(order, q)
     d = e.dim
     ref_pts, weights = tensor_grid(q, d)
     nodes = to_global_many(e, ref_pts)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from mehybrid import invariants
 from mehybrid.estimator import (
     HybridConfig,
     direct_hybrid,
@@ -20,19 +21,13 @@ from mehybrid.estimator import (
     me_lha,
     relative_error,
 )
-from mehybrid.polybasis import basis_matrix, gauss_legendre, multi_index_set, triple_products
-from mehybrid.randomspace import Decomposition, Element, check_partition, sample_uniform, split_element
+from mehybrid.randomspace import sample_uniform
 from mehybrid.refine import (
-    PolynomialOde,
     RefinementConfig,
-    _batched_rhs,
     adapt_dynamic,
     adapt_static,
-    dynamic_indicator,
     limit_state_surrogate,
-    rk4_step,
 )
-from mehybrid.surrogate import CallableModel, gamma_bound, lp_error, tensor_grid
 from mehybrid.problems import (
     BurgersModel,
     KoModel,
@@ -41,7 +36,6 @@ from mehybrid.problems import (
     _tanh_system,
     burgers_transition_z,
     ko_galerkin_system,
-    ko_trajectory,
     ode_galerkin_system,
     step_global_gpc,
     step_me_exact,
@@ -184,86 +178,24 @@ def test_criterion_5_burgers(samples_1m):
 
 def test_criterion_6_invariant_suites():
     t0 = time.perf_counter()
-
-    # orthonormality < 1e-12
-    for d, n in ((1, 8), (2, 6), (3, 4)):
-        pts, w = tensor_grid(n + 2, d)
-        phi = basis_matrix(multi_index_set(d, n), pts)
-        gram = phi.T @ (w[:, None] * phi)
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
-
-    # quadrature exactness < 1e-13 (even moments up to degree 2q-1)
-    for q in (2, 4, 8, 16):
-        rule = gauss_legendre(q)
-        for k in range(0, 2 * q, 2):
-            if k >= 2 * q:
-                break
-            exact = 1.0 / (k + 1)
-            got = float(np.sum(rule.weights * rule.nodes**k))
-            assert abs(got - exact) / exact < 1e-13
-
-    # partition of unity < 1e-12 after random splits
-    rng = np.random.default_rng(5)
-    elements = [Element.box([-1.0, -1.0], [1.0, 1.0])]
-    for _ in range(40):
-        k = int(rng.integers(len(elements)))
-        dims = set(rng.choice(2, size=int(rng.integers(1, 3)), replace=False).tolist())
-        elements[k : k + 1] = split_element(elements[k], dims)
-    assert abs(sum(e.prob for e in elements) - 1.0) < 1e-12
-    assert check_partition(Decomposition(tuple(elements))) == []
-
-    # full replacement limit: exact equality at exhaustion
-    m = 4321
-    samples = sample_uniform(m, 1, 11)
-    model = CallableModel(lambda z: 1.0, fn_many=lambda Z: np.ones(len(Z)))
-    est, _ = iterative_hybrid(model, lambda Z: -np.ones(len(Z)), samples, HybridConfig(delta_m=200))
-    assert est.n_exact == m and est.p_f == mc_estimate(
-        CallableModel(lambda z: 1.0, fn_many=lambda Z: np.ones(len(Z))), samples
-    ).p_f
-
-    # linear closure Q = 0 < 1e-10
-    system = PolynomialOde(
-        n_state=2,
-        dim=1,
-        initial=lambda pts: np.stack([np.ones(pts.shape[0]), pts[:, 0]]),
-        linear=((0, -1.0, 0), (0, 0.5, 1), (1, -0.25, 1)),
-    )
-    dense = triple_products(1, 5).dense
-    for _ in range(10):
-        c = np.random.default_rng(3).normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {})
-        red = _batched_rhs(system, c[:, :, :4], dense, {})
-        q_val, _ = dynamic_indicator(full[0], red[0], c[0], dim=1)
-        assert q_val < 1e-10
-
-    # three-mode conservation < 1e-8
-    xi = np.random.default_rng(9).uniform(-1, 1, size=20)
-    y = ko_trajectory(xi, 15.0, 0.01)
-    assert np.max(np.abs(y[0] * y[1] - 0.1 * xi)) < 1e-8
-
-    # RK4 order ratio in [12, 20]
-    def err(h):
-        v, t = 1.0, 0.0
-        for _ in range(round(1.0 / h)):
-            v = rk4_step(lambda _t, y: -y, v, t, h)
-            t += h
-        return abs(v - math.exp(-1.0))
-
-    ratio = err(0.02) / err(0.01)
-    assert 12.0 <= ratio <= 20.0
-
-    # banded hybrid respects the gamma bound across 20 seeds
-    eps, p_norm, offset = 0.05, 2, 0.01
-    for seed in range(20):
-        s = sample_uniform(4000, 1, 100 + seed)
-        model = CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5)
-        surr = CallableModel(lambda z: z - 0.5 + offset, fn_many=lambda Z: Z - 0.5 + offset)
-        eps_p = lp_error(surr.evaluate_many, model, p_norm, 2000, seed=200 + seed)
-        gamma = gamma_bound(eps_p, eps, p_norm)
-        est = direct_hybrid(model, surr.evaluate_many, s, gamma)
-        ref = mc_estimate(CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5), s)
-        assert abs(est.p_f - ref.p_f) <= eps
-
+    # every bound the suite applies, stated here so that loosening one fails this test
+    assert invariants.TOLERANCES == {
+        "orthonormality": 1e-12,
+        "quadrature-exactness": 1e-13,
+        "partition-of-unity": 1e-12,
+        "linear-closure": 1e-10,
+        "ko-conservation": 1e-8,
+        "ko-symmetry": 1e-10,
+        "burgers-residuals": 1e-12,
+        "rk4-order": (12.0, 20.0),
+        "gamma-bound": 0.05,
+    }
+    names = [name for name, _ in invariants.CHECKS]
+    assert names == ["orthonormality", "quadrature-exactness", "partition-of-unity", "hybrid-exhaustion",
+                     "linear-closure", "ko-invariants", "burgers-residuals", "rk4-order", "gamma-bound"]
+    for name, check in invariants.CHECKS:
+        ok, detail = check()
+        assert ok, f"{name}: {detail}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"\nPASS criterion 6: invariant suites at stated tolerances ({elapsed:.1f}s)")

@@ -95,6 +95,21 @@ def test_estimate_command_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"unknown refine key(s) ['{key}']" in err
         assert "collocation_nodes" in err
+    # bad values reach the model, the hybrid or refinement settings or the collocation grid
+    for sets in (["problem_params.foo=1"], ["refine.theta2=2"], ["delta_m=0"], ["m=0"],
+                 ["problem=burgers", "refine.collocation_nodes=2"]):
+        capsys.readouterr()
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets
+        assert capsys.readouterr().err.startswith("usage error: "), sets
+
+
+def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="ko3", method="mc", m=100)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["estimate", "--config", str(cfg_path), "--set", "problem_params.dt=3"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_refine_then_estimate_with_cache(tmp_path, capsys):
@@ -136,6 +151,17 @@ def test_malformed_cache_is_usage_error(tmp_path, capsys, element):
     assert main(["validate", "--cache", str(cache)]) == 1
     err = capsys.readouterr().err
     assert err.count("usage error: malformed surrogate cache") == 2
+
+
+def test_cache_of_another_dimension_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "square.json"
+    element = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "order": 0, "coeffs": [1.0]}
+    cache.write_text(json.dumps({"dim": 2, "order": 0, "elements": [element]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=0, m=1000, delta_m=100,
+                                               surrogate_cache=str(cache))))
+    assert main(["estimate", "--config", str(cfg_path)]) == 1
+    assert "cached surrogate has dim 2" in capsys.readouterr().err
 
 
 def test_table_one_downscaled(tmp_path):
@@ -195,3 +221,6 @@ def test_validate_detects_corrupted_cache(tmp_path, capsys):
 def test_main_usage_exit_codes(capsys):
     assert main(["table", "42"]) == 1
     assert main([]) == 1
+    capsys.readouterr()
+    assert main(["table", "1", "--set", "refine.theta1=1e-9"]) == 1
+    assert "unknown table override(s) ['refine']; accepted keys: seed, m, delta_m" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from mehybrid.errors import DomainError, RootSolveError
+from mehybrid.errors import DomainError, IntegrationError, RootSolveError
 from mehybrid.estimator import mc_estimate, mc_stddev
 from mehybrid.polybasis import gauss_legendre, legendre_table
 from mehybrid.randomspace import sample_uniform
@@ -156,6 +156,9 @@ def test_ko_limit_state_scalar_and_vector_agree():
 def test_ko_rejects_bad_step():
     with pytest.raises(ValueError):
         ko_trajectory(0.1, 15.0, 0.0)
+    # five RK4 steps of length 3 overflow the state
+    with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
+        ko_trajectory(np.array([-0.5, 0.3]), 15.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mehybrid.errors import UnsupportedModelError
+from mehybrid.errors import IntegrationError, UnsupportedModelError
 from mehybrid.polybasis import multi_index_set, triple_products
 from mehybrid.randomspace import Element, check_partition, sample_uniform
 from mehybrid.refine import (
@@ -253,6 +253,15 @@ def test_adapt_dynamic_deterministic_data_never_splits():
     assert len(dec) == 1
     assert states[0].t == 2.0
     assert states[0].coeffs[0, 0] == pytest.approx(0.7 * math.exp(-2.0), rel=1e-8)
+
+
+def test_adapt_dynamic_blow_up_raises():
+    # u' = u^2, u(0) = 1 blows up at t = 1
+    system = PolynomialOde(
+        n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), quadratic=((0, 1.0, 0, 0),)
+    )
+    with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
+        adapt_dynamic(system, cfg(theta1=1e-3, N=3, N0=1), T=2.0, dt=0.01)
 
 
 def test_adapt_dynamic_ode_element_count():
