@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -106,24 +107,23 @@ class RunConfig:
             raise UsageError("field 'seed' must be a nonnegative integer")
         if cfg.m < 1:
             raise UsageError("field 'm' must be at least one")
+        if cfg.method != "mc" and cfg.delta_m > cfg.m:
+            raise UsageError(f"step size delta_m = {cfg.delta_m} exceeds the sample count m = {cfg.m}")
         return cfg
 
 
 def _refine_config(opts: dict, order: int) -> RefinementConfig:
-    """Parse the refinement options (problem defaults merged with the run's ``refine`` object)."""
+    """Parse the refinement options (problem defaults merged with the run's ``refine``
+    object); RefinementConfig supplies every default the options leave unset."""
     if opts.get("theta1") is None:
         raise UsageError("field 'refine.theta1' is required")
     if "collocation_nodes" in opts:
         collocation_nodes(order, int(opts["collocation_nodes"]))
-    return RefinementConfig(
-        theta1=float(opts["theta1"]),
-        N=order,
-        N0=opts.get("N0"),
-        theta2=float(opts.get("theta2", 0.1)),
-        alpha=float(opts.get("alpha", 0.5)),
-        max_elements=int(opts.get("max_elements", 256)),
-        check_interval=opts.get("check_interval"),
-    )
+    if "dt" in opts and not 0.0 < float(opts["dt"]) < math.inf:
+        raise UsageError(f"field 'refine.dt' must be a positive number, got {opts['dt']!r}")
+    casts = {"N0": None, "theta2": float, "alpha": float, "max_elements": int, "check_interval": None}
+    given = {key: opts[key] if cast is None else cast(opts[key]) for key, cast in casts.items() if key in opts}
+    return RefinementConfig(theta1=float(opts["theta1"]), N=order, **given)
 
 
 def _prepare(cfg: RunConfig):
@@ -138,7 +138,7 @@ def _prepare(cfg: RunConfig):
         model = spec.make_model(**params)
         build_model = spec.make_model(**params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
-            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact, m=cfg.m)
+            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact)
         rcfg = _refine_config({**spec.defaults, **cfg.refine}, cfg.order) if refines else None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
@@ -300,12 +300,9 @@ REFERENCE_TABLES = {
 
 def _run_cell(problem: str, method: str, order: int, seed: int, m: int, delta_m: int,
               tol: float | None = None) -> dict:
-    refine: dict = {}
-    if tol is not None:
-        refine["theta1"] = tol
-    cfg = RunConfig(problem=problem, method=method, seed=seed, m=m, order=order,
-                    delta_m=delta_m, refine=refine)
-    return run(cfg)
+    refine = {} if tol is None else {"theta1": tol}
+    return run(RunConfig.from_dict(dict(problem=problem, method=method, seed=seed, m=m, order=order,
+                                        delta_m=delta_m, refine=refine)))
 
 
 def table(n: int, overrides: dict | None = None) -> list[list]:
@@ -329,9 +326,8 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
 
     if n == 1:
         for p in ref["orders"]:
-            cfg = RunConfig(problem=problem, method="direct-hybrid", seed=seed, m=m,
-                            order=p, gamma=0.0, delta_m=delta_m)
-            rep_direct = run(cfg)
+            rep_direct = run(RunConfig.from_dict(dict(problem=problem, method="direct-hybrid", seed=seed,
+                                                      m=m, order=p, gamma=0.0, delta_m=delta_m)))
             add("surrogate_estimate", p, None, rep_direct["estimate"],
                 ref["rows"]["surrogate_estimate"][p])
             rep = _run_cell(problem, "global-hybrid", p, seed, m, delta_m)

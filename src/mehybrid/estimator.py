@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .randomspace import SampleSet, locate_many
-from .surrogate import LimitStateModel, MultiElementSurrogate, as_evaluable
+from .surrogate import LimitStateModel, MultiElementSurrogate
 
 __all__ = [
     "HybridConfig",
@@ -39,15 +39,12 @@ class HybridConfig:
     delta_m: int
     eta_stop: float = 0.0
     max_exact: int | None = None
-    m: int | None = None
 
     def __post_init__(self):
         if self.delta_m < 1:
             raise ValueError("step size delta_m must be at least one")
         if self.eta_stop < 0:
             raise ValueError("stopping tolerance must be nonnegative")
-        if self.m is not None and self.delta_m > self.m:
-            raise ValueError("step size cannot exceed the sample count")
         if self.max_exact is not None and self.max_exact < 1:
             raise ValueError("max_exact must be at least one when given")
 
@@ -132,7 +129,7 @@ def direct_hybrid(model: LimitStateModel, surrogate, samples, gamma: float) -> E
         raise ValueError("replacement threshold gamma must be nonnegative")
     pts = _points(samples)
     m = pts.shape[0]
-    approx = as_evaluable(surrogate)(pts)
+    approx = surrogate(pts)
     band = np.abs(approx) <= gamma
     fails = int(np.count_nonzero(approx < -gamma))
     n_exact = int(np.count_nonzero(band))
@@ -164,6 +161,7 @@ def iterative_hybrid(
 ) -> tuple[Estimate, HybridTrace]:
     """Iterative hybrid estimation: replace surrogate calls by exact ones in
     blocks of delta_m, walking samples in ascending surrogate magnitude.
+    ``surrogate`` is any callable from the (m, d) sample array to m values.
 
     The failure count starts at the surrogate's own count over all samples,
     and each block adds its exact-minus-surrogate change.  ``groups`` (one
@@ -174,13 +172,11 @@ def iterative_hybrid(
     """
     pts = _points(samples)
     m = pts.shape[0]
-    if cfg.m is not None and cfg.m != m:
-        raise ValueError(f"config expects m = {cfg.m}, got {m} samples")
     if cfg.delta_m > m:
         raise ValueError("step size cannot exceed the sample count")
     if groups is not None and len(groups) != m:
         raise ValueError(f"expected one group label per sample, got {len(groups)} for {m} samples")
-    approx = np.asarray(as_evaluable(surrogate)(pts), dtype=float)
+    approx = surrogate(pts)
     surr_neg = approx < 0.0
     fails = int(np.count_nonzero(surr_neg))
     budget = m if cfg.max_exact is None else cfg.max_exact

@@ -70,7 +70,7 @@ def check_hybrid_exhaustion() -> tuple[bool, str]:
     ok, details = True, []
     for m, delta_m in ((4321, 200), (5000, 300)):
         samples = sample_uniform(m, 1, 11)
-        model = CallableModel(lambda z: 1.0, fn_many=lambda Z: np.ones(len(Z)))
+        model = CallableModel(lambda z: np.ones(len(z)))
         est, _ = iterative_hybrid(model, lambda Z: -np.ones(len(Z)), samples, HybridConfig(delta_m=delta_m))
         mc = mc_estimate(model, samples)
         ok = ok and est.p_f == mc.p_f and est.n_exact == m
@@ -106,13 +106,10 @@ def check_ko_invariants() -> tuple[bool, str]:
 
 
 def check_burgers_residuals() -> tuple[bool, str]:
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(50):
-        delta = float(rng.uniform(0, 0.1))
-        nu = float(rng.uniform(0.02, 0.1))
-        z, a = prob.burgers_transition_z(delta, nu, return_amplitude=True)
-        worst = max(worst, math.hypot(*prob._tanh_system(a, z, delta, nu)))
+    # 50 (delta, nu) pairs, drawn in the same stream order as 50 alternating scalar draws
+    delta, nu = np.random.default_rng(13).uniform([0.0, 0.02], [0.1, 0.1], size=(50, 2)).T
+    z, a = prob.burgers_transition_z(delta, nu, return_amplitude=True)
+    worst = float(np.max(np.hypot(*prob._tanh_system(a, z, delta, nu))))
     return worst < TOLERANCES["burgers-residuals"], f"max residual {worst:.2e}"
 
 
@@ -128,8 +125,8 @@ def check_rk4_order() -> tuple[bool, str]:
 def check_gamma_bound() -> tuple[bool, str]:
     """The banded hybrid at gamma_bound stays within eps of Monte Carlo on 20 sample sets."""
     eps, p_norm, offset = TOLERANCES["gamma-bound"], 2, 0.01
-    model = CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5)
-    surr = CallableModel(lambda z: z - 0.5 + offset, fn_many=lambda Z: Z - 0.5 + offset)
+    model = CallableModel(lambda z: z - 0.5)
+    surr = CallableModel(lambda z: z - 0.5 + offset)
     worst = 0.0
     for seed in range(20):
         samples = sample_uniform(4000, 1, 100 + seed)

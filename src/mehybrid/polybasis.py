@@ -70,21 +70,19 @@ def as_multi_index(i) -> MultiIndex:
     return MultiIndex(tuple(i))
 
 
-def legendre(n: int, x):
-    """Unnormalized Legendre polynomial P_n(x) via the three-term recurrence.
-
-    `x` may be a scalar or an ndarray; the result has the same shape.
-    """
+def legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """Unnormalized Legendre polynomial P_n at the points x (elementwise, same shape),
+    via the three-term recurrence."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(arr)
+    x = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(x)
     if n == 0:
-        return p_prev if arr.ndim else float(p_prev)
-    p = arr.copy()
+        return p_prev
+    p = x.copy()
     for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * arr * p - k * p_prev) / (k + 1), p
-    return p if arr.ndim else float(p)
+        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    return p
 
 
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -93,7 +91,7 @@ def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     Returns an array of shape ``(len(x), nmax + 1)`` whose column k is the
     orthonormal polynomial of degree k evaluated at the points.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     table = np.ones((x.size, nmax + 1))
     if nmax >= 1:
         table[:, 1] = x
@@ -108,7 +106,7 @@ def basis_matrix(indices: Sequence[MultiIndex], points: np.ndarray) -> np.ndarra
 
     ``points`` has shape (npts, d); the result has shape (npts, len(indices)).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
     idx_arr = np.array([tuple(i) for i in indices], dtype=int)
     if idx_arr.shape[1] != d:

@@ -36,7 +36,6 @@ from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, bui
 __all__ = [
     "ProblemSpec",
     "PROBLEMS",
-    "step_g",
     "StepModel",
     "step_global_gpc",
     "step_me_exact",
@@ -59,23 +58,17 @@ __all__ = [
 # step function
 
 
-def _step_many(z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    out[z < 0.0] = -1.0
-    out[z == 0.0] = -0.5
-    return out
-
-
-def step_g(z: float) -> float:
-    """Step limit state on [-1, 1]: -1 left of zero, -0.5 at zero, 0 to the right."""
-    return float(_step_many(np.array([float(z)]))[0])
-
-
 class StepModel(LimitStateModel):
+    """Step limit state on [-1, 1]: -1 left of zero, -0.5 at zero, 0 to the right."""
+
     dim = 1
 
     def _g_many(self, Z):
-        return _step_many(Z[:, 0])
+        z = Z[:, 0]
+        out = np.zeros_like(z)
+        out[z < 0.0] = -1.0
+        out[z == 0.0] = -0.5
+        return out
 
 
 def step_global_gpc(p: int) -> GpcExpansion:
@@ -117,16 +110,14 @@ def gaussian_from_uniform(x, mu: float = -2.0, sigma: float = 1.0):
     """Map a uniform variable on (-1, 1) to a Gaussian with the given moments.
 
     Uses mu + sqrt(2) * sigma * erfinv(x), polished with one Newton step on
-    erf so that |erf(y) - x| < 1e-13.  Scalar in, scalar out; arrays pass
-    through elementwise.
+    erf so that |erf(y) - x| < 1e-13, elementwise.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise DomainError("the transform is defined on the open interval (-1, 1)")
     y = erfinv(arr)
     y = y - (erf(y) - arr) * (math.sqrt(math.pi) / 2.0) * np.exp(y * y)
-    out = mu + math.sqrt(2.0) * sigma * y
-    return out if arr.ndim else float(out)
+    return mu + math.sqrt(2.0) * sigma * y
 
 
 def z_legendre_coeffs(p: int, mu: float = -2.0, sigma: float = 1.0, nodes: int = 64) -> np.ndarray:
@@ -157,8 +148,7 @@ def ode_limit_state(
 ):
     """u0 exp(-Z T) - u_d with Z the Gaussian image of the uniform input (closed form)."""
     z = gaussian_from_uniform(z_uniform, mu, sigma)
-    out = u0 * np.exp(-np.asarray(z) * T) - u_d
-    return out if np.asarray(z_uniform).ndim else float(out)
+    return u0 * np.exp(-z * T) - u_d
 
 
 class OdeModel(LimitStateModel):
@@ -206,17 +196,14 @@ def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
     returns the state (3, n) at T."""
     if dt <= 0:
         raise ValueError("time step must be positive")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    y = np.stack([np.ones_like(xi_arr), 0.1 * xi_arr, np.zeros_like(xi_arr)])
+    xi = np.asarray(xi, dtype=float)
+    y = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
     return rk4_integrate(_ko_rhs, y, 0.0, T, dt)
 
 
 def ko_limit_state(xi, T: float = 15.0, u_d: float = 0.03, dt: float = 0.01):
     """y1(T) - u_d for the three-mode system started at (1, 0.1 xi, 0)."""
-    scalar = np.asarray(xi).ndim == 0
-    y = ko_trajectory(xi, T, dt)
-    out = y[0] - u_d
-    return float(out[0]) if scalar else out
+    return ko_trajectory(xi, T, dt)[0] - u_d
 
 
 class KoModel(LimitStateModel):
@@ -254,13 +241,13 @@ def ko_galerkin_system() -> PolynomialOde:
 # Burgers transition layer
 
 
-def _tanh_system(a: float, z: float, delta: float, nu: float) -> tuple[float, float]:
+def _tanh_system(a, z, delta, nu):
     s1 = a * (1.0 + z) / (2.0 * nu)
     s2 = a * (1.0 - z) / (2.0 * nu)
-    return a * math.tanh(s1) - (1.0 + delta), a * math.tanh(s2) - 1.0
+    return a * np.tanh(s1) - (1.0 + delta), a * np.tanh(s2) - 1.0
 
 
-def _layer_residual(a: float, w: float, delta: float, nu: float) -> tuple[float, float]:
+def _layer_residual(a, w, delta, nu):
     """The tanh system rewritten in (A, w) with w = exp(-A (1 - z) / nu).
 
     tanh(s) = (1 - e^(-2s)) / (1 + e^(-2s)) turns the two equations into
@@ -268,80 +255,94 @@ def _layer_residual(a: float, w: float, delta: float, nu: float) -> tuple[float,
     partial derivative O(1) where the raw (A, z) Jacobian is singular to
     machine precision (saturated tanh).
     """
-    e1 = math.exp(-2.0 * a / nu) / w
+    e1 = np.exp(-2.0 * a / nu) / w
     f1 = a * (1.0 - e1) / (1.0 + e1) - (1.0 + delta)
     f2 = a * (1.0 - w) / (1.0 + w) - 1.0
     return f1, f2
 
 
-def burgers_transition_z(delta: float, nu: float, return_amplitude: bool = False):
-    """Transition-layer position from the two-equation tanh system.
+def burgers_transition_z(delta, nu, return_amplitude: bool = False):
+    """Transition-layer positions from the two-equation tanh system, elementwise.
 
     Solves A tanh[A (1 + z) / (2 nu)] = 1 + delta and
     A tanh[A (1 - z) / (2 nu)] = 1 for (A, z) by a damped Newton iteration
-    started from (A, z) = (1, 0).  The iteration runs in the equivalent
-    (A, w) coordinates of `_layer_residual` (steps capped componentwise and
-    halved until the residual norm drops) because the raw variables make the
-    Jacobian numerically singular wherever a tanh saturates.  The returned
-    root satisfies the original equations with residual norm below 1e-12.
+    started from (A, z) = (1, 0); ``delta`` and ``nu`` broadcast.  The
+    iteration runs in the equivalent (A, w) coordinates of `_layer_residual`
+    (steps capped componentwise and halved until the residual norm drops)
+    because the raw variables make the Jacobian numerically singular wherever
+    a tanh saturates.  Each point iterates until its own residual norm is
+    below 1e-13; every returned root satisfies the original equations with
+    residual norm below 1e-12.
     """
-    if delta < 0:
+    delta, nu = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(nu, dtype=float))
+    if np.any(delta < 0):
         raise ValueError("boundary perturbation must be nonnegative")
-    if nu <= 0:
+    if np.any(nu <= 0):
         raise ValueError("viscosity must be positive")
-    a, w = 1.0, math.exp(-1.0 / nu)
+    shape = delta.shape
+    delta, nu = delta.ravel(), nu.ravel()
+    a, w = np.ones_like(delta), np.exp(-1.0 / nu)
     f1, f2 = _layer_residual(a, w, delta, nu)
-    res = math.hypot(f1, f2)
+    res = np.hypot(f1, f2)
     cap = 0.25
     w_min, w_max = 5e-324, 1.0 - 1e-12
     for _ in range(100):
-        if res < 1e-13:
+        act = np.flatnonzero(~(res < 1e-13))
+        if act.size == 0:
             break
-        e1 = math.exp(-2.0 * a / nu) / w
+        a_k, w_k, d_k, nu_k, res_k = a[act], w[act], delta[act], nu[act], res[act]
+        e1 = np.exp(-2.0 * a_k / nu_k) / w_k
         d1 = (1.0 + e1) ** 2
-        d2 = (1.0 + w) ** 2
-        j11 = (1.0 - e1) / (1.0 + e1) + (4.0 * a / nu) * e1 / d1
-        j12 = 2.0 * a * e1 / (w * d1)
-        j21 = (1.0 - w) / (1.0 + w)
-        j22 = -2.0 * a / d2
+        d2 = (1.0 + w_k) ** 2
+        j11 = (1.0 - e1) / (1.0 + e1) + (4.0 * a_k / nu_k) * e1 / d1
+        j12 = 2.0 * a_k * e1 / (w_k * d1)
+        j21 = (1.0 - w_k) / (1.0 + w_k)
+        j22 = -2.0 * a_k / d2
         det = j11 * j22 - j12 * j21
-        if det == 0.0:
+        if np.any(det == 0.0):
+            i = int(np.argmax(det == 0.0))
             raise RootSolveError("singular Jacobian in the transition-layer solve",
-                                 last_iterate=(a, w), residual=res)
-        da = max(-cap, min(cap, (-f1 * j22 + f2 * j12) / det))
-        dw = max(-cap, min(cap, (-j11 * f2 + j21 * f1) / det))
-        accepted = False
+                                 last_iterate=(a_k[i], w_k[i]), residual=res_k[i])
+        da = np.clip((-f1[act] * j22 + f2[act] * j12) / det, -cap, cap)
+        dw = np.clip((-j11 * f2[act] + j21 * f1[act]) / det, -cap, cap)
+        # backtracking line search: points whose residual has not dropped yet retry at half the step
         lam = 1.0
+        todo = np.arange(act.size)
         for _ in range(60):
-            a_new = a + lam * da
-            w_new = min(max(w + lam * dw, w_min), w_max)
-            f1n, f2n = _layer_residual(a_new, w_new, delta, nu)
-            res_new = math.hypot(f1n, f2n)
-            if res_new < res:
-                accepted = True
+            a_new = a_k[todo] + lam * da[todo]
+            w_new = np.clip(w_k[todo] + lam * dw[todo], w_min, w_max)
+            f1n, f2n = _layer_residual(a_new, w_new, d_k[todo], nu_k[todo])
+            res_new = np.hypot(f1n, f2n)
+            ok = res_new < res_k[todo]
+            done = act[todo[ok]]
+            a[done], w[done], f1[done], f2[done], res[done] = a_new[ok], w_new[ok], f1n[ok], f2n[ok], res_new[ok]
+            todo = todo[~ok]
+            if todo.size == 0:
                 break
             lam *= 0.5
-        if not accepted:
+        if todo.size:
+            i = todo[0]
             raise RootSolveError("transition-layer line search stalled",
-                                 last_iterate=(a, w), residual=res)
-        a, w, f1, f2, res = a_new, w_new, f1n, f2n, res_new
-    z = 1.0 + (nu / a) * math.log(w)
-    r1, r2 = _tanh_system(a, z, delta, nu)
-    res = math.hypot(r1, r2)
-    if res >= 1e-12:
+                                 last_iterate=(a_k[i], w_k[i]), residual=res_k[i])
+    z = 1.0 + (nu / a) * np.log(w)
+    res = np.hypot(*_tanh_system(a, z, delta, nu))
+    if np.any(~(res < 1e-12)):
+        i = int(np.argmax(~(res < 1e-12)))
         raise RootSolveError(
-            f"transition-layer Newton did not reach residual 1e-12 (got {res:.3e})",
-            last_iterate=(a, z),
-            residual=res,
+            f"transition-layer Newton did not reach residual 1e-12 (got {res[i]:.3e})",
+            last_iterate=(a[i], z[i]),
+            residual=res[i],
         )
+    z, a = z.reshape(shape), a.reshape(shape)
     return (z, a) if return_amplitude else z
 
 
-def burgers_limit_state(x_uniform: float, e: float = 0.1, nu: float = 0.05, z0: float = 0.75) -> float:
-    """z0 - z(delta) with delta = e (x + 1) / 2, i.e. delta uniform on (0, e)."""
-    if abs(x_uniform) > 1.0:
+def burgers_limit_state(x_uniform, e: float = 0.1, nu: float = 0.05, z0: float = 0.75):
+    """z0 - z(delta) with delta = e (x + 1) / 2, i.e. delta uniform on (0, e), elementwise."""
+    x = np.asarray(x_uniform, dtype=float)
+    if np.any(np.abs(x) > 1.0):
         raise DomainError("input must lie in [-1, 1]")
-    delta = e * (x_uniform + 1.0) / 2.0
+    delta = e * (x + 1.0) / 2.0
     return -burgers_transition_z(delta, nu) + z0
 
 
@@ -352,8 +353,8 @@ class BurgersModel(LimitStateModel):
         super().__init__()
         self.e, self.nu, self.z0 = e, nu, z0
 
-    def _g_one(self, z):
-        return burgers_limit_state(float(z[0]), self.e, self.nu, self.z0)
+    def _g_many(self, Z):
+        return burgers_limit_state(Z[:, 0], self.e, self.nu, self.z0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -79,6 +80,10 @@ class RefinementConfig:
             raise ValueError("reduced order N0 must satisfy 0 <= N0 < N")
         if self.max_elements < 1:
             raise ValueError("max_elements must be at least one")
+        interval = self.check_interval
+        number = isinstance(interval, numbers.Real) and not isinstance(interval, bool)
+        if interval is not None and not (number and 0 < interval < math.inf):
+            raise ValueError(f"check_interval must be a positive number, got {interval!r}")
 
 
 @dataclass(frozen=True)

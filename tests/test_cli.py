@@ -95,9 +95,11 @@ def test_estimate_command_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"unknown refine key(s) ['{key}']" in err
         assert "collocation_nodes" in err
-    # bad values reach the model, the hybrid or refinement settings or the collocation grid
+    # bad values reach the model, the hybrid or refinement settings or the collocation grid;
+    # each is rejected before sampling
     for sets in (["problem_params.foo=1"], ["refine.theta2=2"], ["delta_m=0"], ["m=0"],
-                 ["problem=burgers", "refine.collocation_nodes=2"]):
+                 ["problem=burgers", "refine.collocation_nodes=2"], ["delta_m=50001"],
+                 ["refine.check_interval=0"], ["refine.dt=0"], ["refine.dt=abc"]):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets

@@ -19,7 +19,6 @@ from mehybrid.surrogate import (
     CallableModel,
     GpcExpansion,
     MultiElementSurrogate,
-    eval_me_surrogate_many,
     gamma_bound,
     lp_error,
 )
@@ -27,7 +26,7 @@ from mehybrid.problems import StepModel, step_me_exact
 
 
 def const_model(value: float) -> CallableModel:
-    return CallableModel(lambda z: value, fn_many=lambda Z: np.full(len(Z), value))
+    return CallableModel(lambda z: np.full(len(z), value))
 
 
 def test_mc_estimate_constant_models():
@@ -66,7 +65,7 @@ def test_direct_hybrid_zero_band_is_pure_surrogate():
     est = direct_hybrid(model, surrogate, samples, gamma=0.0)
     assert est.n_exact == 0
     assert model.call_count == 0
-    ghat = surrogate.eval_many(samples.points)
+    ghat = surrogate(samples.points)
     assert est.p_f == np.count_nonzero(ghat < 0) / samples.m
 
 
@@ -74,7 +73,7 @@ def test_direct_hybrid_full_band_equals_mc():
     samples = sample_uniform(3000, 1, 2)
     model = StepModel()
     surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
-    big_gamma = float(np.max(np.abs(surrogate.eval_many(samples.points)))) + 1e-9
+    big_gamma = float(np.max(np.abs(surrogate(samples.points)))) + 1e-9
     est = direct_hybrid(model, surrogate, samples, gamma=big_gamma)
     ref = mc_estimate(StepModel(), samples)
     assert est.p_f == ref.p_f
@@ -83,10 +82,10 @@ def test_direct_hybrid_full_band_equals_mc():
 
 def test_direct_hybrid_band_covers_disagreement():
     samples = sample_uniform(5000, 1, 3)
-    model = CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5)
-    surrogate = CallableModel(lambda z: z - 0.5 + 0.01, fn_many=lambda Z: Z - 0.5 + 0.01)
+    model = CallableModel(lambda z: z - 0.5)
+    surrogate = CallableModel(lambda z: z - 0.5 + 0.01)
     est = direct_hybrid(model, surrogate.evaluate_many, samples, gamma=0.02)
-    ref = mc_estimate(CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5), samples)
+    ref = mc_estimate(CallableModel(lambda z: z - 0.5), samples)
     assert est.p_f == ref.p_f
 
 
@@ -226,7 +225,7 @@ def test_conservation_of_count_reconstruction():
             walk_calls[r.element] = r.n_exact - walk_start[r.element]
         assert sum(walk_calls.values()) == est.n_exact
 
-        ghat = surrogate.eval_many(pts)
+        ghat = surrogate(pts)
         evaluated = []
         for label, calls in walk_calls.items():
             members = np.arange(len(pts)) if label is None else np.flatnonzero(groups == label)
@@ -290,12 +289,12 @@ def test_hybrid_band_property_over_seeds():
     offset = 0.01
     for seed in range(20):
         samples = sample_uniform(4000, 1, 100 + seed)
-        model = CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5)
-        surr = CallableModel(lambda z: z - 0.5 + offset, fn_many=lambda Z: Z - 0.5 + offset)
+        model = CallableModel(lambda z: z - 0.5)
+        surr = CallableModel(lambda z: z - 0.5 + offset)
         eps_p = lp_error(surr.evaluate_many, model, p, 2000, seed=200 + seed)
         gamma = gamma_bound(eps_p, eps, p)
         est = direct_hybrid(model, surr.evaluate_many, samples, gamma)
-        ref = mc_estimate(CallableModel(lambda z: z - 0.5, fn_many=lambda Z: Z - 0.5), samples)
+        ref = mc_estimate(CallableModel(lambda z: z - 0.5), samples)
         assert abs(est.p_f - ref.p_f) <= eps
 
 
@@ -312,8 +311,6 @@ def test_hybrid_config_validation():
         HybridConfig(delta_m=0)
     with pytest.raises(ValueError):
         HybridConfig(delta_m=10, eta_stop=-1e-3)
-    with pytest.raises(ValueError):
-        HybridConfig(delta_m=100, m=50)
     with pytest.raises(ValueError):
         iterative_hybrid(
             const_model(1.0), lambda Z: np.zeros(len(Z)), sample_uniform(5, 1, 0), HybridConfig(delta_m=10)

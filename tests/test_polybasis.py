@@ -15,10 +15,11 @@ from mehybrid.polybasis import (
 
 
 def test_legendre_low_degrees():
-    assert legendre(0, 0.3) == 1.0
-    assert legendre(1, 0.7) == 0.7
+    x = np.array([0.3, 0.7, 0.5])
+    assert legendre(0, x).tolist() == [1.0, 1.0, 1.0]
+    assert legendre(1, x).tolist() == [0.3, 0.7, 0.5]
     # hand recurrence: P2(x) = (3x^2 - 1)/2
-    assert legendre(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert legendre(2, x)[2] == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_legendre_matches_numpy():
@@ -30,8 +31,9 @@ def test_legendre_matches_numpy():
 
 def test_legendre_endpoint_recurrence():
     for n in range(21):
-        assert legendre(n, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert legendre(n, -1.0) == pytest.approx((-1.0) ** n, abs=1e-12)
+        ends = legendre(n, np.array([1.0, -1.0]))
+        assert ends[0] == pytest.approx(1.0, abs=1e-12)
+        assert ends[1] == pytest.approx((-1.0) ** n, abs=1e-12)
 
 
 def test_legendre_rejects_negative_degree():

@@ -8,7 +8,7 @@ from mehybrid.errors import DomainError, IntegrationError, RootSolveError
 from mehybrid.estimator import mc_estimate, mc_stddev
 from mehybrid.polybasis import gauss_legendre, legendre_table
 from mehybrid.randomspace import sample_uniform
-from mehybrid.surrogate import eval_expansion_many, lp_error
+from mehybrid.surrogate import EVAL_CHUNK, eval_expansion_many, lp_error
 from mehybrid.problems import (
     PROBLEMS,
     BurgersModel,
@@ -19,10 +19,8 @@ from mehybrid.problems import (
     burgers_limit_state,
     burgers_transition_z,
     gaussian_from_uniform,
-    ko_limit_state,
     ko_trajectory,
     ode_limit_state,
-    step_g,
     step_global_gpc,
     step_me_exact,
     z_legendre_coeffs,
@@ -34,9 +32,7 @@ from mehybrid.problems import (
 
 
 def test_step_values():
-    assert step_g(-0.5) == -1.0
-    assert step_g(0.0) == -0.5
-    assert step_g(0.5) == 0.0
+    assert StepModel().evaluate_many(np.array([[-0.5], [0.0], [0.5]])).tolist() == [-1.0, -0.5, 0.0]
 
 
 def test_step_exact_surrogate_has_zero_lp_error():
@@ -146,13 +142,6 @@ def test_ko_conservation_and_symmetry():
     assert np.max(np.abs(y[0] - y_neg[0])) < 1e-10
 
 
-def test_ko_limit_state_scalar_and_vector_agree():
-    xi = np.array([-0.4, 0.0, 0.55])
-    vec = ko_limit_state(xi)
-    for x, v in zip(xi, vec):
-        assert ko_limit_state(float(x)) == pytest.approx(v, abs=1e-14)
-
-
 def test_ko_rejects_bad_step():
     with pytest.raises(ValueError):
         ko_trajectory(0.1, 15.0, 0.0)
@@ -165,16 +154,16 @@ def test_ko_rejects_bad_step():
 # Burgers transition layer
 
 
-def oracle_transition_z(delta: float, nu: float) -> float:
+def oracle_transition_z(delta: np.ndarray, nu: np.ndarray) -> np.ndarray:
     # algebraic reduction of the tanh system: with E2 = (A-1)/(A+1) and
     # E1 = (A-1-d)/(A+1+d), the product E1 E2 equals exp(-2A/nu), which pins
     # eps = A-1-d through a quadratic; z follows from the ratio E2/E1
-    eps = 0.0
+    eps = np.zeros_like(delta)
     for _ in range(3):
-        k = (2 + delta + eps) * (2 + 2 * delta + eps) * math.exp(-2 * (1 + delta + eps) / nu)
-        eps = 2 * k / (delta + math.sqrt(delta * delta + 4 * k))
+        k = (2 + delta + eps) * (2 + 2 * delta + eps) * np.exp(-2 * (1 + delta + eps) / nu)
+        eps = 2 * k / (delta + np.sqrt(delta * delta + 4 * k))
     a = 1 + delta + eps
-    return (nu / (2 * a)) * math.log((delta + eps) * (2 + 2 * delta + eps) / ((2 + delta + eps) * eps))
+    return (nu / (2 * a)) * np.log((delta + eps) * (2 + 2 * delta + eps) / ((2 + delta + eps) * eps))
 
 
 def test_burgers_symmetric_root():
@@ -182,19 +171,17 @@ def test_burgers_symmetric_root():
 
 
 def test_burgers_residuals_and_oracle_agreement():
-    rng = np.random.default_rng(13)
-    for _ in range(1000):
-        delta = float(rng.uniform(0.0, 0.1))
-        nu = float(rng.uniform(0.02, 0.1))
-        z, a = burgers_transition_z(delta, nu, return_amplitude=True)
-        f1, f2 = _tanh_system(a, z, delta, nu)
-        assert math.hypot(f1, f2) < 1e-12
-        assert abs(z - oracle_transition_z(delta, nu)) < 1e-9
+    # 1,000 (delta, nu) pairs, drawn in the same stream order as alternating scalar draws
+    delta, nu = np.random.default_rng(13).uniform([0.0, 0.02], [0.1, 0.1], size=(1000, 2)).T
+    z, a = burgers_transition_z(delta, nu, return_amplitude=True)
+    assert z.shape == a.shape == (1000,)
+    assert np.max(np.hypot(*_tanh_system(a, z, delta, nu))) < 1e-12
+    assert np.max(np.abs(z - oracle_transition_z(delta, nu))) < 1e-9
 
 
 def test_burgers_monotone_and_continuous():
     grid = np.arange(0.0, 0.1 + 1e-12, 1e-4)
-    zs = np.array([burgers_transition_z(d, 0.05) for d in grid])
+    zs = burgers_transition_z(grid, 0.05)
     assert np.all(np.diff(zs) > 0.0)
     # the first interval crosses the supersensitive layer; jumps beyond it stay small
     assert np.max(np.diff(zs)[1:]) < 0.2
@@ -205,12 +192,24 @@ def test_burgers_parameter_validation():
         burgers_transition_z(-0.01, 0.05)
     with pytest.raises(ValueError):
         burgers_transition_z(0.01, 0.0)
+    # one bad entry rejects the whole batch
+    with pytest.raises(ValueError):
+        burgers_transition_z(np.array([0.02, -0.01, 0.05]), 0.05)
+    with pytest.raises(ValueError):
+        burgers_transition_z(0.01, np.array([0.05, 0.0]))
+
+
+def test_burgers_unconverged_point_raises():
+    # at nu = 1e-3 the start value w = exp(-1/nu) underflows to zero, so that point's
+    # residual is not finite and its line search stalls; the whole batch fails
+    with pytest.raises(RootSolveError, match="stalled"), np.errstate(divide="ignore", invalid="ignore"):
+        burgers_transition_z(np.array([0.01, 0.05]), np.array([0.05, 1e-3]))
 
 
 def test_burgers_limit_state_endpoints_and_failure_interval():
     assert burgers_limit_state(-1.0) == pytest.approx(0.75, abs=1e-14)
     xs = np.linspace(-1.0, 1.0, 201)
-    vals = np.array([burgers_limit_state(float(x)) for x in xs])
+    vals = burgers_limit_state(xs)
     # failure region is one upper interval of delta: signs switch exactly once
     signs = vals < 0.0
     switches = np.count_nonzero(np.diff(signs))
@@ -218,6 +217,8 @@ def test_burgers_limit_state_endpoints_and_failure_interval():
     assert not signs[0] and signs[-1]
     with pytest.raises(DomainError):
         burgers_limit_state(1.5)
+    with pytest.raises(DomainError):
+        burgers_limit_state(np.array([0.0, -1.2]))
 
 
 def test_burgers_model_counts_calls():
@@ -237,6 +238,20 @@ def test_problem_registry():
         model = spec.make_model(**spec.parameters)
         assert model.dim == 1
         assert model.call_count == 0
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_batch_equals_blocks(name):
+    # the property behind "hybrid equals MC": one batch spanning several chunks
+    # gives the same bits as the 100-point blocks a hybrid walk evaluates.  ko3 runs
+    # at dt = 0.1 (150 RK4 steps instead of 1,500) to keep its 165 blocks cheap; its
+    # rows never interact, whatever the step.
+    spec = PROBLEMS[name]
+    model = spec.make_model(**{**spec.parameters, **({"dt": 0.1} if name == "ko3" else {})})
+    pts = sample_uniform(2 * EVAL_CHUNK + 17, model.dim, 8).points
+    blocks = np.concatenate([model.evaluate_many(pts[i : i + 100]) for i in range(0, len(pts), 100)])
+    assert np.array_equal(model.evaluate_many(pts), blocks)
+    assert model.call_count == 2 * len(pts)
 
 
 def test_problem_registry_parameter_overrides():

@@ -92,7 +92,7 @@ def test_static_should_split_examples():
 
 
 def test_adapt_static_linear_model_never_splits():
-    model = CallableModel(lambda z: z, fn_many=lambda Z: Z)
+    model = CallableModel(lambda z: z)
     surr = adapt_static(model, cfg(theta1=1e-6), order=2)
     assert len(surr) == 1
     assert not surr.truncated
@@ -110,10 +110,7 @@ def test_adapt_static_step_localizes_discontinuity():
 
 def test_adapt_static_accumulates_at_offset_jump():
     jump = 0.31
-    model = CallableModel(
-        lambda z: -1.0 if z < jump else 0.5,
-        fn_many=lambda Z: np.where(Z < jump, -1.0, 0.5),
-    )
+    model = CallableModel(lambda z: np.where(z < jump, -1.0, 0.5))
     events: list[RefinementEvent] = []
     surr = adapt_static(model, cfg(theta1=1e-4, max_elements=64), order=3, event_log=events)
     widths = [e.upper[0] - e.lower[0] for e in surr.decomposition]
@@ -126,10 +123,7 @@ def test_adapt_static_accumulates_at_offset_jump():
 
 def test_adapt_static_respects_max_elements():
     model = StepModel()
-    shifted = CallableModel(
-        lambda z: -1.0 if z < 0.31 else 0.5,
-        fn_many=lambda Z: np.where(Z < 0.31, -1.0, 0.5),
-    )
+    shifted = CallableModel(lambda z: np.where(z < 0.31, -1.0, 0.5))
     surr = adapt_static(shifted, cfg(theta1=1e-9, max_elements=4), order=3)
     assert len(surr) <= 4
     assert surr.truncated
@@ -350,4 +344,9 @@ def test_refinement_config_validation():
         RefinementConfig(theta1=1e-3, N=3, theta2=1.5)
     with pytest.raises(ValueError):
         RefinementConfig(theta1=1e-3, N=3, alpha=0.0)
+    # a check interval that does not advance time would loop forever in adapt_dynamic
+    for interval in (0, 0.0, -0.1, math.nan, math.inf, "abc", True):
+        with pytest.raises(ValueError, match="check_interval"):
+            RefinementConfig(theta1=1e-3, N=3, check_interval=interval)
+    assert RefinementConfig(theta1=1e-3, N=3, check_interval=0.05).check_interval == 0.05
     assert RefinementConfig(theta1=5e-4, N=4).N0 == 2

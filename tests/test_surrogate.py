@@ -27,14 +27,14 @@ def full_line():
 
 
 def test_collocation_constant_model():
-    model = CallableModel(lambda z: 4.25, fn_many=lambda Z: np.full(len(Z), 4.25))
+    model = CallableModel(lambda z: np.full(len(z), 4.25))
     exp = build_collocation(model, full_line(), 3, 5)
     assert exp.coeffs[0] == pytest.approx(4.25, abs=1e-13)
     assert np.max(np.abs(exp.coeffs[1:])) < 1e-13
 
 
 def test_collocation_linear_model():
-    model = CallableModel(lambda z: z, fn_many=lambda Z: Z)
+    model = CallableModel(lambda z: z)
     exp = build_collocation(model, full_line(), 3, 4)
     assert exp.coeff((1,)) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
     others = [c for i, c in enumerate(exp.coeffs) if i != 1]
@@ -50,7 +50,7 @@ def test_collocation_step_left_element_is_constant():
 
 
 def test_collocation_call_accounting_2d():
-    model = CallableModel(lambda z: z[0] + z[1], dim=2, fn_many=lambda Z: Z[:, 0] + Z[:, 1])
+    model = CallableModel(lambda Z: Z[:, 0] + Z[:, 1], dim=2)
     e = Element.box([-1.0, -1.0], [1.0, 1.0])
     before = model.call_count
     build_collocation(model, e, 2, 5)
@@ -75,23 +75,23 @@ def test_collocation_propagates_model_failure():
 
 def test_eval_expansion_examples():
     const = GpcExpansion(full_line(), 0, np.array([-1.0]))
-    assert eval_expansion_many(const, [0.77])[0] == -1.0
+    assert eval_expansion_many(const, np.array([[0.77]]))[0] == -1.0
 
     lin = GpcExpansion(full_line(), 1, np.array([0.0, 1.0 / math.sqrt(3.0)]))
-    assert eval_expansion_many(lin, [0.5])[0] == pytest.approx(0.5, abs=1e-14)
+    assert eval_expansion_many(lin, np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-14)
 
-    assert eval_expansion_many(step_global_gpc(0), [0.0])[0] == pytest.approx(-0.5, abs=1e-15)
+    assert eval_expansion_many(step_global_gpc(0), np.array([[0.0]]))[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_eval_expansion_outside_element():
     exp = GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([2.0]))
     with pytest.raises(DomainError):
-        eval_expansion_many(exp, [-0.5])
+        eval_expansion_many(exp, np.array([[-0.5]]))
 
 
 def test_me_surrogate_examples():
     me = step_me_exact()
-    assert eval_me_surrogate_many(me, [-0.5, 0.5]).tolist() == [-1.0, 0.0]
+    assert eval_me_surrogate_many(me, np.array([[-0.5], [0.5]])).tolist() == [-1.0, 0.0]
     # single-element surrogate behaves exactly like its expansion
     exp = GpcExpansion(full_line(), 1, np.array([0.3, 0.9]))
     single = MultiElementSurrogate(Decomposition((full_line(),)), (exp,))
@@ -122,11 +122,7 @@ def test_projection_reproduces_polynomials():
         coeffs = rng.normal(size=len(multi_index_set(d, n)))
         truth = GpcExpansion(e, n, coeffs)
 
-        model = CallableModel(
-            lambda z: float(eval_expansion_many(truth, np.reshape(z, (1, d)))[0]),
-            dim=d,
-            fn_many=lambda Z: eval_expansion_many(truth, Z),
-        )
+        model = CallableModel(lambda Z: eval_expansion_many(truth, np.reshape(Z, (-1, d))), dim=d)
         rebuilt = build_collocation(model, e, n)
         assert np.max(np.abs(rebuilt.coeffs - coeffs)) < 1e-12
 
@@ -153,7 +149,7 @@ def test_lp_error_examples():
     me = step_me_exact()
     assert lp_error(me, model, p=2, m=5000, seed=3) == 0.0
 
-    lin_model = CallableModel(lambda z: z, fn_many=lambda Z: Z)
+    lin_model = CallableModel(lambda z: z)
     zero = GpcExpansion(full_line(), 0, np.array([0.0]))
     err = lp_error(zero, lin_model, p=2, m=40000, seed=4)
     assert err == pytest.approx(math.sqrt(1.0 / 3.0), abs=0.01)
