@@ -177,22 +177,29 @@ def run(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     spec = prob.PROBLEMS[cfg.problem]
     model, build_model, hycfg, rcfg = _prepare(cfg)
+    clock = time.perf_counter()
     samples = sample_uniform(cfg.m, model.dim, cfg.seed)
+    timings = {"sample_s": time.perf_counter() - clock, "build_s": 0.0}
     trace: HybridTrace | None = None
     surr = None
     events: list = []
+    if cfg.method != "mc":
+        clock = time.perf_counter()
+        surr = _build_surrogate(cfg, build_model, rcfg, events)
+        timings["build_s"] = time.perf_counter() - clock
+    clock = time.perf_counter()
     if cfg.method == "mc":
         est = mc_estimate(model, samples)
+    elif cfg.method == "direct-hybrid":
+        est = direct_hybrid(model, surr, samples, cfg.gamma)
+    elif cfg.method == "global-hybrid":
+        est, trace = iterative_hybrid(model, surr, samples, hycfg)
+    elif cfg.method == "me-gha":
+        est, trace = me_gha(model, surr, samples, hycfg)
     else:
-        surr = _build_surrogate(cfg, build_model, rcfg, events)
-        if cfg.method == "direct-hybrid":
-            est = direct_hybrid(model, surr, samples, cfg.gamma)
-        elif cfg.method == "global-hybrid":
-            est, trace = iterative_hybrid(model, surr, samples, hycfg)
-        elif cfg.method == "me-gha":
-            est, trace = me_gha(model, surr, samples, hycfg)
-        else:
-            est, trace = me_lha(model, surr, samples, hycfg)
+        est, trace = me_lha(model, surr, samples, hycfg)
+    timings["estimate_s"] = time.perf_counter() - clock
+    timings["exact_s"] = model.exact_s + build_model.exact_s
     multi = isinstance(surr, MultiElementSurrogate)
     reference = cfg.reference if cfg.reference is not None else spec.reference_p_f
     report = {
@@ -210,6 +217,7 @@ def run(cfg: RunConfig) -> dict:
         "relative_error": relative_error(est.p_f, reference) if reference > 0 else None,
         "model_calls_total": model.call_count + build_model.call_count,
         "wall_time_s": time.perf_counter() - t0,
+        "timings": timings,
         "config": asdict(cfg),
     }
     out = cfg.output or {}

@@ -89,8 +89,8 @@ def check_linear_closure() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10):
         c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {})
-        red = _batched_rhs(system, c[:, :, :4], dense, {})
+        full = _batched_rhs(system, c, dense, {}, np.empty_like(c))
+        red = _batched_rhs(system, c[:, :, :4], dense, {}, np.empty_like(c[:, :, :4]))
         q, _ = dynamic_indicator(full[0], red[0], c[0], dim=1)
         worst = max(worst, q)
     return worst < TOLERANCES["linear-closure"], f"max Q {worst:.2e}"
@@ -114,8 +114,11 @@ def check_burgers_residuals() -> tuple[bool, str]:
 
 
 def check_rk4_order() -> tuple[bool, str]:
+    def decay(_t, v, out):
+        np.negative(v, out=out)
+
     def err(h: float) -> float:
-        return abs(rk4_integrate(lambda _t, v: -v, 1.0, 0.0, 1.0, h) - math.exp(-1.0))
+        return abs(float(rk4_integrate(decay, 1.0, 0.0, 1.0, h)) - math.exp(-1.0))
 
     lo, hi = TOLERANCES["rk4-order"]
     ratio = err(0.02) / err(0.01)

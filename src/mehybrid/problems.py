@@ -30,7 +30,14 @@ from scipy.special import erf, erfinv
 from .errors import DomainError, RootSolveError
 from .polybasis import legendre_table, gauss_legendre
 from .randomspace import Decomposition, Element
-from .refine import PolynomialOde, adapt_dynamic, adapt_static, limit_state_surrogate, rk4_integrate
+from .refine import (
+    PolynomialOde,
+    _positive_finite,
+    adapt_dynamic,
+    adapt_static,
+    limit_state_surrogate,
+    rk4_integrate,
+)
 from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation
 
 __all__ = [
@@ -187,15 +194,21 @@ def ode_galerkin_system(p: int, u0=1.0, mu=-2.0, sigma=1.0) -> PolynomialOde:
 # three-mode quadratic system
 
 
-def _ko_rhs(_t, y: np.ndarray) -> np.ndarray:
-    return np.stack([y[0] * y[2], -y[1] * y[2], -y[0] ** 2 + y[1] ** 2])
+def _ko_rhs(_t, y: np.ndarray, out: np.ndarray) -> None:
+    """Writes (y1 y3, -y2 y3, y2^2 - y1^2) for a (3, n) state into ``out`` without temporaries;
+    each row is bit-identical to (y1 y3, (-y2) y3, -y1^2 + y2^2)."""
+    y1, y2, y3 = y
+    _, d2, d3 = out
+    np.multiply(y2, y2, out=d3)
+    np.multiply(y1, y1, out=d2)
+    np.subtract(d3, d2, out=d3)
+    np.multiply(y[:2], y3, out=out[:2])
+    np.negative(d2, out=d2)
 
 
 def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
     """Integrate the three-mode system from (1, 0.1 xi, 0) in ceil(T / dt) RK4 steps;
     returns the state (3, n) at T."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
     xi = np.asarray(xi, dtype=float)
     y = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
     return rk4_integrate(_ko_rhs, y, 0.0, T, dt)
@@ -211,6 +224,9 @@ class KoModel(LimitStateModel):
 
     def __init__(self, T=15.0, u_d=0.03, dt=0.01):
         super().__init__()
+        for name, value in (("T", T), ("dt", dt)):
+            if not _positive_finite(value):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         self.T, self.u_d, self.dt = T, u_d, dt
 
     def _g_many(self, Z):

@@ -80,10 +80,13 @@ class RefinementConfig:
             raise ValueError("reduced order N0 must satisfy 0 <= N0 < N")
         if self.max_elements < 1:
             raise ValueError("max_elements must be at least one")
-        interval = self.check_interval
-        number = isinstance(interval, numbers.Real) and not isinstance(interval, bool)
-        if interval is not None and not (number and 0 < interval < math.inf):
-            raise ValueError(f"check_interval must be a positive number, got {interval!r}")
+        if self.check_interval is not None and not _positive_finite(self.check_interval):
+            raise ValueError(f"check_interval must be a positive number, got {self.check_interval!r}")
+
+
+def _positive_finite(x) -> bool:
+    """True for a real number (not a bool) in (0, inf)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -267,10 +270,12 @@ def _batched_rhs(
     coeffs: np.ndarray,
     dense: np.ndarray,
     fields: dict[str, np.ndarray],
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Mode derivatives for a batch of elements; coeffs has shape (M, n_state, n)."""
+    """Mode derivatives for a batch of elements, written into ``out`` (shaped like
+    ``coeffs``, (M, n_state, n)) and returned."""
     m, _, n = coeffs.shape
-    out = np.zeros_like(coeffs)
+    out.fill(0.0)
     e_nnn = dense[:n, :n, :n]
     for var, value in system.constant:
         out[:, var, 0] += value
@@ -291,7 +296,8 @@ def galerkin_rhs(system, state: GalerkinState, tp: TripleProductTensor) -> np.nd
     """Time derivatives of one element's mode coefficients under the projected system."""
     sys_ = _require_polynomial(system)
     fields = {name: vec[None, :] for name, vec in state.fields.items()}
-    return _batched_rhs(sys_, state.coeffs[None, :, :], tp.dense, fields)[0]
+    coeffs = state.coeffs[None, :, :]
+    return _batched_rhs(sys_, coeffs, tp.dense, fields, np.empty_like(coeffs))[0]
 
 
 def dynamic_indicator(
@@ -336,25 +342,51 @@ def _indices_for_modes(d: int, n_modes: int) -> tuple[MultiIndex, ...]:
     return full
 
 
-def rk4_step(f: Callable, y, t: float, h: float):
-    """One classical fourth-order Runge-Kutta step."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(f: Callable, y: np.ndarray, t: float, h: float, work) -> None:
+    """One classical fourth-order Runge-Kutta step, in place on ``y``.
+
+    ``work`` holds five arrays shaped like y (k1, k2, k3, k4 and the stage
+    state); ``f(t, y, out)`` writes y' into ``out``.  The update keeps the
+    textbook association: stages y + (h/2) k, result
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    """
+    k1, k2, k3, k4, stage = work
+    half = 0.5 * h
+    f(t, y, k1)
+    np.add(y, np.multiply(k1, half, out=stage), out=stage)
+    f(t + half, stage, k2)
+    np.add(y, np.multiply(k2, half, out=stage), out=stage)
+    f(t + half, stage, k3)
+    np.add(y, np.multiply(k3, h, out=stage), out=stage)
+    f(t + h, stage, k4)
+    np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+    np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+    np.add(k1, k4, out=k1)
+    np.add(y, np.multiply(k1, h / 6.0, out=k1), out=y)
 
 
-def rk4_integrate(f: Callable, y, t0: float, t1: float, dt: float):
-    """Integrate y' = f(t, y) from t0 to t1 in ceil((t1 - t0) / dt) equal RK4 steps;
-    raises IntegrationError at the first step that leaves a non-finite state."""
+def rk4_integrate(f: Callable, y, t0: float, t1: float, dt: float) -> np.ndarray:
+    """Integrate y' = f(t, y) from t0 to t1 > t0 in ceil((t1 - t0) / dt) equal RK4 steps.
+
+    ``f(t, y, out)`` writes y' into ``out``, an array shaped like y; its return
+    value is ignored.  The state is copied once, so the caller's ``y`` is
+    left unmodified, and the five work arrays of `rk4_step` are allocated once
+    per call.  Raises ValueError unless t1 > t0 and dt is a positive finite
+    number, and IntegrationError at the first step that leaves a non-finite state.
+    """
+    if not t1 > t0:
+        raise ValueError(f"integration interval must have t1 > t0, got [{t0!r}, {t1!r}]")
+    if not _positive_finite(dt):
+        raise ValueError(f"time step must be a positive finite number, got {dt!r}")
     steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
     h = (t1 - t0) / steps
+    y = np.array(y, dtype=float)
+    work = tuple(np.empty_like(y) for _ in range(5))
     t = t0
     for _ in range(steps):
-        y = rk4_step(f, y, t, h)
+        rk4_step(f, y, t, h, work)
         t += h
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}", t=t)
     return y
 
@@ -432,12 +464,14 @@ def adapt_dynamic(
     t = 0.0
     while t < T - 1e-12:
         t_next = min(t + check, T)
-        coeffs = rk4_integrate(lambda _t, y: _batched_rhs(sys_, y, dense, fields), coeffs, t, t_next, dt)
+        coeffs = rk4_integrate(lambda _t, y, out: _batched_rhs(sys_, y, dense, fields, out),
+                               coeffs, t, t_next, dt)
         t = t_next
         if t >= T - 1e-12:
             break
-        full = _batched_rhs(sys_, coeffs, dense, fields)
-        reduced = _batched_rhs(sys_, coeffs[:, :, :n_red], dense, fields)
+        low = coeffs[:, :, :n_red]
+        full = _batched_rhs(sys_, coeffs, dense, fields, np.empty_like(coeffs))
+        reduced = _batched_rhs(sys_, low, dense, fields, np.empty_like(low))
         new_elements: list[Element] = []
         new_ids: list[int] = []
         new_rows: list[np.ndarray] = []
@@ -461,8 +495,8 @@ def adapt_dynamic(
             if resolve_from_t0:
                 child_coeffs = _project_function(sys_.initial, children, d, cfg.N, (sys_.n_state,))
                 child_fields = _field_coeffs(sys_, children, cfg.N)
-                child_coeffs = rk4_integrate(lambda _t, y: _batched_rhs(sys_, y, dense, child_fields),
-                                             child_coeffs, 0.0, t, dt)
+                child_coeffs = rk4_integrate(
+                    lambda _t, y, out: _batched_rhs(sys_, y, dense, child_fields, out), child_coeffs, 0.0, t, dt)
                 for child, row in zip(children, child_coeffs):
                     new_elements.append(child)
                     new_ids.append(next_id)

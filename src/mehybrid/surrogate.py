@@ -8,6 +8,7 @@ element is a polynomial of degree <= 2q - 1 - N.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,10 +44,12 @@ __all__ = [
 
 
 # Rows per `_g_many` call inside `evaluate_many`, measured on a 2-core Xeon VM.
-# A 65,536-row KO batch takes 10.5-13.3 s in one call and 5.0-5.7 s in 8,192-row
-# chunks (4,096 or 16,384 rows are no faster), with bit-identical values; the
-# benchmark's burgers workload, whose Monte Carlo run is one 200k-row batch,
-# peaks at 113 MB RSS unchunked and 79 MB chunked.
+# With the in-place RK4 stepper a 65,536-row KO batch takes 5.9-6.0 s in one call
+# and 3.2-3.9 s in 8,192-row chunks (16,384 rows is no faster, 2,048 and 4,096
+# rows are slower), with bit-identical values; at 8,192 rows the five RK4 work
+# arrays (about 1 MB) fit the host's 2 MB per-core L2 cache, at 65,536 rows they
+# take 7.5 MB.  The benchmark's burgers workload, whose Monte Carlo run is
+# one 200k-row batch, peaks at 113 MB RSS unchunked and 79 MB chunked.
 EVAL_CHUNK = 8192
 
 
@@ -54,22 +57,26 @@ class LimitStateModel:
     """Exact limit-state function g(z); failure is the event {g < 0}.
 
     Subclasses implement `_g_many` on an (n, d) point array; `evaluate_many`
-    counts every exact evaluation and feeds it rows in chunks of EVAL_CHUNK.
+    counts every exact evaluation, adds its wall time to ``exact_s`` and feeds
+    `_g_many` rows in chunks of EVAL_CHUNK.
     """
 
     dim: int = 1
 
     def __init__(self):
         self._calls = 0
+        self.exact_s = 0.0
 
     @property
     def call_count(self) -> int:
         return self._calls
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
+        start = time.perf_counter()
         pts = np.asarray(Z, dtype=float)
         self._calls += pts.shape[0]
         chunks = [self._g_many(pts[i : i + EVAL_CHUNK]) for i in range(0, pts.shape[0], EVAL_CHUNK)]
+        self.exact_s += time.perf_counter() - start
         return np.concatenate(chunks, dtype=float) if chunks else np.empty(0)
 
     def _g_many(self, Z: np.ndarray) -> np.ndarray:

@@ -42,13 +42,17 @@ def test_run_report_fields_and_determinism():
     rep_b = run(RunConfig.from_dict(base_config()))
     for key in ("estimate", "n_exact", "n_surrogate", "n_elements", "relative_error"):
         assert rep_a[key] == rep_b[key]
-    a = {k: v for k, v in rep_a.items() if k != "wall_time_s"}
-    b = {k: v for k, v in rep_b.items() if k != "wall_time_s"}
+    a = {k: v for k, v in rep_a.items() if k not in ("wall_time_s", "timings")}
+    b = {k: v for k, v in rep_b.items() if k not in ("wall_time_s", "timings")}
     assert a == b
     assert rep_a["n_surrogate"] == 50_000
     assert rep_a["n_elements"] == 2
     assert rep_a["reference"] == 0.5
     assert rep_a["config"]["seed"] == 42
+    timings = rep_a["timings"]
+    assert set(timings) == {"sample_s", "build_s", "estimate_s", "exact_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert timings["sample_s"] + timings["build_s"] + timings["estimate_s"] <= rep_a["wall_time_s"]
 
 
 def test_run_mc_method():
@@ -99,7 +103,11 @@ def test_estimate_command_usage_error(tmp_path, capsys):
     # each is rejected before sampling
     for sets in (["problem_params.foo=1"], ["refine.theta2=2"], ["delta_m=0"], ["m=0"],
                  ["problem=burgers", "refine.collocation_nodes=2"], ["delta_m=50001"],
-                 ["refine.check_interval=0"], ["refine.dt=0"], ["refine.dt=abc"]):
+                 ["refine.check_interval=0"], ["refine.dt=0"], ["refine.dt=abc"],
+                 ["problem=ko3", "method=mc", "problem_params.T=-5"],
+                 ["problem=ko3", "method=mc", "problem_params.T=0"],
+                 ["problem=ko3", "method=mc", "problem_params.T=abc"],
+                 ["problem=ko3", "method=mc", "problem_params.dt=-0.01"]):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets

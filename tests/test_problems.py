@@ -8,6 +8,7 @@ from mehybrid.errors import DomainError, IntegrationError, RootSolveError
 from mehybrid.estimator import mc_estimate, mc_stddev
 from mehybrid.polybasis import gauss_legendre, legendre_table
 from mehybrid.randomspace import sample_uniform
+from mehybrid.refine import rk4_integrate
 from mehybrid.surrogate import EVAL_CHUNK, eval_expansion_many, lp_error
 from mehybrid.problems import (
     PROBLEMS,
@@ -15,6 +16,7 @@ from mehybrid.problems import (
     KoModel,
     OdeModel,
     StepModel,
+    _ko_rhs,
     _tanh_system,
     burgers_limit_state,
     burgers_transition_z,
@@ -142,9 +144,36 @@ def test_ko_conservation_and_symmetry():
     assert np.max(np.abs(y[0] - y_neg[0])) < 1e-10
 
 
+def test_ko_trajectory_matches_textbook_rk4():
+    # the in-place stepper keeps the textbook association, so it agrees bit for bit with
+    # an allocating RK4 that does not use the package's stepper
+    xi = np.random.default_rng(4).uniform(-1.0, 1.0, size=300)
+    y0 = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
+
+    def rhs(v):
+        return np.stack([v[0] * v[2], -v[1] * v[2], -v[0] ** 2 + v[1] ** 2])
+
+    y, h = y0, 15.0 / 1500
+    for _ in range(1500):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(ko_trajectory(xi, 15.0, 0.01), y)
+    start = y0.copy()
+    assert np.array_equal(rk4_integrate(_ko_rhs, y0, 0.0, 15.0, 0.01), y)
+    assert np.array_equal(y0, start)
+
+
 def test_ko_rejects_bad_step():
     with pytest.raises(ValueError):
         ko_trajectory(0.1, 15.0, 0.0)
+    with pytest.raises(ValueError):
+        ko_trajectory(0.1, 0.0, 0.01)
+    for bad in ({"T": -5}, {"T": 0}, {"T": "abc"}, {"T": math.inf}, {"dt": -0.01}, {"dt": 0}, {"dt": math.nan}):
+        with pytest.raises(ValueError, match="positive finite"):
+            KoModel(**bad)
     # five RK4 steps of length 3 overflow the state
     with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
         ko_trajectory(np.array([-0.5, 0.3]), 15.0, 3.0)

@@ -20,6 +20,7 @@ from mehybrid.refine import (
     dynamic_indicator,
     galerkin_rhs,
     limit_state_surrogate,
+    rk4_integrate,
     rk4_step,
     static_indicator,
     static_should_split,
@@ -191,17 +192,17 @@ def test_ko_deterministic_mode_tracks_scalar_trajectory():
     coeffs = states[0].coeffs
     assert np.max(np.abs(coeffs[:, 1:])) < 1e-12
 
-    from mehybrid.problems import ko_trajectory
-
-    y = ko_trajectory(np.array([0.0]), 3.0, 0.01)  # xi makes y2(0)=0, so replicate directly
-    def scalar_rhs(_t, y):
+    # reference: a textbook RK4 of the deterministic system, independent of the package's stepper
+    def scalar_rhs(y):
         return np.array([y[0] * y[2], -y[1] * y[2], -y[0] ** 2 + y[1] ** 2])
 
-    ys = np.array([1.0, 0.25, 0.0])
-    t = 0.0
+    ys, h = np.array([1.0, 0.25, 0.0]), 0.01
     for _ in range(300):
-        ys = rk4_step(scalar_rhs, ys, t, 0.01)
-        t += 0.01
+        k1 = scalar_rhs(ys)
+        k2 = scalar_rhs(ys + 0.5 * h * k1)
+        k3 = scalar_rhs(ys + 0.5 * h * k2)
+        k4 = scalar_rhs(ys + h * k3)
+        ys = ys + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.allclose(coeffs[:, 0], ys, atol=1e-10)
 
 
@@ -221,8 +222,8 @@ def test_dynamic_indicator_linear_closure():
     rng = np.random.default_rng(2)
     for _ in range(5):
         c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {})
-        red = _batched_rhs(system, c[:, :, :4], dense, {})
+        full = _batched_rhs(system, c, dense, {}, np.empty_like(c))
+        red = _batched_rhs(system, c[:, :, :4], dense, {}, np.empty_like(c[:, :, :4]))
         q, _ = dynamic_indicator(full[0], red[0], c[0], dim=1)
         assert q < 1e-10
 
@@ -233,7 +234,8 @@ def test_dynamic_indicator_ko_transfers_energy():
     dec, states = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
     tp = triple_products(1, 5)
     full = galerkin_rhs(system, states[0], tp)
-    red = _batched_rhs(system, states[0].coeffs[None, :, :4], tp.dense, {})[0]
+    c_red = states[0].coeffs[None, :, :4]
+    red = _batched_rhs(system, c_red, tp.dense, {}, np.empty_like(c_red))[0]
     q, s = dynamic_indicator(full, red, states[0].coeffs, dim=1)
     assert q > 1e-4
     assert s[0] >= 0.0
@@ -325,14 +327,27 @@ def test_adapt_dynamic_truncation_status():
 
 def test_rk4_error_ratio():
     def err(h):
-        y, t = 1.0, 0.0
+        y, t = np.array(1.0), 0.0
+        work = tuple(np.empty_like(y) for _ in range(5))
         for _ in range(round(1.0 / h)):
-            y = rk4_step(lambda _t, v: -v, y, t, h)
+            rk4_step(lambda _t, v, out: np.negative(v, out=out), y, t, h, work)
             t += h
-        return abs(y - math.exp(-1.0))
+        return abs(float(y) - math.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)
     assert 12.0 <= ratio <= 20.0
+
+
+def test_rk4_integrate_rejects_bad_interval():
+    def decay(_t, v, out):
+        np.negative(v, out=out)
+
+    for t0, t1 in ((0.0, 0.0), (1.0, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="t1 > t0"):
+            rk4_integrate(decay, np.ones(2), t0, t1, 0.1)
+    for dt in (0.0, -0.01, math.inf, math.nan, "0.1", True):
+        with pytest.raises(ValueError, match="time step"):
+            rk4_integrate(decay, np.ones(2), 0.0, 1.0, dt)
 
 
 def test_refinement_config_validation():
