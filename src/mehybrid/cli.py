@@ -156,12 +156,18 @@ def _load_cache(path: str) -> tuple[MultiElementSurrogate, list[str]]:
     return surr, check_partition(surr.decomposition)
 
 
+def _load_partition(path: str) -> MultiElementSurrogate:
+    """A cached surrogate whose mesh is a partition of the domain; any other is a usage error."""
+    surr, issues = _load_cache(path)
+    if issues:
+        raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
+    return surr
+
+
 def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event_log: list):
     """Load the cached surrogate, or have the problem registry build the one the method needs."""
     if cfg.surrogate_cache:
-        surr, issues = _load_cache(cfg.surrogate_cache)
-        if issues:
-            raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
+        surr = _load_partition(cfg.surrogate_cache)
         if surr.dim != model.dim:
             raise UsageError(f"cached surrogate has dim {surr.dim}, problem {cfg.problem!r} has dim {model.dim}")
         return surr
@@ -199,6 +205,7 @@ def run(cfg: RunConfig) -> dict:
     else:
         est, trace = me_lha(model, surr, samples, hycfg)
     timings["estimate_s"] = time.perf_counter() - clock
+    timings.update(est.timings)
     timings["exact_s"] = model.exact_s + build_model.exact_s
     multi = isinstance(surr, MultiElementSurrogate)
     reference = cfg.reference if cfg.reference is not None else spec.reference_p_f
@@ -484,6 +491,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.cache}: {len(surr)} elements, {build_model.call_count} build calls")
             return 0
         if args.command == "validate":
+            if args.cache:
+                _load_partition(args.cache)
             return validate(args.cache)
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:

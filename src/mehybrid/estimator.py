@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .randomspace import SampleSet, locate_many
-from .surrogate import LimitStateModel, MultiElementSurrogate
+from .randomspace import SampleSet
+from .surrogate import LimitStateModel, MultiElementSurrogate, eval_me_surrogate_many
 
 __all__ = [
     "HybridConfig",
@@ -49,14 +50,20 @@ class HybridConfig:
             raise ValueError("max_exact must be at least one when given")
 
 
+# Wall-time stages of a hybrid estimate: surrogate evaluation, ordering by |g~|
+# (with the grouping of the local hybrid) and the exact blocks.
+STAGES = ("surrogate_s", "order_s", "blocks_s")
+
+
 @dataclass(frozen=True)
 class Estimate:
-    """Final estimate with its cost accounting."""
+    """Final estimate with its cost accounting; ``timings`` holds the seconds of each of STAGES."""
 
     p_f: float
     n_exact: int
     n_surrogate: int
     stddev: float
+    timings: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0), compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p_f <= 1.0:
@@ -129,74 +136,72 @@ def direct_hybrid(model: LimitStateModel, surrogate, samples, gamma: float) -> E
         raise ValueError("replacement threshold gamma must be nonnegative")
     pts = _points(samples)
     m = pts.shape[0]
+    t0 = time.perf_counter()
     approx = surrogate(pts)
+    t1 = time.perf_counter()
     band = np.abs(approx) <= gamma
     fails = int(np.count_nonzero(approx < -gamma))
     n_exact = int(np.count_nonzero(band))
+    t2 = time.perf_counter()
     if n_exact:
         exact = model.evaluate_many(pts[band])
         fails += int(np.count_nonzero(exact < 0.0))
     p = fails / m
-    return Estimate(p, n_exact, m, mc_stddev(p, m))
+    return Estimate(p, n_exact, m, mc_stddev(p, m), _timings(t1 - t0, t2 - t1, time.perf_counter() - t2))
 
 
-def _walks(approx: np.ndarray, groups: np.ndarray | None):
-    """(group label, sample indices in ascending |g~|) for every nonempty group.
+def _timings(*seconds: float) -> dict:
+    return dict(zip(STAGES, seconds))
 
-    Without groups all samples form one unlabeled walk.  Ties keep sample
-    order (stable sort), which keeps runs deterministic.
+
+# Samples in the first prefix of a walk's order, in blocks; a walk that runs past
+# its prefix doubles it.
+FIRST_PREFIX_BLOCKS = 4
+
+
+def _prefix(mag: np.ndarray, n: int) -> np.ndarray:
+    """The first n or more entries of ``np.argsort(mag, kind="stable")``, without sorting all of mag.
+
+    The n-th smallest value t bounds the prefix: the entries at or below t are
+    taken in index order, so ties keep sample order, and only they are
+    sorted.  The prefix runs on through the ties at t.
     """
+    if n < mag.size:
+        t = np.partition(mag, n - 1)[n - 1]
+        if not np.isnan(t):
+            keep = np.flatnonzero(mag <= t)
+            return keep[np.argsort(mag[keep], kind="stable")]
+    return np.argsort(mag, kind="stable")
+
+
+def _walks(groups: np.ndarray | None) -> list:
+    """(group label, member sample indices in ascending order) for every nonempty
+    group, in label order; without groups one unlabeled walk over all samples
+    (members None)."""
     if groups is None:
-        yield None, np.argsort(np.abs(approx), kind="stable")
-        return
-    mag = np.abs(approx)
-    for k in range(int(groups.max()) + 1):
-        members = np.flatnonzero(groups == k)
-        if members.size:
-            yield k, members[np.argsort(mag[members], kind="stable")]
+        return [(None, None)]
+    counts = np.bincount(groups)
+    # a stable sort of labels of 16 bits or fewer is a radix sort
+    by_label = np.argsort(groups.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    ends = np.cumsum(counts)
+    return [(k, by_label[end - n : end]) for k, (n, end) in enumerate(zip(counts, ends)) if n]
 
 
-def iterative_hybrid(
-    model: LimitStateModel, surrogate, samples, cfg: HybridConfig, groups: np.ndarray | None = None
-) -> tuple[Estimate, HybridTrace]:
+def iterative_hybrid(model: LimitStateModel, surrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
     """Iterative hybrid estimation: replace surrogate calls by exact ones in
     blocks of delta_m, walking samples in ascending surrogate magnitude.
     ``surrogate`` is any callable from the (m, d) sample array to m values.
 
     The failure count starts at the surrogate's own count over all samples,
-    and each block adds its exact-minus-surrogate change.  ``groups`` (one
-    integer label per sample) splits the walk: each group is walked on its
-    own, in label order, and stops once a block changes the estimate by at
-    most eta_stop (or its samples run out).  The call budget ``max_exact``
-    ends the whole run; samples never reached keep their surrogate class.
+    and each block adds its exact-minus-surrogate change.  The walk stops
+    once a block changes the estimate by at most eta_stop, or its samples
+    or the call budget ``max_exact`` run out; samples never reached keep
+    their surrogate class.
     """
     pts = _points(samples)
-    m = pts.shape[0]
-    if cfg.delta_m > m:
-        raise ValueError("step size cannot exceed the sample count")
-    if groups is not None and len(groups) != m:
-        raise ValueError(f"expected one group label per sample, got {len(groups)} for {m} samples")
+    start = time.perf_counter()
     approx = surrogate(pts)
-    surr_neg = approx < 0.0
-    fails = int(np.count_nonzero(surr_neg))
-    budget = m if cfg.max_exact is None else cfg.max_exact
-    n_exact = 0
-    trace = HybridTrace()
-    for label, order in _walks(approx, groups):
-        if n_exact >= budget:
-            break
-        trace.append(0, fails / m, n_exact, label)
-        for iteration, pos in enumerate(range(0, order.size, cfg.delta_m), start=1):
-            block = order[pos : pos + min(cfg.delta_m, budget - n_exact)]
-            exact_vals = model.evaluate_many(pts[block])
-            delta = int(np.count_nonzero(exact_vals < 0.0)) - int(np.count_nonzero(surr_neg[block]))
-            fails += delta
-            n_exact += block.size
-            trace.append(iteration, fails / m, n_exact, label)
-            if abs(delta) / m <= cfg.eta_stop or n_exact >= budget:
-                break
-    p = fails / m
-    return Estimate(p, n_exact, m, mc_stddev(p, m)), trace
+    return _hybrid_walk(model, pts, approx, cfg, None, time.perf_counter() - start)
 
 
 # ME-GHA is the iterative hybrid over a multi-element surrogate: one walk over all samples.
@@ -206,11 +211,61 @@ me_gha = iterative_hybrid
 def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
     """Local hybrid: the iterative hybrid walked inside every element of the mesh.
 
-    Every nonempty element performs at least one block of exact evaluations
+    Each element is walked on its own, in element order, with the stopping
+    rule of `iterative_hybrid`; the call budget ends the whole run.  Every
+    nonempty element performs at least one block of exact evaluations
     (unless the call budget is spent); trace rows carry the running global
-    estimate and the element index.
+    estimate and the element index.  The samples are located once, by the
+    surrogate evaluation.
     """
-    return iterative_hybrid(model, s, samples, cfg, groups=locate_many(s.decomposition, _points(samples)))
+    pts = _points(samples)
+    owners = np.empty(pts.shape[0], dtype=np.intp)
+    start = time.perf_counter()
+    approx = eval_me_surrogate_many(s, pts, owners)
+    return _hybrid_walk(model, pts, approx, cfg, owners, time.perf_counter() - start)
+
+
+def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cfg: HybridConfig,
+                 groups: np.ndarray | None, surrogate_s: float) -> tuple[Estimate, HybridTrace]:
+    """The block loop of both iterative hybrids, walking each group of ``groups``
+    (one integer label per sample) on its own; ``surrogate_s`` is the time the
+    surrogate values ``approx`` took."""
+    m = pts.shape[0]
+    if cfg.delta_m > m:
+        raise ValueError("step size cannot exceed the sample count")
+    tick = time.perf_counter()
+    surr_neg = approx < 0.0
+    fails = int(np.count_nonzero(surr_neg))
+    mag = np.abs(approx)
+    budget = m if cfg.max_exact is None else cfg.max_exact
+    n_exact = 0
+    trace = HybridTrace()
+    walks = _walks(groups)
+    order_s, blocks_s = time.perf_counter() - tick, 0.0
+    for label, members in walks:
+        if n_exact >= budget:
+            break
+        trace.append(0, fails / m, n_exact, label)
+        mag_k = mag if members is None else mag[members]
+        order = np.empty(0, dtype=np.intp)
+        for iteration, pos in enumerate(range(0, mag_k.size, cfg.delta_m), start=1):
+            tick = time.perf_counter()
+            stop = pos + min(cfg.delta_m, budget - n_exact)
+            if order.size < min(stop, mag_k.size):
+                order = _prefix(mag_k, max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m))
+            block = order[pos:stop] if members is None else members[order[pos:stop]]
+            tock = time.perf_counter()
+            exact_vals = model.evaluate_many(pts[block])
+            delta = int(np.count_nonzero(exact_vals < 0.0)) - int(np.count_nonzero(surr_neg[block]))
+            order_s += tock - tick
+            blocks_s += time.perf_counter() - tock
+            fails += delta
+            n_exact += block.size
+            trace.append(iteration, fails / m, n_exact, label)
+            if abs(delta) / m <= cfg.eta_stop or n_exact >= budget:
+                break
+    p = fails / m
+    return Estimate(p, n_exact, m, mc_stddev(p, m), _timings(surrogate_s, order_s, blocks_s)), trace
 
 
 def relative_error(p_hat: float, p_ref: float) -> float:

@@ -61,15 +61,6 @@ class MultiIndex:
         return self.entries[d]
 
 
-def as_multi_index(i) -> MultiIndex:
-    """Coerce a MultiIndex, tuple or int sequence into a MultiIndex."""
-    if isinstance(i, MultiIndex):
-        return i
-    if isinstance(i, int):
-        return MultiIndex((i,))
-    return MultiIndex(tuple(i))
-
-
 def legendre(n: int, x: np.ndarray) -> np.ndarray:
     """Unnormalized Legendre polynomial P_n at the points x (elementwise, same shape),
     via the three-term recurrence."""
@@ -220,9 +211,6 @@ class TripleProductTensor:
     def indices(self) -> tuple[MultiIndex, ...]:
         return multi_index_set(self.dim, self.order)
 
-    def entry(self, i, j, k) -> float:
-        pos = {idx: a for a, idx in enumerate(self.indices)}
-        return float(self.dense[pos[as_multi_index(i)], pos[as_multi_index(j)], pos[as_multi_index(k)]])
 
 @lru_cache(maxsize=None)
 def triple_products(d: int, n_max: int) -> TripleProductTensor:

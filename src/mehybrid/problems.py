@@ -32,6 +32,7 @@ from .polybasis import legendre_table, gauss_legendre
 from .randomspace import Decomposition, Element
 from .refine import (
     PolynomialOde,
+    _finite,
     _positive_finite,
     adapt_dynamic,
     adapt_static,
@@ -158,11 +159,22 @@ def ode_limit_state(
     return u0 * np.exp(-z * T) - u_d
 
 
+def _check_parameters(values: dict, positive: tuple[str, ...]) -> None:
+    """ValueError unless every value is a finite number and those named in ``positive`` are > 0."""
+    for name, value in values.items():
+        if name in positive and not _positive_finite(value):
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if not _finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 class OdeModel(LimitStateModel):
     dim = 1
 
     def __init__(self, u0=1.0, T=1.0, u_d=0.5, mu=-2.0, sigma=1.0):
         super().__init__()
+        _check_parameters({"u0": u0, "T": T, "u_d": u_d, "mu": mu, "sigma": sigma},
+                          positive=("u0", "T", "u_d", "sigma"))
         self.u0, self.T, self.u_d, self.mu, self.sigma = u0, T, u_d, mu, sigma
 
     def _g_many(self, Z):
@@ -224,9 +236,7 @@ class KoModel(LimitStateModel):
 
     def __init__(self, T=15.0, u_d=0.03, dt=0.01):
         super().__init__()
-        for name, value in (("T", T), ("dt", dt)):
-            if not _positive_finite(value):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        _check_parameters({"T": T, "u_d": u_d, "dt": dt}, positive=("T", "dt"))
         self.T, self.u_d, self.dt = T, u_d, dt
 
     def _g_many(self, Z):

@@ -9,6 +9,7 @@ chunk) is bit-exact for a given (m, d, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,31 +131,42 @@ class Decomposition:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def cells(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """The grid that every element boundary cuts the domain into.
 
-def _member_mask(e: Element, pts: np.ndarray) -> np.ndarray:
-    """Half-open membership with the global right edge closed."""
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for d in range(e.dim):
-        col = pts[:, d]
-        hi = e.upper[d]
-        below = (col < hi) | ((hi == DOMAIN_HI) & (col == hi))
-        mask &= (col >= e.lower[d]) & below
-    return mask
+        Returns the sorted breakpoints of each dimension (the element bounds and
+        the domain edges), then two arrays over the grid's cells: the first
+        element covering each cell (-1 for none) and the number of elements
+        covering it.  Cell (c_0, ..., c_{d-1}) is the box with lower corner
+        b_j[c_j] and upper corner b_j[c_j + 1].
+        """
+        lower = np.array([e.lower for e in self.elements])
+        upper = np.array([e.upper for e in self.elements])
+        breaks = tuple(np.unique(np.concatenate([lower[:, j], upper[:, j], [DOMAIN_LO, DOMAIN_HI]]))
+                       for j in range(self.dim))
+        shape = tuple(b.size - 1 for b in breaks)
+        owner = np.full(shape, -1, dtype=np.intp)
+        cover = np.zeros(shape, dtype=np.intp)
+        for k in reversed(range(len(self.elements))):  # so the first element wins an overlap
+            box = tuple(slice(*np.searchsorted(b, (lower[k, j], upper[k, j]))) for j, b in enumerate(breaks))
+            owner[box] = k
+            cover[box] += 1
+        return breaks, owner, cover
 
 
 def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:
-    """Index of the unique element containing each row of Z."""
+    """Index of the unique element containing each row of Z, read from the mesh's cell table."""
     pts = np.atleast_2d(np.asarray(Z, dtype=float))
-    if np.any(pts < DOMAIN_LO) or np.any(pts > DOMAIN_HI):
+    if pts.size and not DOMAIN_LO <= pts.min() <= pts.max() <= DOMAIN_HI:  # a nan fails too
         raise DomainError("points outside [-1,1]^d")
-    out = np.full(pts.shape[0], -1, dtype=np.int64)
-    for k, e in enumerate(dec.elements):
-        unassigned = out < 0
-        if not np.any(unassigned):
-            break
-        hit = _member_mask(e, pts[unassigned])
-        idx = np.flatnonzero(unassigned)[hit]
-        out[idx] = k
+    breaks, owner, _ = dec.cells
+    if pts.shape[1] != len(breaks):
+        raise ValueError(f"points have dimension {pts.shape[1]}, the decomposition {len(breaks)}")
+    # the interior breakpoints at or below x count x's cell; the domain's closed
+    # right edge falls in the last cell
+    cell = tuple(np.searchsorted(b[1:-1], pts[:, j], side="right") for j, b in enumerate(breaks))
+    out = owner[cell]
     if np.any(out < 0):
         raise DomainError("points not covered by the decomposition")
     return out
@@ -203,24 +215,24 @@ def sample_uniform(m: int, d: int, seed: int) -> SampleSet:
     return SampleSet(out, seed)
 
 
-def check_partition(dec: Decomposition, n_probe: int = 4096, seed: int = 0) -> list[str]:
-    """Partition-of-unity and disjointness diagnostics; returns human-readable issues."""
+def check_partition(dec: Decomposition) -> list[str]:
+    """Partition-of-unity and disjointness diagnostics; returns human-readable issues.
+
+    Reads the mesh's cell table, so every overlap and every gap is reported
+    with its exact bounds.
+    """
     issues = []
     total = sum(e.prob for e in dec.elements)
     if abs(total - 1.0) > 1e-12:
         issues.append(f"element probabilities sum to {total!r}, not 1")
-    pts = sample_uniform(n_probe, dec.dim, seed).points
-    counts = np.zeros(n_probe, dtype=int)
-    owners = np.full(n_probe, -1, dtype=int)
-    for k, e in enumerate(dec.elements):
-        hit = _member_mask(e, pts)
-        overlap = hit & (counts > 0)
-        if np.any(overlap):
-            first = int(np.flatnonzero(overlap)[0])
-            issues.append(f"elements {owners[first]} and {k} overlap near {pts[first].tolist()}")
-        counts += hit
-        owners[hit] = k
-    if np.any(counts == 0):
-        miss = pts[counts == 0][0]
-        issues.append(f"uncovered region near {miss.tolist()}")
+    breaks, _, cover = dec.cells
+    for cell in np.argwhere(cover != 1):
+        lo = [float(b[c]) for b, c in zip(breaks, cell)]
+        hi = [float(b[c + 1]) for b, c in zip(breaks, cell)]
+        if cover[tuple(cell)] == 0:
+            issues.append(f"uncovered region [{lo}, {hi})")
+        else:
+            ks = [k for k, e in enumerate(dec.elements)
+                  if all(a <= x and y <= b for a, b, x, y in zip(e.lower, e.upper, lo, hi))]
+            issues.append(f"elements {ks} overlap on [{lo}, {hi})")
     return issues

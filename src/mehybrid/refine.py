@@ -84,9 +84,14 @@ class RefinementConfig:
             raise ValueError(f"check_interval must be a positive number, got {self.check_interval!r}")
 
 
+def _finite(x) -> bool:
+    """True for a real number (not a bool) other than +-inf and nan."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _positive_finite(x) -> bool:
     """True for a real number (not a bool) in (0, inf)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
+    return _finite(x) and x > 0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelEvaluationError
-from .polybasis import MultiIndex, as_multi_index, basis_matrix, gauss_legendre, multi_index_set
+from .polybasis import MultiIndex, basis_matrix, gauss_legendre, multi_index_set
 from .randomspace import (
     Decomposition,
     Element,
@@ -43,13 +43,18 @@ __all__ = [
 ]
 
 
-# Rows per `_g_many` call inside `evaluate_many`, measured on a 2-core Xeon VM.
+# Rows per `_g_many` call inside `evaluate_many` and per chunk of
+# `eval_me_surrogate_many`, measured on a 2-core Xeon VM.
 # With the in-place RK4 stepper a 65,536-row KO batch takes 5.9-6.0 s in one call
 # and 3.2-3.9 s in 8,192-row chunks (16,384 rows is no faster, 2,048 and 4,096
 # rows are slower), with bit-identical values; at 8,192 rows the five RK4 work
 # arrays (about 1 MB) fit the host's 2 MB per-core L2 cache, at 65,536 rows they
 # take 7.5 MB.  The benchmark's burgers workload, whose Monte Carlo run is
 # one 200k-row batch, peaks at 113 MB RSS unchunked and 79 MB chunked.
+# `eval_me_surrogate_many` walks its points in the same chunks.  Against the
+# earlier per-element evaluation of the whole batch, the benchmark's peak RSS
+# fell from 290 to 109 MB (ode-table2), 100 to 88 MB (ko-gha) and 79 to 66 MB
+# (burgers); with 65,536-row surrogate chunks burgers peaks at 77 MB.
 EVAL_CHUNK = 8192
 
 
@@ -115,10 +120,6 @@ class GpcExpansion:
     @property
     def indices(self) -> tuple[MultiIndex, ...]:
         return multi_index_set(self.element.dim, self.order)
-
-    def coeff(self, i) -> float:
-        idx = as_multi_index(i)
-        return float(self.coeffs[self.indices.index(idx)])
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         return eval_expansion_many(self, Z)
@@ -196,22 +197,38 @@ def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | N
 
 def eval_expansion_many(exp: GpcExpansion, Z: np.ndarray) -> np.ndarray:
     """Expansion values at the (n, d) points Z, all inside its element."""
-    return _eval_local(exp, to_local_many(exp.element, Z))
+    return basis_matrix(exp.indices, to_local_many(exp.element, Z)) @ exp.coeffs
 
 
-def _eval_local(exp: GpcExpansion, local: np.ndarray) -> np.ndarray:
-    return basis_matrix(exp.indices, local) @ exp.coeffs
+def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
+    """Values at the (n, d) points Z of each point's owning element's expansion.
 
-
-def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray) -> np.ndarray:
-    """Locate each of the (n, d) points Z, then evaluate the owning element's expansion."""
-    owners = locate_many(s.decomposition, Z)
+    Walks Z in chunks of EVAL_CHUNK rows: locates the chunk, maps each row to
+    its element's local coordinates, evaluates the basis once and sums
+    basis times coefficient column by column in a fixed order, so the value
+    at a point does not depend on the other points of the batch.  Element
+    indices are written into ``owners`` when it is given.
+    """
+    order = max(exp.order for exp in s.expansions)
+    indices = multi_index_set(s.dim, order)
+    coeffs = np.zeros((len(indices), len(s)))  # column k holds element k's coefficients
+    for k, exp in enumerate(s.expansions):  # a lower order's index set is a prefix
+        coeffs[: exp.coeffs.size, k] = exp.coeffs
+    lower = np.array([e.lower for e in s.decomposition])
+    upper = np.array([e.upper for e in s.decomposition])
+    center2, width = lower + upper, upper - lower
     out = np.empty(Z.shape[0])
-    for k, exp in enumerate(s.expansions):
-        rows = owners == k
-        if not np.any(rows):
-            continue
-        out[rows] = _eval_local(exp, to_local_many(exp.element, Z[rows]))
+    for start in range(0, Z.shape[0], EVAL_CHUNK):
+        pts = Z[start : start + EVAL_CHUNK]
+        k = locate_many(s.decomposition, pts)
+        if owners is not None:
+            owners[start : start + EVAL_CHUNK] = k
+        local = np.clip((2.0 * pts - center2[k]) / width[k], -1.0, 1.0)  # as in to_local_many
+        basis = basis_matrix(indices, local)
+        acc = out[start : start + EVAL_CHUNK]
+        np.multiply(basis[:, 0], coeffs[0][k], out=acc)
+        for j in range(1, len(indices)):
+            acc += basis[:, j] * coeffs[j][k]
     return out
 
 

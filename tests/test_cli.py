@@ -50,9 +50,11 @@ def test_run_report_fields_and_determinism():
     assert rep_a["reference"] == 0.5
     assert rep_a["config"]["seed"] == 42
     timings = rep_a["timings"]
-    assert set(timings) == {"sample_s", "build_s", "estimate_s", "exact_s"}
+    assert set(timings) == {"sample_s", "build_s", "estimate_s", "surrogate_s", "order_s", "blocks_s", "exact_s"}
     assert all(v >= 0.0 for v in timings.values())
     assert timings["sample_s"] + timings["build_s"] + timings["estimate_s"] <= rep_a["wall_time_s"]
+    assert timings["surrogate_s"] + timings["order_s"] + timings["blocks_s"] <= timings["estimate_s"]
+    assert timings["surrogate_s"] > 0.0 and timings["blocks_s"] > 0.0
 
 
 def test_run_mc_method():
@@ -107,7 +109,9 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                  ["problem=ko3", "method=mc", "problem_params.T=-5"],
                  ["problem=ko3", "method=mc", "problem_params.T=0"],
                  ["problem=ko3", "method=mc", "problem_params.T=abc"],
-                 ["problem=ko3", "method=mc", "problem_params.dt=-0.01"]):
+                 ["problem=ko3", "method=mc", "problem_params.dt=-0.01"],
+                 ["problem_params.T=0"], ["problem_params.T=-1"],
+                 ["problem=ko3", "method=mc", "problem_params.u_d=abc"]):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets
@@ -161,6 +165,24 @@ def test_malformed_cache_is_usage_error(tmp_path, capsys, element):
     assert main(["validate", "--cache", str(cache)]) == 1
     err = capsys.readouterr().err
     assert err.count("usage error: malformed surrogate cache") == 2
+
+
+def test_cache_with_gap_and_overlap_is_usage_error(tmp_path, capsys):
+    # [-1, -2^-20), [0, 0.5 + 2^-20), [0.5, 1]: the probabilities sum to exactly 1
+    eps = 2.0**-20
+    bounds = ((-1.0, -eps), (0.0, 0.5 + eps), (0.5, 1.0))
+    elements = [{"lower": [a], "upper": [b], "order": 0, "coeffs": [1.0]} for a, b in bounds]
+    cache = tmp_path / "gap.json"
+    cache.write_text(json.dumps({"dim": 1, "order": 0, "elements": elements}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=0, m=1000, delta_m=100,
+                                               surrogate_cache=str(cache))))
+    assert main(["estimate", "--config", str(cfg_path)]) == 1
+    assert main(["validate", "--cache", str(cache)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage error: cached surrogate is not a valid partition") == 2
+    assert f"uncovered region [{[-eps]}, {[0.0]})" in err
+    assert f"elements [1, 2] overlap on [{[0.5]}, {[0.5 + eps]})" in err
 
 
 def test_cache_of_another_dimension_is_usage_error(tmp_path, capsys):

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mehybrid import surrogate as surrogate_module
 from mehybrid.estimator import (
+    FIRST_PREFIX_BLOCKS,
     Estimate,
+    _prefix,
     HybridConfig,
     direct_hybrid,
     iterative_hybrid,
@@ -315,3 +318,75 @@ def test_hybrid_config_validation():
         iterative_hybrid(
             const_model(1.0), lambda Z: np.zeros(len(Z)), sample_uniform(5, 1, 0), HybridConfig(delta_m=10)
         )
+
+
+def test_prefix_order_equals_full_stable_argsort():
+    rng = np.random.default_rng(17)
+    for mag in (rng.integers(0, 6, size=5000).astype(float),     # heavy ties
+                np.abs(rng.normal(size=5000)),
+                np.where(rng.random(5000) < 0.1, np.nan, rng.integers(0, 3, size=5000).astype(float))):
+        full = np.argsort(mag, kind="stable")
+        for n in (1, 2, 99, 834, 2500, 4999, 5000, 8000):
+            got = _prefix(mag, n)
+            assert got.size >= min(n, mag.size)
+            assert np.array_equal(got, full[: got.size]), n
+
+
+class RecordingModel(CallableModel):
+    """Step model that remembers the points of every exact block, in call order."""
+
+    def __init__(self):
+        super().__init__(lambda z: np.where(z < 0.0, -1.0, 0.0))
+        self.blocks = []
+
+    def _g_many(self, Z):
+        self.blocks.append(Z[:, 0].copy())
+        return super()._g_many(Z)
+
+
+def test_walk_order_equals_full_stable_argsort():
+    # a surrogate with five distinct values that is wrong on the left half walks every sample
+    # (far past the first prefix), in the order of a full stable argsort of |g~|
+    samples = sample_uniform(30_000, 1, 23)
+    pts = samples.points
+    levels = np.array([0.5, 0.25, 0.0, 0.25, 0.5])
+
+    def ties(Z):
+        return levels[np.minimum(((Z[:, 0] + 1.0) * 2.5).astype(int), 4)]
+
+    cfg = HybridConfig(delta_m=300)
+    assert FIRST_PREFIX_BLOCKS * cfg.delta_m < samples.m // 8
+    model = RecordingModel()
+    est, _ = iterative_hybrid(model, ties, samples, cfg)
+    assert est.n_exact == samples.m
+    full = np.argsort(np.abs(ties(pts)), kind="stable")
+    assert np.array_equal(np.concatenate(model.blocks), pts[full, 0])
+
+    # the same per element of the local hybrid
+    mesh = MultiElementSurrogate(
+        Decomposition((Element.box([-1.0], [0.0]), Element.box([0.0], [1.0]))),
+        (GpcExpansion(Element.box([-1.0], [0.0]), 0, np.array([0.25])),
+         GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([-0.25]))),
+    )
+    model = RecordingModel()
+    est, _ = me_lha(model, mesh, samples, cfg)
+    assert est.n_exact == samples.m
+    walked = np.concatenate(model.blocks)
+    left = np.flatnonzero(pts[:, 0] < 0.0)
+    right = np.flatnonzero(pts[:, 0] >= 0.0)
+    assert np.array_equal(walked, np.concatenate([pts[left, 0], pts[right, 0]]))
+
+
+def test_me_lha_locates_samples_once(monkeypatch):
+    located = []
+    locate = surrogate_module.locate_many
+
+    def counting(dec, Z):
+        located.append(len(Z))
+        return locate(dec, Z)
+
+    monkeypatch.setattr(surrogate_module, "locate_many", counting)
+    samples = sample_uniform(20_000, 1, 29)
+    est, _ = me_lha(StepModel(), linear_mesh_surrogate(), samples, HybridConfig(delta_m=400))
+    assert sum(located) == samples.m
+    assert est.n_exact > 0

@@ -155,19 +155,20 @@ def test_orthonormality_gram():
 
 def test_triple_products_zero_index_is_identity():
     tp = triple_products(2, 3)
-    idx = tp.indices
-    zero = idx[0]
-    for j, jj in enumerate(idx):
-        for k, kk in enumerate(idx):
+    assert tp.indices[0] == MultiIndex((0, 0))
+    n = len(tp.indices)
+    for j in range(n):
+        for k in range(n):
             expected = 1.0 if j == k else 0.0
-            assert tp.entry(zero, jj, kk) == pytest.approx(expected, abs=1e-13)
+            assert tp.dense[0, j, k] == pytest.approx(expected, abs=1e-13)
 
 
 def test_triple_products_values_1d():
     tp = triple_products(1, 3)
     # analytic moments: E[x^2] = 1/3, E[x^4] = 1/5 give E[phi1 phi1 phi2] = 2/sqrt(5)
-    assert tp.entry((1,), (1,), (2,)) == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-13)
-    assert tp.entry((1,), (1,), (1,)) == pytest.approx(0.0, abs=1e-13)
+    # in one dimension the graded-lex position of an index is its degree
+    assert tp.dense[1, 1, 2] == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-13)
+    assert tp.dense[1, 1, 1] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_triple_products_permutation_symmetry():

@@ -46,8 +46,8 @@ def test_step_exact_surrogate_has_zero_lp_error():
 def test_step_global_expansion_closed_form():
     # lowest order: -1/2 + (3/4) P1
     exp = step_global_gpc(0)
-    assert exp.coeff((0,)) == pytest.approx(-0.5, abs=1e-15)
-    assert exp.coeff((1,)) == pytest.approx(0.75 / math.sqrt(3.0), abs=1e-15)
+    assert exp.coeffs[0] == pytest.approx(-0.5, abs=1e-15)
+    assert exp.coeffs[1] == pytest.approx(0.75 / math.sqrt(3.0), abs=1e-15)
 
     # higher orders match the explicit series evaluated with numpy Legendre
     x = np.linspace(-1, 1, 41)

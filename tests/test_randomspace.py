@@ -140,7 +140,47 @@ def test_partition_of_unity_after_random_splits(ops):
         elements[k : k + 1] = split_element(elements[k], {dim})
     dec = Decomposition(tuple(elements))
     assert abs(sum(e.prob for e in dec.elements) - 1.0) < 1e-12
-    assert check_partition(dec, n_probe=512, seed=1) == []
+    assert check_partition(dec) == []
+
+
+def test_check_partition_reports_gaps_and_overlaps_exactly():
+    # [-1, -2^-20), [0, 0.5 + 2^-20), [0.5, 1]: the probabilities sum to exactly 1
+    eps = 2.0**-20
+    dec = Decomposition((Element.box([-1.0], [-eps]), Element.box([0.0], [0.5 + eps]), Element.box([0.5], [1.0])))
+    assert sum(e.prob for e in dec) == 1.0
+    assert check_partition(dec) == [
+        f"uncovered region [{[-eps]}, {[0.0]})",
+        f"elements [1, 2] overlap on [{[0.5]}, {[0.5 + eps]})",
+    ]
+    # a mesh missing one quadrant of the square, and one with a cell covered twice
+    a, b, c = Element.box([-1.0, -1.0], [0.0, 0.0]), Element.box([0.0, -1.0], [1.0, 0.0]), Element.box([-1.0, 0.0], [0.0, 1.0])
+    assert check_partition(Decomposition((a, b, c))) == [
+        "element probabilities sum to 0.75, not 1",
+        "uncovered region [[0.0, 0.0], [1.0, 1.0])",
+    ]
+    d = Element.box([-1.0, 0.0], [1.0, 1.0])
+    assert check_partition(Decomposition((a, b, c, d))) == [
+        "element probabilities sum to 1.25, not 1",
+        "elements [2, 3] overlap on [[-1.0, 0.0], [0.0, 1.0])",
+    ]
+
+
+def test_locate_many_table_matches_bounds_in_two_dimensions():
+    elements = [Element.box([-1.0, -1.0], [1.0, 1.0])]
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        k = int(rng.integers(len(elements)))
+        elements[k : k + 1] = split_element(elements[k], {int(rng.integers(2))})
+    dec = Decomposition(tuple(elements))
+    pts = np.vstack([rng.uniform(-1.0, 1.0, size=(2000, 2)), [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]],
+                     [[e.lower[0], e.lower[1]] for e in elements]])
+    lo = np.array([e.lower for e in elements])
+    hi = np.array([e.upper for e in elements])
+    inside = np.all((pts[:, None, :] >= lo) & ((pts[:, None, :] < hi) | (pts[:, None, :] == 1.0) & (hi == 1.0)), axis=2)
+    assert np.all(inside.sum(axis=1) == 1)
+    assert np.array_equal(locate_many(dec, pts), np.argmax(inside, axis=1))
+    with pytest.raises(DomainError):
+        locate_many(dec, [[0.0, np.nan]])
 
 
 def test_split_locate_consistency():

@@ -36,7 +36,7 @@ def test_collocation_constant_model():
 def test_collocation_linear_model():
     model = CallableModel(lambda z: z)
     exp = build_collocation(model, full_line(), 3, 4)
-    assert exp.coeff((1,)) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
+    assert exp.coeffs[1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
     others = [c for i, c in enumerate(exp.coeffs) if i != 1]
     assert np.max(np.abs(others)) < 1e-13
     assert model.call_count == 4
@@ -187,3 +187,24 @@ def test_serialization_round_trip():
     )
     pts = sample_uniform(500, 1, 8).points
     assert np.array_equal(eval_me_surrogate_many(back, pts), eval_me_surrogate_many(me, pts))
+
+
+def test_me_surrogate_value_does_not_depend_on_the_batch():
+    # order 7 on seven uneven elements; a shuffled batch longer than one evaluation chunk
+    rng = np.random.default_rng(21)
+    bounds = (-1.0, -0.75, -0.5, -0.25, 0.0, 0.125, 0.5, 1.0)
+    expansions = tuple(
+        GpcExpansion(Element.box([a], [b]), 7, rng.normal(size=8) * 10.0 ** -np.arange(8))
+        for a, b in zip(bounds, bounds[1:])
+    )
+    surr = MultiElementSurrogate(Decomposition(tuple(e.element for e in expansions)), expansions)
+    pts = rng.permutation(np.vstack([sample_uniform(9000, 1, 5).points, [[b] for b in bounds]]))
+    owners = np.empty(len(pts), dtype=np.intp)
+    batch = eval_me_surrogate_many(surr, pts, owners)
+    alone = np.array([eval_me_surrogate_many(surr, pts[i : i + 1])[0] for i in range(len(pts))])
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(owners, np.searchsorted(bounds[1:-1], pts[:, 0], side="right"))
+    # each value is the owning element's own expansion, up to rounding
+    for k, exp in enumerate(expansions):
+        rows = owners == k
+        assert np.allclose(batch[rows], eval_expansion_many(exp, pts[rows]), rtol=0.0, atol=1e-13)
