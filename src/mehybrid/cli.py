@@ -145,20 +145,15 @@ def _prepare(cfg: RunConfig):
     return model, build_model, hycfg, rcfg
 
 
-def _load_cache(path: str) -> tuple[MultiElementSurrogate, list[str]]:
-    """Parse a surrogate cache; returns it with its partition issues (empty when valid)."""
+def _load_partition(path: str) -> MultiElementSurrogate:
+    """A cached surrogate whose mesh is a partition of the domain; any other is a usage error."""
     with open(path) as fh:
         text = fh.read()
     try:
         surr = surrogate_from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed surrogate cache {path}: {exc!r}") from exc
-    return surr, check_partition(surr.decomposition)
-
-
-def _load_partition(path: str) -> MultiElementSurrogate:
-    """A cached surrogate whose mesh is a partition of the domain; any other is a usage error."""
-    surr, issues = _load_cache(path)
+    issues = check_partition(surr.decomposition)
     if issues:
         raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
     return surr
@@ -382,11 +377,15 @@ def _write_csv(rows: list[list], path) -> None:
 
 
 def validate(cache: str | None = None) -> int:
-    """Run the invariant suite (and check a cached surrogate); 0 when all pass, 2 otherwise."""
+    """Run the invariant suite; 0 when all pass, 2 otherwise.
+
+    A ``cache`` is loaded first: one that is malformed or whose mesh is not a
+    partition of the domain is a usage error, raised before the suite runs.
+    """
     checks = list(CHECKS)
     if cache:
-        surr, issues = _load_cache(cache)
-        checks.append(("surrogate-cache", lambda: (not issues, issues[0] if issues else f"{len(surr)} elements ok")))
+        surr = _load_partition(cache)
+        checks.append(("surrogate-cache", lambda: (True, f"{len(surr)} elements ok")))
     failures = 0
     for name, fn in checks:
         try:
@@ -491,8 +490,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.cache}: {len(surr)} elements, {build_model.call_count} build calls")
             return 0
         if args.command == "validate":
-            if args.cache:
-                _load_partition(args.cache)
             return validate(args.cache)
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:

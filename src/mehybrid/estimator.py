@@ -181,8 +181,9 @@ def _walks(groups: np.ndarray | None) -> list:
     if groups is None:
         return [(None, None)]
     counts = np.bincount(groups)
-    # a stable sort of labels of 16 bits or fewer is a radix sort
-    by_label = np.argsort(groups.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    # a stable sort of labels of 16 bits or fewer is a radix sort; me_lha's owners
+    # come in the smallest type that holds them
+    by_label = np.argsort(groups, kind="stable")
     ends = np.cumsum(counts)
     return [(k, by_label[end - n : end]) for k, (n, end) in enumerate(zip(counts, ends)) if n]
 
@@ -219,7 +220,7 @@ def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples, cfg: Hybri
     surrogate evaluation.
     """
     pts = _points(samples)
-    owners = np.empty(pts.shape[0], dtype=np.intp)
+    owners = np.empty(pts.shape[0], dtype=np.min_scalar_type(len(s) - 1))
     start = time.perf_counter()
     approx = eval_me_surrogate_many(s, pts, owners)
     return _hybrid_walk(model, pts, approx, cfg, owners, time.perf_counter() - start)

@@ -206,16 +206,26 @@ def ode_galerkin_system(p: int, u0=1.0, mu=-2.0, sigma=1.0) -> PolynomialOde:
 # three-mode quadratic system
 
 
-def _ko_rhs(_t, y: np.ndarray, out: np.ndarray) -> None:
-    """Writes (y1 y3, -y2 y3, y2^2 - y1^2) for a (3, n) state into ``out`` without temporaries;
-    each row is bit-identical to (y1 y3, (-y2) y3, -y1^2 + y2^2)."""
-    y1, y2, y3 = y
-    _, d2, d3 = out
-    np.multiply(y2, y2, out=d3)
-    np.multiply(y1, y1, out=d2)
-    np.subtract(d3, d2, out=d3)
-    np.multiply(y[:2], y3, out=out[:2])
-    np.negative(d2, out=d2)
+def _ko_rhs(src: np.ndarray, dst: np.ndarray):
+    """Binds the three-mode right-hand side to a (3, n) state ``src`` and an output ``dst``.
+
+    The returned slope writes (y1 y3, -y2 y3, y2^2 - y1^2) at the current
+    contents of ``src`` into ``dst`` without temporaries; each row is
+    bit-identical to (y1 y3, (-y2) y3, -y1^2 + y2^2).  The row views are made
+    once here, so a call runs only its five ufuncs.
+    """
+    y1, y2, y3 = src
+    _, d2, d3 = dst
+    y12, d12 = src[:2], dst[:2]
+
+    def slope(_t):
+        np.multiply(y2, y2, out=d3)
+        np.multiply(y1, y1, out=d2)
+        np.subtract(d3, d2, out=d3)
+        np.multiply(y12, y3, out=d12)
+        np.negative(d2, out=d2)
+
+    return slope
 
 
 def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:

@@ -272,29 +272,44 @@ def _require_polynomial(system) -> PolynomialOde:
 
 def _batched_rhs(
     system: PolynomialOde,
-    coeffs: np.ndarray,
+    src: np.ndarray,
     dense: np.ndarray,
     fields: dict[str, np.ndarray],
-    out: np.ndarray,
-) -> np.ndarray:
-    """Mode derivatives for a batch of elements, written into ``out`` (shaped like
-    ``coeffs``, (M, n_state, n)) and returned."""
-    m, _, n = coeffs.shape
-    out.fill(0.0)
+    dst: np.ndarray,
+) -> Callable[..., np.ndarray]:
+    """Binds the projected right-hand side to a batch of mode coefficients ``src``
+    (M, n_state, n) and an output ``dst`` shaped like it.
+
+    The returned slope reads ``src`` as it is at call time, writes the mode
+    derivatives into ``dst`` and returns it; its time argument is ignored.
+    The row views and one (M, n) scratch array are made here, once, so a
+    call only runs the ufuncs and einsums of the terms.
+    """
+    n = src.shape[2]
+    tmp = np.empty((src.shape[0], n))
     e_nnn = dense[:n, :n, :n]
-    for var, value in system.constant:
-        out[:, var, 0] += value
-    for var, c, src in system.linear:
-        out[:, var, :] += c * coeffs[:, src, :]
-    for var, c, a, b in system.quadratic:
-        out[:, var, :] += c * np.einsum("ijl,ej,el->ei", e_nnn, coeffs[:, a, :], coeffs[:, b, :])
-    for var, name, c in system.field_constant:
-        out[:, var, :] += c * fields[name][:, :n]
-    for var, name, c, src in system.field_linear:
-        nf = fields[name].shape[1]
-        e_slice = dense[:n, :nf, :n]
-        out[:, var, :] += c * np.einsum("ijl,ej,el->ei", e_slice, fields[name], coeffs[:, src, :])
-    return out
+    constants = [(dst[:, var, 0], value) for var, value in system.constant]
+    # (target rows, coefficient, triple tensor or None, left factor, right factor), in term order
+    terms = [(dst[:, var, :], c, None, None, src[:, i, :]) for var, c, i in system.linear]
+    terms += [(dst[:, var, :], c, e_nnn, src[:, a, :], src[:, b, :]) for var, c, a, b in system.quadratic]
+    terms += [(dst[:, var, :], c, None, None, fields[name][:, :n]) for var, name, c in system.field_constant]
+    terms += [(dst[:, var, :], c, dense[:n, : fields[name].shape[1], :n], fields[name], src[:, i, :])
+              for var, name, c, i in system.field_linear]
+
+    def slope(_t=None) -> np.ndarray:
+        dst.fill(0.0)
+        for rows, value in constants:
+            rows += value
+        for rows, c, e, u, v in terms:
+            if e is None:
+                np.multiply(v, c, out=tmp)
+            else:
+                np.einsum("ijl,ej,el->ei", e, u, v, out=tmp)
+                np.multiply(tmp, c, out=tmp)
+            rows += tmp
+        return dst
+
+    return slope
 
 
 def galerkin_rhs(system, state: GalerkinState, tp: TripleProductTensor) -> np.ndarray:
@@ -302,7 +317,7 @@ def galerkin_rhs(system, state: GalerkinState, tp: TripleProductTensor) -> np.nd
     sys_ = _require_polynomial(system)
     fields = {name: vec[None, :] for name, vec in state.fields.items()}
     coeffs = state.coeffs[None, :, :]
-    return _batched_rhs(sys_, coeffs, tp.dense, fields, np.empty_like(coeffs))[0]
+    return _batched_rhs(sys_, coeffs, tp.dense, fields, np.empty_like(coeffs))()[0]
 
 
 def dynamic_indicator(
@@ -310,31 +325,35 @@ def dynamic_indicator(
     reduced_rhs: np.ndarray,
     coeffs: np.ndarray,
     dim: int,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Energy-rate mismatch Q between the full system and its truncation, plus
     the per-dimension contributions s.
 
     ``full_rhs`` has one column per full-order mode, ``reduced_rhs`` one per
     reduced-order mode; the reduced state is the truncation of the full one,
     whose mode coefficients ``coeffs`` live in ``dim`` random dimensions.
+    Arrays of shape (n_state, modes) give a scalar Q and s of shape (dim,);
+    a leading element axis, (M, n_state, modes), gives Q of shape (M,) and
+    s of shape (M, dim), each row equal to the call on that element alone.
     """
-    n_red = reduced_rhs.shape[1]
+    n_red = reduced_rhs.shape[-1]
     indices = _indices_for_modes(dim, n_red)
     n0 = indices[-1].degree
-    u_red = coeffs[:, :n_red]
+    u_red = coeffs[..., :n_red]
     q_per_var = np.abs(
-        2.0 * np.sum(full_rhs[:, :n_red] * u_red, axis=1) - 2.0 * np.sum(reduced_rhs * u_red, axis=1)
+        2.0 * np.sum(full_rhs[..., :n_red] * u_red, axis=-1) - 2.0 * np.sum(reduced_rhs * u_red, axis=-1)
     )
-    q_total = float(np.sum(q_per_var))
-    s = np.zeros(dim)
+    q_total = np.sum(q_per_var, axis=-1)
+    s = np.zeros(coeffs.shape[:-2] + (dim,))
     positions = {idx: k for k, idx in enumerate(indices)}
     for j in range(dim):
         axis = MultiIndex(tuple(n0 if k == j else 0 for k in range(dim)))
         pos = positions[axis]
-        s[j] = float(
-            np.sum(np.abs(2.0 * full_rhs[:, pos] * coeffs[:, pos] - 2.0 * reduced_rhs[:, pos] * coeffs[:, pos]))
+        s[..., j] = np.sum(
+            np.abs(2.0 * full_rhs[..., pos] * coeffs[..., pos] - 2.0 * reduced_rhs[..., pos] * coeffs[..., pos]),
+            axis=-1,
         )
-    return q_total, s
+    return (float(q_total) if q_total.ndim == 0 else q_total), s
 
 
 def _indices_for_modes(d: int, n_modes: int) -> tuple[MultiIndex, ...]:
@@ -347,37 +366,44 @@ def _indices_for_modes(d: int, n_modes: int) -> tuple[MultiIndex, ...]:
     return full
 
 
-def rk4_step(f: Callable, y: np.ndarray, t: float, h: float, work) -> None:
+def rk4_step(stages, y: np.ndarray, t: float, h: float, work) -> None:
     """One classical fourth-order Runge-Kutta step, in place on ``y``.
 
     ``work`` holds five arrays shaped like y (k1, k2, k3, k4 and the stage
-    state); ``f(t, y, out)`` writes y' into ``out``.  The update keeps the
-    textbook association: stages y + (h/2) k, result
+    state); ``stages`` holds the four slopes that `rk4_integrate` bound to
+    (y, k1), (stage, k2), (stage, k3) and (stage, k4): calling one with a
+    time writes the derivative at its state into its k.  The update keeps
+    the textbook association: stages y + (h/2) k, result
     y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
     k1, k2, k3, k4, stage = work
+    slope1, slope2, slope3, slope4 = stages
     half = 0.5 * h
-    f(t, y, k1)
+    slope1(t)
     np.add(y, np.multiply(k1, half, out=stage), out=stage)
-    f(t + half, stage, k2)
+    slope2(t + half)
     np.add(y, np.multiply(k2, half, out=stage), out=stage)
-    f(t + half, stage, k3)
+    slope3(t + half)
     np.add(y, np.multiply(k3, h, out=stage), out=stage)
-    f(t + h, stage, k4)
+    slope4(t + h)
     np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
     np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
     np.add(k1, k4, out=k1)
     np.add(y, np.multiply(k1, h / 6.0, out=k1), out=y)
 
 
-def rk4_integrate(f: Callable, y, t0: float, t1: float, dt: float) -> np.ndarray:
+def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndarray:
     """Integrate y' = f(t, y) from t0 to t1 > t0 in ceil((t1 - t0) / dt) equal RK4 steps.
 
-    ``f(t, y, out)`` writes y' into ``out``, an array shaped like y; its return
-    value is ignored.  The state is copied once, so the caller's ``y`` is
-    left unmodified, and the five work arrays of `rk4_step` are allocated once
-    per call.  Raises ValueError unless t1 > t0 and dt is a positive finite
-    number, and IntegrationError at the first step that leaves a non-finite state.
+    ``bind(src, dst)`` returns a slope: a callable of the time that writes
+    f(t, src) into ``dst``, reading ``src`` as it is at call time (its return
+    value is ignored).  Both arrays are shaped like y.  It is called once per
+    integration for each of the four stages of `rk4_step`, so per-call setup
+    such as row views belongs in ``bind``.  The state is copied once, so the
+    caller's ``y`` is left unmodified, and the five work arrays are allocated
+    once per call.  Raises ValueError unless t1 > t0 and dt is a positive
+    finite number, and IntegrationError at the first step that leaves a
+    non-finite state.
     """
     if not t1 > t0:
         raise ValueError(f"integration interval must have t1 > t0, got [{t0!r}, {t1!r}]")
@@ -386,10 +412,11 @@ def rk4_integrate(f: Callable, y, t0: float, t1: float, dt: float) -> np.ndarray
     steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
     h = (t1 - t0) / steps
     y = np.array(y, dtype=float)
-    work = tuple(np.empty_like(y) for _ in range(5))
+    work = k1, k2, k3, k4, stage = tuple(np.empty_like(y) for _ in range(5))
+    stages = (bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4))
     t = t0
     for _ in range(steps):
-        rk4_step(f, y, t, h, work)
+        rk4_step(stages, y, t, h, work)
         t += h
         if not np.isfinite(y).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}", t=t)
@@ -469,19 +496,20 @@ def adapt_dynamic(
     t = 0.0
     while t < T - 1e-12:
         t_next = min(t + check, T)
-        coeffs = rk4_integrate(lambda _t, y, out: _batched_rhs(sys_, y, dense, fields, out),
+        coeffs = rk4_integrate(lambda src, dst: _batched_rhs(sys_, src, dense, fields, dst),
                                coeffs, t, t_next, dt)
         t = t_next
         if t >= T - 1e-12:
             break
         low = coeffs[:, :, :n_red]
-        full = _batched_rhs(sys_, coeffs, dense, fields, np.empty_like(coeffs))
-        reduced = _batched_rhs(sys_, low, dense, fields, np.empty_like(low))
+        full = _batched_rhs(sys_, coeffs, dense, fields, np.empty_like(coeffs))()
+        reduced = _batched_rhs(sys_, low, dense, fields, np.empty_like(low))()
+        q_all, s_all = dynamic_indicator(full, reduced, coeffs, dim=d)
         new_elements: list[Element] = []
         new_ids: list[int] = []
         new_rows: list[np.ndarray] = []
         for k, e in enumerate(elements):
-            q_val, s = dynamic_indicator(full[k], reduced[k], coeffs[k], dim=d)
+            q_val, s = float(q_all[k]), s_all[k]
             split = q_val * e.prob >= cfg.theta1
             if split:
                 dims = {0} if d == 1 else {int(j) for j in np.flatnonzero(s >= cfg.theta2 * s.max())}
@@ -501,7 +529,7 @@ def adapt_dynamic(
                 child_coeffs = _project_function(sys_.initial, children, d, cfg.N, (sys_.n_state,))
                 child_fields = _field_coeffs(sys_, children, cfg.N)
                 child_coeffs = rk4_integrate(
-                    lambda _t, y, out: _batched_rhs(sys_, y, dense, child_fields, out), child_coeffs, 0.0, t, dt)
+                    lambda src, dst: _batched_rhs(sys_, src, dense, child_fields, dst), child_coeffs, 0.0, t, dt)
                 for child, row in zip(children, child_coeffs):
                     new_elements.append(child)
                     new_ids.append(next_id)

@@ -244,10 +244,10 @@ def test_validate_detects_corrupted_cache(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    assert validate(cache=str(path)) == 2
-    out = capsys.readouterr().out
-    assert "FAIL  surrogate-cache" in out
-    assert "overlap" in out or "sum" in out
+    with pytest.raises(UsageError, match="not a valid partition") as info:
+        validate(cache=str(path))
+    assert "overlap" in str(info.value)
+    assert capsys.readouterr().out == ""  # raised before the suite runs
 
 
 def test_main_usage_exit_codes(capsys):

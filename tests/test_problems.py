@@ -146,24 +146,25 @@ def test_ko_conservation_and_symmetry():
 
 def test_ko_trajectory_matches_textbook_rk4():
     # the in-place stepper keeps the textbook association, so it agrees bit for bit with
-    # an allocating RK4 that does not use the package's stepper
-    xi = np.random.default_rng(4).uniform(-1.0, 1.0, size=300)
-    y0 = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
-
+    # an allocating RK4 that does not use the package's stepper; 100 rows is one hybrid
+    # block and 8,192 one evaluation chunk
     def rhs(v):
         return np.stack([v[0] * v[2], -v[1] * v[2], -v[0] ** 2 + v[1] ** 2])
 
-    y, h = y0, 15.0 / 1500
-    for _ in range(1500):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.array_equal(ko_trajectory(xi, 15.0, 0.01), y)
-    start = y0.copy()
-    assert np.array_equal(rk4_integrate(_ko_rhs, y0, 0.0, 15.0, 0.01), y)
-    assert np.array_equal(y0, start)
+    for size in (300, 100, 8192):
+        xi = np.random.default_rng(4).uniform(-1.0, 1.0, size=size)
+        y0 = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
+        y, h = y0, 15.0 / 1500
+        for _ in range(1500):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(ko_trajectory(xi, 15.0, 0.01), y)
+        start = y0.copy()
+        assert np.array_equal(rk4_integrate(_ko_rhs, y0, 0.0, 15.0, 0.01), y)
+        assert np.array_equal(y0, start)
 
 
 def test_ko_rejects_bad_step():

@@ -222,8 +222,8 @@ def test_dynamic_indicator_linear_closure():
     rng = np.random.default_rng(2)
     for _ in range(5):
         c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {}, np.empty_like(c))
-        red = _batched_rhs(system, c[:, :, :4], dense, {}, np.empty_like(c[:, :, :4]))
+        full = _batched_rhs(system, c, dense, {}, np.empty_like(c))()
+        red = _batched_rhs(system, c[:, :, :4], dense, {}, np.empty_like(c[:, :, :4]))()
         q, _ = dynamic_indicator(full[0], red[0], c[0], dim=1)
         assert q < 1e-10
 
@@ -235,10 +235,53 @@ def test_dynamic_indicator_ko_transfers_energy():
     tp = triple_products(1, 5)
     full = galerkin_rhs(system, states[0], tp)
     c_red = states[0].coeffs[None, :, :4]
-    red = _batched_rhs(system, c_red, tp.dense, {}, np.empty_like(c_red))[0]
+    red = _batched_rhs(system, c_red, tp.dense, {}, np.empty_like(c_red))()[0]
     q, s = dynamic_indicator(full, red, states[0].coeffs, dim=1)
     assert q > 1e-4
     assert s[0] >= 0.0
+
+
+def test_bound_slope_reads_its_source_live():
+    # every term kind, on a batch of three elements; the slope is bound once and the
+    # source is then overwritten in place, as rk4_integrate overwrites its stage state
+    system = PolynomialOde(
+        n_state=2,
+        dim=1,
+        initial=lambda pts: np.ones((2, pts.shape[0])),
+        constant=((0, 0.3),),
+        linear=((0, -1.0, 1), (1, 0.5, 0)),
+        quadratic=((1, 0.7, 0, 1), (0, -0.2, 1, 1)),
+        field_constant=((1, "k", 0.4),),
+        field_linear=((0, "k", -1.5, 0),),
+        fields={"k": lambda pts: pts[:, 0]},
+    )
+    dense = triple_products(1, 5).dense
+    rng = np.random.default_rng(8)
+    fields = {"k": rng.normal(size=(3, 6))}
+    src = rng.normal(size=(3, 2, 6))
+    dst = np.empty_like(src)
+    slope = _batched_rhs(system, src, dense, fields, dst)
+    slope(0.0)
+    for _ in range(3):
+        src[...] = rng.normal(size=src.shape)
+        fresh = _batched_rhs(system, src.copy(), dense, fields, np.empty_like(src))()
+        assert slope(0.5) is dst
+        assert np.array_equal(dst, fresh)
+
+
+@pytest.mark.parametrize("d, n_full, n_red", [(1, 6, 4), (2, 10, 3)])
+def test_batched_dynamic_indicator_matches_per_element(d, n_full, n_red):
+    rng = np.random.default_rng(d)
+    m, n_state = 200, 3
+    full = rng.normal(size=(m, n_state, n_full))
+    red = rng.normal(size=(m, n_state, n_red))
+    coeffs = rng.normal(size=(m, n_state, n_full))
+    q_all, s_all = dynamic_indicator(full, red, coeffs, dim=d)
+    assert q_all.shape == (m,) and s_all.shape == (m, d)
+    for k in range(m):
+        q, s = dynamic_indicator(full[k], red[k], coeffs[k], dim=d)
+        assert q == q_all[k]
+        assert np.array_equal(s, s_all[k])
 
 
 def test_adapt_dynamic_deterministic_data_never_splits():
@@ -328,9 +371,11 @@ def test_adapt_dynamic_truncation_status():
 def test_rk4_error_ratio():
     def err(h):
         y, t = np.array(1.0), 0.0
-        work = tuple(np.empty_like(y) for _ in range(5))
+        work = k1, k2, k3, k4, stage = tuple(np.empty_like(y) for _ in range(5))
+        stages = tuple(lambda _t, v=v, out=out: np.negative(v, out=out)
+                       for v, out in ((y, k1), (stage, k2), (stage, k3), (stage, k4)))
         for _ in range(round(1.0 / h)):
-            rk4_step(lambda _t, v, out: np.negative(v, out=out), y, t, h, work)
+            rk4_step(stages, y, t, h, work)
             t += h
         return abs(float(y) - math.exp(-1.0))
 
@@ -339,8 +384,8 @@ def test_rk4_error_ratio():
 
 
 def test_rk4_integrate_rejects_bad_interval():
-    def decay(_t, v, out):
-        np.negative(v, out=out)
+    def decay(src, dst):
+        return lambda _t: np.negative(src, out=dst)
 
     for t0, t1 in ((0.0, 0.0), (1.0, 0.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="t1 > t0"):
