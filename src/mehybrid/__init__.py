@@ -28,7 +28,6 @@ from .estimator import (
 from .polybasis import (
     MultiIndex,
     QuadratureRule,
-    TripleProductTensor,
     gauss_legendre,
     legendre,
     multi_index_set,
@@ -42,13 +41,11 @@ from .randomspace import (
     split_element,
 )
 from .refine import (
-    GalerkinState,
     PolynomialOde,
     RefinementConfig,
     adapt_dynamic,
     adapt_static,
     dynamic_indicator,
-    galerkin_rhs,
     limit_state_surrogate,
     rk4_step,
     static_indicator,

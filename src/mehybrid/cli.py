@@ -43,7 +43,8 @@ from .surrogate import (
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
 GLOBAL_METHODS = ("direct-hybrid", "global-hybrid")
 REFINE_KEYS = ("theta1", "N0", "theta2", "alpha", "max_elements", "check_interval",
-               "dt", "resolve_from_t0", "collocation_nodes")
+               "dt", "collocation_nodes")
+OUTPUT_KEYS = ("report", "trace", "events")
 TABLE_KEYS = ("seed", "m", "delta_m")
 
 
@@ -85,6 +86,12 @@ class RunConfig:
         unknown = sorted(set(refine) - set(REFINE_KEYS))
         if unknown:
             raise UsageError(f"unknown refine key(s) {unknown}; accepted keys: {', '.join(REFINE_KEYS)}")
+        output = raw.get("output", {})
+        if not isinstance(output, dict):
+            raise UsageError("field 'output' must be an object")
+        unknown = sorted(set(output) - set(OUTPUT_KEYS))
+        if unknown:
+            raise UsageError(f"unknown output key(s) {unknown}; accepted keys: {', '.join(OUTPUT_KEYS)}")
         raw = dict(raw)
         for key in ("m", "order", "delta_m", "max_exact"):
             if raw.get(key) is not None:
@@ -145,8 +152,9 @@ def _prepare(cfg: RunConfig):
     return model, build_model, hycfg, rcfg
 
 
-def _load_partition(path: str) -> MultiElementSurrogate:
-    """A cached surrogate whose mesh is a partition of the domain; any other is a usage error."""
+def _load_partition(path: str) -> tuple[MultiElementSurrogate, dict]:
+    """A cached surrogate whose mesh is a partition of the domain, and the cache's
+    JSON object; any other cache is a usage error."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -156,15 +164,28 @@ def _load_partition(path: str) -> MultiElementSurrogate:
     issues = check_partition(surr.decomposition)
     if issues:
         raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
-    return surr
+    return surr, json.loads(text)
+
+
+def _provenance(cfg: RunConfig) -> dict:
+    """What a surrogate cache records about the run it was built for."""
+    spec = prob.PROBLEMS[cfg.problem]
+    return {"problem": cfg.problem,
+            "order": spec.defaults["order"] if cfg.order is None else cfg.order,
+            "problem_params": {**spec.parameters, **cfg.problem_params}}
 
 
 def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event_log: list):
     """Load the cached surrogate, or have the problem registry build the one the method needs."""
     if cfg.surrogate_cache:
-        surr = _load_partition(cfg.surrogate_cache)
+        surr, payload = _load_partition(cfg.surrogate_cache)
         if surr.dim != model.dim:
             raise UsageError(f"cached surrogate has dim {surr.dim}, problem {cfg.problem!r} has dim {model.dim}")
+        wanted = _provenance(cfg)
+        found = {key: payload.get(key) for key in wanted}
+        if found != wanted:
+            raise UsageError(f"cached surrogate was built for {found}, this run is {wanted}; "
+                             "rebuild the cache with `mehybrid refine`")
         return surr
     spec = prob.PROBLEMS[cfg.problem]
     return spec.build_surrogate(
@@ -231,9 +252,6 @@ def run(cfg: RunConfig) -> dict:
         trace.to_csv(out["trace"])
     if out.get("events") and events:
         write_events_csv(events, out["events"])
-    if out.get("cache") and cfg.method in ("me-gha", "me-lha") and not cfg.surrogate_cache:
-        with open(out["cache"], "w") as fh:
-            fh.write(surrogate_to_json(surr))
     return report
 
 
@@ -384,7 +402,7 @@ def validate(cache: str | None = None) -> int:
     """
     checks = list(CHECKS)
     if cache:
-        surr = _load_partition(cache)
+        surr, _ = _load_partition(cache)
         checks.append(("surrogate-cache", lambda: (True, f"{len(surr)} elements ok")))
     failures = 0
     for name, fn in checks:
@@ -486,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(surr, GpcExpansion):
                 raise UsageError("refine builds multi-element surrogates; got a single expansion")
             with open(args.cache, "w") as fh:
-                fh.write(surrogate_to_json(surr))
+                fh.write(surrogate_to_json(surr, **_provenance(cfg)))
             print(f"wrote {args.cache}: {len(surr)} elements, {build_model.call_count} build calls")
             return 0
         if args.command == "validate":

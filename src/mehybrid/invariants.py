@@ -84,7 +84,7 @@ def check_linear_closure() -> tuple[bool, str]:
         initial=lambda pts: np.stack([np.ones(pts.shape[0]), pts[:, 0]]),
         linear=((0, -1.0, 0), (0, 0.5, 1), (1, -0.25, 1)),
     )
-    dense = triple_products(1, 5).dense
+    dense = triple_products(1, 5)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(10):

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "MultiIndex",
     "QuadratureRule",
-    "TripleProductTensor",
     "legendre",
     "legendre_table",
     "basis_matrix",
@@ -190,31 +189,10 @@ def multi_index_set(d: int, n_max: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TripleProductTensor:
-    """Expectations of basis-function triples, e_{ijk} = E[Phi_i Phi_j Phi_k].
-
-    ``dense[a, b, c]`` is the entry for the a-th, b-th, c-th members of
-    ``multi_index_set(dim, order)``.
-    """
-
-    dim: int
-    order: int
-    dense: np.ndarray
-
-    def __post_init__(self):
-        dense = np.asarray(self.dense, dtype=float)
-        dense.setflags(write=False)
-        object.__setattr__(self, "dense", dense)
-
-    @property
-    def indices(self) -> tuple[MultiIndex, ...]:
-        return multi_index_set(self.dim, self.order)
-
-
 @lru_cache(maxsize=None)
-def triple_products(d: int, n_max: int) -> TripleProductTensor:
-    """Triple-product tensor over all indices of degree <= n_max.
+def triple_products(d: int, n_max: int) -> np.ndarray:
+    """Triple-product tensor e[a, b, c] = E[Phi_a Phi_b Phi_c] over the members
+    of ``multi_index_set(d, n_max)``, as a read-only dense array.
 
     One-dimensional entries come from a Gauss rule with at least
     ceil((3*n_max + 1) / 2) nodes, which integrates the degree-3n integrands
@@ -234,4 +212,5 @@ def triple_products(d: int, n_max: int) -> TripleProductTensor:
         for dim in range(d):
             e = entry_arr[:, dim]
             dense *= one_d[e[:, None, None], e[None, :, None], e[None, None, :]]
-    return TripleProductTensor(d, n_max, dense)
+    dense.setflags(write=False)
+    return dense

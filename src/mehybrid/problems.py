@@ -407,13 +407,9 @@ def _galerkin_builder(make_system: Callable[[int, dict], PolynomialOde]):
     def build(model, params, order, opts, rcfg, global_only, event_log):
         if global_only:
             rcfg = replace(rcfg, theta1=math.inf)
-        status: dict = {}
-        dec, states = adapt_dynamic(
-            make_system(order, params), rcfg, T=params["T"], dt=float(opts["dt"]),
-            resolve_from_t0=bool(opts.get("resolve_from_t0", False)),
-            event_log=event_log, status=status,
-        )
-        return limit_state_surrogate(dec, states, var=0, offset=-params["u_d"], truncated=status["truncated"])
+        dec, coeffs, truncated = adapt_dynamic(
+            make_system(order, params), rcfg, T=params["T"], dt=float(opts["dt"]), event_log=event_log)
+        return limit_state_surrogate(dec, coeffs, var=0, offset=-params["u_d"], truncated=truncated)
 
     return build
 

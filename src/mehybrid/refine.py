@@ -8,9 +8,10 @@ Galerkin-projected ODE system per element and splits where the energy-rate
 mismatch Q between the full-order system and its truncation is too large
 for the element's probability mass.
 
-Both drivers bisect elements and either re-project (default) or re-solve
-the children.  Splits are capped by ``max_elements``; hitting the cap sets
-the ``truncated`` flag on the result instead of raising.
+Both drivers bisect elements: static children are solved anew, dynamic
+children continue from the projection of their parent's state.  Splits are
+capped by ``max_elements``; hitting the cap sets the ``truncated`` flag on
+the result instead of raising.
 """
 from __future__ import annotations
 
@@ -24,19 +25,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IntegrationError, UnsupportedModelError
-from .polybasis import MultiIndex, basis_matrix, multi_index_set, triple_products, TripleProductTensor
+from .polybasis import MultiIndex, basis_matrix, multi_index_set, triple_products
 from .randomspace import Decomposition, Element, split_element, to_global_many, to_local_many
 from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, tensor_grid
 
 __all__ = [
     "RefinementConfig",
     "RefinementEvent",
-    "GalerkinState",
     "PolynomialOde",
     "static_indicator",
     "static_should_split",
     "adapt_static",
-    "galerkin_rhs",
     "dynamic_indicator",
     "adapt_dynamic",
     "limit_state_surrogate",
@@ -142,14 +141,20 @@ def static_indicator(exp: GpcExpansion) -> tuple[float, np.ndarray]:
     return eta, r
 
 
+def _split_dims(sensitivity: np.ndarray, theta2: float) -> set[int]:
+    """The dimensions to bisect: those whose sensitivity (r_j for the static
+    criterion, s_j for the dynamic one) is at least theta2 times the largest."""
+    s = np.asarray(sensitivity, dtype=float)
+    if s.size == 1:
+        return {0}
+    return {int(j) for j in np.flatnonzero(s >= theta2 * s.max())}
+
+
 def static_should_split(eta: float, r: np.ndarray, prob: float, cfg: RefinementConfig) -> tuple[bool, set[int]]:
     """Split decision eta^alpha * prob >= theta1 and the dimensions to bisect."""
     if eta ** cfg.alpha * prob < cfg.theta1:
         return False, set()
-    r = np.asarray(r, dtype=float)
-    if r.size == 1:
-        return True, {0}
-    return True, {int(j) for j in np.flatnonzero(r >= cfg.theta2 * r.max())}
+    return True, _split_dims(r, cfg.theta2)
 
 
 def adapt_static(
@@ -245,22 +250,6 @@ class PolynomialOde:
             raise UnsupportedModelError(f"state variable {v} out of range")
 
 
-@dataclass(frozen=True)
-class GalerkinState:
-    """Per-element mode coefficients of every state variable at one time."""
-
-    element: Element
-    order: int
-    t: float
-    coeffs: np.ndarray                      # (n_state, n_modes)
-    fields: dict[str, np.ndarray]           # per-field local mode coefficients
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
 def _require_polynomial(system) -> PolynomialOde:
     if not isinstance(system, PolynomialOde):
         raise UnsupportedModelError(
@@ -310,14 +299,6 @@ def _batched_rhs(
         return dst
 
     return slope
-
-
-def galerkin_rhs(system, state: GalerkinState, tp: TripleProductTensor) -> np.ndarray:
-    """Time derivatives of one element's mode coefficients under the projected system."""
-    sys_ = _require_polynomial(system)
-    fields = {name: vec[None, :] for name, vec in state.fields.items()}
-    coeffs = state.coeffs[None, :, :]
-    return _batched_rhs(sys_, coeffs, tp.dense, fields, np.empty_like(coeffs))()[0]
 
 
 def dynamic_indicator(
@@ -466,24 +447,23 @@ def adapt_dynamic(
     cfg: RefinementConfig,
     T: float,
     dt: float,
-    resolve_from_t0: bool = False,
     event_log: list[RefinementEvent] | None = None,
-    status: dict | None = None,
-) -> tuple[Decomposition, list[GalerkinState]]:
+) -> tuple[Decomposition, np.ndarray, bool]:
     """Integrate the projected system to time T with on-the-fly mesh refinement.
 
     Each element evolves its full-order Galerkin system with RK4.  At every
     check interval the truncated system's rhs is compared against the full
     one; elements with Q * prob >= theta1 are bisected along the dimensions
-    selected by s.  Children restart from a projection of the parent state
-    (or are re-solved from t = 0 when ``resolve_from_t0`` is set).
+    selected by s, and the children continue from the projection of the
+    parent's state.  Returns the mesh, the (M, n_state, n_modes) mode
+    coefficients at T in mesh order, and whether ``max_elements`` stopped a split.
     """
     sys_ = _require_polynomial(system)
-    if T <= 0 or dt <= 0:
-        raise ValueError("final time and step must be positive")
+    if not (_positive_finite(T) and _positive_finite(dt)):
+        raise ValueError(f"final time and step must be positive finite numbers, got T = {T!r}, dt = {dt!r}")
     d = sys_.dim
     n_red = len(multi_index_set(d, cfg.N0))
-    dense = triple_products(d, cfg.N).dense
+    dense = triple_products(d, cfg.N)
     check = cfg.check_interval if cfg.check_interval is not None else 10.0 * dt
 
     elements = [Element.box([-1.0] * d, [1.0] * d)]
@@ -509,10 +489,10 @@ def adapt_dynamic(
         new_ids: list[int] = []
         new_rows: list[np.ndarray] = []
         for k, e in enumerate(elements):
-            q_val, s = float(q_all[k]), s_all[k]
+            q_val = float(q_all[k])
             split = q_val * e.prob >= cfg.theta1
             if split:
-                dims = {0} if d == 1 else {int(j) for j in np.flatnonzero(s >= cfg.theta2 * s.max())}
+                dims = _split_dims(s_all[k], cfg.theta2)
                 grown = len(new_elements) + (len(elements) - k - 1) + 2 ** len(dims)
                 if grown > cfg.max_elements:
                     truncated = True
@@ -522,52 +502,35 @@ def adapt_dynamic(
                 new_ids.append(ids[k])
                 new_rows.append(coeffs[k])
                 continue
-            children = split_element(e, dims)
             if event_log is not None:
                 event_log.append(RefinementEvent(t, ids[k], q_val, tuple(sorted(dims))))
-            if resolve_from_t0:
-                child_coeffs = _project_function(sys_.initial, children, d, cfg.N, (sys_.n_state,))
-                child_fields = _field_coeffs(sys_, children, cfg.N)
-                child_coeffs = rk4_integrate(
-                    lambda src, dst: _batched_rhs(sys_, src, dense, child_fields, dst), child_coeffs, 0.0, t, dt)
-                for child, row in zip(children, child_coeffs):
-                    new_elements.append(child)
-                    new_ids.append(next_id)
-                    next_id += 1
-                    new_rows.append(row)
-            else:
-                for child in children:
-                    new_elements.append(child)
-                    new_ids.append(next_id)
-                    next_id += 1
-                    new_rows.append(_project_child_state(e, child, coeffs[k], cfg.N))
+            for child in split_element(e, dims):
+                new_elements.append(child)
+                new_ids.append(next_id)
+                next_id += 1
+                new_rows.append(_project_child_state(e, child, coeffs[k], cfg.N))
         if len(new_elements) != len(elements):
             elements = new_elements
             ids = new_ids
             coeffs = np.stack(new_rows)
             fields = _field_coeffs(sys_, elements, cfg.N)
-    dec = Decomposition(tuple(elements))
-    states = [
-        GalerkinState(e, cfg.N, T, coeffs[k], {name: fields[name][k] for name in fields})
-        for k, e in enumerate(elements)
-    ]
-    if status is not None:
-        status["truncated"] = truncated
-    return dec, states
+    return Decomposition(tuple(elements)), coeffs, truncated
 
 
 def limit_state_surrogate(
     dec: Decomposition,
-    states: Sequence[GalerkinState],
+    coeffs: np.ndarray,
     var: int = 0,
     offset: float = 0.0,
     truncated: bool = False,
 ) -> MultiElementSurrogate:
-    """Surrogate for an observable of the integrated system: mode coefficients of
-    one state variable with a constant shift folded into the mean mode."""
+    """Surrogate for an observable of the integrated system: the (M, n_state, n_modes)
+    mode coefficients of one state variable with a constant shift folded into the
+    mean mode; the order follows from the mode count."""
+    order = _indices_for_modes(dec.dim, coeffs.shape[-1])[-1].degree
     exps = []
-    for e, st in zip(dec, states):
-        c = st.coeffs[var].copy()
+    for e, rows in zip(dec, coeffs):
+        c = rows[var].copy()
         c[0] += offset
-        exps.append(GpcExpansion(e, st.order, c))
+        exps.append(GpcExpansion(e, order, c))
     return MultiElementSurrogate(dec, tuple(exps), truncated)

@@ -264,11 +264,18 @@ def gamma_bound(eps_p: float, eps: float, p: float) -> float:
     return eps_p / eps ** (1.0 / p)
 
 
-def surrogate_to_json(s: MultiElementSurrogate) -> str:
+def surrogate_to_json(s: MultiElementSurrogate, **provenance) -> str:
+    """JSON text of a multi-element surrogate.
+
+    ``provenance`` items (the CLI records the run's ``problem``, ``order`` and
+    ``problem_params``) are written at the top level, before the elements; a
+    given ``order`` replaces the first expansion's.  Reading ignores them.
+    """
     payload = {
         "dim": s.dim,
         "order": s.expansions[0].order if s.expansions else 0,
         "truncated": s.truncated,
+        **provenance,
         "elements": [
             {
                 "lower": list(exp.element.lower),

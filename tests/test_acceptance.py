@@ -92,8 +92,8 @@ def test_criterion_3_linear_ode(samples_1m):
     for p in (3, 5, 7):
         system = ode_galerkin_system(p)
         rcfg = RefinementConfig(theta1=0.05, N=p, N0=max(1, p - 2), max_elements=64)
-        dec, states = adapt_dynamic(system, rcfg, T=1.0, dt=0.01)
-        surrogate = limit_state_surrogate(dec, states, var=0, offset=-0.5)
+        dec, coeffs, _ = adapt_dynamic(system, rcfg, T=1.0, dt=0.01)
+        surrogate = limit_state_surrogate(dec, coeffs, var=0, offset=-0.5)
         hycfg = HybridConfig(delta_m=100)
         gha, _ = me_gha(OdeModel(), surrogate, samples_1m, hycfg)
         lha, _ = me_lha(OdeModel(), surrogate, samples_1m, hycfg)
@@ -119,8 +119,8 @@ def test_criterion_4_ko_system(samples_1m):
     headline_checked = False
     for theta1 in (1e-2, 1e-3, 1e-4):
         rcfg = RefinementConfig(theta1=theta1, N=5, N0=3, max_elements=128)
-        dec, states = adapt_dynamic(system, rcfg, T=15.0, dt=0.01)
-        surrogate = limit_state_surrogate(dec, states, var=0, offset=-0.03)
+        dec, coeffs, _ = adapt_dynamic(system, rcfg, T=15.0, dt=0.01)
+        surrogate = limit_state_surrogate(dec, coeffs, var=0, offset=-0.03)
         est, _ = me_gha(KoModel(), surrogate, samples_1m, HybridConfig(delta_m=100))
         n_exact_by_tol.append(est.n_exact)
         if theta1 == 1e-4:

@@ -34,17 +34,33 @@ def test_config_validation_errors():
     for key in ("tol1", "theta"):
         with pytest.raises(UsageError, match="accepted keys: theta1, N0, theta2"):
             RunConfig.from_dict(base_config(refine={key: 1e-3}))
+    with pytest.raises(UsageError, match=r"unknown output key\(s\) \['reprot'\]; accepted keys: report, trace, events"):
+        RunConfig.from_dict(base_config(output={"reprot": "report.json"}))
+    for key in ("cache", "surrogate"):
+        with pytest.raises(UsageError, match="unknown output key"):
+            RunConfig.from_dict(base_config(output={key: "surr.json"}))
+    with pytest.raises(UsageError, match="'output' must be an object"):
+        RunConfig.from_dict(base_config(output="report.json"))
 
 
-def test_run_report_fields_and_determinism():
-    cfg = RunConfig.from_dict(base_config())
-    rep_a = run(cfg)
-    rep_b = run(RunConfig.from_dict(base_config()))
-    for key in ("estimate", "n_exact", "n_surrogate", "n_elements", "relative_error"):
-        assert rep_a[key] == rep_b[key]
-    a = {k: v for k, v in rep_a.items() if k not in ("wall_time_s", "timings")}
-    b = {k: v for k, v in rep_b.items() if k not in ("wall_time_s", "timings")}
-    assert a == b
+def test_run_report_fields_and_determinism(tmp_path):
+    trace, events = tmp_path / "trace.csv", tmp_path / "events.csv"
+    lha = base_config(problem="linear-ode", method="me-lha", order=3, m=20_000, delta_m=100,
+                      output={"trace": str(trace), "events": str(events)})
+    first = {}
+    for raw in (base_config(), lha):
+        rep_a = run(RunConfig.from_dict(raw))
+        csv_a = [path.read_bytes() for path in (trace, events) if "output" in raw]
+        rep_b = run(RunConfig.from_dict(raw))
+        for key in ("estimate", "n_exact", "n_surrogate", "n_elements", "relative_error"):
+            assert rep_a[key] == rep_b[key]
+        a = {k: v for k, v in rep_a.items() if k not in ("wall_time_s", "timings")}
+        b = {k: v for k, v in rep_b.items() if k not in ("wall_time_s", "timings")}
+        assert a == b
+        assert csv_a == [path.read_bytes() for path in (trace, events) if "output" in raw]
+        first[raw["problem"]] = rep_a
+    assert len(csv_a[1].splitlines()) > 2  # the linear-ode run logged its splits
+    rep_a = first["step"]
     assert rep_a["n_surrogate"] == 50_000
     assert rep_a["n_elements"] == 2
     assert rep_a["reference"] == 0.5
@@ -146,6 +162,23 @@ def test_refine_then_estimate_with_cache(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["n_elements"] >= 4
     assert printed["n_exact_build"] == 0
+    # the cache records the problem, order and merged problem parameters it was built for,
+    # and a run of another problem, order or parameters rejects it, as it rejects a cache without them
+    payload = json.loads(cache.read_text())
+    assert payload["problem"] == "linear-ode" and payload["order"] == 3
+    assert payload["problem_params"] == {"u0": 1.0, "T": 1.0, "u_d": 0.5, "mu": -2.0, "sigma": 1.0}
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in payload.items() if k not in ("problem", "problem_params")}))
+    ko3 = tmp_path / "ko3.json"
+    assert main(["refine", "--problem", "ko3", "--cache", str(ko3), "--order", "3"]) == 0
+    for cache_path, sets in ((ko3, ["order=5"]), (ko3, []), (cache, ["order=5"]),
+                             (cache, ["problem_params.u_d=0.4"]), (bare, [])):
+        capsys.readouterr()
+        args = [arg for item in sets + [f"surrogate_cache={cache_path}"] for arg in ("--set", item)]
+        assert main(["estimate", "--config", str(cfg_path)] + args) == 1, (cache_path.name, sets)
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cached surrogate was built for "), (cache_path.name, sets)
+        assert "mehybrid refine" in err
 
 
 @pytest.mark.parametrize(

@@ -154,26 +154,27 @@ def test_orthonormality_gram():
 
 
 def test_triple_products_zero_index_is_identity():
-    tp = triple_products(2, 3)
-    assert tp.indices[0] == MultiIndex((0, 0))
-    n = len(tp.indices)
+    dense = triple_products(2, 3)
+    assert multi_index_set(2, 3)[0] == MultiIndex((0, 0))
+    n = len(multi_index_set(2, 3))
+    assert dense.shape == (n, n, n) and not dense.flags.writeable
     for j in range(n):
         for k in range(n):
             expected = 1.0 if j == k else 0.0
-            assert tp.dense[0, j, k] == pytest.approx(expected, abs=1e-13)
+            assert dense[0, j, k] == pytest.approx(expected, abs=1e-13)
 
 
 def test_triple_products_values_1d():
-    tp = triple_products(1, 3)
+    dense = triple_products(1, 3)
     # analytic moments: E[x^2] = 1/3, E[x^4] = 1/5 give E[phi1 phi1 phi2] = 2/sqrt(5)
     # in one dimension the graded-lex position of an index is its degree
-    assert tp.dense[1, 1, 2] == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-13)
-    assert tp.dense[1, 1, 1] == pytest.approx(0.0, abs=1e-13)
+    assert dense[1, 1, 2] == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-13)
+    assert dense[1, 1, 1] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_triple_products_permutation_symmetry():
     for d, n in ((1, 6), (2, 4)):
-        dense = triple_products(d, n).dense
+        dense = triple_products(d, n)
         assert np.max(np.abs(dense - dense.transpose(1, 0, 2))) < 1e-12
         assert np.max(np.abs(dense - dense.transpose(2, 1, 0))) < 1e-12
         assert np.max(np.abs(dense - dense.transpose(0, 2, 1))) < 1e-12
@@ -186,7 +187,7 @@ def test_triple_products_against_quadrature_oracle():
     w = w / 2.0
     table = legendre_table(n, x)
     oracle = np.einsum("qa,qb,qc,q->abc", table, table, table, w)
-    dense = triple_products(1, n).dense
+    dense = triple_products(1, n)
     assert np.max(np.abs(dense - oracle)) < 1e-12
 
 

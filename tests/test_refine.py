@@ -9,7 +9,6 @@ from mehybrid.errors import IntegrationError, UnsupportedModelError
 from mehybrid.polybasis import multi_index_set, triple_products
 from mehybrid.randomspace import Element, check_partition, sample_uniform
 from mehybrid.refine import (
-    GalerkinState,
     PolynomialOde,
     RefinementConfig,
     RefinementEvent,
@@ -18,7 +17,6 @@ from mehybrid.refine import (
     adapt_dynamic,
     adapt_static,
     dynamic_indicator,
-    galerkin_rhs,
     limit_state_surrogate,
     rk4_integrate,
     rk4_step,
@@ -143,31 +141,31 @@ def test_write_events_csv(tmp_path):
 # Galerkin propagation
 
 
-def test_galerkin_rhs_linear_is_coefficientwise():
+def test_batched_rhs_linear_is_coefficientwise():
     system = PolynomialOde(
         n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), linear=((0, -1.0, 0),)
     )
-    tp = triple_products(1, 3)
-    c = np.array([[0.4, -0.2, 0.1, 0.05]])
-    st_ = GalerkinState(line(), 3, 0.0, c, {})
-    assert np.allclose(galerkin_rhs(system, st_, tp), -c, atol=1e-15)
+    c = np.array([[[0.4, -0.2, 0.1, 0.05]]])
+    assert np.allclose(_batched_rhs(system, c, triple_products(1, 3), {}, np.empty_like(c))(), -c, atol=1e-15)
 
 
-def test_galerkin_rhs_quadratic_example():
+def test_batched_rhs_quadratic_example():
     system = PolynomialOde(
         n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), quadratic=((0, 1.0, 0, 0),)
     )
-    tp = triple_products(1, 1)
-    st_ = GalerkinState(line(), 1, 0.0, np.array([[1.0, 0.0]]), {})
-    dc = galerkin_rhs(system, st_, tp)
-    assert np.allclose(dc, [[1.0, 0.0]], atol=1e-14)
+    c = np.array([[[1.0, 0.0]]])
+    dc = _batched_rhs(system, c, triple_products(1, 1), {}, np.empty_like(c))()
+    assert np.allclose(dc, [[[1.0, 0.0]]], atol=1e-14)
 
 
-def test_galerkin_rhs_rejects_non_polynomial():
-    tp = triple_products(1, 2)
-    st_ = GalerkinState(line(), 2, 0.0, np.zeros((1, 3)), {})
+def test_adapt_dynamic_rejects_bad_input():
     with pytest.raises(UnsupportedModelError):
-        galerkin_rhs(lambda t, y: y, st_, tp)
+        adapt_dynamic(lambda t, y: y, cfg(), T=1.0, dt=0.01)
+    system = ode_galerkin_system(3)
+    # a nan T would skip the time loop and return the t = 0 projection; an infinite one would never end
+    for T, dt in ((math.nan, 0.01), (math.inf, 0.01), (0.0, 0.01), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="final time and step"):
+            adapt_dynamic(system, cfg(), T=T, dt=dt)
 
 
 def test_polynomial_ode_validation():
@@ -187,9 +185,9 @@ def test_ko_deterministic_mode_tracks_scalar_trajectory():
         ),
         quadratic=ko_galerkin_system().quadratic,
     )
-    dec, states = adapt_dynamic(system, cfg(theta1=1e-9, N=4, N0=2), T=3.0, dt=0.01)
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=1e-9, N=4, N0=2), T=3.0, dt=0.01)
     assert len(dec) == 1
-    coeffs = states[0].coeffs
+    coeffs = coeffs[0]
     assert np.max(np.abs(coeffs[:, 1:])) < 1e-12
 
     # reference: a textbook RK4 of the deterministic system, independent of the package's stepper
@@ -218,7 +216,7 @@ def test_dynamic_indicator_linear_closure():
         initial=lambda pts: np.stack([np.ones(pts.shape[0]), pts[:, 0]]),
         linear=((0, -1.0, 0), (0, 0.5, 1), (1, -0.25, 1)),
     )
-    dense = triple_products(1, 5).dense
+    dense = triple_products(1, 5)
     rng = np.random.default_rng(2)
     for _ in range(5):
         c = rng.normal(size=(1, 2, 6))
@@ -231,12 +229,12 @@ def test_dynamic_indicator_linear_closure():
 def test_dynamic_indicator_ko_transfers_energy():
     system = ko_galerkin_system()
     rcfg = cfg(theta1=math.inf, N=5, N0=3)
-    dec, states = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
-    tp = triple_products(1, 5)
-    full = galerkin_rhs(system, states[0], tp)
-    c_red = states[0].coeffs[None, :, :4]
-    red = _batched_rhs(system, c_red, tp.dense, {}, np.empty_like(c_red))()[0]
-    q, s = dynamic_indicator(full, red, states[0].coeffs, dim=1)
+    dec, coeffs, _ = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
+    dense = triple_products(1, 5)
+    full = _batched_rhs(system, coeffs, dense, {}, np.empty_like(coeffs))()[0]
+    c_red = coeffs[:, :, :4]
+    red = _batched_rhs(system, c_red, dense, {}, np.empty_like(c_red))()[0]
+    q, s = dynamic_indicator(full, red, coeffs[0], dim=1)
     assert q > 1e-4
     assert s[0] >= 0.0
 
@@ -255,7 +253,7 @@ def test_bound_slope_reads_its_source_live():
         field_linear=((0, "k", -1.5, 0),),
         fields={"k": lambda pts: pts[:, 0]},
     )
-    dense = triple_products(1, 5).dense
+    dense = triple_products(1, 5)
     rng = np.random.default_rng(8)
     fields = {"k": rng.normal(size=(3, 6))}
     src = rng.normal(size=(3, 2, 6))
@@ -288,10 +286,9 @@ def test_adapt_dynamic_deterministic_data_never_splits():
     system = PolynomialOde(
         n_state=1, dim=1, initial=lambda pts: np.full((1, pts.shape[0]), 0.7), linear=((0, -1.0, 0),)
     )
-    dec, states = adapt_dynamic(system, cfg(theta1=1e-12, N=3, N0=1), T=2.0, dt=0.01)
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=1e-12, N=3, N0=1), T=2.0, dt=0.01)
     assert len(dec) == 1
-    assert states[0].t == 2.0
-    assert states[0].coeffs[0, 0] == pytest.approx(0.7 * math.exp(-2.0), rel=1e-8)
+    assert coeffs[0, 0, 0] == pytest.approx(0.7 * math.exp(-2.0), rel=1e-8)
 
 
 def test_adapt_dynamic_blow_up_raises():
@@ -305,7 +302,7 @@ def test_adapt_dynamic_blow_up_raises():
 
 def test_adapt_dynamic_ode_element_count():
     system = ode_galerkin_system(3)
-    dec, states = adapt_dynamic(system, cfg(theta1=0.05, N=3, N0=1), T=1.0, dt=0.01)
+    dec, _, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3, N0=1), T=1.0, dt=0.01)
     assert 4 <= len(dec) <= 7
     assert check_partition(dec) == []
 
@@ -314,7 +311,7 @@ def test_adapt_dynamic_ko_element_counts_bracketed():
     system = ko_galerkin_system()
     counts = []
     for theta1 in (1e-2, 1e-3, 1e-4):
-        dec, _ = adapt_dynamic(system, cfg(theta1=theta1, N=5, N0=3, max_elements=128), T=15.0, dt=0.01)
+        dec, _, _ = adapt_dynamic(system, cfg(theta1=theta1, N=5, N0=3, max_elements=128), T=15.0, dt=0.01)
         counts.append(len(dec))
         assert check_partition(dec) == []
     assert counts[0] < counts[1] < counts[2]
@@ -340,32 +337,25 @@ def test_adapt_dynamic_projection_restart_consistency():
             assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_adapt_dynamic_resolve_from_t0_is_an_equivalent_surrogate():
-    # re-solving children from t = 0 gives a different (usually sharper) local
-    # history than projecting the parent; both must classify failures like the
-    # exact model away from a thin boundary band
+def test_adapt_dynamic_projected_children_classify_like_exact_model():
+    # children continue from the projection of their parent's state; the surrogate
+    # must classify failures like the exact model away from a thin boundary band
     from mehybrid.problems import OdeModel
 
     system = ode_galerkin_system(3)
     pts = sample_uniform(2000, 1, 1).points
     exact_sign = OdeModel().evaluate_many(pts) < 0
-    for resolve in (False, True):
-        dec, states = adapt_dynamic(
-            system, cfg(theta1=0.05, N=3, N0=1), T=1.0, dt=0.01, resolve_from_t0=resolve
-        )
-        surr = limit_state_surrogate(dec, states, 0, -0.5)
-        surr_sign = eval_me_surrogate_many(surr, pts) < 0
-        assert np.mean(surr_sign != exact_sign) < 0.02
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3, N0=1), T=1.0, dt=0.01)
+    surr = limit_state_surrogate(dec, coeffs, 0, -0.5)
+    surr_sign = eval_me_surrogate_many(surr, pts) < 0
+    assert np.mean(surr_sign != exact_sign) < 0.02
 
 
 def test_adapt_dynamic_truncation_status():
     system = ko_galerkin_system()
-    status: dict = {}
-    dec, _ = adapt_dynamic(
-        system, cfg(theta1=1e-4, N=5, N0=3, max_elements=6), T=15.0, dt=0.01, status=status
-    )
+    dec, _, truncated = adapt_dynamic(system, cfg(theta1=1e-4, N=5, N0=3, max_elements=6), T=15.0, dt=0.01)
     assert len(dec) <= 6
-    assert status["truncated"] is True
+    assert truncated is True
 
 
 def test_rk4_error_ratio():
