@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,19 +30,13 @@ from .estimator import (
 )
 from .invariants import CHECKS
 from .randomspace import check_partition, sample_uniform
-from .refine import RefinementConfig, write_events_csv
-from .surrogate import (
-    GpcExpansion,
-    MultiElementSurrogate,
-    collocation_nodes,
-    surrogate_from_json,
-    surrogate_to_json,
-)
+from .refine import RefinementConfig, _real, write_events_csv
+from .surrogate import GpcExpansion, MultiElementSurrogate, surrogate_from_json, surrogate_to_json
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
 GLOBAL_METHODS = ("direct-hybrid", "global-hybrid")
-REFINE_KEYS = ("theta1", "N0", "theta2", "alpha", "max_elements", "check_interval",
-               "dt", "collocation_nodes")
+# The settable fields of RefinementConfig; its order N is the run's order.
+REFINE_KEYS = tuple(name for name in RefinementConfig.__dataclass_fields__ if name != "N")
 OUTPUT_KEYS = ("report", "trace", "events")
 TABLE_KEYS = ("seed", "m", "delta_m")
 
@@ -93,12 +86,11 @@ class RunConfig:
         if unknown:
             raise UsageError(f"unknown output key(s) {unknown}; accepted keys: {', '.join(OUTPUT_KEYS)}")
         raw = dict(raw)
-        for key in ("m", "order", "delta_m", "max_exact"):
+        for key in ("seed", "m", "order", "delta_m", "max_exact"):
             if raw.get(key) is not None:
-                value = raw[key]
-                if isinstance(value, float) and not value.is_integer():
-                    raise UsageError(f"field {key!r} must be an integer, got {value!r}")
-                raw[key] = int(value)
+                raw[key] = _integer(key, raw[key])
+        if refine.get("max_elements") is not None:
+            raw["refine"] = {**refine, "max_elements": _integer("refine.max_elements", refine["max_elements"])}
         cfg = cls(**raw)
         if cfg.problem not in prob.PROBLEMS:
             raise UsageError(f"unknown problem {cfg.problem!r}; choose from {sorted(prob.PROBLEMS)}")
@@ -108,8 +100,13 @@ class RunConfig:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
         if cfg.method == "direct-hybrid" and cfg.gamma is None:
             raise UsageError("field 'gamma' is required for the direct-hybrid method")
+        if cfg.gamma is not None and not (_real(cfg.gamma) and cfg.gamma >= 0):
+            raise UsageError(f"field 'gamma' must be a nonnegative number, got {cfg.gamma!r}")
         if cfg.method != "mc" and cfg.order is None and (cfg.problem != "step" or cfg.method in GLOBAL_METHODS):
             raise UsageError("field 'order' is required for surrogate methods")
+        max_order = prob.PROBLEMS[cfg.problem].max_order
+        if cfg.method != "mc" and max_order is not None and cfg.order > max_order:
+            raise UsageError(f"field 'order' must be at most {max_order} for problem {cfg.problem!r}")
         if not isinstance(cfg.seed, int) or cfg.seed < 0:
             raise UsageError("field 'seed' must be a nonnegative integer")
         if cfg.m < 1:
@@ -119,18 +116,13 @@ class RunConfig:
         return cfg
 
 
-def _refine_config(opts: dict, order: int) -> RefinementConfig:
-    """Parse the refinement options (problem defaults merged with the run's ``refine``
-    object); RefinementConfig supplies every default the options leave unset."""
-    if opts.get("theta1") is None:
-        raise UsageError("field 'refine.theta1' is required")
-    if "collocation_nodes" in opts:
-        collocation_nodes(order, int(opts["collocation_nodes"]))
-    if "dt" in opts and not 0.0 < float(opts["dt"]) < math.inf:
-        raise UsageError(f"field 'refine.dt' must be a positive number, got {opts['dt']!r}")
-    casts = {"N0": None, "theta2": float, "alpha": float, "max_elements": int, "check_interval": None}
-    given = {key: opts[key] if cast is None else cast(opts[key]) for key, cast in casts.items() if key in opts}
-    return RefinementConfig(theta1=float(opts["theta1"]), N=order, **given)
+def _integer(name: str, value) -> int:
+    """An integer field's value: an int (not a bool) or an integral float, else a usage error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UsageError(f"field {name!r} must be an integer, got {value!r}")
 
 
 def _prepare(cfg: RunConfig):
@@ -140,13 +132,15 @@ def _prepare(cfg: RunConfig):
     the hybrid and refinement settings (None where unused)."""
     spec = prob.PROBLEMS[cfg.problem]
     params = {**spec.parameters, **cfg.problem_params}
-    refines = cfg.method != "mc" and not cfg.surrogate_cache and "theta1" in spec.defaults
+    refines = cfg.method != "mc" and "theta1" in spec.defaults
     try:
         model = spec.make_model(**params)
         build_model = spec.make_model(**params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
             delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact)
-        rcfg = _refine_config({**spec.defaults, **cfg.refine}, cfg.order) if refines else None
+        # a cached surrogate is only checked against the refine settings; the run's order builds nothing
+        order = {} if cfg.surrogate_cache else {"N": cfg.order}
+        rcfg = RefinementConfig(**{"theta1": spec.defaults["theta1"], **cfg.refine, **order}) if refines else None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
     return model, build_model, hycfg, rcfg
@@ -167,12 +161,13 @@ def _load_partition(path: str) -> tuple[MultiElementSurrogate, dict]:
     return surr, json.loads(text)
 
 
-def _provenance(cfg: RunConfig) -> dict:
+def _provenance(cfg: RunConfig, rcfg: RefinementConfig | None) -> dict:
     """What a surrogate cache records about the run it was built for."""
     spec = prob.PROBLEMS[cfg.problem]
     return {"problem": cfg.problem,
             "order": spec.defaults["order"] if cfg.order is None else cfg.order,
-            "problem_params": {**spec.parameters, **cfg.problem_params}}
+            "problem_params": {**spec.parameters, **cfg.problem_params},
+            "refine": {} if rcfg is None else {key: getattr(rcfg, key) for key in REFINE_KEYS}}
 
 
 def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event_log: list):
@@ -181,7 +176,7 @@ def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event
         surr, payload = _load_partition(cfg.surrogate_cache)
         if surr.dim != model.dim:
             raise UsageError(f"cached surrogate has dim {surr.dim}, problem {cfg.problem!r} has dim {model.dim}")
-        wanted = _provenance(cfg)
+        wanted = _provenance(cfg, rcfg)
         found = {key: payload.get(key) for key in wanted}
         if found != wanted:
             raise UsageError(f"cached surrogate was built for {found}, this run is {wanted}; "
@@ -189,8 +184,8 @@ def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event
         return surr
     spec = prob.PROBLEMS[cfg.problem]
     return spec.build_surrogate(
-        model, {**spec.parameters, **cfg.problem_params}, cfg.order, {**spec.defaults, **cfg.refine},
-        rcfg, cfg.method in GLOBAL_METHODS, event_log,
+        model, {**spec.parameters, **cfg.problem_params}, cfg.order, rcfg, cfg.method in GLOBAL_METHODS,
+        event_log,
     )
 
 
@@ -343,9 +338,9 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
         raise UsageError(f"unknown table override(s) {unknown}; accepted keys: {', '.join(TABLE_KEYS)}")
     ref = REFERENCE_TABLES[n]
     problem = ref["problem"]
-    seed = int(overrides.get("seed", 42))
-    m = int(overrides.get("m", 1_000_000))
-    delta_m = int(overrides.get("delta_m", ref["delta_m"]))
+    seed = overrides.get("seed", 42)
+    m = overrides.get("m", 1_000_000)
+    delta_m = overrides.get("delta_m", ref["delta_m"])
     rows: list[list] = [["metric", "order", "tol", "computed", "published", "abs_diff"]]
 
     def add(metric: str, order, tol, computed, published):
@@ -504,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(surr, GpcExpansion):
                 raise UsageError("refine builds multi-element surrogates; got a single expansion")
             with open(args.cache, "w") as fh:
-                fh.write(surrogate_to_json(surr, **_provenance(cfg)))
+                fh.write(surrogate_to_json(surr, **_provenance(cfg, rcfg)))
             print(f"wrote {args.cache}: {len(surr)} elements, {build_model.call_count} build calls")
             return 0
         if args.command == "validate":

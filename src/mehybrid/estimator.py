@@ -44,8 +44,8 @@ class HybridConfig:
     def __post_init__(self):
         if self.delta_m < 1:
             raise ValueError("step size delta_m must be at least one")
-        if self.eta_stop < 0:
-            raise ValueError("stopping tolerance must be nonnegative")
+        if not self.eta_stop >= 0:
+            raise ValueError(f"stopping tolerance eta_stop must be nonnegative, got {self.eta_stop!r}")
         if self.max_exact is not None and self.max_exact < 1:
             raise ValueError("max_exact must be at least one when given")
 
@@ -132,8 +132,8 @@ def direct_hybrid(model: LimitStateModel, surrogate, samples, gamma: float) -> E
     samples inside the band are settled by the exact model; the rest are
     taken as safe.
     """
-    if gamma < 0:
-        raise ValueError("replacement threshold gamma must be nonnegative")
+    if not gamma >= 0:
+        raise ValueError(f"replacement threshold gamma must be nonnegative, got {gamma!r}")
     pts = _points(samples)
     m = pts.shape[0]
     t0 = time.perf_counter()

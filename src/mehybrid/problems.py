@@ -396,29 +396,35 @@ class BurgersModel(LimitStateModel):
 # ---------------------------------------------------------------------------
 # surrogate builders (see ProblemSpec for the call signature)
 
+# RK4 step of the Galerkin solves of both ODE problems.
+GALERKIN_DT = 0.01
 
-def _step_surrogate(model, params, order, opts, rcfg, global_only, event_log):
+# Gauss nodes per element of every Burgers collocation build, whatever the
+# order; a build needs at least order + 1, so Burgers orders stop at 20.
+BURGERS_NODES = 21
+
+
+def _step_surrogate(model, params, order, rcfg, global_only, event_log):
     return step_global_gpc(order) if global_only else step_me_exact()
 
 
 def _galerkin_builder(make_system: Callable[[int, dict], PolynomialOde]):
     """Dynamic refinement of ``make_system(order, params)`` to time T; observes y1 - u_d."""
 
-    def build(model, params, order, opts, rcfg, global_only, event_log):
+    def build(model, params, order, rcfg, global_only, event_log):
         if global_only:
             rcfg = replace(rcfg, theta1=math.inf)
         dec, coeffs, truncated = adapt_dynamic(
-            make_system(order, params), rcfg, T=params["T"], dt=float(opts["dt"]), event_log=event_log)
+            make_system(order, params), rcfg, T=params["T"], dt=GALERKIN_DT, event_log=event_log)
         return limit_state_surrogate(dec, coeffs, var=0, offset=-params["u_d"], truncated=truncated)
 
     return build
 
 
-def _burgers_surrogate(model, params, order, opts, rcfg, global_only, event_log):
-    q = int(opts["collocation_nodes"])
+def _burgers_surrogate(model, params, order, rcfg, global_only, event_log):
     if global_only:
-        return build_collocation(model, Element.box([-1.0], [1.0]), order, q)
-    return adapt_static(model, rcfg, order=order, q=q, event_log=event_log)
+        return build_collocation(model, Element.box([-1.0], [1.0]), order, BURGERS_NODES)
+    return adapt_static(model, rcfg, q=BURGERS_NODES, event_log=event_log)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +435,9 @@ def _burgers_surrogate(model, params, order, opts, rcfg, global_only, event_log)
 class ProblemSpec:
     """Canonical description of one benchmark: parameters, reference value, builders.
 
-    ``build_surrogate(model, params, order, opts, rcfg, global_only, event_log)``
-    charges ``model`` with its exact calls; ``opts`` are ``defaults`` merged with the
-    run's refine options, ``rcfg`` their RefinementConfig (None without ``theta1``).
+    ``build_surrogate(model, params, order, rcfg, global_only, event_log)``
+    charges ``model`` with its exact calls; ``rcfg`` is the run's
+    RefinementConfig (None for a problem without a ``theta1`` default).
     """
 
     name: str
@@ -441,6 +447,7 @@ class ProblemSpec:
     make_model: Callable[..., LimitStateModel] = field(repr=False)
     build_surrogate: Callable[..., GpcExpansion | MultiElementSurrogate] = field(repr=False)
     defaults: dict = field(default_factory=dict, repr=False)
+    max_order: int | None = None  # the highest order build_surrogate accepts, if it has one
 
 
 PROBLEMS: dict[str, ProblemSpec] = {
@@ -462,7 +469,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         build_surrogate=_galerkin_builder(
             lambda order, p: ode_galerkin_system(order, u0=p["u0"], mu=p["mu"], sigma=p["sigma"])
         ),
-        defaults={"delta_m": 100, "order": 5, "theta1": 0.05, "dt": 0.01},
+        defaults={"delta_m": 100, "order": 5, "theta1": 0.05},
     ),
     "ko3": ProblemSpec(
         name="ko3",
@@ -471,7 +478,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_tag="published",
         make_model=lambda **kw: KoModel(**kw),
         build_surrogate=_galerkin_builder(lambda order, p: ko_galerkin_system()),
-        defaults={"delta_m": 100, "order": 5, "theta1": 1e-4, "dt": 0.01},
+        defaults={"delta_m": 100, "order": 5, "theta1": 1e-4},
     ),
     "burgers": ProblemSpec(
         name="burgers",
@@ -480,6 +487,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_tag="published-for-uncalibrated-parameters",
         make_model=lambda **kw: BurgersModel(**kw),
         build_surrogate=_burgers_surrogate,
-        defaults={"delta_m": 100, "order": 3, "theta1": 0.01, "collocation_nodes": 21},
+        defaults={"delta_m": 100, "order": 3, "theta1": 0.01},
+        max_order=BURGERS_NODES - 1,
     ),
 }

@@ -45,47 +45,46 @@ __all__ = [
 ]
 
 
+# Split-direction share of the ME-gPC criterion (Wan & Karniadakis, JCP 209, 2005):
+# an element is bisected along every dimension whose sensitivity (r_j or s_j) is
+# at least THETA2 times the largest.  In one dimension it has no effect.
+THETA2 = 0.1
+
+# Exponent of the static criterion eta^ALPHA * prob >= theta1.
+ALPHA = 0.5
+
+
 @dataclass
 class RefinementConfig:
-    """Thresholds and orders shared by both refinement criteria.
+    """Settings shared by both refinement criteria.
 
-    ``theta1`` is the split threshold (eta^alpha * prob for the static
-    criterion, Q * prob for the dynamic one); ``N`` and ``N0`` are the full
-    and reduced orders (``N0`` defaults to N - 2); ``theta2`` selects the
-    split dimensions relative to the strongest one; ``alpha`` is the static
-    criterion's exponent; ``max_elements`` caps the mesh (hitting it marks
-    the surrogate truncated); ``check_interval`` is the dynamic criterion's
-    time between checks (default 10 dt).
+    ``theta1`` is the split threshold (eta^ALPHA * prob for the static
+    criterion, Q * prob for the dynamic one; inf never splits); ``N`` is the
+    expansion order; ``max_elements`` caps the mesh (hitting it marks the
+    surrogate truncated).
     """
 
     theta1: float
     N: int = 3
-    N0: int | None = None
-    theta2: float = 0.1
-    alpha: float = 0.5
     max_elements: int = 256
-    check_interval: float | None = None
 
     def __post_init__(self):
-        if self.theta1 <= 0:
-            raise ValueError("split threshold theta1 must be positive")
-        if not 0 < self.theta2 < 1:
-            raise ValueError("theta2 must lie in (0, 1)")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.N0 is None:
-            self.N0 = max(0, self.N - 2)
-        if not 0 <= self.N0 < self.N:
-            raise ValueError("reduced order N0 must satisfy 0 <= N0 < N")
+        if not (_real(self.theta1) and self.theta1 > 0):
+            raise ValueError(f"split threshold theta1 must be a positive number, got {self.theta1!r}")
+        if self.N < 1:
+            raise ValueError(f"order N must be at least one, got {self.N!r}")
         if self.max_elements < 1:
-            raise ValueError("max_elements must be at least one")
-        if self.check_interval is not None and not _positive_finite(self.check_interval):
-            raise ValueError(f"check_interval must be a positive number, got {self.check_interval!r}")
+            raise ValueError(f"max_elements must be at least one, got {self.max_elements!r}")
+
+
+def _real(x) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _finite(x) -> bool:
     """True for a real number (not a bool) other than +-inf and nan."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    return _real(x) and math.isfinite(x)
 
 
 def _positive_finite(x) -> bool:
@@ -141,43 +140,42 @@ def static_indicator(exp: GpcExpansion) -> tuple[float, np.ndarray]:
     return eta, r
 
 
-def _split_dims(sensitivity: np.ndarray, theta2: float) -> set[int]:
+def _split_dims(sensitivity: np.ndarray) -> set[int]:
     """The dimensions to bisect: those whose sensitivity (r_j for the static
-    criterion, s_j for the dynamic one) is at least theta2 times the largest."""
+    criterion, s_j for the dynamic one) is at least THETA2 times the largest."""
     s = np.asarray(sensitivity, dtype=float)
     if s.size == 1:
         return {0}
-    return {int(j) for j in np.flatnonzero(s >= theta2 * s.max())}
+    return {int(j) for j in np.flatnonzero(s >= THETA2 * s.max())}
 
 
 def static_should_split(eta: float, r: np.ndarray, prob: float, cfg: RefinementConfig) -> tuple[bool, set[int]]:
-    """Split decision eta^alpha * prob >= theta1 and the dimensions to bisect."""
-    if eta ** cfg.alpha * prob < cfg.theta1:
+    """Split decision eta^ALPHA * prob >= theta1 and the dimensions to bisect."""
+    if eta ** ALPHA * prob < cfg.theta1:
         return False, set()
-    return True, _split_dims(r, cfg.theta2)
+    return True, _split_dims(r)
 
 
 def adapt_static(
     model: LimitStateModel,
     cfg: RefinementConfig,
-    order: int | None = None,
     q: int | None = None,
     event_log: list[RefinementEvent] | None = None,
 ) -> MultiElementSurrogate:
-    """Breadth-first static refinement driven by collocation expansions.
+    """Breadth-first static refinement driven by order-``cfg.N`` collocation
+    expansions on ``q`` Gauss nodes per dimension (see `build_collocation`).
 
     Every element in the final mesh carries a freshly built expansion; each
     split discards the parent's expansion and solves the children anew, with
     all collocation points charged to the model's call counter.
     """
-    n = cfg.N if order is None else order
     queue: deque[tuple[int, Element]] = deque([(0, Element.box([-1.0] * model.dim, [1.0] * model.dim))])
     next_id = 1
     done: list[GpcExpansion] = []
     truncated = False
     while queue:
         elem_id, e = queue.popleft()
-        exp = build_collocation(model, e, n, q)
+        exp = build_collocation(model, e, cfg.N, q)
         eta, r = static_indicator(exp)
         split, dims = static_should_split(eta, r, e.prob, cfg)
         if split:
@@ -451,20 +449,22 @@ def adapt_dynamic(
 ) -> tuple[Decomposition, np.ndarray, bool]:
     """Integrate the projected system to time T with on-the-fly mesh refinement.
 
-    Each element evolves its full-order Galerkin system with RK4.  At every
-    check interval the truncated system's rhs is compared against the full
-    one; elements with Q * prob >= theta1 are bisected along the dimensions
-    selected by s, and the children continue from the projection of the
-    parent's state.  Returns the mesh, the (M, n_state, n_modes) mode
-    coefficients at T in mesh order, and whether ``max_elements`` stopped a split.
+    Each element evolves its order-N Galerkin system with RK4.  Every 10 dt
+    the rhs of the system truncated to order max(0, N - 2) is compared
+    against the full one; elements with Q * prob >= theta1 are bisected along
+    the dimensions selected by s, and the children continue from the
+    projection of the parent's state.  Returns the mesh, the (M, n_state,
+    n_modes) mode coefficients at T in mesh order, and whether
+    ``max_elements`` stopped a split.
     """
     sys_ = _require_polynomial(system)
     if not (_positive_finite(T) and _positive_finite(dt)):
         raise ValueError(f"final time and step must be positive finite numbers, got T = {T!r}, dt = {dt!r}")
     d = sys_.dim
-    n_red = len(multi_index_set(d, cfg.N0))
+    # Checking at every step instead of every 10 dt changes the meshes little, and
+    # a reduced order of N - 1 instead of N - 2 refines the three-mode system worse.
+    n_red = len(multi_index_set(d, max(0, cfg.N - 2)))
     dense = triple_products(d, cfg.N)
-    check = cfg.check_interval if cfg.check_interval is not None else 10.0 * dt
 
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
@@ -475,7 +475,7 @@ def adapt_dynamic(
 
     t = 0.0
     while t < T - 1e-12:
-        t_next = min(t + check, T)
+        t_next = min(t + 10.0 * dt, T)
         coeffs = rk4_integrate(lambda src, dst: _batched_rhs(sys_, src, dense, fields, dst),
                                coeffs, t, t_next, dt)
         t = t_next
@@ -492,7 +492,7 @@ def adapt_dynamic(
             q_val = float(q_all[k])
             split = q_val * e.prob >= cfg.theta1
             if split:
-                dims = _split_dims(s_all[k], cfg.theta2)
+                dims = _split_dims(s_all[k])
                 grown = len(new_elements) + (len(elements) - k - 1) + 2 ** len(dims)
                 if grown > cfg.max_elements:
                     truncated = True

@@ -31,7 +31,6 @@ __all__ = [
     "GpcExpansion",
     "MultiElementSurrogate",
     "build_collocation",
-    "collocation_nodes",
     "eval_expansion_many",
     "eval_me_surrogate_many",
     "local_variance",
@@ -166,20 +165,17 @@ def tensor_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, weights.ravel()
 
 
-def collocation_nodes(order: int, q: int | None = None) -> int:
-    """Gauss nodes per dimension of a collocation build: q (at least order + 1), by
-    default order + 2, which slightly over-integrates to damp aliasing."""
-    if q is not None and q < order + 1:
-        raise ValueError(f"need at least order+1 = {order + 1} nodes per dimension, got {q}")
-    return order + 2 if q is None else q
-
-
 def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | None = None) -> GpcExpansion:
     """Project the exact model onto the element basis using a tensor Gauss grid.
 
-    Costs exactly q^d exact-model calls, with q from `collocation_nodes`.
+    The grid has q nodes per dimension, at least order + 1 and by default
+    order + 2, which slightly over-integrates to damp aliasing; the build
+    costs exactly q^d exact-model calls.
     """
-    q = collocation_nodes(order, q)
+    if q is None:
+        q = order + 2
+    elif q < order + 1:
+        raise ValueError(f"need at least order+1 = {order + 1} nodes per dimension, got {q}")
     d = e.dim
     ref_pts, weights = tensor_grid(q, d)
     nodes = to_global_many(e, ref_pts)
@@ -267,8 +263,8 @@ def gamma_bound(eps_p: float, eps: float, p: float) -> float:
 def surrogate_to_json(s: MultiElementSurrogate, **provenance) -> str:
     """JSON text of a multi-element surrogate.
 
-    ``provenance`` items (the CLI records the run's ``problem``, ``order`` and
-    ``problem_params``) are written at the top level, before the elements; a
+    ``provenance`` items (the CLI records the run's ``problem``, ``order``,
+    ``problem_params`` and ``refine`` settings) are written at the top level, before the elements; a
     given ``order`` replaces the first expansion's.  Reading ignores them.
     """
     payload = {

@@ -91,7 +91,7 @@ def test_criterion_3_linear_ode(samples_1m):
 
     for p in (3, 5, 7):
         system = ode_galerkin_system(p)
-        rcfg = RefinementConfig(theta1=0.05, N=p, N0=max(1, p - 2), max_elements=64)
+        rcfg = RefinementConfig(theta1=0.05, N=p, max_elements=64)
         dec, coeffs, _ = adapt_dynamic(system, rcfg, T=1.0, dt=0.01)
         surrogate = limit_state_surrogate(dec, coeffs, var=0, offset=-0.5)
         hycfg = HybridConfig(delta_m=100)
@@ -118,7 +118,7 @@ def test_criterion_4_ko_system(samples_1m):
     n_exact_by_tol = []
     headline_checked = False
     for theta1 in (1e-2, 1e-3, 1e-4):
-        rcfg = RefinementConfig(theta1=theta1, N=5, N0=3, max_elements=128)
+        rcfg = RefinementConfig(theta1=theta1, N=5, max_elements=128)
         dec, coeffs, _ = adapt_dynamic(system, rcfg, T=15.0, dt=0.01)
         surrogate = limit_state_surrogate(dec, coeffs, var=0, offset=-0.03)
         est, _ = me_gha(KoModel(), surrogate, samples_1m, HybridConfig(delta_m=100))
@@ -154,7 +154,7 @@ def test_criterion_5_burgers(samples_1m):
     surrogates = {}
     for p in (2, 3, 4, 5):
         model = BurgersModel()
-        surr = adapt_static(model, RefinementConfig(theta1=0.01, N=p, max_elements=64), order=p, q=21)
+        surr = adapt_static(model, RefinementConfig(theta1=0.01, N=p, max_elements=64), q=21)
         counts.append(len(surr))
         surrogates[p] = surr
     assert counts == sorted(counts, reverse=True), counts

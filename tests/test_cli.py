@@ -32,7 +32,7 @@ def test_config_validation_errors():
     with pytest.raises(UsageError, match="seed"):
         RunConfig.from_dict(base_config(seed=-1))
     for key in ("tol1", "theta"):
-        with pytest.raises(UsageError, match="accepted keys: theta1, N0, theta2"):
+        with pytest.raises(UsageError, match="accepted keys: theta1, max_elements$"):
             RunConfig.from_dict(base_config(refine={key: 1e-3}))
     with pytest.raises(UsageError, match=r"unknown output key\(s\) \['reprot'\]; accepted keys: report, trace, events"):
         RunConfig.from_dict(base_config(output={"reprot": "report.json"}))
@@ -111,17 +111,21 @@ def test_estimate_command_usage_error(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg_path)]) == 1
     assert main(["estimate", "--config", str(tmp_path / "missing.json")]) == 1
     cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=3)))
-    for key in ("tol1", "theta"):
+    # the refinement constants are not settings
+    for key, value in (("tol1", "1e-9"), ("theta", "1e-9"), ("N0", "1"), ("theta2", "2"), ("alpha", "0.5"),
+                       ("collocation_nodes", "2"), ("check_interval", "0"), ("dt", "0"), ("dt", "abc")):
         capsys.readouterr()
-        assert main(["estimate", "--config", str(cfg_path), "--set", f"refine.{key}=1e-9"]) == 1
+        assert main(["estimate", "--config", str(cfg_path), "--set", f"refine.{key}={value}"]) == 1
         err = capsys.readouterr().err
-        assert f"unknown refine key(s) ['{key}']" in err
-        assert "collocation_nodes" in err
+        assert f"unknown refine key(s) ['{key}']; accepted keys: theta1, max_elements\n" in err
     # bad values reach the model, the hybrid or refinement settings or the collocation grid;
     # each is rejected before sampling
-    for sets in (["problem_params.foo=1"], ["refine.theta2=2"], ["delta_m=0"], ["m=0"],
-                 ["problem=burgers", "refine.collocation_nodes=2"], ["delta_m=50001"],
-                 ["refine.check_interval=0"], ["refine.dt=0"], ["refine.dt=abc"],
+    for sets in (["problem_params.foo=1"], ["delta_m=0"], ["m=0"], ["delta_m=50001"],
+                 ["problem=burgers", "order=21"],
+                 ["method=direct-hybrid", "gamma=NaN"], ["method=direct-hybrid", "gamma=-0.1"],
+                 ["refine.theta1=NaN"], ["refine.theta1=0"], ["refine.theta1=true"], ["refine.theta1=abc"],
+                 ["eta_stop=NaN"], ["refine.max_elements=1.5"], ["refine.max_elements=true"],
+                 ["seed=true"], ["m=true"], ["order=true"], ["seed=1.5"], ["m=abc"],
                  ["problem=ko3", "method=mc", "problem_params.T=-5"],
                  ["problem=ko3", "method=mc", "problem_params.T=0"],
                  ["problem=ko3", "method=mc", "problem_params.T=abc"],
@@ -162,17 +166,28 @@ def test_refine_then_estimate_with_cache(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["n_elements"] >= 4
     assert printed["n_exact_build"] == 0
-    # the cache records the problem, order and merged problem parameters it was built for,
-    # and a run of another problem, order or parameters rejects it, as it rejects a cache without them
+    # the cache records the problem, order, merged problem parameters and refinement settings
+    # it was built for, and a run with another of them rejects it, as it rejects a cache without them
     payload = json.loads(cache.read_text())
     assert payload["problem"] == "linear-ode" and payload["order"] == 3
     assert payload["problem_params"] == {"u0": 1.0, "T": 1.0, "u_d": 0.5, "mu": -2.0, "sigma": 1.0}
+    assert payload["refine"] == {"theta1": 0.05, "max_elements": 256}
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({k: v for k, v in payload.items() if k not in ("problem", "problem_params")}))
+    unrefined = tmp_path / "unrefined.json"
+    unrefined.write_text(json.dumps({k: v for k, v in payload.items() if k != "refine"}))
+    coarse = tmp_path / "coarse.json"
+    assert main(["refine", "--problem", "linear-ode", "--cache", str(coarse), "--order", "3",
+                 "--set", "refine.theta1=100"]) == 0
+    assert len(json.loads(coarse.read_text())["elements"]) == 1
     ko3 = tmp_path / "ko3.json"
     assert main(["refine", "--problem", "ko3", "--cache", str(ko3), "--order", "3"]) == 0
+    step = tmp_path / "step.json"
+    assert main(["refine", "--problem", "step", "--cache", str(step)]) == 0
+    assert json.loads(step.read_text())["refine"] == {}
     for cache_path, sets in ((ko3, ["order=5"]), (ko3, []), (cache, ["order=5"]),
-                             (cache, ["problem_params.u_d=0.4"]), (bare, [])):
+                             (cache, ["problem_params.u_d=0.4"]), (bare, []), (unrefined, []), (coarse, []),
+                             (cache, ["refine.theta1=0.06"]), (cache, ["refine.max_elements=64"])):
         capsys.readouterr()
         args = [arg for item in sets + [f"surrogate_cache={cache_path}"] for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, (cache_path.name, sets)
@@ -289,3 +304,6 @@ def test_main_usage_exit_codes(capsys):
     capsys.readouterr()
     assert main(["table", "1", "--set", "refine.theta1=1e-9"]) == 1
     assert "unknown table override(s) ['refine']; accepted keys: seed, m, delta_m" in capsys.readouterr().err
+    for item in ("m=2000.5", "seed=true"):
+        assert main(["table", "1", "--set", item]) == 1, item
+        assert "must be an integer" in capsys.readouterr().err, item

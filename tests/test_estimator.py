@@ -93,8 +93,9 @@ def test_direct_hybrid_band_covers_disagreement():
 
 
 def test_direct_hybrid_rejects_negative_gamma():
-    with pytest.raises(ValueError):
-        direct_hybrid(const_model(1.0), lambda Z: np.zeros(len(Z)), sample_uniform(10, 1, 0), -0.1)
+    for gamma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            direct_hybrid(const_model(1.0), lambda Z: np.zeros(len(Z)), sample_uniform(10, 1, 0), gamma)
 
 
 def test_iterative_hybrid_perfect_surrogate_stops_immediately():
@@ -312,8 +313,9 @@ def test_relative_error_examples():
 def test_hybrid_config_validation():
     with pytest.raises(ValueError):
         HybridConfig(delta_m=0)
-    with pytest.raises(ValueError):
-        HybridConfig(delta_m=10, eta_stop=-1e-3)
+    for eta_stop in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="eta_stop"):
+            HybridConfig(delta_m=10, eta_stop=eta_stop)
     with pytest.raises(ValueError):
         iterative_hybrid(
             const_model(1.0), lambda Z: np.zeros(len(Z)), sample_uniform(5, 1, 0), HybridConfig(delta_m=10)

@@ -12,6 +12,7 @@ from mehybrid.refine import (
     PolynomialOde,
     RefinementConfig,
     RefinementEvent,
+    THETA2,
     _batched_rhs,
     _project_child_state,
     adapt_dynamic,
@@ -24,7 +25,13 @@ from mehybrid.refine import (
     static_should_split,
     write_events_csv,
 )
-from mehybrid.surrogate import CallableModel, GpcExpansion, eval_expansion_many, eval_me_surrogate_many
+from mehybrid.surrogate import (
+    CallableModel,
+    GpcExpansion,
+    build_collocation,
+    eval_expansion_many,
+    eval_me_surrogate_many,
+)
 from mehybrid.problems import StepModel, ko_galerkin_system, ode_galerkin_system
 from mehybrid.randomspace import split_element
 
@@ -34,7 +41,7 @@ def line():
 
 
 def cfg(**kw):
-    base = dict(theta1=1e-3, N=3, N0=1)
+    base = dict(theta1=1e-3, N=3)
     base.update(kw)
     return RefinementConfig(**base)
 
@@ -84,21 +91,21 @@ def test_static_indicator_scale_invariance(c, negate):
 
 def test_static_should_split_examples():
     assert static_should_split(0.0, np.array([0.0]), 0.9, cfg()) == (False, set())
-    split, dims = static_should_split(1.0, np.array([1.0]), 0.5, cfg(theta1=0.4, alpha=0.5))
+    split, dims = static_should_split(1.0, np.array([1.0]), 0.5, cfg(theta1=0.4))
     assert split and dims == {0}
-    split, dims = static_should_split(1.0, np.array([1.0, 0.05]), 1.0, cfg(theta1=0.1, theta2=0.1))
-    assert split and dims == {0}  # second dimension falls below theta2 * max r
+    split, dims = static_should_split(1.0, np.array([1.0, 0.05]), 1.0, cfg(theta1=0.1))
+    assert split and dims == {0}  # second dimension falls below THETA2 * max r
 
 
 def test_adapt_static_linear_model_never_splits():
     model = CallableModel(lambda z: z)
-    surr = adapt_static(model, cfg(theta1=1e-6), order=2)
+    surr = adapt_static(model, cfg(theta1=1e-6, N=2))
     assert len(surr) == 1
     assert not surr.truncated
 
 
 def test_adapt_static_step_localizes_discontinuity():
-    surr = adapt_static(StepModel(), cfg(theta1=1e-3), order=3)
+    surr = adapt_static(StepModel(), cfg(theta1=1e-3))
     widths = [e.upper[0] - e.lower[0] for e in surr.decomposition]
     smallest = surr.decomposition.elements[int(np.argmin(widths))]
     assert smallest.lower[0] <= 0.0 <= smallest.upper[0]
@@ -111,7 +118,7 @@ def test_adapt_static_accumulates_at_offset_jump():
     jump = 0.31
     model = CallableModel(lambda z: np.where(z < jump, -1.0, 0.5))
     events: list[RefinementEvent] = []
-    surr = adapt_static(model, cfg(theta1=1e-4, max_elements=64), order=3, event_log=events)
+    surr = adapt_static(model, cfg(theta1=1e-4, max_elements=64), event_log=events)
     widths = [e.upper[0] - e.lower[0] for e in surr.decomposition]
     smallest = surr.decomposition.elements[int(np.argmin(widths))]
     assert smallest.lower[0] <= jump <= smallest.upper[0]
@@ -123,9 +130,25 @@ def test_adapt_static_accumulates_at_offset_jump():
 def test_adapt_static_respects_max_elements():
     model = StepModel()
     shifted = CallableModel(lambda z: np.where(z < 0.31, -1.0, 0.5))
-    surr = adapt_static(shifted, cfg(theta1=1e-9, max_elements=4), order=3)
+    surr = adapt_static(shifted, cfg(theta1=1e-9, max_elements=4))
     assert len(surr) <= 4
     assert surr.truncated
+
+
+def test_adapt_static_two_dimensional_split_directions():
+    # a jump along z0 only never splits z1; a jump along the diagonal z0 + z1 = 0.3
+    # carries equal top-degree mass in both dimensions and splits both
+    along_z0 = CallableModel(lambda Z: np.where(Z[:, 0] < 0.3, -1.0, 0.5), dim=2)
+    diagonal = CallableModel(lambda Z: np.where(Z[:, 0] + Z[:, 1] < 0.3, -1.0, 0.5), dim=2)
+    square = Element.box([-1.0, -1.0], [1.0, 1.0])
+    for model, expected in ((along_z0, (0,)), (diagonal, (0, 1))):
+        events: list[RefinementEvent] = []
+        surr = adapt_static(model, cfg(theta1=1e-2, max_elements=32), event_log=events)
+        assert check_partition(surr.decomposition) == []
+        assert len(events) >= 2 and {ev.dims for ev in events} == {expected}
+        # the first split bisects the dimensions whose r_j reaches THETA2 times the largest
+        _, r = static_indicator(build_collocation(model, square, 3))
+        assert events[0].dims == tuple(np.flatnonzero(r >= THETA2 * r.max()))
 
 
 def test_write_events_csv(tmp_path):
@@ -185,7 +208,7 @@ def test_ko_deterministic_mode_tracks_scalar_trajectory():
         ),
         quadratic=ko_galerkin_system().quadratic,
     )
-    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=1e-9, N=4, N0=2), T=3.0, dt=0.01)
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=1e-9, N=4), T=3.0, dt=0.01)
     assert len(dec) == 1
     coeffs = coeffs[0]
     assert np.max(np.abs(coeffs[:, 1:])) < 1e-12
@@ -228,7 +251,7 @@ def test_dynamic_indicator_linear_closure():
 
 def test_dynamic_indicator_ko_transfers_energy():
     system = ko_galerkin_system()
-    rcfg = cfg(theta1=math.inf, N=5, N0=3)
+    rcfg = cfg(theta1=math.inf, N=5)
     dec, coeffs, _ = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
     dense = triple_products(1, 5)
     full = _batched_rhs(system, coeffs, dense, {}, np.empty_like(coeffs))()[0]
@@ -286,7 +309,7 @@ def test_adapt_dynamic_deterministic_data_never_splits():
     system = PolynomialOde(
         n_state=1, dim=1, initial=lambda pts: np.full((1, pts.shape[0]), 0.7), linear=((0, -1.0, 0),)
     )
-    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=1e-12, N=3, N0=1), T=2.0, dt=0.01)
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=1e-12, N=3), T=2.0, dt=0.01)
     assert len(dec) == 1
     assert coeffs[0, 0, 0] == pytest.approx(0.7 * math.exp(-2.0), rel=1e-8)
 
@@ -297,12 +320,12 @@ def test_adapt_dynamic_blow_up_raises():
         n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), quadratic=((0, 1.0, 0, 0),)
     )
     with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
-        adapt_dynamic(system, cfg(theta1=1e-3, N=3, N0=1), T=2.0, dt=0.01)
+        adapt_dynamic(system, cfg(theta1=1e-3, N=3), T=2.0, dt=0.01)
 
 
 def test_adapt_dynamic_ode_element_count():
     system = ode_galerkin_system(3)
-    dec, _, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3, N0=1), T=1.0, dt=0.01)
+    dec, _, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3), T=1.0, dt=0.01)
     assert 4 <= len(dec) <= 7
     assert check_partition(dec) == []
 
@@ -311,7 +334,7 @@ def test_adapt_dynamic_ko_element_counts_bracketed():
     system = ko_galerkin_system()
     counts = []
     for theta1 in (1e-2, 1e-3, 1e-4):
-        dec, _, _ = adapt_dynamic(system, cfg(theta1=theta1, N=5, N0=3, max_elements=128), T=15.0, dt=0.01)
+        dec, _, _ = adapt_dynamic(system, cfg(theta1=theta1, N=5, max_elements=128), T=15.0, dt=0.01)
         counts.append(len(dec))
         assert check_partition(dec) == []
     assert counts[0] < counts[1] < counts[2]
@@ -345,7 +368,7 @@ def test_adapt_dynamic_projected_children_classify_like_exact_model():
     system = ode_galerkin_system(3)
     pts = sample_uniform(2000, 1, 1).points
     exact_sign = OdeModel().evaluate_many(pts) < 0
-    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3, N0=1), T=1.0, dt=0.01)
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3), T=1.0, dt=0.01)
     surr = limit_state_surrogate(dec, coeffs, 0, -0.5)
     surr_sign = eval_me_surrogate_many(surr, pts) < 0
     assert np.mean(surr_sign != exact_sign) < 0.02
@@ -353,7 +376,7 @@ def test_adapt_dynamic_projected_children_classify_like_exact_model():
 
 def test_adapt_dynamic_truncation_status():
     system = ko_galerkin_system()
-    dec, _, truncated = adapt_dynamic(system, cfg(theta1=1e-4, N=5, N0=3, max_elements=6), T=15.0, dt=0.01)
+    dec, _, truncated = adapt_dynamic(system, cfg(theta1=1e-4, N=5, max_elements=6), T=15.0, dt=0.01)
     assert len(dec) <= 6
     assert truncated is True
 
@@ -386,17 +409,13 @@ def test_rk4_integrate_rejects_bad_interval():
 
 
 def test_refinement_config_validation():
-    with pytest.raises(ValueError):
-        RefinementConfig(theta1=0.0, N=3)
-    with pytest.raises(ValueError):
-        RefinementConfig(theta1=1e-3, N=3, N0=3)
-    with pytest.raises(ValueError):
-        RefinementConfig(theta1=1e-3, N=3, theta2=1.5)
-    with pytest.raises(ValueError):
-        RefinementConfig(theta1=1e-3, N=3, alpha=0.0)
-    # a check interval that does not advance time would loop forever in adapt_dynamic
-    for interval in (0, 0.0, -0.1, math.nan, math.inf, "abc", True):
-        with pytest.raises(ValueError, match="check_interval"):
-            RefinementConfig(theta1=1e-3, N=3, check_interval=interval)
-    assert RefinementConfig(theta1=1e-3, N=3, check_interval=0.05).check_interval == 0.05
-    assert RefinementConfig(theta1=5e-4, N=4).N0 == 2
+    for theta1 in (0.0, -1e-3, math.nan, True, "1e-3", None):
+        with pytest.raises(ValueError, match="theta1"):
+            RefinementConfig(theta1=theta1, N=3)
+    assert RefinementConfig(theta1=math.inf, N=3).theta1 == math.inf  # the global build never splits
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order N"):
+            RefinementConfig(theta1=1e-3, N=order)
+    with pytest.raises(ValueError, match="max_elements"):
+        RefinementConfig(theta1=1e-3, N=3, max_elements=0)
+    assert RefinementConfig(theta1=1e-3, N=1, max_elements=1).max_elements == 1
