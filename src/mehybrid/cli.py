@@ -3,7 +3,6 @@
 Subcommands:
   estimate  run one estimator from a JSON config (plus --set overrides)
   table     reproduce one of the five benchmark tables as CSV
-  refine    build a multi-element surrogate and cache it as JSON
   validate  run the fast invariant suite
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
@@ -29,9 +28,9 @@ from .estimator import (
     relative_error,
 )
 from .invariants import CHECKS
-from .randomspace import check_partition, sample_uniform
+from .randomspace import sample_uniform
 from .refine import RefinementConfig, _real, write_events_csv
-from .surrogate import GpcExpansion, MultiElementSurrogate, surrogate_from_json, surrogate_to_json
+from .surrogate import MultiElementSurrogate
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
 GLOBAL_METHODS = ("direct-hybrid", "global-hybrid")
@@ -61,7 +60,6 @@ class RunConfig:
     reference: float | None = None
     refine: dict = field(default_factory=dict)
     problem_params: dict = field(default_factory=dict)
-    surrogate_cache: str | None = None
     output: dict = field(default_factory=dict)
 
     @classmethod
@@ -98,6 +96,10 @@ class RunConfig:
             cfg.delta_m = prob.PROBLEMS[cfg.problem].defaults["delta_m"]
         if cfg.method not in METHODS:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
+        if cfg.refine and (cfg.method not in ("me-gha", "me-lha")
+                           or "theta1" not in prob.PROBLEMS[cfg.problem].defaults):
+            raise UsageError(f"field 'refine' must be empty: method {cfg.method!r} on problem {cfg.problem!r} "
+                             "does not refine")
         if cfg.method == "direct-hybrid" and cfg.gamma is None:
             raise UsageError("field 'gamma' is required for the direct-hybrid method")
         if cfg.gamma is not None and not (_real(cfg.gamma) and cfg.gamma >= 0):
@@ -138,55 +140,11 @@ def _prepare(cfg: RunConfig):
         build_model = spec.make_model(**params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
             delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact)
-        # a cached surrogate is only checked against the refine settings; the run's order builds nothing
-        order = {} if cfg.surrogate_cache else {"N": cfg.order}
-        rcfg = RefinementConfig(**{"theta1": spec.defaults["theta1"], **cfg.refine, **order}) if refines else None
+        rcfg = None if not refines else RefinementConfig(
+            **{"theta1": spec.defaults["theta1"], **cfg.refine, "N": cfg.order})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
     return model, build_model, hycfg, rcfg
-
-
-def _load_partition(path: str) -> tuple[MultiElementSurrogate, dict]:
-    """A cached surrogate whose mesh is a partition of the domain, and the cache's
-    JSON object; any other cache is a usage error."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        surr = surrogate_from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed surrogate cache {path}: {exc!r}") from exc
-    issues = check_partition(surr.decomposition)
-    if issues:
-        raise UsageError("cached surrogate is not a valid partition: " + "; ".join(issues))
-    return surr, json.loads(text)
-
-
-def _provenance(cfg: RunConfig, rcfg: RefinementConfig | None) -> dict:
-    """What a surrogate cache records about the run it was built for."""
-    spec = prob.PROBLEMS[cfg.problem]
-    return {"problem": cfg.problem,
-            "order": spec.defaults["order"] if cfg.order is None else cfg.order,
-            "problem_params": {**spec.parameters, **cfg.problem_params},
-            "refine": {} if rcfg is None else {key: getattr(rcfg, key) for key in REFINE_KEYS}}
-
-
-def _build_surrogate(cfg: RunConfig, model, rcfg: RefinementConfig | None, event_log: list):
-    """Load the cached surrogate, or have the problem registry build the one the method needs."""
-    if cfg.surrogate_cache:
-        surr, payload = _load_partition(cfg.surrogate_cache)
-        if surr.dim != model.dim:
-            raise UsageError(f"cached surrogate has dim {surr.dim}, problem {cfg.problem!r} has dim {model.dim}")
-        wanted = _provenance(cfg, rcfg)
-        found = {key: payload.get(key) for key in wanted}
-        if found != wanted:
-            raise UsageError(f"cached surrogate was built for {found}, this run is {wanted}; "
-                             "rebuild the cache with `mehybrid refine`")
-        return surr
-    spec = prob.PROBLEMS[cfg.problem]
-    return spec.build_surrogate(
-        model, {**spec.parameters, **cfg.problem_params}, cfg.order, rcfg, cfg.method in GLOBAL_METHODS,
-        event_log,
-    )
 
 
 def run(cfg: RunConfig) -> dict:
@@ -202,7 +160,8 @@ def run(cfg: RunConfig) -> dict:
     events: list = []
     if cfg.method != "mc":
         clock = time.perf_counter()
-        surr = _build_surrogate(cfg, build_model, rcfg, events)
+        surr = spec.build_surrogate(build_model, {**spec.parameters, **cfg.problem_params}, cfg.order, rcfg,
+                                    cfg.method in GLOBAL_METHODS, events)
         timings["build_s"] = time.perf_counter() - clock
     clock = time.perf_counter()
     if cfg.method == "mc":
@@ -389,18 +348,10 @@ def _write_csv(rows: list[list], path) -> None:
 # validation suite
 
 
-def validate(cache: str | None = None) -> int:
-    """Run the invariant suite; 0 when all pass, 2 otherwise.
-
-    A ``cache`` is loaded first: one that is malformed or whose mesh is not a
-    partition of the domain is a usage error, raised before the suite runs.
-    """
-    checks = list(CHECKS)
-    if cache:
-        surr, _ = _load_partition(cache)
-        checks.append(("surrogate-cache", lambda: (True, f"{len(surr)} elements ok")))
+def validate() -> int:
+    """Run the invariant suite; 0 when all pass, 2 otherwise."""
     failures = 0
-    for name, fn in checks:
+    for name, fn in CHECKS:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
@@ -449,14 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     p_tab.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override table defaults (seed, m, delta_m)")
 
-    p_ref = sub.add_parser("refine", help="build and cache a multi-element surrogate")
-    p_ref.add_argument("--problem", required=True, choices=sorted(prob.PROBLEMS))
-    p_ref.add_argument("--cache", required=True, help="where to write the surrogate JSON")
-    p_ref.add_argument("--order", type=int, default=None)
-    p_ref.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-
-    p_val = sub.add_parser("validate", help="run the fast invariant suite")
-    p_val.add_argument("--cache", default=None, help="also check a cached surrogate")
+    sub.add_parser("validate", help="run the fast invariant suite")
 
     try:
         args = parser.parse_args(argv)
@@ -482,28 +426,8 @@ def main(argv: list[str] | None = None) -> int:
                 for row in rows:
                     print(",".join(str(v) for v in row))
             return 0
-        if args.command == "refine":
-            raw = {
-                "problem": args.problem,
-                "method": "me-gha",
-                "seed": 0,
-                "order": args.order,
-                "refine": {},
-            }
-            _apply_set(raw, args.set)
-            if raw.get("order") is None:
-                raw["order"] = prob.PROBLEMS[args.problem].defaults["order"]
-            cfg = RunConfig.from_dict(raw)
-            _, build_model, _, rcfg = _prepare(cfg)
-            surr = _build_surrogate(cfg, build_model, rcfg, [])
-            if isinstance(surr, GpcExpansion):
-                raise UsageError("refine builds multi-element surrogates; got a single expansion")
-            with open(args.cache, "w") as fh:
-                fh.write(surrogate_to_json(surr, **_provenance(cfg, rcfg)))
-            print(f"wrote {args.cache}: {len(surr)} elements, {build_model.call_count} build calls")
-            return 0
         if args.command == "validate":
-            return validate(args.cache)
+            return validate()
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -437,7 +437,8 @@ class ProblemSpec:
 
     ``build_surrogate(model, params, order, rcfg, global_only, event_log)``
     charges ``model`` with its exact calls; ``rcfg`` is the run's
-    RefinementConfig (None for a problem without a ``theta1`` default).
+    RefinementConfig (None for a problem without a ``theta1`` default). A
+    global build reads none of its refine settings (theta1, max_elements).
     """
 
     name: str

@@ -7,7 +7,6 @@ element is a polynomial of degree <= 2q - 1 - N.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -36,8 +35,6 @@ __all__ = [
     "local_variance",
     "lp_error",
     "gamma_bound",
-    "surrogate_to_json",
-    "surrogate_from_json",
     "tensor_grid",
 ]
 
@@ -259,40 +256,3 @@ def gamma_bound(eps_p: float, eps: float, p: float) -> float:
         raise ValueError("norm order must be at least one")
     return eps_p / eps ** (1.0 / p)
 
-
-def surrogate_to_json(s: MultiElementSurrogate, **provenance) -> str:
-    """JSON text of a multi-element surrogate.
-
-    ``provenance`` items (the CLI records the run's ``problem``, ``order``,
-    ``problem_params`` and ``refine`` settings) are written at the top level, before the elements; a
-    given ``order`` replaces the first expansion's.  Reading ignores them.
-    """
-    payload = {
-        "dim": s.dim,
-        "order": s.expansions[0].order if s.expansions else 0,
-        "truncated": s.truncated,
-        **provenance,
-        "elements": [
-            {
-                "lower": list(exp.element.lower),
-                "upper": list(exp.element.upper),
-                "order": exp.order,
-                "coeffs": exp.coeffs.tolist(),
-            }
-            for exp in s.expansions
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def surrogate_from_json(text: str) -> MultiElementSurrogate:
-    payload = json.loads(text)
-    expansions = []
-    elements = []
-    for item in payload["elements"]:
-        e = Element.box(item["lower"], item["upper"])
-        elements.append(e)
-        expansions.append(GpcExpansion(e, int(item["order"]), np.array(item["coeffs"])))
-    return MultiElementSurrogate(
-        Decomposition(tuple(elements)), tuple(expansions), bool(payload.get("truncated", False))
-    )

@@ -21,8 +21,9 @@ def base_config(**overrides):
 def test_config_validation_errors():
     with pytest.raises(UsageError, match="problem"):
         RunConfig.from_dict({"method": "mc", "seed": 1})
-    with pytest.raises(UsageError, match="unknown config field"):
-        RunConfig.from_dict(base_config(bogus=1))
+    for key in ("bogus", "surrogate_cache"):
+        with pytest.raises(UsageError, match=f"unknown config field '{key}'"):
+            RunConfig.from_dict(base_config(**{key: 1}))
     with pytest.raises(UsageError, match="method"):
         RunConfig.from_dict(base_config(method="annealing"))
     with pytest.raises(UsageError, match="gamma"):
@@ -60,6 +61,13 @@ def test_run_report_fields_and_determinism(tmp_path):
         assert csv_a == [path.read_bytes() for path in (trace, events) if "output" in raw]
         first[raw["problem"]] = rep_a
     assert len(csv_a[1].splitlines()) > 2  # the linear-ode run logged its splits
+    # every run is charged for its build
+    assert first["linear-ode"]["n_exact_build"] == 0  # the Galerkin build makes no exact calls
+    burgers = run(RunConfig.from_dict(base_config(problem="burgers", method="me-lha", order=3, m=20_000,
+                                                  delta_m=100)))
+    assert burgers["n_exact_build"] > 0  # a collocation build does
+    for rep in (first["linear-ode"], burgers):
+        assert rep["model_calls_total"] == rep["n_exact"] + rep["n_exact_build"]
     rep_a = first["step"]
     assert rep_a["n_surrogate"] == 50_000
     assert rep_a["n_elements"] == 2
@@ -131,7 +139,11 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                  ["problem=ko3", "method=mc", "problem_params.T=abc"],
                  ["problem=ko3", "method=mc", "problem_params.dt=-0.01"],
                  ["problem_params.T=0"], ["problem_params.T=-1"],
-                 ["problem=ko3", "method=mc", "problem_params.u_d=abc"]):
+                 ["problem=ko3", "method=mc", "problem_params.u_d=abc"],
+                 # refine settings of a run whose build reads none of them
+                 ["problem=step", "refine.theta1=NaN", "refine.max_elements=0"],
+                 ["problem=ko3", "method=mc", "refine.theta1=NaN"],
+                 ["method=global-hybrid", "refine.theta1=1e-9"]):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets
@@ -144,104 +156,6 @@ def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["estimate", "--config", str(cfg_path), "--set", "problem_params.dt=3"]) == 2
     assert "numerical failure" in capsys.readouterr().err
-
-
-def test_refine_then_estimate_with_cache(tmp_path, capsys):
-    cache = tmp_path / "surr.json"
-    assert main(["refine", "--problem", "linear-ode", "--cache", str(cache), "--order", "3"]) == 0
-    capsys.readouterr()
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps(
-            base_config(
-                problem="linear-ode",
-                order=3,
-                m=20_000,
-                delta_m=100,
-                surrogate_cache=str(cache),
-            )
-        )
-    )
-    assert main(["estimate", "--config", str(cfg_path)]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["n_elements"] >= 4
-    assert printed["n_exact_build"] == 0
-    # the cache records the problem, order, merged problem parameters and refinement settings
-    # it was built for, and a run with another of them rejects it, as it rejects a cache without them
-    payload = json.loads(cache.read_text())
-    assert payload["problem"] == "linear-ode" and payload["order"] == 3
-    assert payload["problem_params"] == {"u0": 1.0, "T": 1.0, "u_d": 0.5, "mu": -2.0, "sigma": 1.0}
-    assert payload["refine"] == {"theta1": 0.05, "max_elements": 256}
-    bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps({k: v for k, v in payload.items() if k not in ("problem", "problem_params")}))
-    unrefined = tmp_path / "unrefined.json"
-    unrefined.write_text(json.dumps({k: v for k, v in payload.items() if k != "refine"}))
-    coarse = tmp_path / "coarse.json"
-    assert main(["refine", "--problem", "linear-ode", "--cache", str(coarse), "--order", "3",
-                 "--set", "refine.theta1=100"]) == 0
-    assert len(json.loads(coarse.read_text())["elements"]) == 1
-    ko3 = tmp_path / "ko3.json"
-    assert main(["refine", "--problem", "ko3", "--cache", str(ko3), "--order", "3"]) == 0
-    step = tmp_path / "step.json"
-    assert main(["refine", "--problem", "step", "--cache", str(step)]) == 0
-    assert json.loads(step.read_text())["refine"] == {}
-    for cache_path, sets in ((ko3, ["order=5"]), (ko3, []), (cache, ["order=5"]),
-                             (cache, ["problem_params.u_d=0.4"]), (bare, []), (unrefined, []), (coarse, []),
-                             (cache, ["refine.theta1=0.06"]), (cache, ["refine.max_elements=64"])):
-        capsys.readouterr()
-        args = [arg for item in sets + [f"surrogate_cache={cache_path}"] for arg in ("--set", item)]
-        assert main(["estimate", "--config", str(cfg_path)] + args) == 1, (cache_path.name, sets)
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: cached surrogate was built for "), (cache_path.name, sets)
-        assert "mehybrid refine" in err
-
-
-@pytest.mark.parametrize(
-    "element",
-    [
-        {"lower": [-1.0], "upper": [1.0], "order": 1, "coeffs": [1.0]},  # order 1 needs two coefficients
-        {"lower": [0.5], "upper": [0.5], "order": 0, "coeffs": [1.0]},  # empty box
-        {"lower": [-1.0], "upper": [1.5], "order": 0, "coeffs": [1.0]},  # outside [-1, 1]
-    ],
-)
-def test_malformed_cache_is_usage_error(tmp_path, capsys, element):
-    cache = tmp_path / "bad.json"
-    cache.write_text(json.dumps({"dim": 1, "order": element["order"], "elements": [element]}))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(m=1000, delta_m=100, surrogate_cache=str(cache))))
-    assert main(["estimate", "--config", str(cfg_path)]) == 1
-    assert main(["validate", "--cache", str(cache)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("usage error: malformed surrogate cache") == 2
-
-
-def test_cache_with_gap_and_overlap_is_usage_error(tmp_path, capsys):
-    # [-1, -2^-20), [0, 0.5 + 2^-20), [0.5, 1]: the probabilities sum to exactly 1
-    eps = 2.0**-20
-    bounds = ((-1.0, -eps), (0.0, 0.5 + eps), (0.5, 1.0))
-    elements = [{"lower": [a], "upper": [b], "order": 0, "coeffs": [1.0]} for a, b in bounds]
-    cache = tmp_path / "gap.json"
-    cache.write_text(json.dumps({"dim": 1, "order": 0, "elements": elements}))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=0, m=1000, delta_m=100,
-                                               surrogate_cache=str(cache))))
-    assert main(["estimate", "--config", str(cfg_path)]) == 1
-    assert main(["validate", "--cache", str(cache)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("usage error: cached surrogate is not a valid partition") == 2
-    assert f"uncovered region [{[-eps]}, {[0.0]})" in err
-    assert f"elements [1, 2] overlap on [{[0.5]}, {[0.5 + eps]})" in err
-
-
-def test_cache_of_another_dimension_is_usage_error(tmp_path, capsys):
-    cache = tmp_path / "square.json"
-    element = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "order": 0, "coeffs": [1.0]}
-    cache.write_text(json.dumps({"dim": 2, "order": 0, "elements": [element]}))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=0, m=1000, delta_m=100,
-                                               surrogate_cache=str(cache))))
-    assert main(["estimate", "--config", str(cfg_path)]) == 1
-    assert "cached surrogate has dim 2" in capsys.readouterr().err
 
 
 def test_table_one_downscaled(tmp_path):
@@ -279,28 +193,11 @@ def test_validate_passes(capsys):
     assert out.count("PASS") >= 8
 
 
-def test_validate_detects_corrupted_cache(tmp_path, capsys):
-    # two overlapping elements cannot be a partition of the domain
-    bad = {
-        "dim": 1,
-        "order": 0,
-        "truncated": False,
-        "elements": [
-            {"lower": [-1.0], "upper": [0.5], "prob": 0.75, "order": 0, "coeffs": [1.0]},
-            {"lower": [0.0], "upper": [1.0], "prob": 0.5, "order": 0, "coeffs": [1.0]},
-        ],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    with pytest.raises(UsageError, match="not a valid partition") as info:
-        validate(cache=str(path))
-    assert "overlap" in str(info.value)
-    assert capsys.readouterr().out == ""  # raised before the suite runs
-
-
 def test_main_usage_exit_codes(capsys):
     assert main(["table", "42"]) == 1
     assert main([]) == 1
+    assert main(["refine", "--problem", "ko3", "--cache", "x.json"]) == 1
+    assert main(["validate", "--cache", "x.json"]) == 1
     capsys.readouterr()
     assert main(["table", "1", "--set", "refine.theta1=1e-9"]) == 1
     assert "unknown table override(s) ['refine']; accepted keys: seed, m, delta_m" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from mehybrid.randomspace import (
     to_global_many,
     to_local_many,
 )
-from mehybrid.surrogate import GpcExpansion, MultiElementSurrogate, surrogate_from_json, surrogate_to_json
 
 
 def two_element_line():
@@ -199,14 +196,3 @@ def test_split_locate_consistency():
         hits += inside
     assert np.all(hits == 1)
 
-
-def test_decomposition_json_round_trip():
-    dec = two_element_line()
-    surr = MultiElementSurrogate(dec, tuple(GpcExpansion(e, 0, np.array([1.0])) for e in dec))
-    payload = json.loads(surrogate_to_json(surr))
-    assert payload["dim"] == 1
-    # probabilities come from the bounds; a stored value from an older cache is ignored
-    payload["elements"][0]["prob"] = 0.9
-    back = surrogate_from_json(json.dumps(payload)).decomposition
-    assert back == dec
-    assert [e.prob for e in back] == [0.5, 0.5]

@@ -16,8 +16,6 @@ from mehybrid.surrogate import (
     gamma_bound,
     local_variance,
     lp_error,
-    surrogate_from_json,
-    surrogate_to_json,
 )
 from mehybrid.problems import StepModel, step_global_gpc, step_me_exact
 
@@ -101,6 +99,8 @@ def test_me_surrogate_examples():
 
 def test_me_surrogate_structure_validation():
     exp = GpcExpansion(full_line(), 0, np.array([1.0]))
+    with pytest.raises(ValueError, match="expected 2 coefficients for order 1"):
+        GpcExpansion(full_line(), 1, np.array([1.0]))
     with pytest.raises(ValueError):
         MultiElementSurrogate(Decomposition((full_line(),)), ())
     wrong_element = GpcExpansion(Element.box([-1.0], [0.0]), 0, np.array([1.0]))
@@ -174,19 +174,6 @@ def test_gamma_bound_examples():
         gamma_bound(0.1, 0.0, 2)
     with pytest.raises(ValueError):
         gamma_bound(-0.1, 0.1, 2)
-
-
-def test_serialization_round_trip():
-    me = step_me_exact()
-    text = surrogate_to_json(me)
-    back = surrogate_from_json(text)
-    assert back.decomposition == me.decomposition
-    assert all(
-        np.array_equal(a.coeffs, b.coeffs) and a.order == b.order
-        for a, b in zip(back.expansions, me.expansions)
-    )
-    pts = sample_uniform(500, 1, 8).points
-    assert np.array_equal(eval_me_surrogate_many(back, pts), eval_me_surrogate_many(me, pts))
 
 
 def test_me_surrogate_value_does_not_depend_on_the_batch():
