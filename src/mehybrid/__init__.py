@@ -26,7 +26,6 @@ from .estimator import (
     relative_error,
 )
 from .polybasis import (
-    MultiIndex,
     QuadratureRule,
     gauss_legendre,
     legendre,

@@ -29,7 +29,7 @@ from .estimator import (
 )
 from .invariants import CHECKS
 from .randomspace import sample_uniform
-from .refine import RefinementConfig, _real, write_events_csv
+from .refine import RefinementConfig, _positive_finite, _real, write_events_csv
 from .surrogate import MultiElementSurrogate
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
@@ -104,6 +104,8 @@ class RunConfig:
             raise UsageError("field 'gamma' is required for the direct-hybrid method")
         if cfg.gamma is not None and not (_real(cfg.gamma) and cfg.gamma >= 0):
             raise UsageError(f"field 'gamma' must be a nonnegative number, got {cfg.gamma!r}")
+        if cfg.reference is not None and not _positive_finite(cfg.reference):
+            raise UsageError(f"field 'reference' must be a positive finite number, got {cfg.reference!r}")
         if cfg.method != "mc" and cfg.order is None and (cfg.problem != "step" or cfg.method in GLOBAL_METHODS):
             raise UsageError("field 'order' is required for surrogate methods")
         max_order = prob.PROBLEMS[cfg.problem].max_order
@@ -191,7 +193,7 @@ def run(cfg: RunConfig) -> dict:
         "truncated": multi and surr.truncated,
         "reference": reference,
         "reference_tag": spec.reference_tag if cfg.reference is None else "configured",
-        "relative_error": relative_error(est.p_f, reference) if reference > 0 else None,
+        "relative_error": relative_error(est.p_f, reference),
         "model_calls_total": model.call_count + build_model.call_count,
         "wall_time_s": time.perf_counter() - t0,
         "timings": timings,

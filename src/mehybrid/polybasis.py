@@ -3,9 +3,10 @@
 Everything in this module is normalized against the uniform probability
 density on [-1, 1] (1/2 per dimension): basis functions are orthonormal in
 that inner product and quadrature weights sum to one, so expansion
-coefficients are plain expectations.  Multi-index sets use a fixed graded
-lexicographic order, which makes coefficient layouts identical across runs
-and makes the order-N0 index set a prefix of the order-N one.
+coefficients are plain expectations.  A multi-index is a plain tuple of
+per-dimension degrees; index sets use a fixed graded lexicographic order,
+which makes coefficient layouts identical across runs and makes the
+order-N0 index set a prefix of the order-N one.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "QuadratureRule",
     "legendre",
     "legendre_table",
@@ -26,38 +26,6 @@ __all__ = [
     "multi_index_set",
     "triple_products",
 ]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Address of one tensor-product basis function: one degree per dimension."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        if len(entries) < 1:
-            raise ValueError("multi-index needs at least one dimension")
-        if any(e < 0 for e in entries):
-            raise ValueError(f"multi-index entries must be nonnegative, got {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, d: int) -> int:
-        return self.entries[d]
 
 
 def legendre(n: int, x: np.ndarray) -> np.ndarray:
@@ -91,14 +59,14 @@ def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def basis_matrix(indices: Sequence[MultiIndex], points: np.ndarray) -> np.ndarray:
-    """Evaluate a set of tensor basis functions on many points.
+def basis_matrix(indices: Sequence[tuple[int, ...]], points: np.ndarray) -> np.ndarray:
+    """Evaluate a set of tensor basis functions, one degree tuple each, on many points.
 
     ``points`` has shape (npts, d); the result has shape (npts, len(indices)).
     """
     pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
-    idx_arr = np.array([tuple(i) for i in indices], dtype=int)
+    idx_arr = np.array(indices, dtype=int)
     if idx_arr.shape[1] != d:
         raise ValueError(f"index dimension {idx_arr.shape[1]} does not match points dimension {d}")
     nmax = int(idx_arr.max()) if idx_arr.size else 0
@@ -172,8 +140,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def multi_index_set(d: int, n_max: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices of total degree <= n_max in graded lexicographic order.
+def multi_index_set(d: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """All degree tuples of total degree <= n_max in graded lexicographic order.
 
     The count is C(n_max + d, d), and the set for a lower maximum degree is
     always a prefix of the set for a higher one.
@@ -182,11 +150,7 @@ def multi_index_set(d: int, n_max: int) -> tuple[MultiIndex, ...]:
         raise ValueError("dimension must be at least one")
     if n_max < 0:
         raise ValueError("maximum degree must be nonnegative")
-    out = []
-    for deg in range(n_max + 1):
-        for entries in _compositions(deg, d):
-            out.append(MultiIndex(entries))
-    return tuple(out)
+    return tuple(entries for deg in range(n_max + 1) for entries in _compositions(deg, d))
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +170,7 @@ def triple_products(d: int, n_max: int) -> np.ndarray:
     if d == 1:
         dense = one_d
     else:
-        entry_arr = np.array([tuple(i) for i in indices], dtype=int)
+        entry_arr = np.array(indices, dtype=int)
         n = len(indices)
         dense = np.ones((n, n, n))
         for dim in range(d):

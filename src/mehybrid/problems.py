@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .errors import DomainError, RootSolveError
-from .polybasis import legendre_table, gauss_legendre
+from .polybasis import legendre_table
 from .randomspace import Decomposition, Element
 from .refine import (
     PolynomialOde,
@@ -39,7 +39,7 @@ from .refine import (
     limit_state_surrogate,
     rk4_integrate,
 )
-from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation
+from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, project
 
 __all__ = [
     "ProblemSpec",
@@ -136,10 +136,8 @@ def z_legendre_coeffs(p: int, mu: float = -2.0, sigma: float = 1.0, nodes: int =
     """
     if p < 1:
         raise ValueError("expansion order must be at least one")
-    rule = gauss_legendre(max(nodes, 64))
-    vals = gaussian_from_uniform(rule.nodes, mu, sigma)
-    table = legendre_table(p, rule.nodes)
-    return (rule.weights * vals) @ table
+    return project(lambda pts: gaussian_from_uniform(pts[:, 0], mu, sigma), Element.box([-1.0], [1.0]), p,
+                   max(nodes, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +385,7 @@ class BurgersModel(LimitStateModel):
 
     def __init__(self, e=0.1, nu=0.05, z0=0.75):
         super().__init__()
+        _check_parameters({"e": e, "nu": nu, "z0": z0}, positive=("e", "nu"))
         self.e, self.nu, self.z0 = e, nu, z0
 
     def _g_many(self, Z):

@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IntegrationError, UnsupportedModelError
-from .polybasis import MultiIndex, basis_matrix, multi_index_set, triple_products
-from .randomspace import Decomposition, Element, split_element, to_global_many, to_local_many
-from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, tensor_grid
+from .polybasis import basis_matrix, multi_index_set, triple_products
+from .randomspace import Decomposition, Element, split_element, to_local_many
+from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, project
 
 __all__ = [
     "RefinementConfig",
@@ -125,7 +125,7 @@ def static_indicator(exp: GpcExpansion) -> tuple[float, np.ndarray]:
     """
     if exp.order < 1:
         raise ValueError("static indicator needs an expansion of order >= 1")
-    degrees = np.array([i.degree for i in exp.indices])
+    degrees = np.array([sum(idx) for idx in exp.indices])
     c = exp.coeffs
     sigma2 = float(np.sum(c[degrees >= 1] ** 2))
     top = float(np.sum(c[degrees == exp.order] ** 2))
@@ -133,10 +133,9 @@ def static_indicator(exp: GpcExpansion) -> tuple[float, np.ndarray]:
     d = exp.element.dim
     r = np.zeros(d)
     if top >= 1e-14:
-        positions = {idx: k for k, idx in enumerate(exp.indices)}
         for j in range(d):
-            axis = MultiIndex(tuple(exp.order if k == j else 0 for k in range(d)))
-            r[j] = c[positions[axis]] ** 2 / top
+            axis = tuple(exp.order if k == j else 0 for k in range(d))
+            r[j] = c[exp.indices.index(axis)] ** 2 / top
     return eta, r
 
 
@@ -317,17 +316,15 @@ def dynamic_indicator(
     """
     n_red = reduced_rhs.shape[-1]
     indices = _indices_for_modes(dim, n_red)
-    n0 = indices[-1].degree
+    n0 = sum(indices[-1])
     u_red = coeffs[..., :n_red]
     q_per_var = np.abs(
         2.0 * np.sum(full_rhs[..., :n_red] * u_red, axis=-1) - 2.0 * np.sum(reduced_rhs * u_red, axis=-1)
     )
     q_total = np.sum(q_per_var, axis=-1)
     s = np.zeros(coeffs.shape[:-2] + (dim,))
-    positions = {idx: k for k, idx in enumerate(indices)}
     for j in range(dim):
-        axis = MultiIndex(tuple(n0 if k == j else 0 for k in range(dim)))
-        pos = positions[axis]
+        pos = indices.index(tuple(n0 if k == j else 0 for k in range(dim)))
         s[..., j] = np.sum(
             np.abs(2.0 * full_rhs[..., pos] * coeffs[..., pos] - 2.0 * reduced_rhs[..., pos] * coeffs[..., pos]),
             axis=-1,
@@ -335,7 +332,7 @@ def dynamic_indicator(
     return (float(q_total) if q_total.ndim == 0 else q_total), s
 
 
-def _indices_for_modes(d: int, n_modes: int) -> tuple[MultiIndex, ...]:
+def _indices_for_modes(d: int, n_modes: int) -> tuple[tuple[int, ...], ...]:
     n = 0
     while len(multi_index_set(d, n)) < n_modes:
         n += 1
@@ -402,42 +399,31 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
     return y
 
 
-def _projection_grid(d: int, order: int):
-    ref, w = tensor_grid(order + 2, d)
-    phi = basis_matrix(multi_index_set(d, order), ref)
-    return ref, w, phi
-
-
-def _project_function(fn: Callable, elements: Sequence[Element], d: int, order: int,
+def _project_function(fn: Callable, elements: Sequence[Element], order: int,
                       lead: tuple[int, ...] = ()) -> np.ndarray:
     """Quadrature projection of a function of the global points onto each element.
 
     ``fn`` maps the (npts, d) point array to values of shape ``lead + (npts,)``.
     """
-    ref, w, phi = _projection_grid(d, order)
-    shape = lead + (ref.shape[0],)
-    rows = []
-    for e in elements:
-        vals = np.asarray(fn(to_global_many(e, ref)), dtype=float)
+
+    def checked(pts: np.ndarray) -> np.ndarray:
+        vals = np.asarray(fn(pts), dtype=float)
+        shape = lead + (pts.shape[0],)
         if vals.shape != shape:
             raise ValueError(f"projected data must have shape {shape}, got {vals.shape}")
-        rows.append((vals * w) @ phi)
-    return np.stack(rows)
+        return vals
+
+    return np.stack([project(checked, e, order) for e in elements])
 
 
 def _project_child_state(parent: Element, child: Element, coeffs: np.ndarray, order: int) -> np.ndarray:
     """Re-expand a parent's polynomial state in the child's local basis (exact for degree <= order)."""
-    d = parent.dim
-    ref, w, phi = _projection_grid(d, order)
-    mapped = to_local_many(parent, to_global_many(child, ref))
-    parent_vals = basis_matrix(multi_index_set(d, order), mapped) @ coeffs.T   # (npts, n_state)
-    return ((parent_vals * w[:, None]).T @ phi)
+    basis = multi_index_set(parent.dim, order)
+    return project(lambda pts: (basis_matrix(basis, to_local_many(parent, pts)) @ coeffs.T).T, child, order)
 
 
 def _field_coeffs(system: PolynomialOde, elements: Sequence[Element], order: int) -> dict[str, np.ndarray]:
-    return {
-        name: _project_function(fn, elements, system.dim, order) for name, fn in system.fields.items()
-    }
+    return {name: _project_function(fn, elements, order) for name, fn in system.fields.items()}
 
 
 def adapt_dynamic(
@@ -469,7 +455,7 @@ def adapt_dynamic(
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
     next_id = 1
-    coeffs = _project_function(sys_.initial, elements, d, cfg.N, (sys_.n_state,))
+    coeffs = _project_function(sys_.initial, elements, cfg.N, (sys_.n_state,))
     fields = _field_coeffs(sys_, elements, cfg.N)
     truncated = False
 
@@ -527,7 +513,7 @@ def limit_state_surrogate(
     """Surrogate for an observable of the integrated system: the (M, n_state, n_modes)
     mode coefficients of one state variable with a constant shift folded into the
     mean mode; the order follows from the mode count."""
-    order = _indices_for_modes(dec.dim, coeffs.shape[-1])[-1].degree
+    order = sum(_indices_for_modes(dec.dim, coeffs.shape[-1])[-1])
     exps = []
     for e, rows in zip(dec, coeffs):
         c = rows[var].copy()

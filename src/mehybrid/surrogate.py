@@ -1,9 +1,9 @@
 """Element-local polynomial-chaos expansions and multi-element surrogates.
 
-Expansions are built non-intrusively by pseudo-spectral projection on a
-tensor Gauss grid: each coefficient is the quadrature estimate of
-E[g Phi_i] over the element, which is exact whenever g restricted to the
-element is a polynomial of degree <= 2q - 1 - N.
+Every expansion in the package comes from one pseudo-spectral projection,
+`project`, on a tensor Gauss grid: each coefficient is the quadrature
+estimate of E[f Phi_i] over the element, which is exact whenever f
+restricted to the element is a polynomial of degree <= 2q - 1 - N.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelEvaluationError
-from .polybasis import MultiIndex, basis_matrix, gauss_legendre, multi_index_set
+from .polybasis import basis_matrix, gauss_legendre, multi_index_set
 from .randomspace import (
     Decomposition,
     Element,
@@ -30,6 +30,7 @@ __all__ = [
     "GpcExpansion",
     "MultiElementSurrogate",
     "build_collocation",
+    "project",
     "eval_expansion_many",
     "eval_me_surrogate_many",
     "local_variance",
@@ -114,7 +115,7 @@ class GpcExpansion:
         object.__setattr__(self, "coeffs", c)
 
     @property
-    def indices(self) -> tuple[MultiIndex, ...]:
+    def indices(self) -> tuple[tuple[int, ...], ...]:
         return multi_index_set(self.element.dim, self.order)
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
@@ -162,6 +163,17 @@ def tensor_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, weights.ravel()
 
 
+def project(fn: Callable, e: Element, order: int, q: int | None = None) -> np.ndarray:
+    """Quadrature projection of a function of the global points onto the element's order-``order`` basis.
+
+    ``fn`` maps the (npts, d) points of a tensor Gauss grid over ``e`` with q
+    nodes per dimension (default order + 2) to values of shape
+    ``lead + (npts,)``; the coefficients have shape ``lead + (n_modes,)``.
+    """
+    ref, w = tensor_grid(q or order + 2, e.dim)
+    return (fn(to_global_many(e, ref)) * w) @ basis_matrix(multi_index_set(e.dim, order), ref)
+
+
 def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | None = None) -> GpcExpansion:
     """Project the exact model onto the element basis using a tensor Gauss grid.
 
@@ -169,23 +181,19 @@ def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | N
     order + 2, which slightly over-integrates to damp aliasing; the build
     costs exactly q^d exact-model calls.
     """
-    if q is None:
-        q = order + 2
-    elif q < order + 1:
+    if q is not None and q < order + 1:
         raise ValueError(f"need at least order+1 = {order + 1} nodes per dimension, got {q}")
-    d = e.dim
-    ref_pts, weights = tensor_grid(q, d)
-    nodes = to_global_many(e, ref_pts)
-    try:
-        values = model.evaluate_many(nodes)
-    except Exception as exc:
-        raise ModelEvaluationError(
-            f"exact model failed on a collocation grid over [{e.lower}, {e.upper}): {exc}",
-            point=nodes,
-        ) from exc
-    phi = basis_matrix(multi_index_set(d, order), ref_pts)
-    coeffs = phi.T @ (weights * values)
-    return GpcExpansion(e, order, coeffs)
+
+    def values(nodes: np.ndarray) -> np.ndarray:
+        try:
+            return model.evaluate_many(nodes)
+        except Exception as exc:
+            raise ModelEvaluationError(
+                f"exact model failed on a collocation grid over [{e.lower}, {e.upper}): {exc}",
+                point=nodes,
+            ) from exc
+
+    return GpcExpansion(e, order, project(values, e, order, q))
 
 
 def eval_expansion_many(exp: GpcExpansion, Z: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mehybrid.cli import RunConfig, UsageError, main, run, table, validate
+from mehybrid.cli import RunConfig, UsageError, _write_csv, main, run, table, validate
+
+DATA = Path(__file__).parent / "data"
 
 
 def base_config(**overrides):
@@ -140,6 +143,12 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                  ["problem=ko3", "method=mc", "problem_params.dt=-0.01"],
                  ["problem_params.T=0"], ["problem_params.T=-1"],
                  ["problem=ko3", "method=mc", "problem_params.u_d=abc"],
+                 ["problem=burgers", "method=mc", "problem_params.nu=0"],
+                 ["problem=burgers", "method=mc", "problem_params.e=-1"],
+                 ["problem=burgers", "method=mc", "problem_params.nu=abc"],
+                 ["problem=burgers", "problem_params.nu=0"],
+                 ["problem=burgers", "method=mc", "problem_params.z0=NaN"],
+                 ["reference=abc"], ["reference=NaN"], ["reference=-1"], ["reference=0"], ["reference=true"],
                  # refine settings of a run whose build reads none of them
                  ["problem=step", "refine.theta1=NaN", "refine.max_elements=0"],
                  ["problem=ko3", "method=mc", "refine.theta1=NaN"],
@@ -179,6 +188,14 @@ def test_table_command_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("metric,order,tol,computed,published")
     assert len(lines) > 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_table_csv_matches_golden(n, tmp_path):
+    # tests/data/table{n}_m20000.csv was written by `mehybrid table n --set m=20000 --out ...`
+    out = tmp_path / f"table{n}.csv"
+    _write_csv(table(n, {"m": 20000}), out)
+    assert out.read_bytes() == (DATA / f"table{n}_m20000.csv").read_bytes()
 
 
 def test_table_rejects_unknown_number():

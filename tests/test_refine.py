@@ -61,16 +61,10 @@ def test_static_indicator_examples():
     # 2-D expansion whose only top-degree mass is the mixed (1,1) term
     idx = multi_index_set(2, 2)
     coeffs = np.zeros(len(idx))
-    coeffs[idx.index(tuple_index((1, 1)))] = 3.0
+    coeffs[idx.index((1, 1))] = 3.0
     eta, r = static_indicator(GpcExpansion(Element.box([-1, -1], [1, 1]), 2, coeffs))
     assert eta == pytest.approx(1.0)
     assert np.all(r == 0.0)
-
-
-def tuple_index(t):
-    from mehybrid.polybasis import MultiIndex
-
-    return MultiIndex(t)
 
 
 def test_static_indicator_requires_order():
@@ -372,6 +366,34 @@ def test_adapt_dynamic_projected_children_classify_like_exact_model():
     surr = limit_state_surrogate(dec, coeffs, 0, -0.5)
     surr_sign = eval_me_surrogate_many(surr, pts) < 0
     assert np.mean(surr_sign != exact_sign) < 0.02
+
+
+def test_adapt_dynamic_two_dimensional_ko_matches_monte_carlo():
+    # three-mode system with y(0) = (1 + 0.1 xi2, 0.1 xi1, 0) and failure y1(5) < 0.03:
+    # refinement must split both dimensions, and both hybrids must end at Monte Carlo
+    # on the same samples
+    from mehybrid import problems
+    from mehybrid.estimator import HybridConfig, mc_estimate, me_gha, me_lha
+
+    def initial(pts):
+        return np.stack([1.0 + 0.1 * pts[:, 1], 0.1 * pts[:, 0], np.zeros(pts.shape[0])])
+
+    def g(Z):
+        return rk4_integrate(problems._ko_rhs, initial(Z), 0.0, 5.0, 0.01)[0] - 0.03
+
+    system = PolynomialOde(n_state=3, dim=2, initial=initial, quadratic=ko_galerkin_system().quadratic)
+    events: list[RefinementEvent] = []
+    dec, coeffs, truncated = adapt_dynamic(system, cfg(theta1=1e-3, N=3), T=5.0, dt=0.01, event_log=events)
+    assert check_partition(dec) == [] and not truncated
+    assert {ev.dims for ev in events} == {(0,), (0, 1)}  # the THETA2 rule picks the directions
+    surr = limit_state_surrogate(dec, coeffs, offset=-0.03)
+    samples = sample_uniform(2000, 2, 1)
+    mc = mc_estimate(CallableModel(g, dim=2), samples)
+    assert 0.2 < mc.p_f < 0.4
+    for walk in (me_gha, me_lha):
+        est, _ = walk(CallableModel(g, dim=2), surr, samples, HybridConfig(delta_m=100))
+        assert est.p_f == mc.p_f, walk.__name__
+        assert est.n_exact < 2000, walk.__name__
 
 
 def test_adapt_dynamic_truncation_status():
