@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "legendre",
+    "legendre_rows",
     "legendre_table",
     "basis_matrix",
     "gauss_legendre",
@@ -43,20 +44,33 @@ def legendre(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
+def legendre_rows(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal Legendre values for all degrees 0..nmax at once, one row per degree.
+
+    Returns a C-ordered array of shape ``(nmax + 1, len(x))`` whose row k is
+    the orthonormal polynomial of degree k evaluated at the points, so each
+    degree is one contiguous vector.
+    """
+    if nmax < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    rows = np.ones((nmax + 1, x.size))
+    if nmax >= 1:
+        rows[1] = x
+        for k in range(1, nmax):
+            rows[k + 1] = ((2 * k + 1) * x * rows[k] - k * rows[k - 1]) / (k + 1)
+    rows *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)[:, None]
+    return rows
+
+
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal Legendre values for all degrees 0..nmax at once.
 
-    Returns an array of shape ``(len(x), nmax + 1)`` whose column k is the
-    orthonormal polynomial of degree k evaluated at the points.
+    Returns a C-ordered array of shape ``(len(x), nmax + 1)`` whose column k
+    is the orthonormal polynomial of degree k evaluated at the points: the
+    transpose of `legendre_rows`.
     """
-    x = np.asarray(x, dtype=float)
-    table = np.ones((x.size, nmax + 1))
-    if nmax >= 1:
-        table[:, 1] = x
-        for k in range(1, nmax):
-            table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
-    table *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)
-    return table
+    return np.ascontiguousarray(legendre_rows(nmax, x).T)
 
 
 def basis_matrix(indices: Sequence[tuple[int, ...]], points: np.ndarray) -> np.ndarray:

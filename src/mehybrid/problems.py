@@ -210,18 +210,21 @@ def _ko_rhs(src: np.ndarray, dst: np.ndarray):
     The returned slope writes (y1 y3, -y2 y3, y2^2 - y1^2) at the current
     contents of ``src`` into ``dst`` without temporaries; each row is
     bit-identical to (y1 y3, (-y2) y3, -y1^2 + y2^2).  The row views are made
-    once here, so a call runs only its five ufuncs.
+    once here, so a call runs only its four ufuncs: the squares y1^2, y2^2
+    go into the rows d2, d3 of ``dst``, d3 becomes their difference, then
+    d1 and d2 are overwritten with y1 y3 and -(y2 y3).  Outputs are passed
+    positionally, which is cheaper per call than the out= keyword.
     """
-    y1, y2, y3 = src
+    y3 = src[2]
     _, d2, d3 = dst
-    y12, d12 = src[:2], dst[:2]
+    y12, d12, d23 = src[:2], dst[:2], dst[1:]
+    mul, subtract, negative = np.multiply, np.subtract, np.negative
 
     def slope(_t):
-        np.multiply(y2, y2, out=d3)
-        np.multiply(y1, y1, out=d2)
-        np.subtract(d3, d2, out=d3)
-        np.multiply(y12, y3, out=d12)
-        np.negative(d2, out=d2)
+        mul(y12, y12, d23)
+        subtract(d3, d2, d3)
+        mul(y12, y3, d12)
+        negative(d2, d2)
 
     return slope
 

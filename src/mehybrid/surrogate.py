@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelEvaluationError
-from .polybasis import basis_matrix, gauss_legendre, multi_index_set
+from .polybasis import basis_matrix, gauss_legendre, legendre_rows, multi_index_set
 from .randomspace import (
     Decomposition,
     Element,
@@ -205,8 +205,9 @@ def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.n
     """Values at the (n, d) points Z of each point's owning element's expansion.
 
     Walks Z in chunks of EVAL_CHUNK rows: locates the chunk, maps each row to
-    its element's local coordinates, evaluates the basis once and sums
-    basis times coefficient column by column in a fixed order, so the value
+    its element's local coordinates, evaluates the Legendre rows of every
+    dimension once and sums each basis function (a product of per-degree
+    rows) times its gathered coefficients in index-set order, so the value
     at a point does not depend on the other points of the batch.  Element
     indices are written into ``owners`` when it is given.
     """
@@ -225,11 +226,16 @@ def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.n
         if owners is not None:
             owners[start : start + EVAL_CHUNK] = k
         local = np.clip((2.0 * pts - center2[k]) / width[k], -1.0, 1.0)  # as in to_local_many
-        basis = basis_matrix(indices, local)
+        rows = [legendre_rows(order, local[:, j]) for j in range(s.dim)]
         acc = out[start : start + EVAL_CHUNK]
-        np.multiply(basis[:, 0], coeffs[0][k], out=acc)
-        for j in range(1, len(indices)):
-            acc += basis[:, j] * coeffs[j][k]
+        for j, idx in enumerate(indices):
+            col = rows[0][idx[0]]
+            for dim in range(1, s.dim):
+                col = col * rows[dim][idx[dim]]
+            if j == 0:
+                np.multiply(col, coeffs[0][k], out=acc)
+            else:
+                acc += col * coeffs[j][k]
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from mehybrid.polybasis import (
     gauss_legendre,
     legendre,
+    legendre_rows,
     legendre_table,
     multi_index_set,
     basis_matrix,
@@ -185,3 +186,19 @@ def test_legendre_table_consistency():
     table = legendre_table(5, x)
     for n in range(6):
         assert np.allclose(table[:, n], math.sqrt(2 * n + 1) * legendre(n, x), atol=1e-14)
+
+
+def test_legendre_rows_is_the_transposed_table():
+    x = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(4).uniform(-1.0, 1.0, 37)])
+    for n in range(11):
+        rows = legendre_rows(n, x)
+        assert rows.shape == (n + 1, x.size)
+        assert rows.flags["C_CONTIGUOUS"]
+        table = legendre_table(n, x)
+        assert table.flags["C_CONTIGUOUS"]
+        assert table.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+
+
+def test_legendre_rows_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        legendre_rows(-1, np.zeros(3))

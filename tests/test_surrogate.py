@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mehybrid.errors import DomainError, ModelEvaluationError
-from mehybrid.polybasis import multi_index_set
-from mehybrid.randomspace import Decomposition, Element, sample_uniform
+from mehybrid.polybasis import basis_matrix, multi_index_set
+from mehybrid.randomspace import Decomposition, Element, locate_many, sample_uniform
 from mehybrid.surrogate import (
+    EVAL_CHUNK,
     CallableModel,
     GpcExpansion,
     MultiElementSurrogate,
@@ -195,3 +196,44 @@ def test_me_surrogate_value_does_not_depend_on_the_batch():
     for k, exp in enumerate(expansions):
         rows = owners == k
         assert np.allclose(batch[rows], eval_expansion_many(exp, pts[rows]), rtol=0.0, atol=1e-13)
+
+
+def _basis_matrix_reference(surr, pts):
+    # the (n, P) formulation: one basis matrix per batch, then each column
+    # times its gathered coefficients, accumulated in index-set order
+    order = max(exp.order for exp in surr.expansions)
+    indices = multi_index_set(surr.dim, order)
+    coeffs = np.zeros((len(indices), len(surr)))
+    for k, exp in enumerate(surr.expansions):
+        coeffs[: exp.coeffs.size, k] = exp.coeffs
+    lower = np.array([e.lower for e in surr.decomposition])
+    upper = np.array([e.upper for e in surr.decomposition])
+    k = locate_many(surr.decomposition, pts)
+    local = np.clip((2.0 * pts - (lower + upper)[k]) / (upper - lower)[k], -1.0, 1.0)
+    basis = basis_matrix(indices, local)
+    acc = basis[:, 0] * coeffs[0][k]
+    for j in range(1, len(indices)):
+        acc += basis[:, j] * coeffs[j][k]
+    return acc
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_me_surrogate_matches_basis_matrix_formula_bit_for_bit(d):
+    # mixed orders 0..7 on eight 1-D elements, 2/5/3/7 on the four 2-D quadrants;
+    # the batch is longer than one evaluation chunk
+    rng = np.random.default_rng(13)
+    if d == 1:
+        bounds = (-1.0, -0.75, -0.5, -0.25, 0.0, 0.125, 0.25, 0.5, 1.0)
+        elements = [Element.box([a], [b]) for a, b in zip(bounds, bounds[1:])]
+        orders = range(8)
+    else:
+        elements = [Element.box([a, b], [a + 1.0, b + 1.0]) for a in (-1.0, 0.0) for b in (-1.0, 0.0)]
+        orders = (2, 5, 3, 7)
+    expansions = tuple(
+        GpcExpansion(e, p, rng.normal(size=len(multi_index_set(d, p))))
+        for e, p in zip(elements, orders)
+    )
+    surr = MultiElementSurrogate(Decomposition(tuple(elements)), expansions)
+    pts = np.vstack([sample_uniform(EVAL_CHUNK + 1808, d, 3).points, np.full((1, d), -1.0), np.full((1, d), 1.0)])
+    got = eval_me_surrogate_many(surr, pts)
+    assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
