@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,14 +24,12 @@ from .estimator import (
     direct_hybrid,
     iterative_hybrid,
     mc_estimate,
-    me_gha,
     me_lha,
     relative_error,
 )
 from .invariants import CHECKS
 from .randomspace import sample_uniform
 from .refine import RefinementConfig, _positive_finite, _real, write_events_csv
-from .surrogate import MultiElementSurrogate
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
 GLOBAL_METHODS = ("direct-hybrid", "global-hybrid")
@@ -102,14 +101,22 @@ class RunConfig:
                              "does not refine")
         if cfg.method == "direct-hybrid" and cfg.gamma is None:
             raise UsageError("field 'gamma' is required for the direct-hybrid method")
+        # step's multi-element surrogate is exact and has no order
+        reads_order = cfg.method != "mc" and (cfg.problem != "step" or cfg.method in GLOBAL_METHODS)
+        if reads_order and cfg.order is None:
+            raise UsageError("field 'order' is required for surrogate methods")
+        iterative = cfg.method not in ("mc", "direct-hybrid")
+        unread = {"order": not reads_order, "gamma": cfg.method != "direct-hybrid",
+                  "eta_stop": not iterative, "max_exact": not iterative}
+        for key, skipped in unread.items():
+            if skipped and raw.get(key) is not None:
+                raise UsageError(f"field {key!r} is not read by method {cfg.method!r} on problem {cfg.problem!r}")
         if cfg.gamma is not None and not (_real(cfg.gamma) and cfg.gamma >= 0):
             raise UsageError(f"field 'gamma' must be a nonnegative number, got {cfg.gamma!r}")
         if cfg.reference is not None and not _positive_finite(cfg.reference):
             raise UsageError(f"field 'reference' must be a positive finite number, got {cfg.reference!r}")
-        if cfg.method != "mc" and cfg.order is None and (cfg.problem != "step" or cfg.method in GLOBAL_METHODS):
-            raise UsageError("field 'order' is required for surrogate methods")
         max_order = prob.PROBLEMS[cfg.problem].max_order
-        if cfg.method != "mc" and max_order is not None and cfg.order > max_order:
+        if cfg.order is not None and max_order is not None and cfg.order > max_order:
             raise UsageError(f"field 'order' must be at most {max_order} for problem {cfg.problem!r}")
         if not isinstance(cfg.seed, int) or cfg.seed < 0:
             raise UsageError("field 'seed' must be a nonnegative integer")
@@ -133,7 +140,8 @@ def _prepare(cfg: RunConfig):
     """Models and settings a run makes before it samples; a bad value among them is a usage error.
 
     Returns the exact model, a second one charged with the surrogate build, and
-    the hybrid and refinement settings (None where unused)."""
+    the hybrid and refinement settings (None where unused).  A global run's
+    refinement never splits (theta1 = inf), so its surrogate is a one-element mesh."""
     spec = prob.PROBLEMS[cfg.problem]
     params = {**spec.parameters, **cfg.problem_params}
     refines = cfg.method != "mc" and "theta1" in spec.defaults
@@ -143,7 +151,8 @@ def _prepare(cfg: RunConfig):
         hycfg = None if cfg.method == "mc" else HybridConfig(
             delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact)
         rcfg = None if not refines else RefinementConfig(
-            **{"theta1": spec.defaults["theta1"], **cfg.refine, "N": cfg.order})
+            **{"theta1": math.inf if cfg.method in GLOBAL_METHODS else spec.defaults["theta1"], **cfg.refine},
+            N=cfg.order)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
     return model, build_model, hycfg, rcfg
@@ -162,24 +171,20 @@ def run(cfg: RunConfig) -> dict:
     events: list = []
     if cfg.method != "mc":
         clock = time.perf_counter()
-        surr = spec.build_surrogate(build_model, {**spec.parameters, **cfg.problem_params}, cfg.order, rcfg,
-                                    cfg.method in GLOBAL_METHODS, events)
+        surr = spec.build_surrogate(build_model, {**spec.parameters, **cfg.problem_params}, cfg.order, rcfg, events)
         timings["build_s"] = time.perf_counter() - clock
     clock = time.perf_counter()
     if cfg.method == "mc":
         est = mc_estimate(model, samples)
     elif cfg.method == "direct-hybrid":
         est = direct_hybrid(model, surr, samples, cfg.gamma)
-    elif cfg.method == "global-hybrid":
-        est, trace = iterative_hybrid(model, surr, samples, hycfg)
-    elif cfg.method == "me-gha":
-        est, trace = me_gha(model, surr, samples, hycfg)
-    else:
+    elif cfg.method == "me-lha":
         est, trace = me_lha(model, surr, samples, hycfg)
+    else:
+        est, trace = iterative_hybrid(model, surr, samples, hycfg)
     timings["estimate_s"] = time.perf_counter() - clock
     timings.update(est.timings)
     timings["exact_s"] = model.exact_s + build_model.exact_s
-    multi = isinstance(surr, MultiElementSurrogate)
     reference = cfg.reference if cfg.reference is not None else spec.reference_p_f
     report = {
         "problem": cfg.problem,
@@ -189,8 +194,8 @@ def run(cfg: RunConfig) -> dict:
         "n_exact": est.n_exact,
         "n_exact_build": build_model.call_count,
         "n_surrogate": est.n_surrogate,
-        "n_elements": len(surr) if multi else int(surr is not None),
-        "truncated": multi and surr.truncated,
+        "n_elements": 0 if surr is None else len(surr),
+        "truncated": surr is not None and surr.truncated,
         "reference": reference,
         "reference_tag": spec.reference_tag if cfg.reference is None else "configured",
         "relative_error": relative_error(est.p_f, reference),

@@ -21,7 +21,7 @@ consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from scipy.special import erf, erfinv
 
 from .errors import DomainError, RootSolveError
 from .polybasis import legendre_table
-from .randomspace import Decomposition, Element
+from .randomspace import Element
 from .refine import (
     PolynomialOde,
     _finite,
@@ -39,7 +39,7 @@ from .refine import (
     limit_state_surrogate,
     rk4_integrate,
 )
-from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, project
+from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, project
 
 __all__ = [
     "ProblemSpec",
@@ -101,13 +101,8 @@ def step_global_gpc(p: int) -> GpcExpansion:
 
 def step_me_exact() -> MultiElementSurrogate:
     """The two-element surrogate that resolves the step exactly: -1 left, 0 right."""
-    left = Element.box([-1.0], [0.0])
-    right = Element.box([0.0], [1.0])
-    dec = Decomposition((left, right))
-    return MultiElementSurrogate(
-        dec,
-        (GpcExpansion(left, 0, np.array([-1.0])), GpcExpansion(right, 0, np.array([0.0]))),
-    )
+    return MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [0.0]), 0, np.array([-1.0])),
+                                  GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([0.0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +401,14 @@ GALERKIN_DT = 0.01
 BURGERS_NODES = 21
 
 
-def _step_surrogate(model, params, order, rcfg, global_only, event_log):
-    return step_global_gpc(order) if global_only else step_me_exact()
+def _step_surrogate(model, params, order, rcfg, event_log):
+    return step_me_exact() if order is None else MultiElementSurrogate((step_global_gpc(order),))
 
 
 def _galerkin_builder(make_system: Callable[[int, dict], PolynomialOde]):
     """Dynamic refinement of ``make_system(order, params)`` to time T; observes y1 - u_d."""
 
-    def build(model, params, order, rcfg, global_only, event_log):
-        if global_only:
-            rcfg = replace(rcfg, theta1=math.inf)
+    def build(model, params, order, rcfg, event_log):
         dec, coeffs, truncated = adapt_dynamic(
             make_system(order, params), rcfg, T=params["T"], dt=GALERKIN_DT, event_log=event_log)
         return limit_state_surrogate(dec, coeffs, var=0, offset=-params["u_d"], truncated=truncated)
@@ -423,9 +416,7 @@ def _galerkin_builder(make_system: Callable[[int, dict], PolynomialOde]):
     return build
 
 
-def _burgers_surrogate(model, params, order, rcfg, global_only, event_log):
-    if global_only:
-        return build_collocation(model, Element.box([-1.0], [1.0]), order, BURGERS_NODES)
+def _burgers_surrogate(model, params, order, rcfg, event_log):
     return adapt_static(model, rcfg, q=BURGERS_NODES, event_log=event_log)
 
 
@@ -437,10 +428,12 @@ def _burgers_surrogate(model, params, order, rcfg, global_only, event_log):
 class ProblemSpec:
     """Canonical description of one benchmark: parameters, reference value, builders.
 
-    ``build_surrogate(model, params, order, rcfg, global_only, event_log)``
-    charges ``model`` with its exact calls; ``rcfg`` is the run's
-    RefinementConfig (None for a problem without a ``theta1`` default). A
-    global build reads none of its refine settings (theta1, max_elements).
+    ``build_surrogate(model, params, order, rcfg, event_log)`` returns a
+    MultiElementSurrogate and charges ``model`` with its exact calls;
+    ``rcfg`` is the run's RefinementConfig (None for a problem without a
+    ``theta1`` default), with ``theta1 = inf`` for a global build, which
+    makes a one-element mesh.  Step builds its exact two-element surrogate
+    when ``order`` is None.
     """
 
     name: str
@@ -448,7 +441,7 @@ class ProblemSpec:
     reference_p_f: float
     reference_tag: str
     make_model: Callable[..., LimitStateModel] = field(repr=False)
-    build_surrogate: Callable[..., GpcExpansion | MultiElementSurrogate] = field(repr=False)
+    build_surrogate: Callable[..., MultiElementSurrogate] = field(repr=False)
     defaults: dict = field(default_factory=dict, repr=False)
     max_order: int | None = None  # the highest order build_surrogate accepts, if it has one
 
@@ -461,7 +454,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_tag="analytic",
         make_model=lambda **kw: StepModel(),
         build_surrogate=_step_surrogate,
-        defaults={"delta_m": 1000, "order": 0},
+        defaults={"delta_m": 1000},
     ),
     "linear-ode": ProblemSpec(
         name="linear-ode",
@@ -472,7 +465,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         build_surrogate=_galerkin_builder(
             lambda order, p: ode_galerkin_system(order, u0=p["u0"], mu=p["mu"], sigma=p["sigma"])
         ),
-        defaults={"delta_m": 100, "order": 5, "theta1": 0.05},
+        defaults={"delta_m": 100, "theta1": 0.05},
     ),
     "ko3": ProblemSpec(
         name="ko3",
@@ -481,7 +474,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_tag="published",
         make_model=lambda **kw: KoModel(**kw),
         build_surrogate=_galerkin_builder(lambda order, p: ko_galerkin_system()),
-        defaults={"delta_m": 100, "order": 5, "theta1": 1e-4},
+        defaults={"delta_m": 100, "theta1": 1e-4},
     ),
     "burgers": ProblemSpec(
         name="burgers",
@@ -490,7 +483,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         reference_tag="published-for-uncalibrated-parameters",
         make_model=lambda **kw: BurgersModel(**kw),
         build_surrogate=_burgers_surrogate,
-        defaults={"delta_m": 100, "order": 3, "theta1": 0.01},
+        defaults={"delta_m": 100, "theta1": 0.01},
         max_order=BURGERS_NODES - 1,
     ),
 }

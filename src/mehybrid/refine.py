@@ -166,7 +166,8 @@ def adapt_static(
 
     Every element in the final mesh carries a freshly built expansion; each
     split discards the parent's expansion and solves the children anew, with
-    all collocation points charged to the model's call counter.
+    all collocation points charged to the model's call counter.  At
+    ``theta1 = inf`` it makes one build on the whole domain.
     """
     queue: deque[tuple[int, Element]] = deque([(0, Element.box([-1.0] * model.dim, [1.0] * model.dim))])
     next_id = 1
@@ -190,8 +191,7 @@ def adapt_static(
                 event_log.append(RefinementEvent(None, elem_id, eta, tuple(sorted(dims))))
         else:
             done.append(exp)
-    dec = Decomposition(tuple(exp.element for exp in done))
-    return MultiElementSurrogate(dec, tuple(done), truncated)
+    return MultiElementSurrogate(tuple(done), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -522,4 +522,4 @@ def limit_state_surrogate(
         c = rows[var].copy()
         c[0] += offset
         exps.append(GpcExpansion(e, order, c))
-    return MultiElementSurrogate(dec, tuple(exps), truncated)
+    return MultiElementSurrogate(tuple(exps), truncated)

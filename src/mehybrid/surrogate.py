@@ -8,7 +8,7 @@ restricted to the element is a polynomial of degree <= 2q - 1 - N.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -118,25 +118,21 @@ class GpcExpansion:
     def indices(self) -> tuple[tuple[int, ...], ...]:
         return multi_index_set(self.element.dim, self.order)
 
-    def __call__(self, Z: np.ndarray) -> np.ndarray:
-        return eval_expansion_many(self, Z)
-
 
 @dataclass(frozen=True)
 class MultiElementSurrogate:
-    """One expansion per element of a decomposition, in matching order."""
+    """One expansion per element of a mesh; the mesh is their elements, in order.
 
-    decomposition: Decomposition
+    A global surrogate is the one-element case.
+    """
+
     expansions: tuple[GpcExpansion, ...]
     truncated: bool = False
+    decomposition: Decomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "expansions", tuple(self.expansions))
-        if len(self.expansions) != len(self.decomposition):
-            raise ValueError("one expansion per element is required")
-        for e, exp in zip(self.decomposition, self.expansions):
-            if e != exp.element:
-                raise ValueError("expansion order does not match decomposition order")
+        object.__setattr__(self, "decomposition", Decomposition(tuple(exp.element for exp in self.expansions)))
 
     @property
     def dim(self) -> int:

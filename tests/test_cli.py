@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mehybrid.cli import RunConfig, UsageError, _write_csv, main, run, table, validate
+from mehybrid import problems, surrogate
+from mehybrid.cli import RunConfig, UsageError, _prepare, _write_csv, main, run, table, validate
+from mehybrid.randomspace import sample_uniform
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,6 +93,30 @@ def test_run_mc_method():
     assert abs(rep["estimate"] - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("problem, order", [("step", 7), ("linear-ode", 7), ("ko3", 5), ("burgers", 5)])
+def test_global_surrogate_is_a_one_element_mesh(problem, order, monkeypatch):
+    # a global run's surrogate is a one-element mesh, evaluated like any other:
+    # a point gives the same bits alone as in a batch
+    spec = problems.PROBLEMS[problem]
+    model, build_model, _, rcfg = _prepare(RunConfig.from_dict(base_config(problem=problem, method="global-hybrid",
+                                                                           order=order)))
+    surr = spec.build_surrogate(build_model, spec.parameters, order, rcfg, [])
+    assert isinstance(surr, surrogate.MultiElementSurrogate) and len(surr) == 1
+    pts = sample_uniform(20_000, model.dim, 3).points
+    alone = np.array([surr(pts[i : i + 1])[0] for i in range(len(pts))])
+    assert alone.tobytes() == surr(pts).tobytes()
+
+    # every run path evaluates through the multi-element evaluator
+    def unused(*args):
+        raise AssertionError("eval_expansion_many is a test reference only")
+
+    monkeypatch.setattr(surrogate, "eval_expansion_many", unused)
+    for method in ("global-hybrid", "direct-hybrid"):
+        rep = run(RunConfig.from_dict(base_config(problem=problem, method=method, order=order, m=2000, delta_m=100,
+                                                  gamma=0.01 if method == "direct-hybrid" else None)))
+        assert rep["n_elements"] == 1 and not rep["truncated"]
+
+
 def test_estimate_command_writes_outputs(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     report_path = tmp_path / "report.json"
@@ -130,33 +157,56 @@ def test_estimate_command_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"unknown refine key(s) ['{key}']; accepted keys: theta1, max_elements\n" in err
     # bad values reach the model, the hybrid or refinement settings or the collocation grid;
-    # each is rejected before sampling
-    for sets in (["problem_params.foo=1"], ["delta_m=0"], ["m=0"], ["delta_m=50001"],
-                 ["problem=burgers", "order=21"],
-                 ["method=direct-hybrid", "gamma=NaN"], ["method=direct-hybrid", "gamma=-0.1"],
-                 ["refine.theta1=NaN"], ["refine.theta1=0"], ["refine.theta1=true"], ["refine.theta1=abc"],
-                 ["eta_stop=NaN"], ["refine.max_elements=1.5"], ["refine.max_elements=true"],
-                 ["seed=true"], ["m=true"], ["order=true"], ["seed=1.5"], ["m=abc"],
-                 ["problem=ko3", "method=mc", "problem_params.T=-5"],
-                 ["problem=ko3", "method=mc", "problem_params.T=0"],
-                 ["problem=ko3", "method=mc", "problem_params.T=abc"],
-                 ["problem=ko3", "method=mc", "problem_params.dt=-0.01"],
-                 ["problem_params.T=0"], ["problem_params.T=-1"],
-                 ["problem=ko3", "method=mc", "problem_params.u_d=abc"],
-                 ["problem=burgers", "method=mc", "problem_params.nu=0"],
-                 ["problem=burgers", "method=mc", "problem_params.e=-1"],
-                 ["problem=burgers", "method=mc", "problem_params.nu=abc"],
-                 ["problem=burgers", "problem_params.nu=0"],
-                 ["problem=burgers", "method=mc", "problem_params.z0=NaN"],
-                 ["reference=abc"], ["reference=NaN"], ["reference=-1"], ["reference=0"], ["reference=true"],
-                 # refine settings of a run whose build reads none of them
-                 ["problem=step", "refine.theta1=NaN", "refine.max_elements=0"],
-                 ["problem=ko3", "method=mc", "refine.theta1=NaN"],
-                 ["method=global-hybrid", "refine.theta1=1e-9"]):
+    # each is rejected before sampling with a message that names its field
+    mc = ["method=mc", "order=null"]
+    for sets, name in ((["problem_params.foo=1"], "foo"), (["delta_m=0"], "delta_m"), (["m=0"], "m"),
+                       (["delta_m=50001"], "delta_m"), (["problem=burgers", "order=21"], "order"),
+                       (["method=direct-hybrid", "gamma=NaN"], "gamma"),
+                       (["method=direct-hybrid", "gamma=-0.1"], "gamma"),
+                       (["refine.theta1=NaN"], "theta1"), (["refine.theta1=0"], "theta1"),
+                       (["refine.theta1=true"], "theta1"), (["refine.theta1=abc"], "theta1"),
+                       (["eta_stop=NaN"], "eta_stop"), (["refine.max_elements=1.5"], "max_elements"),
+                       (["refine.max_elements=true"], "max_elements"),
+                       (["seed=true"], "seed"), (["m=true"], "m"), (["order=true"], "order"), (["seed=1.5"], "seed"),
+                       (["m=abc"], "m"),
+                       (["problem=ko3", *mc, "problem_params.T=-5"], "T"),
+                       (["problem=ko3", *mc, "problem_params.T=0"], "T"),
+                       (["problem=ko3", *mc, "problem_params.T=abc"], "T"),
+                       (["problem=ko3", *mc, "problem_params.dt=-0.01"], "dt"),
+                       (["problem_params.T=0"], "T"), (["problem_params.T=-1"], "T"),
+                       (["problem=ko3", *mc, "problem_params.u_d=abc"], "u_d"),
+                       (["problem=burgers", *mc, "problem_params.nu=0"], "nu"),
+                       (["problem=burgers", *mc, "problem_params.e=-1"], "e"),
+                       (["problem=burgers", *mc, "problem_params.nu=abc"], "nu"),
+                       (["problem=burgers", "problem_params.nu=0"], "nu"),
+                       (["problem=burgers", *mc, "problem_params.z0=NaN"], "z0"),
+                       (["reference=abc"], "reference"), (["reference=NaN"], "reference"),
+                       (["reference=-1"], "reference"), (["reference=0"], "reference"),
+                       (["reference=true"], "reference"),
+                       # refine settings of a run whose build reads none of them
+                       (["problem=step", "order=null", "refine.theta1=NaN", "refine.max_elements=0"], "refine"),
+                       (["problem=ko3", *mc, "refine.theta1=NaN"], "refine"),
+                       (["method=global-hybrid", "refine.theta1=1e-9"], "refine"),
+                       # an order is required exactly where the run reads it
+                       (["method=global-hybrid", "order=null"], "order"),
+                       (["problem=step", "method=direct-hybrid", "gamma=0", "order=null"], "order"),
+                       (["problem=ko3", "method=mc"], "order"), (["problem=step"], "order"),
+                       (["problem=step", "method=me-lha"], "order"),
+                       # hybrid settings of a run that does not read them
+                       (["problem=ko3", *mc, "eta_stop=0.5"], "eta_stop"),
+                       (["problem=ko3", *mc, "max_exact=10"], "max_exact"),
+                       (["problem=ko3", *mc, "gamma=0.5"], "gamma"),
+                       (["method=me-gha", "gamma=0.5"], "gamma"), (["method=global-hybrid", "gamma=0.5"], "gamma"),
+                       (["method=me-lha", "gamma=0.5"], "gamma"),
+                       (["problem=step", "method=direct-hybrid", "gamma=0", "eta_stop=0.5"], "eta_stop"),
+                       (["problem=step", "method=direct-hybrid", "gamma=0", "max_exact=10"], "max_exact"),
+                       (["method=direct-hybrid", "gamma=0", "max_exact=10"], "max_exact")):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets
-        assert capsys.readouterr().err.startswith("usage error: "), sets
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: "), sets
+        assert re.search(rf"\b{name}\b", err), (sets, err)
 
 
 def test_estimate_numerical_failure_exit_code(tmp_path, capsys):

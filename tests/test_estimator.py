@@ -17,7 +17,7 @@ from mehybrid.estimator import (
     me_lha,
     relative_error,
 )
-from mehybrid.randomspace import Decomposition, Element, locate_many, sample_uniform
+from mehybrid.randomspace import Element, locate_many, sample_uniform
 from mehybrid.surrogate import (
     CallableModel,
     GpcExpansion,
@@ -64,7 +64,7 @@ def test_estimate_bounds_validation():
 def test_direct_hybrid_zero_band_is_pure_surrogate():
     samples = sample_uniform(2000, 1, 1)
     model = StepModel()
-    surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     est = direct_hybrid(model, surrogate, samples, gamma=0.0)
     assert est.n_exact == 0
     assert model.call_count == 0
@@ -75,7 +75,7 @@ def test_direct_hybrid_zero_band_is_pure_surrogate():
 def test_direct_hybrid_full_band_equals_mc():
     samples = sample_uniform(3000, 1, 2)
     model = StepModel()
-    surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     big_gamma = float(np.max(np.abs(surrogate(samples.points)))) + 1e-9
     est = direct_hybrid(model, surrogate, samples, gamma=big_gamma)
     ref = mc_estimate(StepModel(), samples)
@@ -122,9 +122,7 @@ def test_iterative_hybrid_me_lha_step_counts():
 
 def test_me_gha_single_element_reduces_to_iterative():
     e = Element.box([-1.0], [1.0])
-    surrogate = MultiElementSurrogate(
-        Decomposition((e,)), (GpcExpansion(e, 1, np.array([-0.2, 0.6])),)
-    )
+    surrogate = MultiElementSurrogate((GpcExpansion(e, 1, np.array([-0.2, 0.6])),))
     samples = sample_uniform(5000, 1, 6)
     cfg = HybridConfig(delta_m=250)
     est_a, tr_a = me_gha(StepModel(), surrogate, samples, cfg)
@@ -135,9 +133,7 @@ def test_me_gha_single_element_reduces_to_iterative():
 
 def test_me_lha_single_element_reduces_to_iterative():
     e = Element.box([-1.0], [1.0])
-    surrogate = MultiElementSurrogate(
-        Decomposition((e,)), (GpcExpansion(e, 1, np.array([-0.2, 0.6])),)
-    )
+    surrogate = MultiElementSurrogate((GpcExpansion(e, 1, np.array([-0.2, 0.6])),))
     samples = sample_uniform(5000, 1, 7)
     cfg = HybridConfig(delta_m=250)
     est_a, _ = me_lha(StepModel(), surrogate, samples, cfg)
@@ -159,10 +155,7 @@ def test_full_replacement_limit_exact_equality():
             )
         else:
             me = step_me_exact()
-            neg = MultiElementSurrogate(
-                me.decomposition,
-                tuple(GpcExpansion(e.element, 0, np.array([-1.0])) for e in me.expansions),
-            )
+            neg = MultiElementSurrogate(tuple(GpcExpansion(e.element, 0, np.array([-1.0])) for e in me.expansions))
             est, trace = me_lha(model, neg, samples, HybridConfig(delta_m=250))
         ref = mc_estimate(const_model(1.0), samples)
         assert est.p_f == ref.p_f == 0.0
@@ -183,10 +176,7 @@ def test_exact_call_accounting_matches_model_counter():
 def test_me_lha_element_order_invariance():
     samples = sample_uniform(40_000, 1, 10)
     me = step_me_exact()
-    permuted = MultiElementSurrogate(
-        Decomposition(tuple(reversed(me.decomposition.elements))),
-        tuple(reversed(me.expansions)),
-    )
+    permuted = MultiElementSurrogate(tuple(reversed(me.expansions)))
     cfg = HybridConfig(delta_m=900)
     est_a, _ = me_lha(StepModel(), me, samples, cfg)
     est_b, _ = me_lha(StepModel(), permuted, samples, cfg)
@@ -200,7 +190,7 @@ def linear_mesh_surrogate() -> MultiElementSurrogate:
     for a, b in ((-1.0, -0.5), (-0.5, 0.0), (0.0, 0.5), (0.5, 1.0)):
         coeffs = [(a + b) / 2.0 - 0.3, (b - a) / (2.0 * math.sqrt(3.0))] if b < 1.0 else [-1.0, 0.0]
         expansions.append(GpcExpansion(Element.box([a], [b]), 1, np.array(coeffs)))
-    return MultiElementSurrogate(Decomposition(tuple(e.element for e in expansions)), tuple(expansions))
+    return MultiElementSurrogate(tuple(expansions))
 
 
 def test_conservation_of_count_reconstruction():
@@ -208,7 +198,7 @@ def test_conservation_of_count_reconstruction():
     # exact classes on the samples each walk evaluated, surrogate classes on all others
     samples = sample_uniform(25_000, 1, 11)
     pts = samples.points
-    line = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    line = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     mesh = linear_mesh_surrogate()
     owners = locate_many(mesh.decomposition, pts)
     cases = [
@@ -253,7 +243,7 @@ def test_conservation_of_count_reconstruction():
 def test_trace_invariants():
     samples = sample_uniform(30_000, 1, 12)
     cfg = HybridConfig(delta_m=500)
-    surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     est, trace = iterative_hybrid(StepModel(), surrogate, samples, cfg)
     records = trace.records
     for prev, cur in zip(records, records[1:]):
@@ -264,7 +254,7 @@ def test_trace_invariants():
 
 def test_max_exact_cap():
     samples = sample_uniform(50_000, 1, 13)
-    surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     cfg = HybridConfig(delta_m=1000, max_exact=2500)
     model = StepModel()
     est, _ = iterative_hybrid(model, surrogate, samples, cfg)
@@ -278,7 +268,7 @@ def test_max_exact_cap():
 
 def test_eta_stop_tolerance():
     samples = sample_uniform(20_000, 1, 14)
-    surrogate = GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)]))
+    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     # a generous tolerance stops after the first block regardless of corrections
     cfg = HybridConfig(delta_m=100, eta_stop=1.0)
     est, trace = iterative_hybrid(StepModel(), surrogate, samples, cfg)
@@ -366,7 +356,6 @@ def test_walk_order_equals_full_stable_argsort():
 
     # the same per element of the local hybrid
     mesh = MultiElementSurrogate(
-        Decomposition((Element.box([-1.0], [0.0]), Element.box([0.0], [1.0]))),
         (GpcExpansion(Element.box([-1.0], [0.0]), 0, np.array([0.25])),
          GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([-0.25]))),
     )

@@ -9,7 +9,7 @@ from mehybrid.estimator import mc_estimate, mc_stddev
 from mehybrid.polybasis import gauss_legendre, legendre_table
 from mehybrid.randomspace import sample_uniform
 from mehybrid.refine import rk4_integrate
-from mehybrid.surrogate import EVAL_CHUNK, eval_expansion_many, lp_error
+from mehybrid.surrogate import EVAL_CHUNK, MultiElementSurrogate, eval_expansion_many, lp_error
 from mehybrid.problems import (
     PROBLEMS,
     BurgersModel,
@@ -64,7 +64,7 @@ def test_step_global_expansion_closed_form():
 
 def test_step_global_expansion_converges_in_l2():
     model = StepModel()
-    errs = [lp_error(step_global_gpc(p), model, p=2, m=20000, seed=1) for p in (0, 3, 7)]
+    errs = [lp_error(MultiElementSurrogate((step_global_gpc(p),)), model, p=2, m=20000, seed=1) for p in (0, 3, 7)]
     assert errs[0] > errs[1] > errs[2]
 
 

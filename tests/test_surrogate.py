@@ -5,7 +5,7 @@ import pytest
 
 from mehybrid.errors import DomainError, ModelEvaluationError
 from mehybrid.polybasis import basis_matrix, multi_index_set
-from mehybrid.randomspace import Decomposition, Element, locate_many, sample_uniform
+from mehybrid.randomspace import Element, locate_many, sample_uniform
 from mehybrid.surrogate import (
     EVAL_CHUNK,
     CallableModel,
@@ -93,20 +93,16 @@ def test_me_surrogate_examples():
     assert eval_me_surrogate_many(me, np.array([[-0.5], [0.5]])).tolist() == [-1.0, 0.0]
     # single-element surrogate behaves exactly like its expansion
     exp = GpcExpansion(full_line(), 1, np.array([0.3, 0.9]))
-    single = MultiElementSurrogate(Decomposition((full_line(),)), (exp,))
+    single = MultiElementSurrogate((exp,))
     pts = sample_uniform(200, 1, 5).points
     assert np.array_equal(eval_me_surrogate_many(single, pts), eval_expansion_many(exp, pts))
 
 
 def test_me_surrogate_structure_validation():
-    exp = GpcExpansion(full_line(), 0, np.array([1.0]))
     with pytest.raises(ValueError, match="expected 2 coefficients for order 1"):
         GpcExpansion(full_line(), 1, np.array([1.0]))
     with pytest.raises(ValueError):
-        MultiElementSurrogate(Decomposition((full_line(),)), ())
-    wrong_element = GpcExpansion(Element.box([-1.0], [0.0]), 0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        MultiElementSurrogate(Decomposition((full_line(),)), (wrong_element,))
+        MultiElementSurrogate(())
 
 
 def test_local_variance_examples():
@@ -151,12 +147,12 @@ def test_lp_error_examples():
     assert lp_error(me, model, p=2, m=5000, seed=3) == 0.0
 
     lin_model = CallableModel(lambda z: z)
-    zero = GpcExpansion(full_line(), 0, np.array([0.0]))
+    zero = MultiElementSurrogate((GpcExpansion(full_line(), 0, np.array([0.0])),))
     err = lp_error(zero, lin_model, p=2, m=40000, seed=4)
     assert err == pytest.approx(math.sqrt(1.0 / 3.0), abs=0.01)
 
     # surrogate identical to the model
-    same = GpcExpansion(full_line(), 1, np.array([0.0, 1.0 / math.sqrt(3.0)]))
+    same = MultiElementSurrogate((GpcExpansion(full_line(), 1, np.array([0.0, 1.0 / math.sqrt(3.0)])),))
     assert lp_error(same, lin_model, p=1, m=2000, seed=5) < 1e-14
 
 
@@ -185,7 +181,7 @@ def test_me_surrogate_value_does_not_depend_on_the_batch():
         GpcExpansion(Element.box([a], [b]), 7, rng.normal(size=8) * 10.0 ** -np.arange(8))
         for a, b in zip(bounds, bounds[1:])
     )
-    surr = MultiElementSurrogate(Decomposition(tuple(e.element for e in expansions)), expansions)
+    surr = MultiElementSurrogate(expansions)
     pts = rng.permutation(np.vstack([sample_uniform(9000, 1, 5).points, [[b] for b in bounds]]))
     owners = np.empty(len(pts), dtype=np.intp)
     batch = eval_me_surrogate_many(surr, pts, owners)
@@ -233,7 +229,7 @@ def test_me_surrogate_matches_basis_matrix_formula_bit_for_bit(d):
         GpcExpansion(e, p, rng.normal(size=len(multi_index_set(d, p))))
         for e, p in zip(elements, orders)
     )
-    surr = MultiElementSurrogate(Decomposition(tuple(elements)), expansions)
+    surr = MultiElementSurrogate(expansions)
     pts = np.vstack([sample_uniform(EVAL_CHUNK + 1808, d, 3).points, np.full((1, d), -1.0), np.full((1, d), 1.0)])
     got = eval_me_surrogate_many(surr, pts)
     assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
