@@ -116,6 +116,8 @@ class RunConfig:
         if cfg.reference is not None and not _positive_finite(cfg.reference):
             raise UsageError(f"field 'reference' must be a positive finite number, got {cfg.reference!r}")
         max_order = prob.PROBLEMS[cfg.problem].max_order
+        if cfg.order is not None and cfg.order < 0:
+            raise UsageError(f"field 'order' must be nonnegative, got {cfg.order}")
         if cfg.order is not None and max_order is not None and cfg.order > max_order:
             raise UsageError(f"field 'order' must be at most {max_order} for problem {cfg.problem!r}")
         if not isinstance(cfg.seed, int) or cfg.seed < 0:
@@ -137,9 +139,9 @@ def _integer(name: str, value) -> int:
 
 
 def _prepare(cfg: RunConfig):
-    """Models and settings a run makes before it samples; a bad value among them is a usage error.
+    """The model and settings a run makes before it samples; a bad value among them is a usage error.
 
-    Returns the exact model, a second one charged with the surrogate build, and
+    Returns the run's one exact model, which the surrogate build and the estimate both call, and
     the hybrid and refinement settings (None where unused).  A global run's
     refinement never splits (theta1 = inf), so its surrogate is a one-element mesh."""
     spec = prob.PROBLEMS[cfg.problem]
@@ -147,7 +149,6 @@ def _prepare(cfg: RunConfig):
     refines = cfg.method != "mc" and "theta1" in spec.defaults
     try:
         model = spec.make_model(**params)
-        build_model = spec.make_model(**params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
             delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact)
         rcfg = None if not refines else RefinementConfig(
@@ -155,14 +156,14 @@ def _prepare(cfg: RunConfig):
             N=cfg.order)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
-    return model, build_model, hycfg, rcfg
+    return model, hycfg, rcfg
 
 
 def run(cfg: RunConfig) -> dict:
     """Execute one configured estimation and return the report dictionary."""
     t0 = time.perf_counter()
     spec = prob.PROBLEMS[cfg.problem]
-    model, build_model, hycfg, rcfg = _prepare(cfg)
+    model, hycfg, rcfg = _prepare(cfg)
     clock = time.perf_counter()
     samples = sample_uniform(cfg.m, model.dim, cfg.seed)
     timings = {"sample_s": time.perf_counter() - clock, "build_s": 0.0}
@@ -171,8 +172,9 @@ def run(cfg: RunConfig) -> dict:
     events: list = []
     if cfg.method != "mc":
         clock = time.perf_counter()
-        surr = spec.build_surrogate(build_model, {**spec.parameters, **cfg.problem_params}, cfg.order, rcfg, events)
+        surr = spec.build_surrogate(model, cfg.order, rcfg, events)
         timings["build_s"] = time.perf_counter() - clock
+    n_exact_build = model.call_count
     clock = time.perf_counter()
     if cfg.method == "mc":
         est = mc_estimate(model, samples)
@@ -184,7 +186,7 @@ def run(cfg: RunConfig) -> dict:
         est, trace = iterative_hybrid(model, surr, samples, hycfg)
     timings["estimate_s"] = time.perf_counter() - clock
     timings.update(est.timings)
-    timings["exact_s"] = model.exact_s + build_model.exact_s
+    timings["exact_s"] = model.exact_s
     reference = cfg.reference if cfg.reference is not None else spec.reference_p_f
     report = {
         "problem": cfg.problem,
@@ -192,14 +194,14 @@ def run(cfg: RunConfig) -> dict:
         "estimate": est.p_f,
         "stddev": est.stddev,
         "n_exact": est.n_exact,
-        "n_exact_build": build_model.call_count,
+        "n_exact_build": n_exact_build,
         "n_surrogate": est.n_surrogate,
         "n_elements": 0 if surr is None else len(surr),
         "truncated": surr is not None and surr.truncated,
         "reference": reference,
         "reference_tag": spec.reference_tag if cfg.reference is None else "configured",
         "relative_error": relative_error(est.p_f, reference),
-        "model_calls_total": model.call_count + build_model.call_count,
+        "model_calls_total": model.call_count,
         "wall_time_s": time.perf_counter() - t0,
         "timings": timings,
         "config": asdict(cfg),

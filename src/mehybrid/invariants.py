@@ -89,8 +89,8 @@ def check_linear_closure() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10):
         c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {}, np.empty_like(c))()
-        red = _batched_rhs(system, c[:, :, :4], dense, {}, np.empty_like(c[:, :, :4]))()
+        full = _batched_rhs(system, c, dense, (), np.empty_like(c))()
+        red = _batched_rhs(system, c[:, :, :4], dense, (), np.empty_like(c[:, :, :4]))()
         q, _ = dynamic_indicator(full[0], red[0], c[0], dim=1)
         worst = max(worst, q)
     return worst < TOLERANCES["linear-closure"], f"max Q {worst:.2e}"

@@ -123,16 +123,15 @@ def gaussian_from_uniform(x, mu: float = -2.0, sigma: float = 1.0):
     return mu + math.sqrt(2.0) * sigma * y
 
 
-def z_legendre_coeffs(p: int, mu: float = -2.0, sigma: float = 1.0, nodes: int = 64) -> np.ndarray:
+def z_legendre_coeffs(p: int, mu: float = -2.0, sigma: float = 1.0) -> np.ndarray:
     """Orthonormal Legendre coefficients of the Gaussian transform up to degree p.
 
-    k_i = E[(mu + sqrt(2) sigma erfinv(X)) phi_i(X)] by Gauss quadrature;
+    k_i = E[(mu + sqrt(2) sigma erfinv(X)) phi_i(X)] by 64-node Gauss quadrature;
     k_0 is the mean mu, and even-degree coefficients vanish when mu = 0.
     """
     if p < 1:
         raise ValueError("expansion order must be at least one")
-    return project(lambda pts: gaussian_from_uniform(pts[:, 0], mu, sigma), Element.box([-1.0], [1.0]), p,
-                   max(nodes, 64))
+    return project(lambda pts: gaussian_from_uniform(pts[:, 0], mu, sigma), Element.box([-1.0], [1.0]), p, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +189,7 @@ def ode_galerkin_system(p: int, u0=1.0, mu=-2.0, sigma=1.0) -> PolynomialOde:
         n_state=1,
         dim=1,
         initial=lambda pts: np.full((1, pts.shape[0]), float(u0)),
-        field_linear=((0, "decay_rate", -1.0, 0),),
-        fields={"decay_rate": rate},
+        field_linear=((0, rate, -1.0, 0),),
     )
 
 
@@ -401,22 +399,22 @@ GALERKIN_DT = 0.01
 BURGERS_NODES = 21
 
 
-def _step_surrogate(model, params, order, rcfg, event_log):
+def _step_surrogate(model, order, rcfg, event_log):
     return step_me_exact() if order is None else MultiElementSurrogate((step_global_gpc(order),))
 
 
-def _galerkin_builder(make_system: Callable[[int, dict], PolynomialOde]):
-    """Dynamic refinement of ``make_system(order, params)`` to time T; observes y1 - u_d."""
+def _galerkin_builder(make_system: Callable[[LimitStateModel, int], PolynomialOde]):
+    """Dynamic refinement of ``make_system(model, order)`` to the model's time T; observes y1 - u_d."""
 
-    def build(model, params, order, rcfg, event_log):
+    def build(model, order, rcfg, event_log):
         dec, coeffs, truncated = adapt_dynamic(
-            make_system(order, params), rcfg, T=params["T"], dt=GALERKIN_DT, event_log=event_log)
-        return limit_state_surrogate(dec, coeffs, var=0, offset=-params["u_d"], truncated=truncated)
+            make_system(model, order), rcfg, T=model.T, dt=GALERKIN_DT, event_log=event_log)
+        return limit_state_surrogate(dec, coeffs, var=0, offset=-model.u_d, truncated=truncated)
 
     return build
 
 
-def _burgers_surrogate(model, params, order, rcfg, event_log):
+def _burgers_surrogate(model, order, rcfg, event_log):
     return adapt_static(model, rcfg, q=BURGERS_NODES, event_log=event_log)
 
 
@@ -428,15 +426,15 @@ def _burgers_surrogate(model, params, order, rcfg, event_log):
 class ProblemSpec:
     """Canonical description of one benchmark: parameters, reference value, builders.
 
-    ``build_surrogate(model, params, order, rcfg, event_log)`` returns a
-    MultiElementSurrogate and charges ``model`` with its exact calls;
-    ``rcfg`` is the run's RefinementConfig (None for a problem without a
-    ``theta1`` default), with ``theta1 = inf`` for a global build, which
-    makes a one-element mesh.  Step builds its exact two-element surrogate
-    when ``order`` is None.
+    ``make_model(**parameters)`` makes the run's one exact model.
+    ``build_surrogate(model, order, rcfg, event_log)`` returns a
+    MultiElementSurrogate; it reads any parameter it needs from ``model``
+    and charges ``model`` with its exact calls.  ``rcfg`` is the run's
+    RefinementConfig (None for a problem without a ``theta1`` default), with
+    ``theta1 = inf`` for a global build, which makes a one-element mesh.
+    Step builds its exact two-element surrogate when ``order`` is None.
     """
 
-    name: str
     parameters: dict
     reference_p_f: float
     reference_tag: str
@@ -448,40 +446,34 @@ class ProblemSpec:
 
 PROBLEMS: dict[str, ProblemSpec] = {
     "step": ProblemSpec(
-        name="step",
         parameters={},
         reference_p_f=0.5,
         reference_tag="analytic",
-        make_model=lambda **kw: StepModel(),
+        make_model=StepModel,
         build_surrogate=_step_surrogate,
         defaults={"delta_m": 1000},
     ),
     "linear-ode": ProblemSpec(
-        name="linear-ode",
         parameters={"u0": 1.0, "T": 1.0, "u_d": 0.5, "mu": -2.0, "sigma": 1.0},
         reference_p_f=0.003541,
         reference_tag="published",
-        make_model=lambda **kw: OdeModel(**kw),
-        build_surrogate=_galerkin_builder(
-            lambda order, p: ode_galerkin_system(order, u0=p["u0"], mu=p["mu"], sigma=p["sigma"])
-        ),
+        make_model=OdeModel,
+        build_surrogate=_galerkin_builder(lambda m, order: ode_galerkin_system(order, m.u0, m.mu, m.sigma)),
         defaults={"delta_m": 100, "theta1": 0.05},
     ),
     "ko3": ProblemSpec(
-        name="ko3",
         parameters={"T": 15.0, "u_d": 0.03, "dt": 0.01},
         reference_p_f=0.102651,
         reference_tag="published",
-        make_model=lambda **kw: KoModel(**kw),
-        build_surrogate=_galerkin_builder(lambda order, p: ko_galerkin_system()),
+        make_model=KoModel,
+        build_surrogate=_galerkin_builder(lambda m, order: ko_galerkin_system()),
         defaults={"delta_m": 100, "theta1": 1e-4},
     ),
     "burgers": ProblemSpec(
-        name="burgers",
         parameters={"e": 0.1, "nu": 0.05, "z0": 0.75},
         reference_p_f=0.127478,
         reference_tag="published-for-uncalibrated-parameters",
-        make_model=lambda **kw: BurgersModel(**kw),
+        make_model=BurgersModel,
         build_surrogate=_burgers_surrogate,
         defaults={"delta_m": 100, "theta1": 0.01},
         max_order=BURGERS_NODES - 1,

@@ -19,7 +19,7 @@ import csv
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import IntegrationError, UnsupportedModelError
 from .polybasis import basis_matrix, multi_index_set, triple_products
 from .randomspace import Decomposition, Element, split_element, to_local_many
-from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, project
+from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, local_variance, project
 
 __all__ = [
     "RefinementConfig",
@@ -127,7 +127,7 @@ def static_indicator(exp: GpcExpansion) -> tuple[float, np.ndarray]:
         raise ValueError("static indicator needs an expansion of order >= 1")
     degrees = np.array([sum(idx) for idx in exp.indices])
     c = exp.coeffs
-    sigma2 = float(np.sum(c[degrees >= 1] ** 2))
+    sigma2 = local_variance(exp)
     top = float(np.sum(c[degrees == exp.order] ** 2))
     eta = 0.0 if sigma2 < 1e-14 else top / sigma2
     d = exp.element.dim
@@ -203,48 +203,31 @@ class PolynomialOde:
     """ODE system du/dt = f(u; z) with a right-hand side of degree <= 2 in the state.
 
     Terms, each addressed to one state variable ``var``:
-      constant:       value                       (deterministic source)
-      linear:         coeff * u[src]
-      quadratic:      coeff * u[a] * u[b]
-      field_constant: coeff * field(z)
-      field_linear:   coeff * field(z) * u[src]
+      linear:       coeff * u[src]
+      quadratic:    coeff * u[a] * u[b]
+      field_linear: coeff * field(z) * u[src]
 
-    ``fields`` maps names to vectorized callables of the global point array
-    (npts, d); ``initial`` maps the same array to initial data of shape
-    (n_state, npts).  Anything outside this structure cannot be projected and
-    must be rejected with UnsupportedModelError by the consumers below.
+    A field_linear term holds its field, a vectorized callable of the global
+    point array (npts, d); ``initial`` maps the same array to initial data of
+    shape (n_state, npts).  Anything outside this structure cannot be
+    projected and must be rejected with UnsupportedModelError by the
+    consumers below.
     """
 
     n_state: int
     initial: Callable[[np.ndarray], np.ndarray]
     dim: int = 1
-    constant: tuple[tuple[int, float], ...] = ()
     linear: tuple[tuple[int, float, int], ...] = ()
     quadratic: tuple[tuple[int, float, int, int], ...] = ()
-    field_constant: tuple[tuple[int, str, float], ...] = ()
-    field_linear: tuple[tuple[int, str, float, int], ...] = ()
-    fields: dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
+    field_linear: tuple[tuple[int, Callable[[np.ndarray], np.ndarray], float, int], ...] = ()
 
     def __post_init__(self):
-        names = set(self.fields)
-        for var, _ in self.constant:
-            self._check_var(var)
-        for var, _, src in self.linear:
-            self._check_var(var), self._check_var(src)
-        for var, _, a, b in self.quadratic:
-            self._check_var(var), self._check_var(a), self._check_var(b)
-        for var, name, _ in self.field_constant:
-            self._check_var(var)
-            if name not in names:
-                raise UnsupportedModelError(f"unknown field {name!r}")
-        for var, name, _, src in self.field_linear:
-            self._check_var(var), self._check_var(src)
-            if name not in names:
-                raise UnsupportedModelError(f"unknown field {name!r}")
-
-    def _check_var(self, v: int) -> None:
-        if not 0 <= v < self.n_state:
-            raise UnsupportedModelError(f"state variable {v} out of range")
+        used = [v for var, _, src in self.linear for v in (var, src)]
+        used += [v for var, _, a, b in self.quadratic for v in (var, a, b)]
+        used += [v for var, _, _, src in self.field_linear for v in (var, src)]
+        for v in used:
+            if not 0 <= v < self.n_state:
+                raise UnsupportedModelError(f"state variable {v} out of range")
 
 
 def _require_polynomial(system) -> PolynomialOde:
@@ -260,11 +243,12 @@ def _batched_rhs(
     system: PolynomialOde,
     src: np.ndarray,
     dense: np.ndarray,
-    fields: dict[str, np.ndarray],
+    fields: Sequence[np.ndarray],
     dst: np.ndarray,
 ) -> Callable[..., np.ndarray]:
     """Binds the projected right-hand side to a batch of mode coefficients ``src``
-    (M, n_state, n) and an output ``dst`` shaped like it.
+    (M, n_state, n) and an output ``dst`` shaped like it; ``fields`` holds the
+    projected field of each field_linear term, in term order.
 
     The returned slope reads ``src`` as it is at call time, writes the mode
     derivatives into ``dst`` and returns it; its time argument is ignored.
@@ -274,20 +258,16 @@ def _batched_rhs(
     n = src.shape[2]
     tmp = np.empty((src.shape[0], n))
     e_nnn = dense[:n, :n, :n]
-    constants = [(dst[:, var, 0], value) for var, value in system.constant]
     # (target rows, coefficient, triple tensor or None, left factor, right factor), in term order
     terms = [(dst[:, var, :], c, None, None, src[:, i, :]) for var, c, i in system.linear]
     terms += [(dst[:, var, :], c, e_nnn, src[:, a, :], src[:, b, :]) for var, c, a, b in system.quadratic]
-    terms += [(dst[:, var, :], c, None, None, fields[name][:, :n]) for var, name, c in system.field_constant]
-    terms += [(dst[:, var, :], c, dense[:n, : fields[name].shape[1], :n], fields[name], src[:, i, :])
-              for var, name, c, i in system.field_linear]
+    terms += [(dst[:, var, :], c, dense[:n, : f.shape[1], :n], f, src[:, i, :])
+              for (var, _, c, i), f in zip(system.field_linear, fields)]
 
     mul = np.multiply
 
     def slope(_t=None) -> np.ndarray:
         dst.fill(0.0)
-        for rows, value in constants:
-            rows += value
         for rows, c, e, u, v in terms:
             if e is None:
                 mul(v, c, tmp)
@@ -425,8 +405,8 @@ def _project_child_state(parent: Element, child: Element, coeffs: np.ndarray, or
     return project(lambda pts: (basis_matrix(basis, to_local_many(parent, pts)) @ coeffs.T).T, child, order)
 
 
-def _field_coeffs(system: PolynomialOde, elements: Sequence[Element], order: int) -> dict[str, np.ndarray]:
-    return {name: _project_function(fn, elements, order) for name, fn in system.fields.items()}
+def _field_coeffs(system: PolynomialOde, elements: Sequence[Element], order: int) -> list[np.ndarray]:
+    return [_project_function(fn, elements, order) for _, fn, _, _ in system.field_linear]
 
 
 def adapt_dynamic(

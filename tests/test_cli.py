@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +99,8 @@ def test_global_surrogate_is_a_one_element_mesh(problem, order, monkeypatch):
     # a global run's surrogate is a one-element mesh, evaluated like any other:
     # a point gives the same bits alone as in a batch
     spec = problems.PROBLEMS[problem]
-    model, build_model, _, rcfg = _prepare(RunConfig.from_dict(base_config(problem=problem, method="global-hybrid",
-                                                                           order=order)))
-    surr = spec.build_surrogate(build_model, spec.parameters, order, rcfg, [])
+    model, _, rcfg = _prepare(RunConfig.from_dict(base_config(problem=problem, method="global-hybrid", order=order)))
+    surr = spec.build_surrogate(model, order, rcfg, [])
     assert isinstance(surr, surrogate.MultiElementSurrogate) and len(surr) == 1
     pts = sample_uniform(20_000, model.dim, 3).points
     alone = np.array([surr(pts[i : i + 1])[0] for i in range(len(pts))])
@@ -192,6 +192,8 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["problem=step", "method=direct-hybrid", "gamma=0", "order=null"], "order"),
                        (["problem=ko3", "method=mc"], "order"), (["problem=step"], "order"),
                        (["problem=step", "method=me-lha"], "order"),
+                       (["problem=step", "method=global-hybrid", "order=-1"], "order"),
+                       (["problem=step", "method=direct-hybrid", "gamma=0", "order=-1"], "order"),
                        # hybrid settings of a run that does not read them
                        (["problem=ko3", *mc, "eta_stop=0.5"], "eta_stop"),
                        (["problem=ko3", *mc, "max_exact=10"], "max_exact"),
@@ -207,6 +209,41 @@ def test_estimate_command_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), sets
         assert re.search(rf"\b{name}\b", err), (sets, err)
+
+
+@pytest.mark.parametrize("problem", sorted(problems.PROBLEMS))
+def test_unknown_problem_param_is_a_usage_error(problem, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem=problem, method="mc", m=100, delta_m=10,
+                                               problem_params={"bogus": 3})))
+    assert main(["estimate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "bogus" in err
+
+
+@pytest.mark.parametrize("problem, method, order", [("burgers", "me-gha", 3), ("linear-ode", "me-lha", 3),
+                                                    ("step", "global-hybrid", 2)])
+def test_build_and_estimate_call_one_model(problem, method, order, monkeypatch):
+    # the run makes one exact model; the build's calls are its count when the build returns
+    spec = problems.PROBLEMS[problem]
+    models, builds = [], []
+
+    def make_model(**params):
+        models.append(spec.make_model(**params))
+        return models[-1]
+
+    def build_surrogate(model, *args):
+        surr = spec.build_surrogate(model, *args)
+        builds.append((model, model.call_count))
+        return surr
+
+    monkeypatch.setitem(problems.PROBLEMS, problem, replace(spec, make_model=make_model,
+                                                            build_surrogate=build_surrogate))
+    rep = run(RunConfig.from_dict(base_config(problem=problem, method=method, order=order, m=5000, delta_m=100)))
+    [model] = models
+    [(built_with, n_build)] = builds
+    assert built_with is model and rep["n_exact_build"] == n_build
+    assert rep["model_calls_total"] == model.call_count == n_build + rep["n_exact"]
 
 
 def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
@@ -240,7 +277,7 @@ def test_table_command_writes_csv(tmp_path, capsys):
     assert len(lines) > 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_table_csv_matches_golden(n, tmp_path):
     # tests/data/table{n}_m20000.csv was written by `mehybrid table n --set m=20000 --out ...`
     out = tmp_path / f"table{n}.csv"

@@ -188,8 +188,23 @@ def test_adapt_dynamic_rejects_bad_input():
 def test_polynomial_ode_validation():
     with pytest.raises(UnsupportedModelError):
         PolynomialOde(n_state=1, dim=1, initial=lambda p: p, linear=((0, 1.0, 2),))
-    with pytest.raises(UnsupportedModelError):
-        PolynomialOde(n_state=1, dim=1, initial=lambda p: p, field_linear=((0, "ghost", 1.0, 0),))
+    for term in ((0, lambda p: p[:, 0], 1.0, 1), (1, lambda p: p[:, 0], 1.0, 0)):
+        with pytest.raises(UnsupportedModelError, match="state variable 1 out of range"):
+            PolynomialOde(n_state=1, dim=1, initial=lambda p: p, field_linear=(term,))
+
+
+def test_field_linear_terms_keep_their_own_fields():
+    # u0' = -2 u0 and u1' = -3 u1 through two field_linear terms with constant fields
+    system = PolynomialOde(
+        n_state=2,
+        dim=1,
+        initial=lambda pts: np.ones((2, pts.shape[0])),
+        field_linear=((0, lambda pts: np.full(pts.shape[0], 2.0), -1.0, 0),
+                      (1, lambda pts: np.full(pts.shape[0], 3.0), -1.0, 1)),
+    )
+    dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=math.inf, N=3), T=1.0, dt=0.01)
+    assert len(dec) == 1
+    assert coeffs[0, :, 0] == pytest.approx([math.exp(-2.0), math.exp(-3.0)], rel=1e-6)  # RK4 at dt = 0.01
 
 
 def test_ko_deterministic_mode_tracks_scalar_trajectory():
@@ -248,9 +263,9 @@ def test_dynamic_indicator_ko_transfers_energy():
     rcfg = cfg(theta1=math.inf, N=5)
     dec, coeffs, _ = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
     dense = triple_products(1, 5)
-    full = _batched_rhs(system, coeffs, dense, {}, np.empty_like(coeffs))()[0]
+    full = _batched_rhs(system, coeffs, dense, (), np.empty_like(coeffs))()[0]
     c_red = coeffs[:, :, :4]
-    red = _batched_rhs(system, c_red, dense, {}, np.empty_like(c_red))()[0]
+    red = _batched_rhs(system, c_red, dense, (), np.empty_like(c_red))()[0]
     q, s = dynamic_indicator(full, red, coeffs[0], dim=1)
     assert q > 1e-4
     assert s[0] >= 0.0
@@ -263,16 +278,13 @@ def test_bound_slope_reads_its_source_live():
         n_state=2,
         dim=1,
         initial=lambda pts: np.ones((2, pts.shape[0])),
-        constant=((0, 0.3),),
         linear=((0, -1.0, 1), (1, 0.5, 0)),
         quadratic=((1, 0.7, 0, 1), (0, -0.2, 1, 1)),
-        field_constant=((1, "k", 0.4),),
-        field_linear=((0, "k", -1.5, 0),),
-        fields={"k": lambda pts: pts[:, 0]},
+        field_linear=((0, lambda pts: pts[:, 0], -1.5, 0), (1, lambda pts: pts[:, 0] ** 2, 0.4, 1)),
     )
     dense = triple_products(1, 5)
     rng = np.random.default_rng(8)
-    fields = {"k": rng.normal(size=(3, 6))}
+    fields = [rng.normal(size=(3, 6)), rng.normal(size=(3, 6))]
     src = rng.normal(size=(3, 2, 6))
     dst = np.empty_like(src)
     slope = _batched_rhs(system, src, dense, fields, dst)
