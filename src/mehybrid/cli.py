@@ -21,7 +21,6 @@ from .errors import DomainError, IntegrationError, ModelEvaluationError, RootSol
 from .estimator import (
     HybridConfig,
     HybridTrace,
-    direct_hybrid,
     iterative_hybrid,
     mc_estimate,
     me_lha,
@@ -29,7 +28,7 @@ from .estimator import (
 )
 from .invariants import CHECKS
 from .randomspace import sample_uniform
-from .refine import RefinementConfig, _positive_finite, _real, write_events_csv
+from .refine import RefinementConfig, _positive_finite, write_events_csv
 
 METHODS = ("mc", "direct-hybrid", "global-hybrid", "me-gha", "me-lha")
 GLOBAL_METHODS = ("direct-hybrid", "global-hybrid")
@@ -111,8 +110,6 @@ class RunConfig:
         for key, skipped in unread.items():
             if skipped and raw.get(key) is not None:
                 raise UsageError(f"field {key!r} is not read by method {cfg.method!r} on problem {cfg.problem!r}")
-        if cfg.gamma is not None and not (_real(cfg.gamma) and cfg.gamma >= 0):
-            raise UsageError(f"field 'gamma' must be a nonnegative number, got {cfg.gamma!r}")
         if cfg.reference is not None and not _positive_finite(cfg.reference):
             raise UsageError(f"field 'reference' must be a positive finite number, got {cfg.reference!r}")
         max_order = prob.PROBLEMS[cfg.problem].max_order
@@ -150,7 +147,7 @@ def _prepare(cfg: RunConfig):
     try:
         model = spec.make_model(**params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
-            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact)
+            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact, gamma=cfg.gamma)
         rcfg = None if not refines else RefinementConfig(
             **{"theta1": math.inf if cfg.method in GLOBAL_METHODS else spec.defaults["theta1"], **cfg.refine},
             N=cfg.order)
@@ -178,8 +175,6 @@ def run(cfg: RunConfig) -> dict:
     clock = time.perf_counter()
     if cfg.method == "mc":
         est = mc_estimate(model, samples)
-    elif cfg.method == "direct-hybrid":
-        est = direct_hybrid(model, surr, samples, cfg.gamma)
     elif cfg.method == "me-lha":
         est, trace = me_lha(model, surr, samples, hycfg)
     else:
@@ -196,6 +191,7 @@ def run(cfg: RunConfig) -> dict:
         "n_exact": est.n_exact,
         "n_exact_build": n_exact_build,
         "n_surrogate": est.n_surrogate,
+        "surrogate_estimate": est.surrogate_estimate,
         "n_elements": 0 if surr is None else len(surr),
         "truncated": surr is not None and surr.truncated,
         "reference": reference,
@@ -317,11 +313,8 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
 
     if n == 1:
         for p in ref["orders"]:
-            rep_direct = run(RunConfig.from_dict(dict(problem=problem, method="direct-hybrid", seed=seed,
-                                                      m=m, order=p, gamma=0.0, delta_m=delta_m)))
-            add("surrogate_estimate", p, None, rep_direct["estimate"],
-                ref["rows"]["surrogate_estimate"][p])
             rep = _run_cell(problem, "global-hybrid", p, seed, m, delta_m)
+            add("surrogate_estimate", p, None, rep["surrogate_estimate"], ref["rows"]["surrogate_estimate"][p])
             add("hybrid_exact_calls", p, None, rep["n_exact"], ref["rows"]["hybrid_exact_calls"][p])
             add("hybrid_estimate", p, None, rep["estimate"], None)
     elif n in (2, 5):

@@ -1,10 +1,18 @@
 """Failure-probability estimators with exact-call accounting.
 
-All iterative variants keep an integer count of samples currently
-classified as failing; the reported probability is that count divided by
-the total sample size.  This makes the conservation property exact: when
-the iteration replaces every surrogate value by an exact one, the estimate
-equals the plain Monte Carlo estimate on the same samples bit for bit.
+Every hybrid estimate is one walk engine, ``_hybrid_walk``: it walks the
+samples (all of them, or each element's under ``me_lha``) in ascending
+``|g~|`` and replaces surrogate classes with exact ones, block by block.  Two
+stop rules end a walk: the net-change rule of Li, Li & Xiu (JCP 2011), which
+stops once a block changes the estimate by at most ``eta_stop``, and the
+band of Li & Xiu (JCP 2010), which evaluates exactly the walk's samples with
+``|g~| <= gamma`` as one block.
+
+The walk keeps an integer count of samples currently classified as
+failing; the reported probability is that count divided by the total
+sample size.  This makes the conservation property exact: when the walk
+replaces every surrogate value by an exact one, the estimate equals the
+plain Monte Carlo estimate on the same samples bit for bit.
 """
 from __future__ import annotations
 
@@ -16,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .randomspace import SampleSet
+from .refine import _real
 from .surrogate import LimitStateModel, MultiElementSurrogate, eval_me_surrogate_many
 
 __all__ = [
@@ -35,19 +44,25 @@ __all__ = [
 
 @dataclass
 class HybridConfig:
-    """Iteration controls: block size, stopping tolerance, optional call cap."""
+    """Walk controls: block size, stopping tolerance, optional call cap, and
+    ``gamma``, which replaces the net-change rule by the band |g~| <= gamma."""
 
     delta_m: int
     eta_stop: float = 0.0
     max_exact: int | None = None
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.delta_m < 1:
             raise ValueError("step size delta_m must be at least one")
-        if not self.eta_stop >= 0:
-            raise ValueError(f"stopping tolerance eta_stop must be nonnegative, got {self.eta_stop!r}")
+        if not (_real(self.eta_stop) and self.eta_stop >= 0):
+            raise ValueError(f"stopping tolerance eta_stop must be a nonnegative number, got {self.eta_stop!r}")
+        if self.gamma is not None and not (_real(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"band half-width gamma must be a nonnegative number, got {self.gamma!r}")
         if self.max_exact is not None and self.max_exact < 1:
             raise ValueError("max_exact must be at least one when given")
+        if self.gamma is not None and (self.eta_stop or self.max_exact is not None):
+            raise ValueError("the band rule gamma takes no eta_stop or max_exact")
 
 
 # Wall-time stages of a hybrid estimate: surrogate evaluation, ordering by |g~|
@@ -57,12 +72,15 @@ STAGES = ("surrogate_s", "order_s", "blocks_s")
 
 @dataclass(frozen=True)
 class Estimate:
-    """Final estimate with its cost accounting; ``timings`` holds the seconds of each of STAGES."""
+    """Final estimate with its cost accounting; ``surrogate_estimate`` is a hybrid walk's
+    starting failure count over m (None for Monte Carlo), and ``timings`` holds the
+    seconds of each of STAGES."""
 
     p_f: float
     n_exact: int
     n_surrogate: int
     stddev: float
+    surrogate_estimate: float | None = None
     timings: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0), compare=False)
 
     def __post_init__(self):
@@ -80,7 +98,7 @@ class TraceRecord:
 
 @dataclass
 class HybridTrace:
-    """Per-iteration history of an iterative hybrid run."""
+    """Per-block history of a hybrid run."""
 
     records: list[TraceRecord] = field(default_factory=list)
 
@@ -98,12 +116,6 @@ class HybridTrace:
                 writer.writerow([r.iteration, repr(r.estimate), r.n_exact, "" if r.element is None else r.element])
 
 
-def _points(samples) -> np.ndarray:
-    if isinstance(samples, SampleSet):
-        return samples.points
-    return np.atleast_2d(np.asarray(samples, dtype=float))
-
-
 def mc_stddev(p: float, m: int) -> float:
     """Standard deviation of the Monte Carlo estimator: sqrt(p (1 - p) / m)."""
     if not 0.0 <= p <= 1.0:
@@ -113,9 +125,9 @@ def mc_stddev(p: float, m: int) -> float:
     return math.sqrt(p * (1.0 - p) / m)
 
 
-def mc_estimate(model: LimitStateModel, samples) -> Estimate:
+def mc_estimate(model: LimitStateModel, samples: SampleSet) -> Estimate:
     """Plain Monte Carlo: fraction of samples with a negative exact value."""
-    pts = _points(samples)
+    pts = samples.points
     if pts.shape[0] < 1:
         raise ValueError("at least one sample is required")
     values = model.evaluate_many(pts)
@@ -123,35 +135,6 @@ def mc_estimate(model: LimitStateModel, samples) -> Estimate:
     fails = int(np.count_nonzero(values < 0.0))
     p = fails / m
     return Estimate(p, m, 0, mc_stddev(p, m))
-
-
-def direct_hybrid(model: LimitStateModel, surrogate, samples, gamma: float) -> Estimate:
-    """Hybrid estimate with a fixed replacement band of half-width gamma.
-
-    Samples with surrogate value below -gamma count as failures outright;
-    samples inside the band are settled by the exact model; the rest are
-    taken as safe.
-    """
-    if not gamma >= 0:
-        raise ValueError(f"replacement threshold gamma must be nonnegative, got {gamma!r}")
-    pts = _points(samples)
-    m = pts.shape[0]
-    t0 = time.perf_counter()
-    approx = surrogate(pts)
-    t1 = time.perf_counter()
-    band = np.abs(approx) <= gamma
-    fails = int(np.count_nonzero(approx < -gamma))
-    n_exact = int(np.count_nonzero(band))
-    t2 = time.perf_counter()
-    if n_exact:
-        exact = model.evaluate_many(pts[band])
-        fails += int(np.count_nonzero(exact < 0.0))
-    p = fails / m
-    return Estimate(p, n_exact, m, mc_stddev(p, m), _timings(t1 - t0, t2 - t1, time.perf_counter() - t2))
-
-
-def _timings(*seconds: float) -> dict:
-    return dict(zip(STAGES, seconds))
 
 
 # Samples in the first prefix of a walk's order, in blocks; a walk that runs past
@@ -188,7 +171,8 @@ def _walks(groups: np.ndarray | None) -> list:
     return [(k, by_label[end - n : end]) for k, (n, end) in enumerate(zip(counts, ends)) if n]
 
 
-def iterative_hybrid(model: LimitStateModel, surrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
+def iterative_hybrid(model: LimitStateModel, surrogate, samples: SampleSet,
+                     cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
     """Iterative hybrid estimation: replace surrogate calls by exact ones in
     blocks of delta_m, walking samples in ascending surrogate magnitude.
     ``surrogate`` is any callable from the (m, d) sample array to m values.
@@ -197,9 +181,10 @@ def iterative_hybrid(model: LimitStateModel, surrogate, samples, cfg: HybridConf
     and each block adds its exact-minus-surrogate change.  The walk stops
     once a block changes the estimate by at most eta_stop, or its samples
     or the call budget ``max_exact`` run out; samples never reached keep
-    their surrogate class.
+    their surrogate class.  With ``cfg.gamma`` set the walk is the band
+    instead: one block of every sample with |g~| <= gamma.
     """
-    pts = _points(samples)
+    pts = samples.points
     start = time.perf_counter()
     approx = surrogate(pts)
     return _hybrid_walk(model, pts, approx, cfg, None, time.perf_counter() - start)
@@ -207,19 +192,23 @@ def iterative_hybrid(model: LimitStateModel, surrogate, samples, cfg: HybridConf
 
 # ME-GHA is the iterative hybrid over a multi-element surrogate: one walk over all samples.
 me_gha = iterative_hybrid
+# The direct hybrid is the iterative hybrid with the band stop rule (HybridConfig.gamma).
+direct_hybrid = iterative_hybrid
 
 
-def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples, cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
+def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples: SampleSet,
+           cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
     """Local hybrid: the iterative hybrid walked inside every element of the mesh.
 
     Each element is walked on its own, in element order, with the stopping
-    rule of `iterative_hybrid`; the call budget ends the whole run.  Every
-    nonempty element performs at least one block of exact evaluations
-    (unless the call budget is spent); trace rows carry the running global
-    estimate and the element index.  The samples are located once, by the
-    surrogate evaluation.
+    rule of `iterative_hybrid`; the call budget ends the whole run.  Under
+    the net-change rule every nonempty element performs at least one block
+    of exact evaluations (unless the call budget is spent); under the band
+    rule each element evaluates its own band, and an element with an empty
+    band none.  Trace rows carry the running global estimate and the element
+    index.  The samples are located once, by the surrogate evaluation.
     """
-    pts = _points(samples)
+    pts = samples.points
     owners = np.empty(pts.shape[0], dtype=np.min_scalar_type(len(s) - 1))
     start = time.perf_counter()
     approx = eval_me_surrogate_many(s, pts, owners)
@@ -228,15 +217,16 @@ def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples, cfg: Hybri
 
 def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cfg: HybridConfig,
                  groups: np.ndarray | None, surrogate_s: float) -> tuple[Estimate, HybridTrace]:
-    """The block loop of both iterative hybrids, walking each group of ``groups``
-    (one integer label per sample) on its own; ``surrogate_s`` is the time the
-    surrogate values ``approx`` took."""
+    """The block loop of every hybrid, walking each group of ``groups`` (one
+    integer label per sample) on its own; ``surrogate_s`` is the time the
+    surrogate values ``approx`` took.  Under the band rule a walk's only block
+    is its samples with |g~| <= gamma, in sample order."""
     m = pts.shape[0]
     if cfg.delta_m > m:
         raise ValueError("step size cannot exceed the sample count")
     tick = time.perf_counter()
     surr_neg = approx < 0.0
-    fails = int(np.count_nonzero(surr_neg))
+    fails = surrogate_fails = int(np.count_nonzero(surr_neg))
     mag = np.abs(approx)
     budget = m if cfg.max_exact is None else cfg.max_exact
     n_exact = 0
@@ -248,11 +238,15 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
             break
         trace.append(0, fails / m, n_exact, label)
         mag_k = mag if members is None else mag[members]
-        order = np.empty(0, dtype=np.intp)
-        for iteration, pos in enumerate(range(0, mag_k.size, cfg.delta_m), start=1):
+        if cfg.gamma is None:
+            order, end, step = np.empty(0, dtype=np.intp), mag_k.size, cfg.delta_m
+        else:
+            order = np.flatnonzero(mag_k <= cfg.gamma)
+            end, step = order.size, mag_k.size
+        for iteration, pos in enumerate(range(0, end, step), start=1):
             tick = time.perf_counter()
-            stop = pos + min(cfg.delta_m, budget - n_exact)
-            if order.size < min(stop, mag_k.size):
+            stop = pos + min(step, budget - n_exact)
+            if order.size < min(stop, end):
                 order = _prefix(mag_k, max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m))
             block = order[pos:stop] if members is None else members[order[pos:stop]]
             tock = time.perf_counter()
@@ -266,7 +260,8 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
             if abs(delta) / m <= cfg.eta_stop or n_exact >= budget:
                 break
     p = fails / m
-    return Estimate(p, n_exact, m, mc_stddev(p, m), _timings(surrogate_s, order_s, blocks_s)), trace
+    return Estimate(p, n_exact, m, mc_stddev(p, m), surrogate_fails / m,
+                    dict(zip(STAGES, (surrogate_s, order_s, blocks_s)))), trace
 
 
 def relative_error(p_hat: float, p_ref: float) -> float:

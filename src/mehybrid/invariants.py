@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import problems as prob
-from .estimator import HybridConfig, direct_hybrid, iterative_hybrid, mc_estimate
+from .estimator import HybridConfig, iterative_hybrid, mc_estimate
 from .polybasis import basis_matrix, gauss_legendre, multi_index_set, triple_products
 from .randomspace import Decomposition, Element, check_partition, sample_uniform, split_element
 from .refine import PolynomialOde, _batched_rhs, dynamic_indicator, rk4_integrate
@@ -134,7 +134,8 @@ def check_gamma_bound() -> tuple[bool, str]:
     for seed in range(20):
         samples = sample_uniform(4000, 1, 100 + seed)
         eps_p = lp_error(surr.evaluate_many, model, p_norm, 2000, seed=200 + seed)
-        est = direct_hybrid(model, surr.evaluate_many, samples, gamma_bound(eps_p, eps, p_norm))
+        band = HybridConfig(delta_m=1, gamma=gamma_bound(eps_p, eps, p_norm))
+        est, _ = iterative_hybrid(model, surr.evaluate_many, samples, band)
         worst = max(worst, abs(est.p_f - mc_estimate(model, samples).p_f))
     return worst <= eps, f"max |hybrid - MC| {worst:.2e}"
 

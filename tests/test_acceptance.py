@@ -12,7 +12,6 @@ import pytest
 from mehybrid import invariants
 from mehybrid.estimator import (
     HybridConfig,
-    direct_hybrid,
     iterative_hybrid,
     mc_estimate,
     mc_stddev,
@@ -58,11 +57,13 @@ def test_criterion_1_step_global_surrogates(samples_1m):
     mc = mc_estimate(StepModel(), samples_1m)
     for p, ref in published.items():
         surrogate = MultiElementSurrogate((step_global_gpc(p),))
-        direct = direct_hybrid(StepModel(), surrogate, samples_1m, gamma=0.0)
+        direct, _ = iterative_hybrid(StepModel(), surrogate, samples_1m, HybridConfig(delta_m=1, gamma=0.0))
         band = 3.0 * mc_stddev(ref, M_FULL)
         assert abs(direct.p_f - ref) <= band, f"p={p}: direct {direct.p_f} vs {ref} (band {band})"
         est, _ = iterative_hybrid(StepModel(), surrogate, samples_1m, HybridConfig(delta_m=delta_m))
         assert est.p_f == mc.p_f, f"p={p}: hybrid {est.p_f} != exact MC {mc.p_f}"
+        # the surrogate has no exact zeros here, so the walk's start is the zero band
+        assert est.surrogate_estimate == direct.p_f, f"p={p}: {est.surrogate_estimate} != {direct.p_f}"
         assert abs(est.n_exact - published_calls) <= 2 * delta_m, f"p={p}: n_exact {est.n_exact}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

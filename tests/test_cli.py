@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mehybrid import problems, surrogate
+from mehybrid import cli, problems, surrogate
 from mehybrid.cli import RunConfig, UsageError, _prepare, _write_csv, main, run, table, validate
 from mehybrid.randomspace import sample_uniform
 
@@ -60,7 +60,7 @@ def test_run_report_fields_and_determinism(tmp_path):
         rep_a = run(RunConfig.from_dict(raw))
         csv_a = [path.read_bytes() for path in (trace, events) if "output" in raw]
         rep_b = run(RunConfig.from_dict(raw))
-        for key in ("estimate", "n_exact", "n_surrogate", "n_elements", "relative_error"):
+        for key in ("estimate", "n_exact", "n_surrogate", "n_elements", "relative_error", "surrogate_estimate"):
             assert rep_a[key] == rep_b[key]
         a = {k: v for k, v in rep_a.items() if k not in ("wall_time_s", "timings")}
         b = {k: v for k, v in rep_b.items() if k not in ("wall_time_s", "timings")}
@@ -68,6 +68,9 @@ def test_run_report_fields_and_determinism(tmp_path):
         assert csv_a == [path.read_bytes() for path in (trace, events) if "output" in raw]
         first[raw["problem"]] = rep_a
     assert len(csv_a[1].splitlines()) > 2  # the linear-ode run logged its splits
+    # the walk starts at the surrogate's own estimate
+    row0 = csv_a[0].decode().splitlines()[1].split(",")
+    assert float(row0[1]) == first["linear-ode"]["surrogate_estimate"]
     # every run is charged for its build
     assert first["linear-ode"]["n_exact_build"] == 0  # the Galerkin build makes no exact calls
     burgers = run(RunConfig.from_dict(base_config(problem="burgers", method="me-lha", order=3, m=20_000,
@@ -92,6 +95,19 @@ def test_run_mc_method():
     rep = run(RunConfig.from_dict(base_config(method="mc", m=20_000)))
     assert rep["n_exact"] == 20_000
     assert abs(rep["estimate"] - 0.5) < 0.02
+    assert rep["surrogate_estimate"] is None
+
+
+def test_direct_hybrid_run_writes_trace(tmp_path):
+    # the direct hybrid is the global walk with the band stop rule: one block, traced
+    trace = tmp_path / "trace.csv"
+    rep = run(RunConfig.from_dict(base_config(method="direct-hybrid", order=2, gamma=0.05, m=20_000,
+                                              output={"trace": str(trace)})))
+    rows = [line.split(",") for line in trace.read_text().splitlines()]
+    assert rows[0] == ["iteration", "estimate", "n_exact", "element"]
+    assert [r[0] for r in rows[1:]] == ["0", "1"]
+    assert float(rows[1][1]) == rep["surrogate_estimate"]
+    assert float(rows[-1][1]) == rep["estimate"] and int(rows[-1][2]) == rep["n_exact"] > 0
 
 
 @pytest.mark.parametrize("problem, order", [("step", 7), ("linear-ode", 7), ("ko3", 5), ("burgers", 5)])
@@ -165,7 +181,9 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["method=direct-hybrid", "gamma=-0.1"], "gamma"),
                        (["refine.theta1=NaN"], "theta1"), (["refine.theta1=0"], "theta1"),
                        (["refine.theta1=true"], "theta1"), (["refine.theta1=abc"], "theta1"),
-                       (["eta_stop=NaN"], "eta_stop"), (["refine.max_elements=1.5"], "max_elements"),
+                       (["eta_stop=NaN"], "eta_stop"), (["eta_stop=true"], "eta_stop"),
+                       (["method=direct-hybrid", "gamma=true"], "gamma"),
+                       (["refine.max_elements=1.5"], "max_elements"),
                        (["refine.max_elements=true"], "max_elements"),
                        (["seed=true"], "seed"), (["m=true"], "m"), (["order=true"], "order"), (["seed=1.5"], "seed"),
                        (["m=abc"], "m"),
@@ -254,8 +272,17 @@ def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_table_one_downscaled(tmp_path):
+def test_table_one_downscaled(monkeypatch):
+    # one global-hybrid run per order gives both the surrogate estimate and the hybrid
+    runs = []
+
+    def counting(cfg):
+        runs.append(cfg.method)
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run", counting)
     rows = table(1, {"m": 20_000, "seed": 7})
+    assert runs == ["global-hybrid"] * 3
     header = rows[0]
     assert header == ["metric", "order", "tol", "computed", "published", "abs_diff"]
     metrics = {r[0] for r in rows[1:]}

@@ -9,7 +9,6 @@ from mehybrid.estimator import (
     Estimate,
     _prefix,
     HybridConfig,
-    direct_hybrid,
     iterative_hybrid,
     mc_estimate,
     mc_stddev,
@@ -30,6 +29,11 @@ from mehybrid.problems import StepModel, step_me_exact
 
 def const_model(value: float) -> CallableModel:
     return CallableModel(lambda z: np.full(len(z), value))
+
+
+def band(gamma: float) -> HybridConfig:
+    """The direct hybrid's walk: the band |g~| <= gamma as one block."""
+    return HybridConfig(delta_m=1, gamma=gamma)
 
 
 def test_mc_estimate_constant_models():
@@ -65,7 +69,7 @@ def test_direct_hybrid_zero_band_is_pure_surrogate():
     samples = sample_uniform(2000, 1, 1)
     model = StepModel()
     surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
-    est = direct_hybrid(model, surrogate, samples, gamma=0.0)
+    est, _ = iterative_hybrid(model, surrogate, samples, band(0.0))
     assert est.n_exact == 0
     assert model.call_count == 0
     ghat = surrogate(samples.points)
@@ -77,7 +81,7 @@ def test_direct_hybrid_full_band_equals_mc():
     model = StepModel()
     surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
     big_gamma = float(np.max(np.abs(surrogate(samples.points)))) + 1e-9
-    est = direct_hybrid(model, surrogate, samples, gamma=big_gamma)
+    est, _ = iterative_hybrid(model, surrogate, samples, band(big_gamma))
     ref = mc_estimate(StepModel(), samples)
     assert est.p_f == ref.p_f
     assert est.n_exact == samples.m
@@ -87,15 +91,20 @@ def test_direct_hybrid_band_covers_disagreement():
     samples = sample_uniform(5000, 1, 3)
     model = CallableModel(lambda z: z - 0.5)
     surrogate = CallableModel(lambda z: z - 0.5 + 0.01)
-    est = direct_hybrid(model, surrogate.evaluate_many, samples, gamma=0.02)
+    est, _ = iterative_hybrid(model, surrogate.evaluate_many, samples, band(0.02))
     ref = mc_estimate(CallableModel(lambda z: z - 0.5), samples)
     assert est.p_f == ref.p_f
 
 
 def test_direct_hybrid_rejects_negative_gamma():
-    for gamma in (-0.1, math.nan):
+    for gamma in (-0.1, math.nan, True, "0.1"):
         with pytest.raises(ValueError, match="gamma"):
-            direct_hybrid(const_model(1.0), lambda Z: np.zeros(len(Z)), sample_uniform(10, 1, 0), gamma)
+            band(gamma)
+    # the band is a stop rule of its own: it takes no net-change tolerance or call cap
+    for extra in ({"eta_stop": 0.01}, {"max_exact": 10}):
+        with pytest.raises(ValueError, match="gamma"):
+            HybridConfig(delta_m=1, gamma=0.1, **extra)
+    HybridConfig(delta_m=1, gamma=0.1, eta_stop=0.0)
 
 
 def test_iterative_hybrid_perfect_surrogate_stops_immediately():
@@ -287,7 +296,7 @@ def test_hybrid_band_property_over_seeds():
         surr = CallableModel(lambda z: z - 0.5 + offset)
         eps_p = lp_error(surr.evaluate_many, model, p, 2000, seed=200 + seed)
         gamma = gamma_bound(eps_p, eps, p)
-        est = direct_hybrid(model, surr.evaluate_many, samples, gamma)
+        est, _ = iterative_hybrid(model, surr.evaluate_many, samples, band(gamma))
         ref = mc_estimate(CallableModel(lambda z: z - 0.5), samples)
         assert abs(est.p_f - ref.p_f) <= eps
 
@@ -303,7 +312,7 @@ def test_relative_error_examples():
 def test_hybrid_config_validation():
     with pytest.raises(ValueError):
         HybridConfig(delta_m=0)
-    for eta_stop in (-1e-3, math.nan):
+    for eta_stop in (-1e-3, math.nan, True, None):
         with pytest.raises(ValueError, match="eta_stop"):
             HybridConfig(delta_m=10, eta_stop=eta_stop)
     with pytest.raises(ValueError):
@@ -366,6 +375,36 @@ def test_walk_order_equals_full_stable_argsort():
     left = np.flatnonzero(pts[:, 0] < 0.0)
     right = np.flatnonzero(pts[:, 0] >= 0.0)
     assert np.array_equal(walked, np.concatenate([pts[left, 0], pts[right, 0]]))
+
+
+def test_band_is_a_stop_rule_of_the_walk():
+    # four constant elements give |g~| ties at 0 and exactly at 0.25; the band walk must
+    # give the fixed-band formula (count(g~ < -gamma) + exact failures on |g~| <= gamma) / m,
+    # with one exact call of the walk's band, in sample order, per walk (per element under me_lha)
+    levels = (0.25, 0.0, -0.25, 0.5)
+    mesh = MultiElementSurrogate(tuple(
+        GpcExpansion(Element.box([lo], [lo + 0.5]), 0, np.array([v])) for lo, v in zip((-1.0, -0.5, 0.0, 0.5), levels)))
+    samples = sample_uniform(8000, 1, 31)
+    pts, m = samples.points, samples.m
+    approx = mesh(pts)
+    owner = np.minimum(((pts[:, 0] + 1.0) * 2.0).astype(int), 3)
+    exact_fail = pts[:, 0] < 0.0  # RecordingModel is the step
+    for gamma in (0.0, 0.25, math.inf):
+        in_band = np.abs(approx) <= gamma
+        expected = (np.count_nonzero(approx < -gamma) + np.count_nonzero(exact_fail & in_band)) / m
+        for walk, walks in ((iterative_hybrid, [in_band]),
+                            (me_lha, [in_band & (owner == k) for k in range(4) if np.any(in_band & (owner == k))])):
+            model = RecordingModel()
+            est, trace = walk(model, mesh, samples, band(gamma))
+            assert est.p_f == expected, (walk.__name__, gamma)
+            assert est.n_exact == model.call_count == np.count_nonzero(in_band)
+            assert len(model.blocks) == len(walks)
+            for block, members in zip(model.blocks, walks):
+                assert np.array_equal(block, pts[members, 0])
+            assert trace.records[0].estimate == est.surrogate_estimate == np.count_nonzero(approx < 0.0) / m
+            assert trace.records[-1].estimate == est.p_f
+            assert trace.records[-1].n_exact == est.n_exact
+    assert est.p_f == mc_estimate(StepModel(), samples).p_f  # the infinite band is Monte Carlo
 
 
 def test_me_lha_locates_samples_once(monkeypatch):
