@@ -54,7 +54,6 @@ class RunConfig:
     delta_m: int | None = None
     eta_stop: float = 0.0
     gamma: float | None = None
-    max_exact: int | None = None
     reference: float | None = None
     refine: dict = field(default_factory=dict)
     problem_params: dict = field(default_factory=dict)
@@ -62,6 +61,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise UsageError(f"a config must be an object, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         for key in raw:
             if key not in known:
@@ -69,20 +70,21 @@ class RunConfig:
         for required in ("problem", "method", "seed"):
             if required not in raw:
                 raise UsageError(f"missing required config field {required!r}")
-        refine = raw.get("refine", {})
-        if not isinstance(refine, dict):
-            raise UsageError("field 'refine' must be an object")
+        for key in ("refine", "problem_params", "output"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise UsageError(f"field {key!r} must be an object")
+        refine, output = raw.get("refine", {}), raw.get("output", {})
         unknown = sorted(set(refine) - set(REFINE_KEYS))
         if unknown:
             raise UsageError(f"unknown refine key(s) {unknown}; accepted keys: {', '.join(REFINE_KEYS)}")
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            raise UsageError("field 'output' must be an object")
         unknown = sorted(set(output) - set(OUTPUT_KEYS))
         if unknown:
             raise UsageError(f"unknown output key(s) {unknown}; accepted keys: {', '.join(OUTPUT_KEYS)}")
+        for key, path in output.items():
+            if not (isinstance(path, str) and path):
+                raise UsageError(f"field 'output.{key}' must be a nonempty path, got {path!r}")
         raw = dict(raw)
-        for key in ("seed", "m", "order", "delta_m", "max_exact"):
+        for key in ("seed", "m", "order", "delta_m"):
             if raw.get(key) is not None:
                 raw[key] = _integer(key, raw[key])
         if refine.get("max_elements") is not None:
@@ -105,8 +107,7 @@ class RunConfig:
         if reads_order and cfg.order is None:
             raise UsageError("field 'order' is required for surrogate methods")
         iterative = cfg.method not in ("mc", "direct-hybrid")
-        unread = {"order": not reads_order, "gamma": cfg.method != "direct-hybrid",
-                  "eta_stop": not iterative, "max_exact": not iterative}
+        unread = {"order": not reads_order, "gamma": cfg.method != "direct-hybrid", "eta_stop": not iterative}
         for key, skipped in unread.items():
             if skipped and raw.get(key) is not None:
                 raise UsageError(f"field {key!r} is not read by method {cfg.method!r} on problem {cfg.problem!r}")
@@ -147,7 +148,7 @@ def _prepare(cfg: RunConfig):
     try:
         model = spec.make_model(**params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
-            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, max_exact=cfg.max_exact, gamma=cfg.gamma)
+            delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, gamma=cfg.gamma)
         rcfg = None if not refines else RefinementConfig(
             **{"theta1": math.inf if cfg.method in GLOBAL_METHODS else spec.defaults["theta1"], **cfg.refine},
             N=cfg.order)
@@ -231,7 +232,6 @@ REFERENCE_TABLES = {
             "surrogate_estimate": {0: 0.833187, 2: 0.773777, 7: 0.756490},
             "hybrid_exact_calls": {0: 502_000, 2: 502_000, 7: 502_000},
         },
-        "delta_m": 1000,
     },
     2: {
         "problem": "linear-ode",
@@ -242,7 +242,6 @@ REFERENCE_TABLES = {
             "me_gha_exact_calls": {3: 3_700, 5: 3_700, 7: 900},
             "me_lha_exact_calls": {3: 4_100, 5: 4_100, 7: 1_200},
         },
-        "delta_m": 100,
     },
     3: {
         "problem": "ko3",
@@ -257,7 +256,6 @@ REFERENCE_TABLES = {
                                (5, 1e-2): 0.00012, (5, 1e-3): 0.0014, (5, 1e-4): 0.00021,
                                (7, 1e-2): 0.0033, (7, 1e-3): 0.00038, (7, 1e-4): 0.0},
         },
-        "delta_m": 100,
     },
     4: {
         "problem": "ko3",
@@ -269,7 +267,6 @@ REFERENCE_TABLES = {
                                    (5, 1e-2): 3400, (5, 1e-3): 3000, (5, 1e-4): 3400,
                                    (7, 1e-2): 2900, (7, 1e-3): 2200, (7, 1e-4): 2800},
         },
-        "delta_m": 100,
     },
     5: {
         "problem": "burgers",
@@ -280,12 +277,11 @@ REFERENCE_TABLES = {
             "me_gha_exact_calls": {2: 1_757, 3: 573, 4: 431, 5: 389},
             "me_lha_exact_calls": {2: 2_557, 3: 1_173, 4: 931, 5: 799},
         },
-        "delta_m": 100,
     },
 }
 
 
-def _run_cell(problem: str, method: str, order: int, seed: int, m: int, delta_m: int,
+def _run_cell(problem: str, method: str, order: int, seed: int, m: int, delta_m: int | None,
               tol: float | None = None) -> dict:
     refine = {} if tol is None else {"theta1": tol}
     return run(RunConfig.from_dict(dict(problem=problem, method=method, seed=seed, m=m, order=order,
@@ -304,7 +300,7 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
     problem = ref["problem"]
     seed = overrides.get("seed", 42)
     m = overrides.get("m", 1_000_000)
-    delta_m = overrides.get("delta_m", ref["delta_m"])
+    delta_m = overrides.get("delta_m")
     rows: list[list] = [["metric", "order", "tol", "computed", "published", "abs_diff"]]
 
     def add(metric: str, order, tol, computed, published):
@@ -379,9 +375,9 @@ def _apply_set(target: dict, assignments: list[str]) -> dict:
         node = target
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise UsageError(f"cannot descend into non-object config field {part!r}")
+            node = node.setdefault(part, {}) if isinstance(node, dict) else node
+        if not isinstance(node, dict):
+            raise UsageError(f"cannot set {key!r}: the config and every field on its path must be objects")
         node[parts[-1]] = value
     return target
 
@@ -431,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return validate()
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (RootSolveError, IntegrationError, ModelEvaluationError, DomainError) as exc:

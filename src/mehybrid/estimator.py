@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .randomspace import SampleSet
-from .refine import _real
+from .refine import _count, _real
 from .surrogate import LimitStateModel, MultiElementSurrogate, eval_me_surrogate_many
 
 __all__ = [
@@ -44,25 +44,22 @@ __all__ = [
 
 @dataclass
 class HybridConfig:
-    """Walk controls: block size, stopping tolerance, optional call cap, and
-    ``gamma``, which replaces the net-change rule by the band |g~| <= gamma."""
+    """Walk controls: block size, stopping tolerance, and ``gamma``, which
+    replaces the net-change rule by the band |g~| <= gamma."""
 
     delta_m: int
     eta_stop: float = 0.0
-    max_exact: int | None = None
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.delta_m < 1:
-            raise ValueError("step size delta_m must be at least one")
+        if not (_count(self.delta_m) and self.delta_m >= 1):
+            raise ValueError(f"step size delta_m must be an integer of at least one, got {self.delta_m!r}")
         if not (_real(self.eta_stop) and self.eta_stop >= 0):
             raise ValueError(f"stopping tolerance eta_stop must be a nonnegative number, got {self.eta_stop!r}")
         if self.gamma is not None and not (_real(self.gamma) and self.gamma >= 0):
             raise ValueError(f"band half-width gamma must be a nonnegative number, got {self.gamma!r}")
-        if self.max_exact is not None and self.max_exact < 1:
-            raise ValueError("max_exact must be at least one when given")
-        if self.gamma is not None and (self.eta_stop or self.max_exact is not None):
-            raise ValueError("the band rule gamma takes no eta_stop or max_exact")
+        if self.gamma is not None and self.eta_stop:
+            raise ValueError("the band rule gamma takes no eta_stop")
 
 
 # Wall-time stages of a hybrid estimate: surrogate evaluation, ordering by |g~|
@@ -179,10 +176,10 @@ def iterative_hybrid(model: LimitStateModel, surrogate, samples: SampleSet,
 
     The failure count starts at the surrogate's own count over all samples,
     and each block adds its exact-minus-surrogate change.  The walk stops
-    once a block changes the estimate by at most eta_stop, or its samples
-    or the call budget ``max_exact`` run out; samples never reached keep
-    their surrogate class.  With ``cfg.gamma`` set the walk is the band
-    instead: one block of every sample with |g~| <= gamma.
+    once a block changes the estimate by at most eta_stop or its samples
+    run out; samples never reached keep their surrogate class.  With
+    ``cfg.gamma`` set the walk is the band instead: one block of every
+    sample with |g~| <= gamma.
     """
     pts = samples.points
     start = time.perf_counter()
@@ -201,9 +198,8 @@ def me_lha(model: LimitStateModel, s: MultiElementSurrogate, samples: SampleSet,
     """Local hybrid: the iterative hybrid walked inside every element of the mesh.
 
     Each element is walked on its own, in element order, with the stopping
-    rule of `iterative_hybrid`; the call budget ends the whole run.  Under
-    the net-change rule every nonempty element performs at least one block
-    of exact evaluations (unless the call budget is spent); under the band
+    rule of `iterative_hybrid`.  Under the net-change rule every nonempty
+    element performs at least one block of exact evaluations; under the band
     rule each element evaluates its own band, and an element with an empty
     band none.  Trace rows carry the running global estimate and the element
     index.  The samples are located once, by the surrogate evaluation.
@@ -228,14 +224,11 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
     surr_neg = approx < 0.0
     fails = surrogate_fails = int(np.count_nonzero(surr_neg))
     mag = np.abs(approx)
-    budget = m if cfg.max_exact is None else cfg.max_exact
     n_exact = 0
     trace = HybridTrace()
     walks = _walks(groups)
     order_s, blocks_s = time.perf_counter() - tick, 0.0
     for label, members in walks:
-        if n_exact >= budget:
-            break
         trace.append(0, fails / m, n_exact, label)
         mag_k = mag if members is None else mag[members]
         if cfg.gamma is None:
@@ -245,7 +238,7 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
             end, step = order.size, mag_k.size
         for iteration, pos in enumerate(range(0, end, step), start=1):
             tick = time.perf_counter()
-            stop = pos + min(step, budget - n_exact)
+            stop = pos + step
             if order.size < min(stop, end):
                 order = _prefix(mag_k, max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m))
             block = order[pos:stop] if members is None else members[order[pos:stop]]
@@ -257,7 +250,7 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
             fails += delta
             n_exact += block.size
             trace.append(iteration, fails / m, n_exact, label)
-            if abs(delta) / m <= cfg.eta_stop or n_exact >= budget:
+            if abs(delta) / m <= cfg.eta_stop:
                 break
     p = fails / m
     return Estimate(p, n_exact, m, mc_stddev(p, m), surrogate_fails / m,

@@ -71,15 +71,20 @@ class RefinementConfig:
     def __post_init__(self):
         if not (_real(self.theta1) and self.theta1 > 0):
             raise ValueError(f"split threshold theta1 must be a positive number, got {self.theta1!r}")
-        if self.N < 1:
-            raise ValueError(f"order N must be at least one, got {self.N!r}")
-        if self.max_elements < 1:
-            raise ValueError(f"max_elements must be at least one, got {self.max_elements!r}")
+        if not (_count(self.N) and self.N >= 1):
+            raise ValueError(f"order N must be an integer of at least one, got {self.N!r}")
+        if not (_count(self.max_elements) and self.max_elements >= 1):
+            raise ValueError(f"max_elements must be an integer of at least one, got {self.max_elements!r}")
 
 
 def _real(x) -> bool:
     """True for a real number that is not a bool."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _count(x) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _finite(x) -> bool:

@@ -28,7 +28,7 @@ def base_config(**overrides):
 def test_config_validation_errors():
     with pytest.raises(UsageError, match="problem"):
         RunConfig.from_dict({"method": "mc", "seed": 1})
-    for key in ("bogus", "surrogate_cache"):
+    for key in ("bogus", "surrogate_cache", "max_exact"):
         with pytest.raises(UsageError, match=f"unknown config field '{key}'"):
             RunConfig.from_dict(base_config(**{key: 1}))
     with pytest.raises(UsageError, match="method"):
@@ -165,6 +165,12 @@ def test_estimate_command_usage_error(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg_path)]) == 1
     assert main(["estimate", "--config", str(tmp_path / "missing.json")]) == 1
     cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=3)))
+    # a path that cannot be read or written is a usage error too
+    for args in (["--config", str(tmp_path)],
+                 ["--config", str(cfg_path), "--set", "m=2000", "--set", f"output.report={tmp_path}"]):
+        capsys.readouterr()
+        assert main(["estimate", *args]) == 1, args
+        assert capsys.readouterr().err.startswith("usage error: "), args
     # the refinement constants are not settings
     for key, value in (("tol1", "1e-9"), ("theta", "1e-9"), ("N0", "1"), ("theta2", "2"), ("alpha", "0.5"),
                        ("collocation_nodes", "2"), ("check_interval", "0"), ("dt", "0"), ("dt", "abc")):
@@ -214,19 +220,31 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["problem=step", "method=direct-hybrid", "gamma=0", "order=-1"], "order"),
                        # hybrid settings of a run that does not read them
                        (["problem=ko3", *mc, "eta_stop=0.5"], "eta_stop"),
-                       (["problem=ko3", *mc, "max_exact=10"], "max_exact"),
                        (["problem=ko3", *mc, "gamma=0.5"], "gamma"),
                        (["method=me-gha", "gamma=0.5"], "gamma"), (["method=global-hybrid", "gamma=0.5"], "gamma"),
                        (["method=me-lha", "gamma=0.5"], "gamma"),
                        (["problem=step", "method=direct-hybrid", "gamma=0", "eta_stop=0.5"], "eta_stop"),
-                       (["problem=step", "method=direct-hybrid", "gamma=0", "max_exact=10"], "max_exact"),
-                       (["method=direct-hybrid", "gamma=0", "max_exact=10"], "max_exact")):
+                       # every hybrid walk ends by its own stop rule; there is no run-wide call cap
+                       (["max_exact=10"], "unknown config field 'max_exact'"),
+                       # config shapes: objects where objects are read, and nonempty paths as outputs
+                       (["problem_params=5"], "problem_params"), (["problem_params=null"], "problem_params"),
+                       (["problem_params=[1]"], "problem_params"),
+                       (["output.report=true"], "output.report"), (["output.report=7"], "output.report"),
+                       (["output.trace=\"\""], "output.trace"), (["output.events=null"], "output.events")):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), sets
-        assert re.search(rf"\b{name}\b", err), (sets, err)
+        assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err), (sets, err)
+    # a config file must hold an object, with or without --set
+    for text in ("5", "[1, 2]", "null", '"step"'):
+        cfg_path.write_text(text)
+        for args in ([], ["--set", "m=10"]):
+            capsys.readouterr()
+            assert main(["estimate", "--config", str(cfg_path)] + args) == 1, (text, args)
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "config" in err, (text, args, err)
 
 
 @pytest.mark.parametrize("problem", sorted(problems.PROBLEMS))
@@ -324,7 +342,7 @@ def test_validate_passes(capsys):
     assert out.count("PASS") >= 8
 
 
-def test_main_usage_exit_codes(capsys):
+def test_main_usage_exit_codes(tmp_path, capsys):
     assert main(["table", "42"]) == 1
     assert main([]) == 1
     assert main(["refine", "--problem", "ko3", "--cache", "x.json"]) == 1
@@ -335,3 +353,5 @@ def test_main_usage_exit_codes(capsys):
     for item in ("m=2000.5", "seed=true"):
         assert main(["table", "1", "--set", item]) == 1, item
         assert "must be an integer" in capsys.readouterr().err, item
+    assert main(["table", "1", "--out", str(tmp_path), "--set", "m=2000"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")

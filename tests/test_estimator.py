@@ -100,10 +100,9 @@ def test_direct_hybrid_rejects_negative_gamma():
     for gamma in (-0.1, math.nan, True, "0.1"):
         with pytest.raises(ValueError, match="gamma"):
             band(gamma)
-    # the band is a stop rule of its own: it takes no net-change tolerance or call cap
-    for extra in ({"eta_stop": 0.01}, {"max_exact": 10}):
-        with pytest.raises(ValueError, match="gamma"):
-            HybridConfig(delta_m=1, gamma=0.1, **extra)
+    # the band is a stop rule of its own: it takes no net-change tolerance
+    with pytest.raises(ValueError, match="gamma"):
+        HybridConfig(delta_m=1, gamma=0.1, eta_stop=0.01)
     HybridConfig(delta_m=1, gamma=0.1, eta_stop=0.0)
 
 
@@ -214,8 +213,6 @@ def test_conservation_of_count_reconstruction():
         (iterative_hybrid, line, HybridConfig(delta_m=400), None),
         (me_gha, mesh, HybridConfig(delta_m=400), None),
         (me_lha, mesh, HybridConfig(delta_m=400), owners),
-        # the call budget runs out inside element 2, mid-block; element 3 is never visited
-        (me_lha, mesh, HybridConfig(delta_m=400, max_exact=3923), owners),
     ]
     for runner, surrogate, cfg, groups in cases:
         est, trace = runner(StepModel(), surrogate, samples, cfg)
@@ -240,14 +237,6 @@ def test_conservation_of_count_reconstruction():
         count += int(np.count_nonzero(ghat[mask] < 0))
         assert est.p_f == count / samples.m
 
-        if cfg.max_exact is not None:
-            assert est.n_exact == cfg.max_exact
-            assert sorted(walk_calls) == [0, 1, 2]
-            assert 0 < walk_calls[2] % cfg.delta_m
-            assert walk_calls[2] < np.count_nonzero(owners == 2)
-            # element 3's surrogate says fail everywhere while the model is safe there
-            assert est.p_f > mc_estimate(StepModel(), samples).p_f
-
 
 def test_trace_invariants():
     samples = sample_uniform(30_000, 1, 12)
@@ -259,20 +248,6 @@ def test_trace_invariants():
         assert abs(cur.estimate - prev.estimate) <= cfg.delta_m / samples.m + 1e-15
         assert cur.n_exact > prev.n_exact or cur.iteration == 0
     assert records[-1].estimate == est.p_f
-
-
-def test_max_exact_cap():
-    samples = sample_uniform(50_000, 1, 13)
-    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
-    cfg = HybridConfig(delta_m=1000, max_exact=2500)
-    model = StepModel()
-    est, _ = iterative_hybrid(model, surrogate, samples, cfg)
-    assert est.n_exact == 2500
-    assert model.call_count == 2500
-
-    model2 = StepModel()
-    est2, _ = me_lha(model2, step_me_exact(), samples, HybridConfig(delta_m=1000, max_exact=1500))
-    assert est2.n_exact == 1500
 
 
 def test_eta_stop_tolerance():
@@ -310,8 +285,11 @@ def test_relative_error_examples():
 
 
 def test_hybrid_config_validation():
-    with pytest.raises(ValueError):
-        HybridConfig(delta_m=0)
+    # the block size is a count: an integer, not a bool or a float
+    for delta_m in (0, -1, 2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="delta_m"):
+            HybridConfig(delta_m=delta_m)
+    assert HybridConfig(delta_m=np.int64(7)).delta_m == 7
     for eta_stop in (-1e-3, math.nan, True, None):
         with pytest.raises(ValueError, match="eta_stop"):
             HybridConfig(delta_m=10, eta_stop=eta_stop)

@@ -447,9 +447,11 @@ def test_refinement_config_validation():
         with pytest.raises(ValueError, match="theta1"):
             RefinementConfig(theta1=theta1, N=3)
     assert RefinementConfig(theta1=math.inf, N=3).theta1 == math.inf  # the global build never splits
-    for order in (0, -1):
+    # the order and the element cap are counts: integers, not bools or floats
+    for order in (0, -1, 2.5, 3.0, True, "3", None):
         with pytest.raises(ValueError, match="order N"):
             RefinementConfig(theta1=1e-3, N=order)
-    with pytest.raises(ValueError, match="max_elements"):
-        RefinementConfig(theta1=1e-3, N=3, max_elements=0)
+    for max_elements in (0, 2.5, 8.0, True, "8", None):
+        with pytest.raises(ValueError, match="max_elements"):
+            RefinementConfig(theta1=1e-3, N=3, max_elements=max_elements)
     assert RefinementConfig(theta1=1e-3, N=1, max_elements=1).max_elements == 1
