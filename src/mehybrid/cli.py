@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -157,11 +158,24 @@ def _prepare(cfg: RunConfig):
     return model, hycfg, rcfg
 
 
+def _check_output_path(name: str, path: str) -> None:
+    """A usage error, raised before any work, for an output path that cannot be opened for writing
+    because it is a directory or its directory does not exist; no file is created."""
+    if os.path.isdir(path):
+        raise UsageError(f"{name} {path!r} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise UsageError(f"{name} {path!r}: directory {parent!r} does not exist")
+
+
 def run(cfg: RunConfig) -> dict:
     """Execute one configured estimation and return the report dictionary."""
     t0 = time.perf_counter()
     spec = prob.PROBLEMS[cfg.problem]
     model, hycfg, rcfg = _prepare(cfg)
+    out = cfg.output or {}
+    for key, path in out.items():
+        _check_output_path(f"output.{key}", path)
     clock = time.perf_counter()
     samples = sample_uniform(cfg.m, model.dim, cfg.seed)
     timings = {"sample_s": time.perf_counter() - clock, "build_s": 0.0}
@@ -203,7 +217,6 @@ def run(cfg: RunConfig) -> dict:
         "timings": timings,
         "config": asdict(cfg),
     }
-    out = cfg.output or {}
     if out.get("report"):
         with open(out["report"], "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -416,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "table":
             overrides = _apply_set({}, args.set)
+            if args.out:
+                _check_output_path("--out", args.out)
             rows = table(args.number, overrides)
             if args.out:
                 _write_csv(rows, args.out)

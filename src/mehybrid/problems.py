@@ -226,8 +226,8 @@ def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
     """Integrate the three-mode system from (1, 0.1 xi, 0) in ceil(T / dt) RK4 steps;
     returns the state (3, n) at T."""
     xi = np.asarray(xi, dtype=float)
-    y = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
-    return rk4_integrate(_ko_rhs, y, 0.0, T, dt)
+    # no name holds the initial state, so it is freed once rk4_integrate has copied it
+    return rk4_integrate(_ko_rhs, np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)]), 0.0, T, dt)
 
 
 def ko_limit_state(xi, T: float = 15.0, u_d: float = 0.03, dt: float = 0.01):
@@ -237,6 +237,7 @@ def ko_limit_state(xi, T: float = 15.0, u_d: float = 0.03, dt: float = 0.01):
 
 class KoModel(LimitStateModel):
     dim = 1
+    parallel_chunk = 16_384
 
     def __init__(self, T=15.0, u_d=0.03, dt=0.01):
         super().__init__()

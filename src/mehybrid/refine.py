@@ -332,27 +332,28 @@ def _indices_for_modes(d: int, n_modes: int) -> tuple[tuple[int, ...], ...]:
 def rk4_step(stages, y: np.ndarray, t: float, h: float, work) -> None:
     """One classical fourth-order Runge-Kutta step, in place on ``y``.
 
-    ``work`` holds five arrays shaped like y (k1, k2, k3, k4 and the stage
-    state); ``stages`` holds the four slopes that `rk4_integrate` bound to
-    (y, k1), (stage, k2), (stage, k3) and (stage, k4): calling one with a
-    time writes the derivative at its state into its k.  The update keeps
-    the textbook association: stages y + (h/2) k, result
-    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    ``work`` holds three arrays shaped like y (k1, the slope buffer kb and
+    the stage state); ``stages`` holds the two slopes that `rk4_integrate`
+    bound to (y, k1) and (stage, kb): calling one with a time writes the
+    derivative at its state into its buffer.  k2, k3 and k4 take turns in
+    kb, and each is folded into the running sum in k1 once its stage state
+    is made.  The update keeps the textbook association: stages y + (h/2) k,
+    result y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
-    k1, k2, k3, k4, stage = work
-    slope1, slope2, slope3, slope4 = stages
+    k1, kb, stage = work
+    slope1, slopeb = stages
     add, mul = np.add, np.multiply  # outputs are positional: the out= keyword costs more per call
     half = 0.5 * h
     slope1(t)
     add(y, mul(k1, half, stage), stage)
-    slope2(t + half)
-    add(y, mul(k2, half, stage), stage)
-    slope3(t + half)
-    add(y, mul(k3, h, stage), stage)
-    slope4(t + h)
-    add(k1, mul(k2, 2.0, k2), k1)
-    add(k1, mul(k3, 2.0, k3), k1)
-    add(k1, k4, k1)
+    slopeb(t + half)
+    add(y, mul(kb, half, stage), stage)
+    add(k1, mul(kb, 2.0, kb), k1)
+    slopeb(t + half)
+    add(y, mul(kb, h, stage), stage)
+    add(k1, mul(kb, 2.0, kb), k1)
+    slopeb(t + h)
+    add(k1, kb, k1)
     add(y, mul(k1, h / 6.0, k1), y)
 
 
@@ -361,13 +362,13 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
 
     ``bind(src, dst)`` returns a slope: a callable of the time that writes
     f(t, src) into ``dst``, reading ``src`` as it is at call time (its return
-    value is ignored).  Both arrays are shaped like y.  It is called once per
-    integration for each of the four stages of `rk4_step`, so per-call setup
-    such as row views belongs in ``bind``.  The state is copied once, so the
-    caller's ``y`` is left unmodified, and the five work arrays are allocated
-    once per call.  Raises ValueError unless t1 > t0 and dt is a positive
-    finite number, and IntegrationError at the first step that leaves a
-    non-finite state.
+    value is ignored).  Both arrays are shaped like y.  It is called twice
+    per integration, once for the first stage of `rk4_step` and once for
+    the other three, so per-call setup such as row views belongs in
+    ``bind``.  The state is copied once, so the caller's ``y`` is left
+    unmodified, and the three work arrays are allocated once per call.
+    Raises ValueError unless t1 > t0 and dt is a positive finite number, and
+    IntegrationError at the first step that leaves a non-finite state.
     """
     if not t1 > t0:
         raise ValueError(f"integration interval must have t1 > t0, got [{t0!r}, {t1!r}]")
@@ -376,8 +377,8 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
     steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
     h = (t1 - t0) / steps
     y = np.array(y, dtype=float)
-    work = k1, k2, k3, k4, stage = tuple(np.empty_like(y) for _ in range(5))
-    stages = (bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4))
+    work = k1, kb, stage = tuple(np.empty_like(y) for _ in range(3))
+    stages = (bind(y, k1), bind(stage, kb))
     t = t0
     for _ in range(steps):
         rk4_step(stages, y, t, h, work)

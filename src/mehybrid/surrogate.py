@@ -7,7 +7,11 @@ restricted to the element is a polynomial of degree <= 2q - 1 - N.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,13 +44,18 @@ __all__ = [
 ]
 
 
-# Rows per `_g_many` call inside `evaluate_many` and per chunk of
+# Rows per `_g_many` call inside a sequential `evaluate_many` and per chunk of
 # `eval_me_surrogate_many`, measured on a 2-core Xeon VM.
 # With the in-place RK4 stepper a 65,536-row KO batch takes 5.9-6.0 s in one call
 # and 3.2-3.9 s in 8,192-row chunks (16,384 rows is no faster, 2,048 and 4,096
-# rows are slower), with bit-identical values; at 8,192 rows the five RK4 work
-# arrays (about 1 MB) fit the host's 2 MB per-core L2 cache, at 65,536 rows they
-# take 7.5 MB.  The benchmark's burgers workload, whose Monte Carlo run is
+# rows are slower), with bit-identical values; at 8,192 rows the RK4 work arrays
+# and state (about 0.8 MB) fit the host's 2 MB per-core L2 cache.  Split across both
+# cores in 16,384-row chunks (`LimitStateModel.parallel_chunk`), the benchmark's
+# ko-mc workload takes 2.34 s instead of 3.58 s (medians of 10 alternating runs)
+# and peaks at 58.5 MB RSS instead of 56.8 MB.  In 8,192-row chunks two threads
+# were no faster than one (3.26 vs 3.20 s per 65,536-row batch): each ufunc call
+# is then short enough that handing the interpreter lock back and forth eats the
+# gain.  The benchmark's burgers workload, whose Monte Carlo run is
 # one 200k-row batch, peaks at 113 MB RSS unchunked and 79 MB chunked.
 # `eval_me_surrogate_many` walks its points in the same chunks.  Against the
 # earlier per-element evaluation of the whole batch, the benchmark's peak RSS
@@ -54,16 +63,37 @@ __all__ = [
 # (burgers); with 65,536-row surrogate chunks burgers peaks at 77 MB.
 EVAL_CHUNK = 8192
 
+# Threads that share a parallel batch: the calling thread and WORKERS - 1 pool threads.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's pool of WORKERS - 1 threads, started by the first parallel batch."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="mehybrid-exact")
+        return _pool
+
 
 class LimitStateModel:
     """Exact limit-state function g(z); failure is the event {g < 0}.
 
     Subclasses implement `_g_many` on an (n, d) point array; `evaluate_many`
     counts every exact evaluation, adds its wall time to ``exact_s`` and feeds
-    `_g_many` rows in chunks of EVAL_CHUNK.
+    `_g_many` rows in chunks of EVAL_CHUNK, one after another.  A model whose
+    `_g_many` is thread-safe and spends its time in ufuncs that release the
+    interpreter lock sets ``parallel_chunk``: a batch of more than that many
+    rows is then cut into chunks of ``parallel_chunk`` rows, and when the
+    affinity mask holds more than one CPU the calling thread evaluates every
+    WORKERS-th chunk while the module's pool evaluates the others.  Rows never
+    interact, so the values do not depend on the chunking or the thread count.
     """
 
     dim: int = 1
+    parallel_chunk: int | None = None
 
     def __init__(self):
         self._calls = 0
@@ -76,10 +106,50 @@ class LimitStateModel:
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         start = time.perf_counter()
         pts = np.asarray(Z, dtype=float)
-        self._calls += pts.shape[0]
-        chunks = [self._g_many(pts[i : i + EVAL_CHUNK]) for i in range(0, pts.shape[0], EVAL_CHUNK)]
+        n = pts.shape[0]
+        self._calls += n
+        out = np.empty(n)
+        rows = self.parallel_chunk
+        if rows and n > rows and WORKERS > 1:
+            self._evaluate_parallel(pts, out, rows)
+        else:
+            for i in range(0, n, EVAL_CHUNK):
+                out[i : i + EVAL_CHUNK] = self._g_many(pts[i : i + EVAL_CHUNK])
         self.exact_s += time.perf_counter() - start
-        return np.concatenate(chunks, dtype=float) if chunks else np.empty(0)
+        return out
+
+    def _evaluate_parallel(self, pts: np.ndarray, out: np.ndarray, rows: int) -> None:
+        """Fill ``out`` chunk by chunk on the calling thread and the pool.
+
+        Each pool chunk runs in a copy of the caller's context, which carries
+        its ``np.errstate``.  Once a chunk of the calling thread fails, the
+        pool chunks after it that have not started are cancelled; the error
+        raised is that of the lowest-numbered failing chunk, as in the
+        sequential walk.
+        """
+
+        def run(k: int) -> None:
+            out[k * rows : (k + 1) * rows] = self._g_many(pts[k * rows : (k + 1) * rows])
+
+        n_chunks = -(-pts.shape[0] // rows)
+        pool = _executor()
+        futures = {k: pool.submit(contextvars.copy_context().run, run, k)
+                   for k in range(n_chunks) if k % WORKERS}
+        first, error = n_chunks, None  # the lowest failing chunk and its error
+        for k in range(0, n_chunks, WORKERS):
+            try:
+                run(k)
+            except Exception as exc:
+                first, error = k, exc
+                break
+        for k, fut in futures.items():  # in chunk order; waits for every chunk that started
+            if k > first and fut.cancel():
+                continue
+            exc = fut.exception()
+            if exc is not None and k < first:
+                first, error = k, exc
+        if error is not None:
+            raise error
 
     def _g_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError

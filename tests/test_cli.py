@@ -247,6 +247,33 @@ def test_estimate_command_usage_error(tmp_path, capsys):
             assert err.startswith("usage error: ") and "config" in err, (text, args, err)
 
 
+def test_output_paths_are_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    # a directory, or a file in a missing directory, exits 1 before any sample is drawn
+    # or any table cell runs, and leaves no file behind
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "sample_uniform", never)
+    monkeypatch.setattr(cli, "table", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=3, m=2000)))
+    missing = tmp_path / "missing"
+    report = f"output.report={tmp_path / 'report.json'}"
+    for args, name in (
+        (["estimate", "--config", str(cfg_path), "--set", f"output.report={tmp_path}"], "output.report"),
+        (["estimate", "--config", str(cfg_path), "--set", report, "--set", f"output.trace={missing / 't.csv'}"],
+         "output.trace"),
+        (["estimate", "--config", str(cfg_path), "--set", f"output.events={missing / 'e.csv'}"], "output.events"),
+        (["table", "1", "--out", str(tmp_path)], "--out"),
+        (["table", "1", "--out", str(missing / "t.csv"), "--set", "m=2000"], "--out"),
+    ):
+        capsys.readouterr()
+        assert main(args) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {name} "), (args, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], args
+
+
 @pytest.mark.parametrize("problem", sorted(problems.PROBLEMS))
 def test_unknown_problem_param_is_a_usage_error(problem, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mehybrid import surrogate
 from mehybrid.errors import DomainError, ModelEvaluationError
 from mehybrid.polybasis import basis_matrix, multi_index_set
 from mehybrid.randomspace import Element, locate_many, sample_uniform
@@ -18,7 +25,7 @@ from mehybrid.surrogate import (
     local_variance,
     lp_error,
 )
-from mehybrid.problems import StepModel, step_global_gpc, step_me_exact
+from mehybrid.problems import KoModel, StepModel, ko_limit_state, step_global_gpc, step_me_exact
 
 
 def full_line():
@@ -233,3 +240,118 @@ def test_me_surrogate_matches_basis_matrix_formula_bit_for_bit(d):
     pts = np.vstack([sample_uniform(EVAL_CHUNK + 1808, d, 3).points, np.full((1, d), -1.0), np.full((1, d), 1.0)])
     got = eval_me_surrogate_many(surr, pts)
     assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# exact batches split across threads
+
+
+class ParallelModel(CallableModel):
+    """A cheap model that opts in to parallel batches of 1,000-row chunks."""
+
+    parallel_chunk = 1000
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the module's thread count for one test, with a pool of its own that the test ends."""
+
+    def use(n: int) -> None:
+        monkeypatch.setattr(surrogate, "WORKERS", n)
+        monkeypatch.setattr(surrogate, "_pool", None)
+
+    yield use
+    if surrogate._pool is not None:
+        surrogate._pool.shutdown()
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_parallel_batch_is_bit_identical(workers, n_workers):
+    # 11 chunks on two or three threads (more than this host may have cores), with
+    # thread switches forced far more often than usual
+    def g(z):
+        return np.sin(7.0 * z) * np.exp(z) - 0.1
+
+    pts = sample_uniform(10_001, 1, 5).points
+    sequential = CallableModel(g)
+    expected = sequential.evaluate_many(pts)
+    blocks = np.concatenate([sequential.evaluate_many(pts[i : i + 100]) for i in range(0, len(pts), 100)])
+    workers(n_workers)
+    model = ParallelModel(g)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [model.evaluate_many(pts) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert surrogate._pool is not None
+    for values in got:
+        assert values.tobytes() == expected.tobytes() == blocks.tobytes()
+    assert model.call_count == 5 * len(pts)
+
+
+def test_parallel_ko_rows_equal_the_limit_state(workers):
+    workers(2)
+    xi = np.random.default_rng(11).uniform(-1.0, 1.0, size=20_000)  # two 16,384-row chunks
+    model = KoModel()
+    got = model.evaluate_many(xi[:, None])
+    assert got.tobytes() == ko_limit_state(xi).tobytes()
+    assert model.call_count == len(xi)
+
+
+@pytest.mark.parametrize("failing, expected", [({1, 2}, 1), ({2, 3}, 2), ({0, 3}, 0), ({3, 4, 5}, 3)])
+def test_parallel_batch_raises_the_lowest_failing_chunk(workers, failing, expected):
+    # on two threads the caller runs the even chunks and the pool the odd ones
+    def g(z):
+        k = int(z[0]) // ParallelModel.parallel_chunk
+        if k in failing:
+            raise RuntimeError(f"chunk {k} failed")
+        return z
+
+    workers(2)
+    model = ParallelModel(g)
+    pts = np.arange(6500.0)[:, None]
+    with pytest.raises(RuntimeError, match=rf"^chunk {expected} failed$"):
+        model.evaluate_many(pts)
+    assert model.call_count == len(pts)
+
+
+def test_parallel_chunks_keep_the_callers_errstate(workers):
+    workers(2)
+    model = ParallelModel(lambda z: np.exp(1000.0 * z))
+    pts = np.ones((4000, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            values = model.evaluate_many(pts)
+        assert np.isinf(values).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model.evaluate_many(pts)
+
+
+def test_one_worker_starts_no_thread(workers):
+    xi = np.random.default_rng(12).uniform(-1.0, 1.0, size=(20_000, 1))
+    workers(2)
+    parallel = KoModel(dt=0.1).evaluate_many(xi)
+    surrogate._pool.shutdown()
+    workers(1)
+    threads = threading.active_count()
+    got = KoModel(dt=0.1).evaluate_many(xi)
+    assert surrogate._pool is None and threading.active_count() == threads
+    assert got.tobytes() == parallel.tobytes()
+
+
+def test_pool_is_started_by_the_first_parallel_batch():
+    # importing the package and a run whose model keeps the sequential walk start no thread
+    script = (
+        "import threading\n"
+        "before = threading.active_count()\n"
+        "from mehybrid import cli, surrogate\n"
+        "cli.run(cli.RunConfig.from_dict({'problem': 'burgers', 'method': 'mc', 'seed': 3, 'm': 20000}))\n"
+        "assert surrogate._pool is None, 'pool started'\n"
+        "assert threading.active_count() == before, threading.enumerate()\n"
+    )
+    src = str(Path(surrogate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
