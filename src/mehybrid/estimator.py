@@ -137,21 +137,49 @@ def mc_estimate(model: LimitStateModel, samples: SampleSet) -> Estimate:
 # Samples in the first prefix of a walk's order, in blocks; a walk that runs past
 # its prefix doubles it.
 FIRST_PREFIX_BLOCKS = 4
+# A refilled pool holds POOL_GROWTHS times the requested growth, and at least
+# 1/POOL_SHARE of mag.  Three times serves the growth and the next, doubled, one,
+# so a walk passes over all of mag at most at every other growth; the share
+# keeps a pass from yielding only a few values.  A larger pool costs memory and
+# sorts values the walk may never reach.
+POOL_GROWTHS = 3
+POOL_SHARE = 64
 
 
-def _prefix(mag: np.ndarray, n: int) -> np.ndarray:
-    """The first n or more entries of ``np.argsort(mag, kind="stable")``, without sorting all of mag.
+def _grow_order(mag: np.ndarray, order: np.ndarray, pool: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grow ``order``, a prefix of ``np.argsort(mag, kind="stable")``, to n or more entries
+    (all of mag if it has fewer) without sorting all of mag; returns (order, pool).
 
-    The n-th smallest value t bounds the prefix: the entries at or below t are
-    taken in index order, so ties keep sample order, and only they are
-    sorted.  The prefix runs on through the ties at t.
+    Start from empty ``order`` and ``pool`` and pass both back in at every growth.
+    The pool continues the order's sorted sequence, and the two together hold
+    every sample whose value is at or below the pool's last one.  A growth
+    takes the front of the pool.  A pool shorter than the growth is refilled:
+    one partition of mag finds the new bound, and only the band of values
+    above the old bound and at or below the new one is sorted.  The band comes
+    in index order, so ties keep sample order.  NaN values sort last, in index
+    order.
     """
-    if n < mag.size:
-        t = np.partition(mag, n - 1)[n - 1]
-        if not np.isnan(t):
-            keep = np.flatnonzero(mag <= t)
-            return keep[np.argsort(mag[keep], kind="stable")]
-    return np.argsort(mag, kind="stable")
+    k = min(n, mag.size) - order.size
+    if k <= 0:
+        return order, pool
+    if pool.size < k:
+        last = pool if pool.size else order
+        band = mag > (mag[last[-1]] if last.size else -np.inf)  # NaN is above nothing
+        rank = order.size + max(POOL_GROWTHS * k, mag.size // POOL_SHARE)
+        bound = np.partition(mag, rank - 1)[rank - 1] if rank < mag.size else np.nan
+        if not np.isnan(bound):
+            band &= mag <= bound
+        band = np.flatnonzero(band)
+        values = mag[band]
+        by_value = np.argsort(values)  # several times faster than the stable sort, which ties need
+        ranked = values[by_value]
+        if np.any(ranked[1:] == ranked[:-1]):
+            by_value = np.argsort(values, kind="stable")
+        parts = [pool, band[by_value]]
+        if np.isnan(bound):  # the band reaches past the last finite value
+            parts.append(np.flatnonzero(np.isnan(mag)))
+        pool = np.concatenate(parts)
+    return np.concatenate([order, pool[:k]]), pool[k:]
 
 
 def _walks(groups: np.ndarray | None) -> list:
@@ -231,8 +259,9 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
     for label, members in walks:
         trace.append(0, fails / m, n_exact, label)
         mag_k = mag if members is None else mag[members]
+        order = pool = np.empty(0, dtype=np.intp)
         if cfg.gamma is None:
-            order, end, step = np.empty(0, dtype=np.intp), mag_k.size, cfg.delta_m
+            end, step = mag_k.size, cfg.delta_m
         else:
             order = np.flatnonzero(mag_k <= cfg.gamma)
             end, step = order.size, mag_k.size
@@ -240,7 +269,8 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
             tick = time.perf_counter()
             stop = pos + step
             if order.size < min(stop, end):
-                order = _prefix(mag_k, max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m))
+                order, pool = _grow_order(mag_k, order, pool,
+                                          max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m))
             block = order[pos:stop] if members is None else members[order[pos:stop]]
             tock = time.perf_counter()
             exact_vals = model.evaluate_many(pts[block])

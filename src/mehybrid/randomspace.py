@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.random  # every run samples; numpy would otherwise load this in the first run
 
 from .errors import DomainError
 
@@ -143,7 +144,7 @@ class Decomposition:
         """
         lower = np.array([e.lower for e in self.elements])
         upper = np.array([e.upper for e in self.elements])
-        breaks = tuple(np.unique(np.concatenate([lower[:, j], upper[:, j], [DOMAIN_LO, DOMAIN_HI]]))
+        breaks = tuple(_sorted_unique(np.concatenate([lower[:, j], upper[:, j], [DOMAIN_LO, DOMAIN_HI]]))
                        for j in range(self.dim))
         shape = tuple(b.size - 1 for b in breaks)
         owner = np.full(shape, -1, dtype=np.intp)
@@ -153,6 +154,13 @@ class Decomposition:
             owner[box] = k
             cover[box] += 1
         return breaks, owner, cover
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a NaN-free array, ascending: np.unique's result without
+    the numpy.ma import that np.unique makes."""
+    b = np.sort(x)
+    return b[np.concatenate(([True], b[1:] != b[:-1]))]
 
 
 def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,6 +310,37 @@ def test_build_and_estimate_call_one_model(problem, method, order, monkeypatch):
     [(built_with, n_build)] = builds
     assert built_with is model and rep["n_exact_build"] == n_build
     assert rep["model_calls_total"] == model.call_count == n_build + rep["n_exact"]
+
+
+def test_only_linear_ode_loads_scipy():
+    # scipy serves only linear-ode's Gaussian rate: a fresh process that imports the command
+    # line and runs the other problems never loads it (nor numpy.ma, which np.unique loads,
+    # while numpy.random, which every run needs, comes with the import), and the linear-ode
+    # run that loads scipy gives the estimate, exact calls and build calls of the same run
+    # in this process
+    others = [
+        {"problem": "ko3", "method": "mc", "seed": 5, "m": 200},
+        {"problem": "burgers", "method": "me-gha", "seed": 5, "m": 5000, "order": 2, "delta_m": 100},
+        {"problem": "step", "method": "global-hybrid", "seed": 5, "m": 5000, "order": 3, "delta_m": 100},
+    ]
+    ode = {"problem": "linear-ode", "method": "me-gha", "seed": 5, "m": 20_000, "order": 3, "delta_m": 100}
+    script = (
+        "import json, sys\n"
+        "from mehybrid import cli\n"
+        "assert 'scipy' not in sys.modules and 'numpy.random' in sys.modules, 'import'\n"
+        f"for raw in {others!r}:\n"
+        "    cli.run(cli.RunConfig.from_dict(raw))\n"
+        "    assert 'scipy' not in sys.modules and 'numpy.ma' not in sys.modules, raw['problem']\n"
+        f"report = cli.run(cli.RunConfig.from_dict({ode!r}))\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "print(json.dumps([report['estimate'], report['n_exact'], report['n_exact_build']]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = run(RunConfig.from_dict(ode))
+    assert json.loads(proc.stdout) == [report["estimate"], report["n_exact"], report["n_exact_build"]]
 
 
 def test_estimate_numerical_failure_exit_code(tmp_path, capsys):

@@ -89,6 +89,12 @@ def test_transform_domain_error():
         gaussian_from_uniform(1.0)
     with pytest.raises(DomainError):
         gaussian_from_uniform(-1.0000001)
+    # NaN compares false with every bound, so it must not slip through as a value inside
+    for bad in (math.nan, [0.5, math.nan], math.inf):
+        with pytest.raises(DomainError):
+            gaussian_from_uniform(bad)
+    with pytest.raises(DomainError):
+        OdeModel().evaluate_many(np.array([[0.1], [math.nan]]))
 
 
 def test_transform_sample_mean_clt():
