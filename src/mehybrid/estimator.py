@@ -134,52 +134,38 @@ def mc_estimate(model: LimitStateModel, samples: SampleSet) -> Estimate:
     return Estimate(p, m, 0, mc_stddev(p, m))
 
 
-# Samples in the first prefix of a walk's order, in blocks; a walk that runs past
-# its prefix doubles it.
+# A walk's first prefix holds FIRST_PREFIX_BLOCKS blocks and at least 1/FIRST_PREFIX_SHARE
+# of its samples; a walk that runs past its prefix doubles it.  Every growth
+# partitions all of the walk's magnitudes, so the share keeps a growth from
+# yielding only a few values.
 FIRST_PREFIX_BLOCKS = 4
-# A refilled pool holds POOL_GROWTHS times the requested growth, and at least
-# 1/POOL_SHARE of mag.  Three times serves the growth and the next, doubled, one,
-# so a walk passes over all of mag at most at every other growth; the share
-# keeps a pass from yielding only a few values.  A larger pool costs memory and
-# sorts values the walk may never reach.
-POOL_GROWTHS = 3
-POOL_SHARE = 64
+FIRST_PREFIX_SHARE = 64
 
 
-def _grow_order(mag: np.ndarray, order: np.ndarray, pool: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grow ``order``, a prefix of ``np.argsort(mag, kind="stable")``, to n or more entries
-    (all of mag if it has fewer) without sorting all of mag; returns (order, pool).
+def _grow_order(mag: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
+    """Extend ``order``, a prefix of ``np.argsort(mag, kind="stable")``, to n or more
+    entries (all of mag if it has fewer) without sorting all of mag.
 
-    Start from empty ``order`` and ``pool`` and pass both back in at every growth.
-    The pool continues the order's sorted sequence, and the two together hold
-    every sample whose value is at or below the pool's last one.  A growth
-    takes the front of the pool.  A pool shorter than the growth is refilled:
-    one partition of mag finds the new bound, and only the band of values
-    above the old bound and at or below the new one is sorted.  The band comes
-    in index order, so ties keep sample order.  NaN values sort last, in index
-    order.
+    Start from an empty ``order`` and pass the returned one back in at every
+    growth.  One partition of mag finds the new bound, and only the band of
+    values above the old bound and at or below the new one is sorted.  The
+    band comes in index order and the sort is stable, so ties keep sample
+    order, and the order runs on through every tie of its last value.  NaN
+    values sort last, in index order.
     """
-    k = min(n, mag.size) - order.size
-    if k <= 0:
-        return order, pool
-    if pool.size < k:
-        last = pool if pool.size else order
-        band = mag > (mag[last[-1]] if last.size else -np.inf)  # NaN is above nothing
-        rank = order.size + max(POOL_GROWTHS * k, mag.size // POOL_SHARE)
-        bound = np.partition(mag, rank - 1)[rank - 1] if rank < mag.size else np.nan
-        if not np.isnan(bound):
-            band &= mag <= bound
-        band = np.flatnonzero(band)
-        values = mag[band]
-        by_value = np.argsort(values)  # several times faster than the stable sort, which ties need
-        ranked = values[by_value]
-        if np.any(ranked[1:] == ranked[:-1]):
-            by_value = np.argsort(values, kind="stable")
-        parts = [pool, band[by_value]]
-        if np.isnan(bound):  # the band reaches past the last finite value
-            parts.append(np.flatnonzero(np.isnan(mag)))
-        pool = np.concatenate(parts)
-    return np.concatenate([order, pool[:k]]), pool[k:]
+    n = min(n, mag.size)
+    if n <= order.size:
+        return order
+    bound = np.partition(mag, n - 1)[n - 1] if n < mag.size else np.nan
+    tail = np.isnan(bound)  # the band reaches past the last value that is not NaN
+    band = mag <= (np.inf if tail else bound)  # NaN is at or below nothing
+    if order.size:
+        band &= mag > mag[order[-1]]
+    band = np.flatnonzero(band)
+    parts = [order, band[np.argsort(mag[band], kind="stable")]]
+    if tail:
+        parts.append(np.flatnonzero(np.isnan(mag)))
+    return np.concatenate(parts)
 
 
 def _walks(groups: np.ndarray | None) -> list:
@@ -259,9 +245,8 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
     for label, members in walks:
         trace.append(0, fails / m, n_exact, label)
         mag_k = mag if members is None else mag[members]
-        order = pool = np.empty(0, dtype=np.intp)
         if cfg.gamma is None:
-            end, step = mag_k.size, cfg.delta_m
+            order, end, step = np.empty(0, dtype=np.intp), mag_k.size, cfg.delta_m
         else:
             order = np.flatnonzero(mag_k <= cfg.gamma)
             end, step = order.size, mag_k.size
@@ -269,8 +254,8 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
             tick = time.perf_counter()
             stop = pos + step
             if order.size < min(stop, end):
-                order, pool = _grow_order(mag_k, order, pool,
-                                          max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m))
+                order = _grow_order(mag_k, order, max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m,
+                                                      mag_k.size // FIRST_PREFIX_SHARE))
             block = order[pos:stop] if members is None else members[order[pos:stop]]
             tock = time.perf_counter()
             exact_vals = model.evaluate_many(pts[block])

@@ -6,8 +6,6 @@ import pytest
 from mehybrid import surrogate as surrogate_module
 from mehybrid.estimator import (
     FIRST_PREFIX_BLOCKS,
-    POOL_GROWTHS,
-    POOL_SHARE,
     Estimate,
     _grow_order,
     HybridConfig,
@@ -302,19 +300,18 @@ def test_hybrid_config_validation():
 
 
 def _grown(mag, requests):
-    """Grow an order through ``requests`` and check order and pool against a full
-    stable argsort after every growth; returns the pool sizes after each."""
+    """Grow an order through ``requests`` and check it against a full stable
+    argsort after every growth; returns the order's sizes after each."""
     full = np.argsort(mag, kind="stable")
-    order = pool = np.empty(0, dtype=np.intp)
+    order = np.empty(0, dtype=np.intp)
     sizes = []
     for n in requests:
-        order, pool = _grow_order(mag, order, pool, n)
+        order = _grow_order(mag, order, n)
         assert order.size >= min(n, mag.size)
-        covered = order.size + pool.size
-        assert np.array_equal(np.concatenate([order, pool]), full[:covered]), n
-        # order and pool hold every value at or below the pool's last one
-        assert covered == mag.size or not mag[full[covered]] <= mag[full[covered - 1]]
-        sizes.append(pool.size)
+        assert np.array_equal(order, full[: order.size]), n
+        # the order holds every value at or below its last one
+        assert order.size == mag.size or not mag[full[order.size]] <= mag[full[order.size - 1]]
+        sizes.append(order.size)
     return sizes
 
 
@@ -322,36 +319,31 @@ def test_prefix_order_equals_full_stable_argsort():
     rng = np.random.default_rng(17)
     arrays = (rng.integers(0, 6, size=5000).astype(float),     # heavy ties
               np.abs(rng.normal(size=5000)),
+              np.where(rng.random(5000) < 0.05, np.inf, rng.normal(size=5000)) * rng.choice([-1.0, 1.0], 5000),  # signed, infinities
               np.where(rng.random(5000) < 0.1, np.nan, rng.integers(0, 3, size=5000).astype(float)))
     for mag in arrays:
         for n in (1, 2, 99, 834, 2500, 4999, 5000, 8000):
             _grown(mag, [n])
 
-    # doubling growths as a walk makes them, past several pool refills
+    # doubling growths as a walk makes them, each sorting only its new band
     mag = np.abs(rng.normal(size=200_000))
-    requests = [400 * 2**i for i in range(10)]
-    sizes = _grown(mag, requests)
-    refills = sum(after > before for before, after in zip([0] + sizes, sizes))
-    assert refills >= 3
+    assert _grown(mag, [400 * 2**i for i in range(10)]) == [400 * 2**i for i in range(9)] + [200_000]
 
-    # a refill bound inside a run of ties: the pool runs on through all of them
+    # a growth bound inside a run of ties: the order runs on through all of them,
+    # and the next growth starts above them
     mag = np.repeat([0.5, 0.25, 0.75], 2000)[rng.permutation(6000)]
-    assert mag.size // POOL_SHARE < POOL_GROWTHS * 100 < 2000
-    sizes = _grown(mag, [100, 300, 2100, 2200, 6000])
-    assert sizes[0] == 2000 - 100 and sizes[2] == 6000 - 2100
+    assert _grown(mag, [100, 300, 2100, 2200, 4000, 4001, 6000]) == [2000, 2000, 4000, 4000, 4000, 6000, 6000]
 
-    # NaN magnitudes come last, in index order, in the refill that reaches past the finite values
+    # NaN magnitudes come last, in index order, in the growth that reaches past the finite values
     mag = np.where(rng.random(3000) < 0.3, np.nan, np.abs(rng.normal(size=3000)))
     finite = int(np.count_nonzero(~np.isnan(mag)))
-    sizes = _grown(mag, [50, 100, finite - 10, finite + 5, 3000])
-    assert sizes[2] == mag.size - (finite - 10)
-    _grown(np.full(700, np.nan), [1, 5, 700])
+    assert _grown(mag, [50, 100, finite - 10, finite + 5, 3000]) == [50, 100, finite - 10, 3000, 3000]
+    assert _grown(np.full(700, np.nan), [1, 5, 700]) == [700] * 3
 
-    # a pool that reaches the end of the array serves every later growth without a refill
+    # a growth that reaches the end of the array serves every later request
     mag = np.abs(rng.normal(size=800))
-    assert POOL_GROWTHS * 300 > mag.size
-    sizes = _grown(mag, [300, 400, 700, 800, 5000])
-    assert sizes == [500, 400, 100, 0, 0]
+    assert _grown(mag, [300, 800, 5000]) == [300, 800, 800]
+    assert _grown(mag, [5000, 1]) == [800, 800]
 
 
 class RecordingModel(CallableModel):
