@@ -97,8 +97,8 @@ class RunConfig:
             cfg.delta_m = prob.PROBLEMS[cfg.problem].defaults["delta_m"]
         if cfg.method not in METHODS:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
-        if cfg.refine and (cfg.method not in ("me-gha", "me-lha")
-                           or "theta1" not in prob.PROBLEMS[cfg.problem].defaults):
+        splits = cfg.method in ("me-gha", "me-lha") and "theta1" in prob.PROBLEMS[cfg.problem].defaults
+        if cfg.refine and not splits:
             raise UsageError(f"field 'refine' must be empty: method {cfg.method!r} on problem {cfg.problem!r} "
                              "does not refine")
         if cfg.method == "direct-hybrid" and cfg.gamma is None:
@@ -108,10 +108,12 @@ class RunConfig:
         if reads_order and cfg.order is None:
             raise UsageError("field 'order' is required for surrogate methods")
         iterative = cfg.method not in ("mc", "direct-hybrid")
-        unread = {"order": not reads_order, "gamma": cfg.method != "direct-hybrid", "eta_stop": not iterative}
+        given = {**raw, **{f"output.{key}": path for key, path in output.items()}}
+        unread = {"order": not reads_order, "gamma": cfg.method != "direct-hybrid", "eta_stop": not iterative,
+                  "output.trace": cfg.method == "mc", "output.events": not splits, "delta_m": cfg.method == "mc"}
         for key, skipped in unread.items():
-            if skipped and raw.get(key) is not None:
-                raise UsageError(f"field {key!r} is not read by method {cfg.method!r} on problem {cfg.problem!r}")
+            if skipped and given.get(key) is not None:
+                raise UsageError(f"field {key!r} is not used by method {cfg.method!r} on problem {cfg.problem!r}")
         if cfg.reference is not None and not _positive_finite(cfg.reference):
             raise UsageError(f"field 'reference' must be a positive finite number, got {cfg.reference!r}")
         max_order = prob.PROBLEMS[cfg.problem].max_order
@@ -221,9 +223,9 @@ def run(cfg: RunConfig) -> dict:
         with open(out["report"], "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if out.get("trace") and trace is not None:
+    if out.get("trace"):
         trace.to_csv(out["trace"])
-    if out.get("events") and events:
+    if out.get("events"):
         write_events_csv(events, out["events"])
     return report
 
@@ -236,12 +238,23 @@ KO_ELEMENTS = {(3, 1e-2): 22, (3, 1e-3): 38, (3, 1e-4): 58,
                (5, 1e-2): 12, (5, 1e-3): 22, (5, 1e-4): 30,
                (7, 1e-2): 10, (7, 1e-3): 16, (7, 1e-4): 26}
 
-# Published benchmark results the table command reproduces side by side.
+# The runs of tables 2 and 5: the global surrogate, ME-GHA and ME-LHA at each order.
+GLOBAL_GHA_LHA_RUNS = (("global-hybrid", (("global_exact_calls", "model_calls_total"),)),
+                       ("me-gha", (("elements", "n_elements"), ("me_gha_exact_calls", "model_calls_total"))),
+                       ("me-lha", (("me_lha_exact_calls", "model_calls_total"),)))
+
+# Published benchmark results the table command reproduces side by side.  Each table names
+# its runs, one per method, and the rows each run fills as (metric, report field) pairs; a
+# metric's published values are keyed by order, or by (order, tol) where the table has tols.
+# A table's exact calls are the run's model_calls_total: the hybrid's calls plus the build's.
 REFERENCE_TABLES = {
     1: {
         "problem": "step",
         "orders": (0, 2, 7),
-        "rows": {
+        "runs": (("global-hybrid", (("surrogate_estimate", "surrogate_estimate"),
+                                    ("hybrid_exact_calls", "model_calls_total"),
+                                    ("hybrid_estimate", "estimate"))),),
+        "published": {
             "surrogate_estimate": {0: 0.833187, 2: 0.773777, 7: 0.756490},
             "hybrid_exact_calls": {0: 502_000, 2: 502_000, 7: 502_000},
         },
@@ -249,7 +262,8 @@ REFERENCE_TABLES = {
     2: {
         "problem": "linear-ode",
         "orders": (3, 5, 7),
-        "rows": {
+        "runs": GLOBAL_GHA_LHA_RUNS,
+        "published": {
             "global_exact_calls": {3: 105_000, 5: 54_700, 7: 31_600},
             "elements": {3: 5, 5: 5, 7: 4},
             "me_gha_exact_calls": {3: 3_700, 5: 3_700, 7: 900},
@@ -260,7 +274,9 @@ REFERENCE_TABLES = {
         "problem": "ko3",
         "orders": (3, 5, 7),
         "tols": (1e-2, 1e-3, 1e-4),
-        "rows": {
+        "runs": (("me-gha", (("elements", "n_elements"), ("me_gha_exact_calls", "model_calls_total"),
+                             ("relative_error", "relative_error"))),),
+        "published": {
             "elements": KO_ELEMENTS,
             "me_gha_exact_calls": {(3, 1e-2): 6900, (3, 1e-3): 500, (3, 1e-4): 200,
                                    (5, 1e-2): 3900, (5, 1e-3): 200, (5, 1e-4): 200,
@@ -274,7 +290,8 @@ REFERENCE_TABLES = {
         "problem": "ko3",
         "orders": (3, 5, 7),
         "tols": (1e-2, 1e-3, 1e-4),
-        "rows": {
+        "runs": (("me-lha", (("elements", "n_elements"), ("me_lha_exact_calls", "model_calls_total"))),),
+        "published": {
             "elements": KO_ELEMENTS,
             "me_lha_exact_calls": {(3, 1e-2): 12245, (3, 1e-3): 4700, (3, 1e-4): 6029,
                                    (5, 1e-2): 3400, (5, 1e-3): 3000, (5, 1e-4): 3400,
@@ -284,7 +301,8 @@ REFERENCE_TABLES = {
     5: {
         "problem": "burgers",
         "orders": (2, 3, 4, 5),
-        "rows": {
+        "runs": GLOBAL_GHA_LHA_RUNS,
+        "published": {
             "global_exact_calls": {2: 101_921, 3: 62_921, 4: 23_421, 5: 3_921},
             "elements": {2: 9, 3: 7, 4: 6, 5: 5},
             "me_gha_exact_calls": {2: 1_757, 3: 573, 4: 431, 5: 389},
@@ -292,13 +310,6 @@ REFERENCE_TABLES = {
         },
     },
 }
-
-
-def _run_cell(problem: str, method: str, order: int, seed: int, m: int, delta_m: int | None,
-              tol: float | None = None) -> dict:
-    refine = {} if tol is None else {"theta1": tol}
-    return run(RunConfig.from_dict(dict(problem=problem, method=method, seed=seed, m=m, order=order,
-                                        delta_m=delta_m, refine=refine)))
 
 
 def table(n: int, overrides: dict | None = None) -> list[list]:
@@ -310,41 +321,18 @@ def table(n: int, overrides: dict | None = None) -> list[list]:
     if unknown:
         raise UsageError(f"unknown table override(s) {unknown}; accepted keys: {', '.join(TABLE_KEYS)}")
     ref = REFERENCE_TABLES[n]
-    problem = ref["problem"]
-    seed = overrides.get("seed", 42)
-    m = overrides.get("m", 1_000_000)
-    delta_m = overrides.get("delta_m")
     rows: list[list] = [["metric", "order", "tol", "computed", "published", "abs_diff"]]
-
-    def add(metric: str, order, tol, computed, published):
-        diff = "" if published is None or computed is None else abs(computed - published)
-        rows.append([metric, order, "" if tol is None else tol, computed, published, diff])
-
-    if n == 1:
-        for p in ref["orders"]:
-            rep = _run_cell(problem, "global-hybrid", p, seed, m, delta_m)
-            add("surrogate_estimate", p, None, rep["surrogate_estimate"], ref["rows"]["surrogate_estimate"][p])
-            add("hybrid_exact_calls", p, None, rep["n_exact"], ref["rows"]["hybrid_exact_calls"][p])
-            add("hybrid_estimate", p, None, rep["estimate"], None)
-    elif n in (2, 5):
-        for p in ref["orders"]:
-            for method, row in (("global-hybrid", "global_exact_calls"), ("me-gha", "me_gha_exact_calls"),
-                                ("me-lha", "me_lha_exact_calls")):
-                rep = _run_cell(problem, method, p, seed, m, delta_m)
-                if method == "me-gha":
-                    add("elements", p, None, rep["n_elements"], ref["rows"]["elements"][p])
-                add(row, p, None, rep["n_exact"] + rep["n_exact_build"], ref["rows"][row][p])
-    else:
-        method = "me-gha" if n == 3 else "me-lha"
-        call_row = "me_gha_exact_calls" if n == 3 else "me_lha_exact_calls"
-        for p in ref["orders"]:
-            for tol in ref["tols"]:
-                rep = _run_cell(problem, method, p, seed, m, delta_m, tol=tol)
-                add("elements", p, tol, rep["n_elements"], ref["rows"]["elements"][(p, tol)])
-                add(call_row, p, tol, rep["n_exact"], ref["rows"][call_row][(p, tol)])
-                if n == 3:
-                    add("relative_error", p, tol, rep["relative_error"],
-                        ref["rows"]["relative_error"][(p, tol)])
+    for order in ref["orders"]:
+        for tol in ref.get("tols", (None,)):
+            for method, fills in ref["runs"]:
+                rep = run(RunConfig.from_dict(dict(
+                    problem=ref["problem"], method=method, seed=overrides.get("seed", 42),
+                    m=overrides.get("m", 1_000_000), order=order, delta_m=overrides.get("delta_m"),
+                    refine={} if tol is None else {"theta1": tol})))
+                for metric, key in fills:
+                    published = ref["published"].get(metric, {}).get(order if tol is None else (order, tol))
+                    diff = "" if published is None else abs(rep[key] - published)
+                    rows.append([metric, order, "" if tol is None else tol, rep[key], published, diff])
     return rows
 
 

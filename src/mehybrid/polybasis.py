@@ -29,19 +29,23 @@ __all__ = [
 ]
 
 
-def legendre(n: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized Legendre polynomial P_n at the points x (elementwise, same shape),
-    via the three-term recurrence."""
-    if n < 0:
+def _recurrence(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Unnormalized Legendre values P_0..P_nmax at the points of x (flattened), one row per
+    degree, by the three-term recurrence."""
+    if nmax < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p
+    x = np.asarray(x, dtype=float).ravel()
+    rows = np.ones((nmax + 1, x.size))
+    if nmax >= 1:
+        rows[1] = x
+        for k in range(1, nmax):
+            rows[k + 1] = ((2 * k + 1) * x * rows[k] - k * rows[k - 1]) / (k + 1)
+    return rows
+
+
+def legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """Unnormalized Legendre polynomial P_n at the points x (elementwise, same shape)."""
+    return _recurrence(n, x)[n].reshape(np.shape(x))
 
 
 def legendre_rows(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -51,14 +55,7 @@ def legendre_rows(nmax: int, x: np.ndarray) -> np.ndarray:
     the orthonormal polynomial of degree k evaluated at the points, so each
     degree is one contiguous vector.
     """
-    if nmax < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    rows = np.ones((nmax + 1, x.size))
-    if nmax >= 1:
-        rows[1] = x
-        for k in range(1, nmax):
-            rows[k + 1] = ((2 * k + 1) * x * rows[k] - k * rows[k - 1]) / (k + 1)
+    rows = _recurrence(nmax, x)
     rows *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)[:, None]
     return rows
 
@@ -180,15 +177,11 @@ def triple_products(d: int, n_max: int) -> np.ndarray:
     rule = gauss_legendre(nq)
     table = legendre_table(n_max, rule.nodes)
     one_d = np.einsum("qa,qb,qc,q->abc", table, table, table, rule.weights)
-    indices = multi_index_set(d, n_max)
-    if d == 1:
-        dense = one_d
-    else:
-        entry_arr = np.array(indices, dtype=int)
-        n = len(indices)
-        dense = np.ones((n, n, n))
-        for dim in range(d):
-            e = entry_arr[:, dim]
-            dense *= one_d[e[:, None, None], e[None, :, None], e[None, None, :]]
+    entry_arr = np.array(multi_index_set(d, n_max), dtype=int)
+    n = len(entry_arr)
+    dense = np.ones((n, n, n))
+    for dim in range(d):
+        e = entry_arr[:, dim]
+        dense *= one_d[e[:, None, None], e[None, :, None], e[None, None, :]]
     dense.setflags(write=False)
     return dense

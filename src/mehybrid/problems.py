@@ -375,7 +375,7 @@ def burgers_transition_z(delta, nu, return_amplitude: bool = False):
 def burgers_limit_state(x_uniform, e: float = 0.1, nu: float = 0.05, z0: float = 0.75):
     """z0 - z(delta) with delta = e (x + 1) / 2, i.e. delta uniform on (0, e), elementwise."""
     x = np.asarray(x_uniform, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError("input must lie in [-1, 1]")
     delta = e * (x + 1.0) / 2.0
     return -burgers_transition_z(delta, nu) + z0

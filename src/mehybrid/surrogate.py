@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelEvaluationError
+from .errors import DomainError, ModelEvaluationError
 from .polybasis import basis_matrix, gauss_legendre, legendre_rows, multi_index_set
 from .randomspace import (
     Decomposition,
@@ -90,6 +90,9 @@ class LimitStateModel:
     affinity mask holds more than one CPU the calling thread evaluates every
     WORKERS-th chunk while the module's pool evaluates the others.  Rows never
     interact, so the values do not depend on the chunking or the thread count.
+    NaN is an error either way: a batch holding a NaN point raises `DomainError`
+    before any call, and a NaN value raises `ModelEvaluationError` naming the
+    first such row; +-inf keeps its sign.
     """
 
     dim: int = 1
@@ -106,6 +109,8 @@ class LimitStateModel:
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         start = time.perf_counter()
         pts = np.asarray(Z, dtype=float)
+        if np.isnan(pts).any():
+            raise DomainError("a point to evaluate is NaN")
         n = pts.shape[0]
         self._calls += n
         out = np.empty(n)
@@ -116,6 +121,10 @@ class LimitStateModel:
             for i in range(0, n, EVAL_CHUNK):
                 out[i : i + EVAL_CHUNK] = self._g_many(pts[i : i + EVAL_CHUNK])
         self.exact_s += time.perf_counter() - start
+        nan = np.isnan(out)
+        if nan.any():
+            row = int(np.argmax(nan))
+            raise ModelEvaluationError(f"the exact model returned NaN at row {row}", point=pts[row])
         return out
 
     def _evaluate_parallel(self, pts: np.ndarray, out: np.ndarray, rows: int) -> None:
@@ -216,16 +225,15 @@ class MultiElementSurrogate:
 
 
 def tensor_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference tensor Gauss grid: q^d points and matching product weights."""
+    """Reference tensor Gauss grid: q^d points and matching product weights.
+
+    At d = 1 the weights are the cached rule's read-only array."""
     rule = gauss_legendre(q)
-    if d == 1:
-        return rule.nodes[:, None], rule.weights.copy()
     grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = rule.weights
-    weights = w
+    weights = rule.weights
     for _ in range(d - 1):
-        weights = np.multiply.outer(weights, w)
+        weights = np.multiply.outer(weights, rule.weights)
     return pts, weights.ravel()
 
 

@@ -94,8 +94,17 @@ def test_run_report_fields_and_determinism(tmp_path):
     assert timings["surrogate_s"] > 0.0 and timings["blocks_s"] > 0.0
 
 
+def test_events_file_of_a_run_that_did_not_split(tmp_path):
+    # a run that can split writes its events CSV even when refinement made no split
+    events = tmp_path / "events.csv"
+    rep = run(RunConfig.from_dict(base_config(problem="linear-ode", order=3, m=2000, delta_m=100,
+                                              refine={"theta1": 100}, output={"events": str(events)})))
+    assert rep["n_elements"] == 1
+    assert events.read_bytes() == b"time,element,indicator,dims\r\n"
+
+
 def test_run_mc_method():
-    rep = run(RunConfig.from_dict(base_config(method="mc", m=20_000)))
+    rep = run(RunConfig.from_dict(base_config(method="mc", m=20_000, delta_m=None)))
     assert rep["n_exact"] == 20_000
     assert abs(rep["estimate"] - 0.5) < 0.02
     assert rep["surrogate_estimate"] is None
@@ -183,7 +192,7 @@ def test_estimate_command_usage_error(tmp_path, capsys):
         assert f"unknown refine key(s) ['{key}']; accepted keys: theta1, max_elements\n" in err
     # bad values reach the model, the hybrid or refinement settings or the collocation grid;
     # each is rejected before sampling with a message that names its field
-    mc = ["method=mc", "order=null"]
+    mc = ["method=mc", "order=null", "delta_m=null"]
     for sets, name in ((["problem_params.foo=1"], "foo"), (["delta_m=0"], "delta_m"), (["m=0"], "m"),
                        (["delta_m=50001"], "delta_m"), (["problem=burgers", "order=21"], "order"),
                        (["method=direct-hybrid", "gamma=NaN"], "gamma"),
@@ -233,13 +242,22 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["problem_params=5"], "problem_params"), (["problem_params=null"], "problem_params"),
                        (["problem_params=[1]"], "problem_params"),
                        (["output.report=true"], "output.report"), (["output.report=7"], "output.report"),
-                       (["output.trace=\"\""], "output.trace"), (["output.events=null"], "output.events")):
+                       (["output.trace=\"\""], "output.trace"), (["output.events=null"], "output.events"),
+                       # a setting or output the run would not read or write
+                       (["problem=ko3", "method=mc", "order=null", "delta_m=7"], "delta_m"),
+                       (["problem=ko3", *mc, f"output.trace={tmp_path / 't.csv'}"], "output.trace"),
+                       (["problem=ko3", *mc, f"output.events={tmp_path / 'e.csv'}"], "output.events"),
+                       (["method=global-hybrid", f"output.events={tmp_path / 'e.csv'}"], "output.events"),
+                       (["method=direct-hybrid", "gamma=0.1", f"output.events={tmp_path / 'e.csv'}"],
+                        "output.events"),
+                       (["problem=step", "order=null", f"output.events={tmp_path / 'e.csv'}"], "output.events")):
         capsys.readouterr()
         args = [arg for item in sets for arg in ("--set", item)]
         assert main(["estimate", "--config", str(cfg_path)] + args) == 1, sets
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), sets
         assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err), (sets, err)
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "e.csv").exists()
     # a config file must hold an object, with or without --set
     for text in ("5", "[1, 2]", "null", '"step"'):
         cfg_path.write_text(text)
@@ -280,7 +298,7 @@ def test_output_paths_are_checked_before_the_run(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("problem", sorted(problems.PROBLEMS))
 def test_unknown_problem_param_is_a_usage_error(problem, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(problem=problem, method="mc", m=100, delta_m=10,
+    cfg_path.write_text(json.dumps(base_config(problem=problem, method="mc", m=100, delta_m=None,
                                                problem_params={"bogus": 3})))
     assert main(["estimate", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
@@ -345,7 +363,7 @@ def test_only_linear_ode_loads_scipy():
 
 def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(problem="ko3", method="mc", m=100)))
+    cfg_path.write_text(json.dumps(base_config(problem="ko3", method="mc", m=100, delta_m=None)))
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["estimate", "--config", str(cfg_path), "--set", "problem_params.dt=3"]) == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -383,7 +401,7 @@ def test_table_command_writes_csv(tmp_path, capsys):
     assert len(lines) > 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_table_csv_matches_golden(n, tmp_path):
     # tests/data/table{n}_m20000.csv was written by `mehybrid table n --set m=20000 --out ...`
     out = tmp_path / f"table{n}.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mehybrid import surrogate as surrogate_module
+from mehybrid.errors import ModelEvaluationError
 from mehybrid.estimator import (
     FIRST_PREFIX_BLOCKS,
     Estimate,
@@ -40,6 +41,17 @@ def test_mc_estimate_constant_models():
     samples = sample_uniform(500, 1, 0)
     assert mc_estimate(const_model(-1.0), samples).p_f == 1.0
     assert mc_estimate(const_model(1.0), samples).p_f == 0.0
+
+
+def test_nan_model_value_is_an_error():
+    # a NaN value is neither safe nor failed; both the plain MC and the hybrid stop on it
+    samples = sample_uniform(500, 1, 0)
+    model = CallableModel(lambda z: np.where(z > 0.5, np.nan, z))
+    with pytest.raises(ModelEvaluationError) as info:
+        mc_estimate(model, samples)
+    assert info.value.point.tolist() == samples.points[np.argmax(samples.points[:, 0] > 0.5)].tolist()
+    with pytest.raises(ModelEvaluationError):
+        iterative_hybrid(model, lambda Z: 1.0 - Z[:, 0], samples, HybridConfig(delta_m=50))  # z near 1 first
 
 
 def test_mc_estimate_step():

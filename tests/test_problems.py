@@ -37,6 +37,16 @@ def test_step_values():
     assert StepModel().evaluate_many(np.array([[-0.5], [0.0], [0.5]])).tolist() == [-1.0, -0.5, 0.0]
 
 
+def test_nan_point_is_a_domain_error():
+    # NaN compares false with every bound, so every model rejects it before a call
+    for model in (StepModel(), BurgersModel(), KoModel()):
+        with pytest.raises(DomainError):
+            model.evaluate_many(np.array([[0.1], [math.nan]]))
+        assert model.call_count == 0
+    with pytest.raises(DomainError):
+        burgers_limit_state(np.array([0.1, math.nan]))
+
+
 def test_step_exact_surrogate_has_zero_lp_error():
     model = StepModel()
     for p in (1, 2, 4):

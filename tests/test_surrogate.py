@@ -316,6 +316,18 @@ def test_parallel_batch_raises_the_lowest_failing_chunk(workers, failing, expect
     assert model.call_count == len(pts)
 
 
+def test_parallel_batch_with_a_nan_chunk(workers):
+    # one pool chunk returns NaN at rows 3,500-3,599: the batch names the first, and +-inf stays legal
+    workers(2)
+    model = ParallelModel(lambda z: np.where((z >= 3500.0) & (z < 3600.0), np.nan, np.where(z < 10.0, -np.inf, z)))
+    pts = np.arange(6500.0)[:, None]
+    with pytest.raises(ModelEvaluationError, match="row 3500") as info:
+        model.evaluate_many(pts)
+    assert info.value.point.tolist() == [3500.0]
+    assert model.call_count == len(pts)
+    assert np.isneginf(model.evaluate_many(pts[:3500])[:10]).all()
+
+
 def test_parallel_chunks_keep_the_callers_errstate(workers):
     workers(2)
     model = ParallelModel(lambda z: np.exp(1000.0 * z))
