@@ -93,10 +93,10 @@ class RunConfig:
         cfg = cls(**raw)
         if cfg.problem not in prob.PROBLEMS:
             raise UsageError(f"unknown problem {cfg.problem!r}; choose from {sorted(prob.PROBLEMS)}")
-        if cfg.delta_m is None:
-            cfg.delta_m = prob.PROBLEMS[cfg.problem].defaults["delta_m"]
         if cfg.method not in METHODS:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
+        if cfg.delta_m is None and cfg.method != "mc":
+            cfg.delta_m = prob.PROBLEMS[cfg.problem].defaults["delta_m"]
         splits = cfg.method in ("me-gha", "me-lha") and "theta1" in prob.PROBLEMS[cfg.problem].defaults
         if cfg.refine and not splits:
             raise UsageError(f"field 'refine' must be empty: method {cfg.method!r} on problem {cfg.problem!r} "

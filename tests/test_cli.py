@@ -110,6 +110,15 @@ def test_run_mc_method():
     assert rep["surrogate_estimate"] is None
 
 
+def test_delta_m_defaults_only_where_a_walk_reads_it():
+    # mc never reads delta_m, so its report echoes null; a walk still gets the problem's default
+    rep = run(RunConfig.from_dict({"problem": "ko3", "method": "mc", "seed": 1, "m": 20}))
+    assert rep["config"]["delta_m"] is None
+    for problem, spec in problems.PROBLEMS.items():
+        cfg = RunConfig.from_dict({"problem": problem, "method": "global-hybrid", "seed": 1, "order": 2})
+        assert cfg.delta_m == spec.defaults["delta_m"]
+
+
 def test_direct_hybrid_run_writes_trace(tmp_path):
     # the direct hybrid is the global walk with the band stop rule: one block, traced
     trace = tmp_path / "trace.csv"
@@ -330,34 +339,31 @@ def test_build_and_estimate_call_one_model(problem, method, order, monkeypatch):
     assert rep["model_calls_total"] == model.call_count == n_build + rep["n_exact"]
 
 
-def test_only_linear_ode_loads_scipy():
-    # scipy serves only linear-ode's Gaussian rate: a fresh process that imports the command
-    # line and runs the other problems never loads it (nor numpy.ma, which np.unique loads,
-    # while numpy.random, which every run needs, comes with the import), and the linear-ode
-    # run that loads scipy gives the estimate, exact calls and build calls of the same run
-    # in this process
-    others = [
+def test_no_run_loads_scipy():
+    # the package does not use scipy: a fresh process that imports the command line and runs
+    # every problem never loads it (nor numpy.ma, which np.unique loads, while numpy.random,
+    # which every run needs, comes with the import), and the linear-ode run gives the
+    # estimate, exact calls and build calls of the same run in this process
+    runs = [
         {"problem": "ko3", "method": "mc", "seed": 5, "m": 200},
         {"problem": "burgers", "method": "me-gha", "seed": 5, "m": 5000, "order": 2, "delta_m": 100},
         {"problem": "step", "method": "global-hybrid", "seed": 5, "m": 5000, "order": 3, "delta_m": 100},
+        {"problem": "linear-ode", "method": "me-gha", "seed": 5, "m": 20_000, "order": 3, "delta_m": 100},
     ]
-    ode = {"problem": "linear-ode", "method": "me-gha", "seed": 5, "m": 20_000, "order": 3, "delta_m": 100}
     script = (
         "import json, sys\n"
         "from mehybrid import cli\n"
         "assert 'scipy' not in sys.modules and 'numpy.random' in sys.modules, 'import'\n"
-        f"for raw in {others!r}:\n"
-        "    cli.run(cli.RunConfig.from_dict(raw))\n"
+        f"for raw in {runs!r}:\n"
+        "    report = cli.run(cli.RunConfig.from_dict(raw))\n"
         "    assert 'scipy' not in sys.modules and 'numpy.ma' not in sys.modules, raw['problem']\n"
-        f"report = cli.run(cli.RunConfig.from_dict({ode!r}))\n"
-        "assert 'scipy.special' in sys.modules\n"
         "print(json.dumps([report['estimate'], report['n_exact'], report['n_exact_build']]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = run(RunConfig.from_dict(ode))
+    report = run(RunConfig.from_dict(runs[-1]))
     assert json.loads(proc.stdout) == [report["estimate"], report["n_exact"], report["n_exact_build"]]
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from mehybrid.errors import DomainError, IntegrationError, RootSolveError
 from mehybrid.estimator import mc_estimate, mc_stddev
@@ -84,14 +83,32 @@ def test_step_global_expansion_converges_in_l2():
 
 def test_transform_median_and_round_trip():
     assert gaussian_from_uniform(0.0, -2.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
-    x = float(erf(1.0 / math.sqrt(2.0)))
+    x = math.erf(1.0 / math.sqrt(2.0))
     assert gaussian_from_uniform(x, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transform_newton_polish_accuracy():
-    x = np.linspace(-0.999999, 0.999999, 2001)
-    y = (gaussian_from_uniform(x, 0.0, 1.0)) / math.sqrt(2.0)
+def test_transform_accuracy():
+    erf, erfc = np.vectorize(math.erf), np.vectorize(math.erfc)
+    # a dense grid and x = +-(1 - 2^-k) up to the last double below one, where erf is flattest
+    edge = 1.0 - 2.0 ** -np.arange(1, 53)
+    x = np.concatenate([np.linspace(-0.999999, 0.999999, 200_001), edge, -edge])
+    y = gaussian_from_uniform(x, 0.0, 1.0) / math.sqrt(2.0)
     assert np.max(np.abs(erf(y) - x)) < 1e-13
+    # near +-1 erf is too flat to show an error in y, but 1 - x = erfc(y) keeps it relative
+    y_edge = gaussian_from_uniform(edge, 0.0, 1.0) / math.sqrt(2.0)
+    assert np.max(np.abs(erfc(y_edge) / (1.0 - edge) - 1.0)) < 1e-12
+    # the transform is odd, exactly
+    assert np.array_equal(gaussian_from_uniform(-x, 0.0, 1.0), -gaussian_from_uniform(x, 0.0, 1.0))
+
+
+def test_transform_keeps_the_input_shape():
+    for scalar in (0.25, np.float64(0.25), np.asarray(0.25)):
+        z = gaussian_from_uniform(scalar)
+        assert np.ndim(z) == 0 and float(z) == gaussian_from_uniform([0.25])[0]
+    x = np.linspace(-0.999, 0.9999, 7)
+    z = gaussian_from_uniform(x)
+    assert z.shape == (7,)
+    assert np.array_equal(gaussian_from_uniform(x.reshape(7, 1)), z.reshape(7, 1))
 
 
 def test_transform_domain_error():
