@@ -91,7 +91,7 @@ class RunConfig:
         if refine.get("max_elements") is not None:
             raw["refine"] = {**refine, "max_elements": _integer("refine.max_elements", refine["max_elements"])}
         cfg = cls(**raw)
-        if cfg.problem not in prob.PROBLEMS:
+        if not (isinstance(cfg.problem, str) and cfg.problem in prob.PROBLEMS):
             raise UsageError(f"unknown problem {cfg.problem!r}; choose from {sorted(prob.PROBLEMS)}")
         if cfg.method not in METHODS:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
@@ -123,8 +123,8 @@ class RunConfig:
             raise UsageError(f"field 'order' must be at most {max_order} for problem {cfg.problem!r}")
         if not isinstance(cfg.seed, int) or cfg.seed < 0:
             raise UsageError("field 'seed' must be a nonnegative integer")
-        if cfg.m < 1:
-            raise UsageError("field 'm' must be at least one")
+        if cfg.m is None or cfg.m < 1:
+            raise UsageError(f"field 'm' must be an integer of at least one, got {cfg.m!r}")
         if cfg.method != "mc" and cfg.delta_m > cfg.m:
             raise UsageError(f"step size delta_m = {cfg.delta_m} exceeds the sample count m = {cfg.m}")
         return cfg

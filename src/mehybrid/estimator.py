@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ModelEvaluationError
 from .randomspace import SampleSet
 from .refine import _count, _real
 from .surrogate import LimitStateModel, MultiElementSurrogate, eval_me_surrogate_many
@@ -150,22 +151,17 @@ def _grow_order(mag: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
     growth.  One partition of mag finds the new bound, and only the band of
     values above the old bound and at or below the new one is sorted.  The
     band comes in index order and the sort is stable, so ties keep sample
-    order, and the order runs on through every tie of its last value.  NaN
-    values sort last, in index order.
+    order, and the order runs on through every tie of its last value.  mag
+    must hold no NaN.
     """
     n = min(n, mag.size)
     if n <= order.size:
         return order
-    bound = np.partition(mag, n - 1)[n - 1] if n < mag.size else np.nan
-    tail = np.isnan(bound)  # the band reaches past the last value that is not NaN
-    band = mag <= (np.inf if tail else bound)  # NaN is at or below nothing
+    band = mag <= (np.partition(mag, n - 1)[n - 1] if n < mag.size else np.inf)
     if order.size:
         band &= mag > mag[order[-1]]
     band = np.flatnonzero(band)
-    parts = [order, band[np.argsort(mag[band], kind="stable")]]
-    if tail:
-        parts.append(np.flatnonzero(np.isnan(mag)))
-    return np.concatenate(parts)
+    return np.concatenate([order, band[np.argsort(mag[band], kind="stable")]])
 
 
 def _walks(groups: np.ndarray | None) -> list:
@@ -230,10 +226,14 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
     """The block loop of every hybrid, walking each group of ``groups`` (one
     integer label per sample) on its own; ``surrogate_s`` is the time the
     surrogate values ``approx`` took.  Under the band rule a walk's only block
-    is its samples with |g~| <= gamma, in sample order."""
+    is its samples with |g~| <= gamma, in sample order.  A NaN in ``approx``
+    raises ModelEvaluationError at its first sample before any exact call."""
     m = pts.shape[0]
     if cfg.delta_m > m:
         raise ValueError("step size cannot exceed the sample count")
+    if np.isnan(np.min(approx)):  # min propagates NaN, and needs no m-length mask
+        row = int(np.argmax(np.isnan(approx)))
+        raise ModelEvaluationError(f"the surrogate returned NaN at sample {row}", point=pts[row])
     tick = time.perf_counter()
     surr_neg = approx < 0.0
     fails = surrogate_fails = int(np.count_nonzero(surr_neg))

@@ -21,7 +21,6 @@ __all__ = [
     "QuadratureRule",
     "legendre",
     "legendre_rows",
-    "legendre_table",
     "basis_matrix",
     "gauss_legendre",
     "multi_index_set",
@@ -60,16 +59,6 @@ def legendre_rows(nmax: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Legendre values for all degrees 0..nmax at once.
-
-    Returns a C-ordered array of shape ``(len(x), nmax + 1)`` whose column k
-    is the orthonormal polynomial of degree k evaluated at the points: the
-    transpose of `legendre_rows`.
-    """
-    return np.ascontiguousarray(legendre_rows(nmax, x).T)
-
-
 def basis_matrix(indices: Sequence[tuple[int, ...]], points: np.ndarray) -> np.ndarray:
     """Evaluate a set of tensor basis functions, one degree tuple each, on many points.
 
@@ -81,10 +70,9 @@ def basis_matrix(indices: Sequence[tuple[int, ...]], points: np.ndarray) -> np.n
     if idx_arr.shape[1] != d:
         raise ValueError(f"index dimension {idx_arr.shape[1]} does not match points dimension {d}")
     nmax = int(idx_arr.max()) if idx_arr.size else 0
-    tables = [legendre_table(nmax, pts[:, j]) for j in range(d)]
     out = np.ones((pts.shape[0], idx_arr.shape[0]))
     for j in range(d):
-        out *= tables[j][:, idx_arr[:, j]]
+        out *= legendre_rows(nmax, pts[:, j])[idx_arr[:, j]].T
     return out
 
 
@@ -175,8 +163,8 @@ def triple_products(d: int, n_max: int) -> np.ndarray:
     """
     nq = max(1, math.ceil((3 * n_max + 1) / 2))
     rule = gauss_legendre(nq)
-    table = legendre_table(n_max, rule.nodes)
-    one_d = np.einsum("qa,qb,qc,q->abc", table, table, table, rule.weights)
+    rows = legendre_rows(n_max, rule.nodes)
+    one_d = np.einsum("aq,bq,cq,q->abc", rows, rows, rows, rule.weights)
     entry_arr = np.array(multi_index_set(d, n_max), dtype=int)
     n = len(entry_arr)
     dense = np.ones((n, n, n))

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RootSolveError
-from .polybasis import legendre_table
+from .polybasis import basis_matrix, multi_index_set
 from .randomspace import Element
 from .refine import (
     PolynomialOde,
@@ -236,7 +236,7 @@ def ode_galerkin_system(p: int, u0=1.0, mu=-2.0, sigma=1.0) -> PolynomialOde:
     k = z_legendre_coeffs(p, mu, sigma)
 
     def rate(pts: np.ndarray) -> np.ndarray:
-        return legendre_table(p, pts[:, 0]) @ k
+        return basis_matrix(multi_index_set(1, p), pts) @ k
 
     return PolynomialOde(
         n_state=1,
@@ -266,7 +266,7 @@ def _ko_rhs(src: np.ndarray, dst: np.ndarray):
     y12, d12, d23 = src[:2], dst[:2], dst[1:]
     mul, subtract, negative = np.multiply, np.subtract, np.negative
 
-    def slope(_t):
+    def slope():
         mul(y12, y12, d23)
         subtract(d3, d2, d3)
         mul(y12, y3, d12)
@@ -463,7 +463,7 @@ def _galerkin_builder(make_system: Callable[[LimitStateModel, int], PolynomialOd
     def build(model, order, rcfg, event_log):
         dec, coeffs, truncated = adapt_dynamic(
             make_system(model, order), rcfg, T=model.T, dt=GALERKIN_DT, event_log=event_log)
-        return limit_state_surrogate(dec, coeffs, var=0, offset=-model.u_d, truncated=truncated)
+        return limit_state_surrogate(dec, coeffs, order, var=0, offset=-model.u_d, truncated=truncated)
 
     return build
 

@@ -250,15 +250,15 @@ def _batched_rhs(
     dense: np.ndarray,
     fields: Sequence[np.ndarray],
     dst: np.ndarray,
-) -> Callable[..., np.ndarray]:
+) -> Callable[[], np.ndarray]:
     """Binds the projected right-hand side to a batch of mode coefficients ``src``
     (M, n_state, n) and an output ``dst`` shaped like it; ``fields`` holds the
     projected field of each field_linear term, in term order.
 
     The returned slope reads ``src`` as it is at call time, writes the mode
-    derivatives into ``dst`` and returns it; its time argument is ignored.
-    The row views and one (M, n) scratch array are made here, once, so a
-    call only runs the ufuncs and einsums of the terms.
+    derivatives into ``dst`` and returns it.  The row views and one (M, n)
+    scratch array are made here, once, so a call only runs the ufuncs and
+    einsums of the terms.
     """
     n = src.shape[2]
     tmp = np.empty((src.shape[0], n))
@@ -271,7 +271,7 @@ def _batched_rhs(
 
     mul = np.multiply
 
-    def slope(_t=None) -> np.ndarray:
+    def slope() -> np.ndarray:
         dst.fill(0.0)
         for rows, c, e, u, v in terms:
             if e is None:
@@ -289,86 +289,70 @@ def dynamic_indicator(
     full_rhs: np.ndarray,
     reduced_rhs: np.ndarray,
     coeffs: np.ndarray,
-    dim: int,
-) -> tuple[float | np.ndarray, np.ndarray]:
+    reduced: Sequence[tuple[int, ...]],
+) -> tuple[np.ndarray, np.ndarray]:
     """Energy-rate mismatch Q between the full system and its truncation, plus
-    the per-dimension contributions s.
+    the per-dimension contributions s, for a batch of M elements.
 
-    ``full_rhs`` has one column per full-order mode, ``reduced_rhs`` one per
-    reduced-order mode; the reduced state is the truncation of the full one,
-    whose mode coefficients ``coeffs`` live in ``dim`` random dimensions.
-    Arrays of shape (n_state, modes) give a scalar Q and s of shape (dim,);
-    a leading element axis, (M, n_state, modes), gives Q of shape (M,) and
-    s of shape (M, dim), each row equal to the call on that element alone.
+    ``full_rhs`` and the mode coefficients ``coeffs`` have shape (M, n_state,
+    full modes), ``reduced_rhs`` has shape (M, n_state, len(reduced)); the
+    reduced state is the truncation of the full one to the graded index set
+    ``reduced``, a prefix of the full set.  Returns Q of shape (M,) and s of
+    shape (M, dim), each row depending on that element alone.
     """
-    n_red = reduced_rhs.shape[-1]
-    indices = _indices_for_modes(dim, n_red)
-    n0 = sum(indices[-1])
-    u_red = coeffs[..., :n_red]
-    q_per_var = np.abs(
-        2.0 * np.sum(full_rhs[..., :n_red] * u_red, axis=-1) - 2.0 * np.sum(reduced_rhs * u_red, axis=-1)
-    )
-    q_total = np.sum(q_per_var, axis=-1)
-    s = np.zeros(coeffs.shape[:-2] + (dim,))
-    for j in range(dim):
-        pos = indices.index(tuple(n0 if k == j else 0 for k in range(dim)))
-        s[..., j] = np.sum(
-            np.abs(2.0 * full_rhs[..., pos] * coeffs[..., pos] - 2.0 * reduced_rhs[..., pos] * coeffs[..., pos]),
-            axis=-1,
-        )
-    return (float(q_total) if q_total.ndim == 0 else q_total), s
+    n_red, dim = len(reduced), len(reduced[0])
+    u_red = coeffs[:, :, :n_red]
+    q = np.sum(np.abs(2.0 * np.sum(full_rhs[:, :, :n_red] * u_red, axis=2)
+                      - 2.0 * np.sum(reduced_rhs * u_red, axis=2)), axis=1)
+    # the pure top-degree mode of each dimension
+    top = [reduced.index(tuple(sum(reduced[-1]) if k == j else 0 for k in range(dim))) for j in range(dim)]
+    s = np.sum(np.abs(2.0 * full_rhs[:, :, top] * coeffs[:, :, top] - 2.0 * reduced_rhs[:, :, top] * coeffs[:, :, top]),
+               axis=1)
+    return q, s
 
 
-def _indices_for_modes(d: int, n_modes: int) -> tuple[tuple[int, ...], ...]:
-    n = 0
-    while len(multi_index_set(d, n)) < n_modes:
-        n += 1
-    full = multi_index_set(d, n)
-    if len(full) != n_modes:
-        raise ValueError(f"{n_modes} modes is not a complete graded set in dimension {d}")
-    return full
-
-
-def rk4_step(stages, y: np.ndarray, t: float, h: float, work) -> None:
-    """One classical fourth-order Runge-Kutta step, in place on ``y``.
+def rk4_step(stages, y: np.ndarray, h: float, work) -> None:
+    """One classical fourth-order Runge-Kutta step of an autonomous system, in place on ``y``.
 
     ``work`` holds three arrays shaped like y (k1, the slope buffer kb and
     the stage state); ``stages`` holds the two slopes that `rk4_integrate`
-    bound to (y, k1) and (stage, kb): calling one with a time writes the
-    derivative at its state into its buffer.  k2, k3 and k4 take turns in
-    kb, and each is folded into the running sum in k1 once its stage state
-    is made.  The update keeps the textbook association: stages y + (h/2) k,
-    result y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    bound to (y, k1) and (stage, kb): calling one writes the derivative at
+    its state into its buffer.  k2, k3 and k4 take turns in kb, and each is
+    folded into the running sum in k1 once its stage state is made.  The
+    update keeps the textbook association: stages y + (h/2) k, result
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
     k1, kb, stage = work
     slope1, slopeb = stages
     add, mul = np.add, np.multiply  # outputs are positional: the out= keyword costs more per call
     half = 0.5 * h
-    slope1(t)
+    slope1()
     add(y, mul(k1, half, stage), stage)
-    slopeb(t + half)
+    slopeb()
     add(y, mul(kb, half, stage), stage)
     add(k1, mul(kb, 2.0, kb), k1)
-    slopeb(t + half)
+    slopeb()
     add(y, mul(kb, h, stage), stage)
     add(k1, mul(kb, 2.0, kb), k1)
-    slopeb(t + h)
+    slopeb()
     add(k1, kb, k1)
     add(y, mul(k1, h / 6.0, k1), y)
 
 
 def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Integrate y' = f(t, y) from t0 to t1 > t0 in ceil((t1 - t0) / dt) equal RK4 steps.
+    """Integrate the autonomous system y' = f(y) from t0 to t1 > t0 in ceil((t1 - t0) / dt)
+    equal RK4 steps.
 
-    ``bind(src, dst)`` returns a slope: a callable of the time that writes
-    f(t, src) into ``dst``, reading ``src`` as it is at call time (its return
-    value is ignored).  Both arrays are shaped like y.  It is called twice
-    per integration, once for the first stage of `rk4_step` and once for
-    the other three, so per-call setup such as row views belongs in
+    ``bind(src, dst)`` returns a slope: a callable of no arguments that
+    writes f(src) into ``dst``, reading ``src`` as it is at call time (its
+    return value is ignored).  Both arrays are shaped like y.  It is called
+    twice per integration, once for the first stage of `rk4_step` and once
+    for the other three, so per-call setup such as row views belongs in
     ``bind``.  The state is copied once, so the caller's ``y`` is left
     unmodified, and the three work arrays are allocated once per call.
     Raises ValueError unless t1 > t0 and dt is a positive finite number, and
-    IntegrationError at the first step that leaves a non-finite state.
+    IntegrationError, with the time reached, at the first step that leaves a
+    non-finite state.
     """
     if not t1 > t0:
         raise ValueError(f"integration interval must have t1 > t0, got [{t0!r}, {t1!r}]")
@@ -381,7 +365,7 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
     stages = (bind(y, k1), bind(stage, kb))
     t = t0
     for _ in range(steps):
-        rk4_step(stages, y, t, h, work)
+        rk4_step(stages, y, h, work)
         t += h
         if not np.isfinite(y).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}", t=t)
@@ -438,7 +422,7 @@ def adapt_dynamic(
     d = sys_.dim
     # Checking at every step instead of every 10 dt changes the meshes little, and
     # a reduced order of N - 1 instead of N - 2 refines the three-mode system worse.
-    n_red = len(multi_index_set(d, max(0, cfg.N - 2)))
+    reduced = multi_index_set(d, max(0, cfg.N - 2))
     dense = triple_products(d, cfg.N)
 
     elements = [Element.box([-1.0] * d, [1.0] * d)]
@@ -456,10 +440,10 @@ def adapt_dynamic(
         t = t_next
         if t >= T - 1e-12:
             break
-        low = coeffs[:, :, :n_red]
+        low = coeffs[:, :, : len(reduced)]
         full = _batched_rhs(sys_, coeffs, dense, fields, np.empty_like(coeffs))()
-        reduced = _batched_rhs(sys_, low, dense, fields, np.empty_like(low))()
-        q_all, s_all = dynamic_indicator(full, reduced, coeffs, dim=d)
+        low_rhs = _batched_rhs(sys_, low, dense, fields, np.empty_like(low))()
+        q_all, s_all = dynamic_indicator(full, low_rhs, coeffs, reduced)
         new_elements: list[Element] = []
         new_ids: list[int] = []
         new_rows: list[np.ndarray] = []
@@ -495,17 +479,14 @@ def adapt_dynamic(
 def limit_state_surrogate(
     dec: Decomposition,
     coeffs: np.ndarray,
+    order: int,
     var: int = 0,
     offset: float = 0.0,
     truncated: bool = False,
 ) -> MultiElementSurrogate:
     """Surrogate for an observable of the integrated system: the (M, n_state, n_modes)
-    mode coefficients of one state variable with a constant shift folded into the
-    mean mode; the order follows from the mode count."""
-    order = sum(_indices_for_modes(dec.dim, coeffs.shape[-1])[-1])
-    exps = []
-    for e, rows in zip(dec, coeffs):
-        c = rows[var].copy()
-        c[0] += offset
-        exps.append(GpcExpansion(e, order, c))
-    return MultiElementSurrogate(tuple(exps), truncated)
+    order-``order`` mode coefficients of one state variable with a constant shift
+    folded into the mean mode."""
+    c = coeffs[:, var].copy()
+    c[:, 0] += offset
+    return MultiElementSurrogate(tuple(GpcExpansion(e, order, row) for e, row in zip(dec, c)), truncated)

@@ -95,7 +95,7 @@ def test_criterion_3_linear_ode(samples_1m):
         system = ode_galerkin_system(p)
         rcfg = RefinementConfig(theta1=0.05, N=p, max_elements=64)
         dec, coeffs, _ = adapt_dynamic(system, rcfg, T=1.0, dt=0.01)
-        surrogate = limit_state_surrogate(dec, coeffs, var=0, offset=-0.5)
+        surrogate = limit_state_surrogate(dec, coeffs, rcfg.N, var=0, offset=-0.5)
         hycfg = HybridConfig(delta_m=100)
         gha, _ = me_gha(OdeModel(), surrogate, samples_1m, hycfg)
         lha, _ = me_lha(OdeModel(), surrogate, samples_1m, hycfg)
@@ -122,7 +122,7 @@ def test_criterion_4_ko_system(samples_1m):
     for theta1 in (1e-2, 1e-3, 1e-4):
         rcfg = RefinementConfig(theta1=theta1, N=5, max_elements=128)
         dec, coeffs, _ = adapt_dynamic(system, rcfg, T=15.0, dt=0.01)
-        surrogate = limit_state_surrogate(dec, coeffs, var=0, offset=-0.03)
+        surrogate = limit_state_surrogate(dec, coeffs, rcfg.N, var=0, offset=-0.03)
         est, _ = me_gha(KoModel(), surrogate, samples_1m, HybridConfig(delta_m=100))
         n_exact_by_tol.append(est.n_exact)
         if theta1 == 1e-4:

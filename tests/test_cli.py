@@ -52,6 +52,12 @@ def test_config_validation_errors():
             RunConfig.from_dict(base_config(output={key: "surr.json"}))
     with pytest.raises(UsageError, match="'output' must be an object"):
         RunConfig.from_dict(base_config(output="report.json"))
+    # a null sample count and an unhashable problem name are usage errors, not TypeErrors
+    with pytest.raises(UsageError, match="field 'm' must be an integer"):
+        RunConfig.from_dict(base_config(m=None))
+    for problem in (["step"], {"name": "step"}):
+        with pytest.raises(UsageError, match="unknown problem"):
+            RunConfig.from_dict(base_config(problem=problem))
 
 
 def test_run_report_fields_and_determinism(tmp_path):

@@ -54,6 +54,24 @@ def test_nan_model_value_is_an_error():
         iterative_hybrid(model, lambda Z: 1.0 - Z[:, 0], samples, HybridConfig(delta_m=50))  # z near 1 first
 
 
+def test_nan_surrogate_value_is_an_error():
+    # a NaN surrogate value would count as safe and be walked last; both walks refuse it
+    # before any exact call, naming the first NaN sample as the exact model does
+    samples = sample_uniform(1000, 1, 0)
+    first = samples.points[np.argmax(samples.points[:, 0] < 0.0)].tolist()
+    model = CallableModel(lambda z: z)
+    with pytest.raises(ModelEvaluationError, match="surrogate returned NaN") as info:
+        iterative_hybrid(model, lambda Z: np.where(Z[:, 0] < 0.0, np.nan, Z[:, 0]), samples,
+                         HybridConfig(delta_m=100))
+    assert info.value.point.tolist() == first
+    halves = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [0.0]), 0, [np.nan]),
+                                    GpcExpansion(Element.box([0.0], [1.0]), 0, [1.0])))
+    with pytest.raises(ModelEvaluationError, match="surrogate returned NaN") as info:
+        me_lha(model, halves, samples, HybridConfig(delta_m=100))
+    assert info.value.point.tolist() == first
+    assert model.call_count == 0
+
+
 def test_mc_estimate_step():
     samples = sample_uniform(1_000_000, 1, 42)
     est = mc_estimate(StepModel(), samples)
@@ -331,8 +349,7 @@ def test_prefix_order_equals_full_stable_argsort():
     rng = np.random.default_rng(17)
     arrays = (rng.integers(0, 6, size=5000).astype(float),     # heavy ties
               np.abs(rng.normal(size=5000)),
-              np.where(rng.random(5000) < 0.05, np.inf, rng.normal(size=5000)) * rng.choice([-1.0, 1.0], 5000),  # signed, infinities
-              np.where(rng.random(5000) < 0.1, np.nan, rng.integers(0, 3, size=5000).astype(float)))
+              np.where(rng.random(5000) < 0.05, np.inf, rng.normal(size=5000)) * rng.choice([-1.0, 1.0], 5000))  # signed, infinities
     for mag in arrays:
         for n in (1, 2, 99, 834, 2500, 4999, 5000, 8000):
             _grown(mag, [n])
@@ -345,12 +362,6 @@ def test_prefix_order_equals_full_stable_argsort():
     # and the next growth starts above them
     mag = np.repeat([0.5, 0.25, 0.75], 2000)[rng.permutation(6000)]
     assert _grown(mag, [100, 300, 2100, 2200, 4000, 4001, 6000]) == [2000, 2000, 4000, 4000, 4000, 6000, 6000]
-
-    # NaN magnitudes come last, in index order, in the growth that reaches past the finite values
-    mag = np.where(rng.random(3000) < 0.3, np.nan, np.abs(rng.normal(size=3000)))
-    finite = int(np.count_nonzero(~np.isnan(mag)))
-    assert _grown(mag, [50, 100, finite - 10, finite + 5, 3000]) == [50, 100, finite - 10, 3000, 3000]
-    assert _grown(np.full(700, np.nan), [1, 5, 700]) == [700] * 3
 
     # a growth that reaches the end of the array serves every later request
     mag = np.abs(rng.normal(size=800))

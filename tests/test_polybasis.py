@@ -7,7 +7,6 @@ from mehybrid.polybasis import (
     gauss_legendre,
     legendre,
     legendre_rows,
-    legendre_table,
     multi_index_set,
     basis_matrix,
     triple_products,
@@ -42,15 +41,15 @@ def test_legendre_rejects_negative_degree():
 
 
 def test_orthonormal_values():
-    assert legendre_table(1, [-0.9])[0, 0] == 1.0
-    assert legendre_table(1, [1.0])[0, 1] == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert legendre_rows(1, [-0.9])[0, 0] == 1.0
+    assert legendre_rows(1, [1.0])[1, 0] == pytest.approx(math.sqrt(3.0), abs=1e-15)
 
 
 def test_orthonormal_unit_norm_by_quadrature():
     # independent oracle: numpy's Gauss rule against the uniform density
     x, w = np.polynomial.legendre.leggauss(8)
     w = w / 2.0
-    val = np.sum(w * legendre_table(2, x)[:, 2] ** 2)
+    val = np.sum(w * legendre_rows(2, x)[2] ** 2)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
@@ -175,17 +174,17 @@ def test_triple_products_against_quadrature_oracle():
     n = 4
     x, w = np.polynomial.legendre.leggauss(3 * n + 2)
     w = w / 2.0
-    table = legendre_table(n, x)
-    oracle = np.einsum("qa,qb,qc,q->abc", table, table, table, w)
+    rows = legendre_rows(n, x)
+    oracle = np.einsum("aq,bq,cq,q->abc", rows, rows, rows, w)
     dense = triple_products(1, n)
     assert np.max(np.abs(dense - oracle)) < 1e-12
 
 
-def test_legendre_table_consistency():
+def test_legendre_rows_consistency():
     x = np.linspace(-1, 1, 11)
-    table = legendre_table(5, x)
+    rows = legendre_rows(5, x)
     for n in range(6):
-        assert np.allclose(table[:, n], math.sqrt(2 * n + 1) * legendre(n, x), atol=1e-14)
+        assert np.allclose(rows[n], math.sqrt(2 * n + 1) * legendre(n, x), atol=1e-14)
 
 
 def test_legendre_rows_is_the_transposed_table():
@@ -194,7 +193,7 @@ def test_legendre_rows_is_the_transposed_table():
         rows = legendre_rows(n, x)
         assert rows.shape == (n + 1, x.size)
         assert rows.flags["C_CONTIGUOUS"]
-        table = legendre_table(n, x)
+        table = basis_matrix(multi_index_set(1, n), x[:, None])
         assert table.flags["C_CONTIGUOUS"]
         assert table.tobytes() == np.ascontiguousarray(rows.T).tobytes()
 
