@@ -37,8 +37,14 @@ def _recurrence(nmax: int, x: np.ndarray) -> np.ndarray:
     rows = np.ones((nmax + 1, x.size))
     if nmax >= 1:
         rows[1] = x
-        for k in range(1, nmax):
-            rows[k + 1] = ((2 * k + 1) * x * rows[k] - k * rows[k - 1]) / (k + 1)
+        tmp = np.empty(x.size)
+        for k in range(1, nmax):  # ((2k + 1) x P_k - k P_{k-1}) / (k + 1), written into row k + 1
+            nxt = rows[k + 1]
+            np.multiply(2 * k + 1, x, nxt)
+            nxt *= rows[k]
+            np.multiply(k, rows[k - 1], tmp)
+            nxt -= tmp
+            nxt /= k + 1
     return rows
 
 

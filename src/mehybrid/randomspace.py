@@ -36,6 +36,13 @@ DOMAIN_HI = 1.0
 
 _SAMPLE_CHUNK = 1 << 16
 
+# Most buckets a dimension's location table holds.  A mesh bisected to depth 16,
+# four levels deeper than the 44-element ko3 mesh, still has every breakpoint on
+# a bucket edge; the cap keeps a table at 512 KiB, built in about half a
+# millisecond once per mesh, and a deeper or non-dyadic mesh only costs
+# correction steps for the points whose bucket holds a breakpoint.
+_MAX_BUCKETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Element:
@@ -113,7 +120,12 @@ def split_element(e: Element, dims: Iterable[int]) -> list[Element]:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered, pairwise-disjoint elements covering the whole domain."""
+    """Ordered, pairwise-disjoint elements covering the whole domain.
+
+    Two tables are cached on first use: ``cells``, the grid that the element
+    bounds cut the domain into, and ``buckets``, which locates a coordinate in
+    that grid without a search.
+    """
 
     elements: tuple[Element, ...]
 
@@ -155,6 +167,31 @@ class Decomposition:
             cover[box] += 1
         return breaks, owner, cover
 
+    @cached_property
+    def buckets(self) -> tuple[tuple[float, np.ndarray, np.ndarray | None], ...]:
+        """Per dimension, a table over G uniform buckets of [-1, 1] that starts point location.
+
+        G is the smallest power of two, at least 2, with 2/G at most the
+        smallest gap between the dimension's breakpoints, capped at
+        _MAX_BUCKETS; a mesh made by bisection to depth D gets G = 2^D and
+        every breakpoint on a bucket edge.  Each dimension gives (G/2, first,
+        hi): ``first[i]`` is the number of interior breakpoints at or below
+        bucket i's left edge -1 + 2i/G (entry G, for x = 1, counts all of
+        them), and hi, the interior breakpoints with +inf appended, is None
+        when every breakpoint lies on a bucket edge and ``first`` is exact.
+        """
+        tables = []
+        for b in self.cells[0]:
+            interior = b[1:-1]
+            gap, size = float(np.min(np.diff(b))), 2
+            while 2.0 / size > gap and size < _MAX_BUCKETS:
+                size *= 2
+            scaled = interior * (size / 2.0)  # exact: a power-of-two scale
+            edges = DOMAIN_LO + np.arange(size + 1) * (2.0 / size)  # exact: dyadic with at most 17 bits
+            hi = None if np.array_equal(np.floor(scaled), scaled) else np.concatenate((interior, [np.inf]))
+            tables.append((size / 2.0, np.searchsorted(interior, edges, side="right"), hi))
+        return tuple(tables)
+
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
     """The distinct values of a NaN-free array, ascending: np.unique's result without
@@ -164,17 +201,33 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 
 
 def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:
-    """Index of the unique element containing each row of Z, read from the mesh's cell table."""
+    """Index of the unique element containing each row of Z, read from the mesh's cell table.
+
+    A coordinate's cell is the number of interior breakpoints at or below it,
+    ``searchsorted(b[1:-1], x, side="right")``, which puts the domain's closed
+    right edge in the last cell.  It is read from the mesh's bucket table at
+    bucket floor(x G/2) + G/2, which is exact in floating point, and where a
+    bucket can hold a breakpoint it is moved up past every breakpoint at or
+    below x until no point moves, so it equals the search for every input.
+    """
     pts = np.atleast_2d(np.asarray(Z, dtype=float))
     if pts.size and not DOMAIN_LO <= pts.min() <= pts.max() <= DOMAIN_HI:  # a nan fails too
         raise DomainError("points outside [-1,1]^d")
     breaks, owner, _ = dec.cells
     if pts.shape[1] != len(breaks):
         raise ValueError(f"points have dimension {pts.shape[1]}, the decomposition {len(breaks)}")
-    # the interior breakpoints at or below x count x's cell; the domain's closed
-    # right edge falls in the last cell
-    cell = tuple(np.searchsorted(b[1:-1], pts[:, j], side="right") for j, b in enumerate(breaks))
-    out = owner[cell]
+    cell = []
+    for j, (scale, first, hi) in enumerate(dec.buckets):
+        x = pts[:, j]
+        bucket = x * scale
+        np.floor(bucket, out=bucket)
+        bucket += scale
+        c = first[bucket.astype(np.intp)]
+        if hi is not None:
+            while (up := hi[c] <= x).any():
+                c += up
+        cell.append(c)
+    out = owner[tuple(cell)]
     if np.any(out < 0):
         raise DomainError("points not covered by the decomposition")
     return out

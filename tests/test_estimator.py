@@ -7,6 +7,7 @@ from mehybrid import surrogate as surrogate_module
 from mehybrid.errors import ModelEvaluationError
 from mehybrid.estimator import (
     FIRST_PREFIX_BLOCKS,
+    ORDER_SAMPLE,
     Estimate,
     _grow_order,
     HybridConfig,
@@ -369,6 +370,35 @@ def test_prefix_order_equals_full_stable_argsort():
     assert _grown(mag, [5000, 1]) == [800, 800]
 
 
+def test_prefix_order_with_ties_and_a_misleading_subsample():
+    rng = np.random.default_rng(19)
+    size = 50_000
+    # all equal, and {0, 1} as from the step surrogate: every growth runs through a run of ties
+    assert _grown(np.full(size, 0.5), [1, 10, size]) == [size] * 3
+    steps = rng.integers(0, 2, size=size).astype(float)
+    zeros = int(np.count_nonzero(steps == 0.0))
+    assert _grown(steps, [1, zeros, zeros + 1, size]) == [zeros, zeros, size, size]
+    # the last one or two values, and doubling from a single one
+    mag = np.abs(rng.normal(size=size))
+    assert _grown(mag, [size - 1]) == [size - 1]
+    assert _grown(mag, [size - 1, size]) == [size - 1, size]
+    assert _grown(mag, [size]) == [size]
+    assert _grown(mag, [2**i for i in range(17)]) == [2**i for i in range(16)] + [size]
+    # the bound's subsample takes every stride-th value: holding all of the smallest values
+    # there makes its threshold too low, so it widens (up to all of mag); holding none of
+    # them there makes it far too high
+    stride = size // ORDER_SAMPLE
+    on_stride = np.zeros(size, dtype=bool)
+    on_stride[::stride] = True
+    for small in (on_stride, ~on_stride):
+        mag = rng.uniform(1.0, 2.0, size=size)
+        mag[small] = rng.uniform(0.0, 1.0, size=np.count_nonzero(small))
+        sizes = sorted([100, 1000, np.count_nonzero(small) + 10, size // 2, size - 1])
+        assert _grown(mag, sizes) == sizes
+        for n in sizes:
+            assert _grown(mag, [n]) == [n]
+
+
 class RecordingModel(CallableModel):
     """Step model that remembers the points of every exact block, in call order."""
 
@@ -456,3 +486,41 @@ def test_me_lha_locates_samples_once(monkeypatch):
     est, _ = me_lha(StepModel(), linear_mesh_surrogate(), samples, HybridConfig(delta_m=400))
     assert sum(located) == samples.m
     assert est.n_exact > 0
+
+
+def test_walk_overwrites_only_a_new_surrogate_array():
+    # the walk turns g~ into |g~| in place; a view of the samples (read-only) or of a
+    # caller's array is copied first
+    samples = sample_uniform(2000, 1, 37)
+    before = samples.points.copy()
+    kept = np.linspace(-1.0, 1.0, 2000)
+    for surrogate in (lambda Z: Z[:, 0], lambda Z: kept[:]):
+        est, _ = iterative_hybrid(StepModel(), surrogate, samples, HybridConfig(delta_m=100))
+        assert est.p_f == mc_estimate(StepModel(), samples).p_f
+    assert np.array_equal(samples.points, before)
+    assert np.array_equal(kept, np.linspace(-1.0, 1.0, 2000))
+
+
+def test_walk_memory_in_sample_lengths():
+    # traced peak of one walk over the linear-ode p = 3 mesh, in float arrays of the sample
+    # length: |g~| overwrites g~, and a growth of the order partitions a sampled candidate
+    # set instead of a copy of every magnitude
+    import tracemalloc
+
+    from mehybrid.problems import OdeModel, ode_galerkin_system
+    from mehybrid.refine import RefinementConfig, adapt_dynamic, limit_state_surrogate
+
+    rcfg = RefinementConfig(theta1=0.05, N=3, max_elements=64)
+    dec, coeffs, _ = adapt_dynamic(ode_galerkin_system(3), rcfg, T=1.0, dt=0.01)
+    mesh = limit_state_surrogate(dec, coeffs, 3, var=0, offset=-0.5)
+    samples = sample_uniform(200_000, 1, 42)
+    assert len(mesh) == 5
+    for walk, bound in ((iterative_hybrid, 2.0), (me_lha, 3.5)):
+        tracemalloc.start()
+        try:
+            est, _ = walk(OdeModel(), mesh, samples, HybridConfig(delta_m=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_exact > 0
+        assert peak / (8 * samples.m) <= bound, (walk.__name__, peak / (8 * samples.m))

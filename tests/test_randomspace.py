@@ -196,3 +196,61 @@ def test_split_locate_consistency():
         hits += inside
     assert np.all(hits == 1)
 
+
+
+def _located_like_the_search(dec, pts):
+    """locate_many against the cell formula owner[searchsorted(b[1:-1], x, side="right")]."""
+    breaks, owner, _ = dec.cells
+    cell = tuple(np.searchsorted(b[1:-1], pts[:, j], side="right") for j, b in enumerate(breaks))
+    assert np.array_equal(locate_many(dec, pts), owner[cell])
+
+
+def _edge_coordinates(b):
+    """Every breakpoint, both of its floating-point neighbours inside the domain, and -1 and 1."""
+    near = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), [-1.0, 1.0]])
+    return near[(near >= -1.0) & (near <= 1.0)]
+
+
+def _bisection_mesh_2d(seed, splits):
+    elements = [Element.box([-1.0, -1.0], [1.0, 1.0])]
+    rng = np.random.default_rng(seed)
+    for _ in range(splits):
+        k = int(rng.integers(len(elements)))
+        elements[k : k + 1] = split_element(elements[k], {int(rng.integers(2))})
+    return Decomposition(tuple(elements))
+
+
+def test_bucket_location_equals_the_search():
+    from mehybrid.problems import PROBLEMS, KoModel
+    from mehybrid.refine import RefinementConfig
+
+    ko3 = PROBLEMS["ko3"].build_surrogate(KoModel(), 3, RefinementConfig(theta1=1e-4, N=3), []).decomposition
+    third = 1.0 / 3.0
+    skewed = Decomposition((Element.box([-1.0], [third]), Element.box([third], [third + 1e-10]),
+                            Element.box([third + 1e-10], [1.0])))
+    square = _bisection_mesh_2d(4, 30)
+    assert len(ko3) == 44
+    # bisection puts every breakpoint on a bucket edge, so the table alone locates;
+    # the non-dyadic mesh reaches the bucket cap and moves points past its breakpoints
+    (scale, _, hi), = ko3.buckets
+    assert scale == 2048 and hi is None
+    (scale, _, hi), = skewed.buckets
+    assert scale == 2**15 and hi is not None
+    rng = np.random.default_rng(5)
+    for dec in (ko3, skewed, square):
+        breaks = dec.cells[0]
+        uniform = rng.uniform(-1.0, 1.0, size=(5000, dec.dim))
+        _located_like_the_search(dec, uniform)
+        for j, b in enumerate(breaks):
+            edges = _edge_coordinates(b)
+            pts = uniform[rng.integers(5000, size=edges.size)]
+            pts[:, j] = edges
+            _located_like_the_search(dec, pts)
+        if dec.dim == 2:
+            grid = np.meshgrid(*(_edge_coordinates(b) for b in breaks), indexing="ij")
+            _located_like_the_search(dec, np.column_stack([g.ravel() for g in grid]))
+        for bad in (np.nan, 1.0 + 2**-52, -1.5):
+            pts = uniform[:3].copy()
+            pts[1, -1] = bad
+            with pytest.raises(DomainError):
+                locate_many(dec, pts)
