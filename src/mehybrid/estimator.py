@@ -135,62 +135,33 @@ def mc_estimate(model: LimitStateModel, samples: SampleSet) -> Estimate:
     return Estimate(p, m, 0, mc_stddev(p, m))
 
 
-# A walk's first prefix holds FIRST_PREFIX_BLOCKS blocks and at least 1/FIRST_PREFIX_SHARE
-# of its samples; a walk that runs past its prefix doubles it.  Every growth
-# scans all of the walk's magnitudes, so the share keeps a growth from
-# yielding only a few values.
-FIRST_PREFIX_BLOCKS = 4
+# A walk grows its order through thresholds from a sorted fixed-stride subsample
+# of about ORDER_SAMPLE of its magnitudes (about 20 microseconds at m = 1e6): the
+# value at rank 1/FIRST_PREFIX_SHARE of the subsample, then at twice the rank, and
+# so on, then inf.  Every growth scans all of the walk's magnitudes, so the share
+# keeps a growth from yielding only a few values.
 FIRST_PREFIX_SHARE = 64
-
-# Magnitudes in the sorted fixed-stride subsample that places a growth's bound.
-# Taking and sorting 4,096 values costs about 20 microseconds at m = 1e6, where
-# each stands for 244 magnitudes; the threshold then lands about 6,000 values
-# above the first prefix's bound of 15,625, so the candidates partitioned are
-# about the size of the prefix, not of the walk.
 ORDER_SAMPLE = 4096
 
 
-def _order_bound(mag: np.ndarray, n: int) -> float:
-    """The n-th smallest value of mag, 0 < n < mag.size, as ``np.partition(mag, n - 1)[n - 1]``.
+def _thresholds(mag: np.ndarray):
+    """A walk's ascending growth thresholds; the subsample is sorted at the first ``next``."""
+    sample = np.sort(mag[:: max(1, mag.size // ORDER_SAMPLE)])
+    rank = max(1, sample.size // FIRST_PREFIX_SHARE)
+    while rank < sample.size:
+        yield sample[rank]
+        rank *= 2
+    yield np.inf
 
-    A threshold t is read from a sorted fixed-stride subsample of mag, just
-    above the rank n would have there; only the values at or below t are
-    copied out and partitioned.  A t with fewer than n values at or below it
-    is widened; past the subsample's largest value the candidates are all of
-    mag.  So at most one float array besides mag, usually far shorter, is held.
+
+def _grow_order(mag: np.ndarray, order: np.ndarray, t: float) -> np.ndarray:
+    """Extend ``order``, a prefix of ``np.argsort(mag, kind="stable")`` that holds
+    every value at or below its last one, by the values in ``(mag[order[-1]], t]``.
+
+    Only that band is sorted: it comes in index order and the sort is stable, so
+    ties keep sample order.  mag must hold no NaN.
     """
-    stride = max(1, mag.size // ORDER_SAMPLE)
-    sample = np.sort(mag[::stride])
-    rank = n * sample.size / mag.size
-    margin = 3.0 * math.sqrt(rank) + 1.0  # three standard deviations of the rank: widening is rare
-    while True:
-        k = int(rank + margin)
-        if k >= sample.size:
-            candidates = mag.copy()
-            break
-        candidates = mag[mag <= sample[k]]
-        if candidates.size >= n:
-            break
-        margin *= 4.0
-    candidates.partition(n - 1)
-    return candidates[n - 1]
-
-
-def _grow_order(mag: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
-    """Extend ``order``, a prefix of ``np.argsort(mag, kind="stable")``, to n or more
-    entries (all of mag if it has fewer) without sorting all of mag.
-
-    Start from an empty ``order`` and pass the returned one back in at every
-    growth.  `_order_bound` finds the new bound by partitioning only the
-    magnitudes below a sampled threshold, and only the band of values above
-    the old bound and at or below the new one is sorted.  The band comes in
-    index order and the sort is stable, so ties keep sample order, and the
-    order runs on through every tie of its last value.  mag must hold no NaN.
-    """
-    n = min(n, mag.size)
-    if n <= order.size:
-        return order
-    band = mag <= (_order_bound(mag, n) if n < mag.size else np.inf)
+    band = mag <= t
     if order.size:
         band &= mag > mag[order[-1]]
     band = np.flatnonzero(band)
@@ -288,12 +259,12 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
         else:
             order = np.flatnonzero(mag_k <= cfg.gamma)
             end, step = order.size, mag_k.size
+        thresholds = _thresholds(mag_k)
         for iteration, pos in enumerate(range(0, end, step), start=1):
             tick = time.perf_counter()
             stop = pos + step
-            if order.size < min(stop, end):
-                order = _grow_order(mag_k, order, max(stop, 2 * order.size, FIRST_PREFIX_BLOCKS * cfg.delta_m,
-                                                      mag_k.size // FIRST_PREFIX_SHARE))
+            while order.size < min(stop, end):
+                order = _grow_order(mag_k, order, next(thresholds))
             block = order[pos:stop] if members is None else members[order[pos:stop]]
             tock = time.perf_counter()
             exact_vals = model.evaluate_many(pts[block])

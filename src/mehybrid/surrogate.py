@@ -8,6 +8,7 @@ restricted to the element is a polynomial of degree <= 2q - 1 - N.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 import time
@@ -66,7 +67,7 @@ _pool_lock = threading.Lock()
 
 
 def _executor() -> ThreadPoolExecutor:
-    """The module's pool of WORKERS - 1 threads, started by the first parallel batch."""
+    """The module's pool of WORKERS - 1 threads, started for the first pool chunk."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -112,10 +113,9 @@ class LimitStateModel:
         out = np.empty(n)
         rows = self.parallel_chunk
         if rows and n > rows and WORKERS > 1:
-            self._evaluate_parallel(pts, out, rows)
+            self._evaluate_chunks(pts, out, rows, WORKERS)
         else:
-            for i in range(0, n, EVAL_CHUNK):
-                out[i : i + EVAL_CHUNK] = self._g_many(pts[i : i + EVAL_CHUNK])
+            self._evaluate_chunks(pts, out, EVAL_CHUNK, 1)
         self.exact_s += time.perf_counter() - start
         nan = np.isnan(out)
         if nan.any():
@@ -123,25 +123,26 @@ class LimitStateModel:
             raise ModelEvaluationError(f"the exact model returned NaN at row {row}", point=pts[row])
         return out
 
-    def _evaluate_parallel(self, pts: np.ndarray, out: np.ndarray, rows: int) -> None:
-        """Fill ``out`` chunk by chunk on the calling thread and the pool.
+    def _evaluate_chunks(self, pts: np.ndarray, out: np.ndarray, rows: int, workers: int) -> None:
+        """Fill ``out`` in chunks of ``rows`` rows: the calling thread evaluates
+        every ``workers``-th chunk and the module's pool the others (none when
+        ``workers`` is 1).
 
         Each pool chunk runs in a copy of the caller's context, which carries
         its ``np.errstate``.  Once a chunk of the calling thread fails, the
         pool chunks after it that have not started are cancelled; the error
-        raised is that of the lowest-numbered failing chunk, as in the
-        sequential walk.
+        raised is that of the lowest-numbered failing chunk, for any
+        number of workers.
         """
 
         def run(k: int) -> None:
             out[k * rows : (k + 1) * rows] = self._g_many(pts[k * rows : (k + 1) * rows])
 
         n_chunks = -(-pts.shape[0] // rows)
-        pool = _executor()
-        futures = {k: pool.submit(contextvars.copy_context().run, run, k)
-                   for k in range(n_chunks) if k % WORKERS}
+        futures = {k: _executor().submit(contextvars.copy_context().run, run, k)
+                   for k in range(n_chunks) if k % workers}
         first, error = n_chunks, None  # the lowest failing chunk and its error
-        for k in range(0, n_chunks, WORKERS):
+        for k in range(0, n_chunks, workers):
             try:
                 run(k)
             except Exception as exc:
@@ -318,10 +319,10 @@ def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> 
     """Monte Carlo estimate of the L^p distance between surrogate and exact model.
 
     Diagnostic only: costs m exact-model calls on a fresh sample set that is
-    independent of any estimation samples.
+    independent of any estimation samples.  The norm order p must be finite.
     """
-    if p < 1:
-        raise ValueError("norm order must be at least one")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"norm order must be a finite number of at least one, got {p!r}")
     if m < 1:
         raise ValueError("sample count must be at least one")
     pts = sample_uniform(m, model.dim, seed).points
@@ -331,12 +332,12 @@ def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> 
 
 
 def gamma_bound(eps_p: float, eps: float, p: float) -> float:
-    """Smallest admissible replacement threshold for a target accuracy eps."""
-    if eps <= 0:
+    """Smallest admissible replacement threshold for a target accuracy eps; NaN is rejected."""
+    if not eps > 0:
         raise ValueError("accuracy target must be positive")
-    if eps_p < 0:
+    if not eps_p >= 0:
         raise ValueError("surrogate error must be nonnegative")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("norm order must be at least one")
     return eps_p / eps ** (1.0 / p)
 

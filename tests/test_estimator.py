@@ -6,10 +6,10 @@ import pytest
 from mehybrid import surrogate as surrogate_module
 from mehybrid.errors import ModelEvaluationError
 from mehybrid.estimator import (
-    FIRST_PREFIX_BLOCKS,
     ORDER_SAMPLE,
     Estimate,
     _grow_order,
+    _thresholds,
     HybridConfig,
     iterative_hybrid,
     mc_estimate,
@@ -330,20 +330,41 @@ def test_hybrid_config_validation():
         )
 
 
-def _grown(mag, requests):
-    """Grow an order through ``requests`` and check it against a full stable
-    argsort after every growth; returns the order's sizes after each."""
+def _grown(mag, thresholds=None):
+    """Grow an order through ``thresholds`` (by default the walk's own, from
+    `_thresholds`) and check it against a full stable argsort after every growth;
+    returns the order's sizes after each."""
     full = np.argsort(mag, kind="stable")
     order = np.empty(0, dtype=np.intp)
-    sizes = []
-    for n in requests:
-        order = _grow_order(mag, order, n)
-        assert order.size >= min(n, mag.size)
-        assert np.array_equal(order, full[: order.size]), n
-        # the order holds every value at or below its last one
-        assert order.size == mag.size or not mag[full[order.size]] <= mag[full[order.size - 1]]
+    sizes, top = [], -np.inf
+    for t in _thresholds(mag) if thresholds is None else thresholds:
+        order = _grow_order(mag, order, t)
+        top = max(top, t)
+        assert np.array_equal(order, full[: order.size]), t
+        # the order holds every value at or below its last one: all those at or below
+        # the highest threshold so far, and no others
+        assert order.size == np.count_nonzero(mag <= top), t
         sizes.append(order.size)
     return sizes
+
+
+def test_thresholds_double_the_subsample_rank_then_end_at_inf():
+    # below 64 values the subsample is the whole array and the first rank is still 1;
+    # a single value has no finite threshold
+    for size, ranks in ((1, []), (63, [1, 2, 4, 8, 16, 32]), (64, [1, 2, 4, 8, 16, 32])):
+        mag = np.arange(size, dtype=float)[::-1]
+        assert list(_thresholds(mag)) == ranks + [np.inf]
+        assert _grown(mag) == [rank + 1 for rank in ranks] + [size]
+    # a long walk: a stride-48 subsample of 4,167 values, ranks 65 to 4,160
+    mag = np.abs(np.random.default_rng(13).normal(size=200_000))
+    thresholds = list(_thresholds(mag))
+    sample = np.sort(mag[::48])
+    assert thresholds == [sample[65 * 2**i] for i in range(7)] + [np.inf]
+    sizes = _grown(mag)
+    assert sizes == [np.count_nonzero(mag <= t) for t in thresholds]
+    # the first growth takes about 1/64 of the walk, each next one about doubles it
+    assert abs(sizes[0] / 200_000 - 1 / 64) < 1 / 256
+    assert np.all(np.abs(np.diff(np.log2(sizes[:-1])) - 1.0) < 0.1) and sizes[-1] == 200_000
 
 
 def test_prefix_order_equals_full_stable_argsort():
@@ -352,51 +373,51 @@ def test_prefix_order_equals_full_stable_argsort():
               np.abs(rng.normal(size=5000)),
               np.where(rng.random(5000) < 0.05, np.inf, rng.normal(size=5000)) * rng.choice([-1.0, 1.0], 5000))  # signed, infinities
     for mag in arrays:
-        for n in (1, 2, 99, 834, 2500, 4999, 5000, 8000):
-            _grown(mag, [n])
+        assert _grown(mag)[-1] == 5000
+        for t in (-np.inf, -1.0, 0.0, 2.0, 5.0, np.inf):
+            _grown(mag, [t])
 
-    # doubling growths as a walk makes them, each sorting only its new band
+    # doubling up to the whole array, each growth sorting only its new band
     mag = np.abs(rng.normal(size=200_000))
-    assert _grown(mag, [400 * 2**i for i in range(10)]) == [400 * 2**i for i in range(9)] + [200_000]
+    sizes = _grown(mag, [np.sort(mag)[400 * 2**i - 1] for i in range(9)] + [np.inf])
+    assert sizes == [400 * 2**i for i in range(9)] + [200_000]
 
-    # a growth bound inside a run of ties: the order runs on through all of them,
-    # and the next growth starts above them
+    # a threshold inside a run of ties takes all of them; one at or below the order's
+    # last value, as when consecutive thresholds are equal, adds nothing
     mag = np.repeat([0.5, 0.25, 0.75], 2000)[rng.permutation(6000)]
-    assert _grown(mag, [100, 300, 2100, 2200, 4000, 4001, 6000]) == [2000, 2000, 4000, 4000, 4000, 6000, 6000]
-
-    # a growth that reaches the end of the array serves every later request
-    mag = np.abs(rng.normal(size=800))
-    assert _grown(mag, [300, 800, 5000]) == [300, 800, 800]
-    assert _grown(mag, [5000, 1]) == [800, 800]
+    assert _grown(mag, [0.25, 0.25, 0.1, 0.5, 0.6, 0.75, np.inf]) == [2000, 2000, 2000, 4000, 4000, 6000, 6000]
+    assert _grown(mag, [0.0, np.inf, np.inf]) == [0, 6000, 6000]
 
 
 def test_prefix_order_with_ties_and_a_misleading_subsample():
     rng = np.random.default_rng(19)
     size = 50_000
-    # all equal, and {0, 1} as from the step surrogate: every growth runs through a run of ties
-    assert _grown(np.full(size, 0.5), [1, 10, size]) == [size] * 3
+    # all equal, and {0, 1} as from the step surrogate: every growth runs through a run of
+    # ties, and the thresholds repeat, so most growths add nothing
+    mag = np.full(size, 0.5)
+    assert _grown(mag) == [size] * len(list(_thresholds(mag)))
     steps = rng.integers(0, 2, size=size).astype(float)
     zeros = int(np.count_nonzero(steps == 0.0))
-    assert _grown(steps, [1, zeros, zeros + 1, size]) == [zeros, zeros, size, size]
-    # the last one or two values, and doubling from a single one
+    sizes = _grown(steps)
+    assert sizes[0] == zeros and sizes[-1] == size and set(sizes) == {zeros, size}
+    # the last one or two values
     mag = np.abs(rng.normal(size=size))
-    assert _grown(mag, [size - 1]) == [size - 1]
-    assert _grown(mag, [size - 1, size]) == [size - 1, size]
-    assert _grown(mag, [size]) == [size]
-    assert _grown(mag, [2**i for i in range(17)]) == [2**i for i in range(16)] + [size]
-    # the bound's subsample takes every stride-th value: holding all of the smallest values
-    # there makes its threshold too low, so it widens (up to all of mag); holding none of
-    # them there makes it far too high
+    assert _grown(mag, [np.sort(mag)[-2], np.inf]) == [size - 1, size]
+    assert _grown(mag, [np.inf]) == [size]
+    # the subsample takes every stride-th value: holding all of the smallest values there
+    # makes the thresholds low, holding none of them there makes the first one high
     stride = size // ORDER_SAMPLE
     on_stride = np.zeros(size, dtype=bool)
     on_stride[::stride] = True
     for small in (on_stride, ~on_stride):
         mag = rng.uniform(1.0, 2.0, size=size)
         mag[small] = rng.uniform(0.0, 1.0, size=np.count_nonzero(small))
-        sizes = sorted([100, 1000, np.count_nonzero(small) + 10, size // 2, size - 1])
-        assert _grown(mag, sizes) == sizes
-        for n in sizes:
-            assert _grown(mag, [n]) == [n]
+        sizes = _grown(mag)
+        assert sizes[-1] == size
+        if small is on_stride:  # every finite threshold is small: the last growth takes all large values
+            assert sizes[-2] < np.count_nonzero(small)
+        else:  # the first threshold is large: the first growth takes every small value
+            assert sizes[0] > np.count_nonzero(small)
 
 
 class RecordingModel(CallableModel):
@@ -422,7 +443,7 @@ def test_walk_order_equals_full_stable_argsort():
         return levels[np.minimum(((Z[:, 0] + 1.0) * 2.5).astype(int), 4)]
 
     cfg = HybridConfig(delta_m=300)
-    assert FIRST_PREFIX_BLOCKS * cfg.delta_m < samples.m // 8
+    assert next(_thresholds(np.abs(ties(pts)))) < 0.5  # the first growth leaves samples out
     model = RecordingModel()
     est, _ = iterative_hybrid(model, ties, samples, cfg)
     assert est.n_exact == samples.m
@@ -441,6 +462,27 @@ def test_walk_order_equals_full_stable_argsort():
     left = np.flatnonzero(pts[:, 0] < 0.0)
     right = np.flatnonzero(pts[:, 0] >= 0.0)
     assert np.array_equal(walked, np.concatenate([pts[left, 0], pts[right, 0]]))
+
+
+def test_walk_through_equal_thresholds():
+    # |g~| in {0, 1}, mostly 0: the thresholds repeat 0, so a growth after the first adds
+    # nothing and the walk must move on to the next threshold; the surrogate is wrong on
+    # every sample with z < 0, so every block changes the estimate and the walk runs to
+    # the end, in the order of a full stable argsort
+    samples = sample_uniform(30_000, 1, 41)
+    pts = samples.points
+
+    def steps(Z):
+        return np.where(Z[:, 0] < -0.9, 1.0, 0.0)
+
+    thresholds = list(_thresholds(steps(pts)))
+    assert thresholds[:2] == [0.0, 0.0]
+    model = RecordingModel()
+    est, _ = iterative_hybrid(model, steps, samples, HybridConfig(delta_m=300))
+    assert est.n_exact == samples.m
+    assert est.p_f == mc_estimate(StepModel(), samples).p_f
+    full = np.argsort(steps(pts), kind="stable")
+    assert np.array_equal(np.concatenate(model.blocks), pts[full, 0])
 
 
 def test_band_is_a_stop_rule_of_the_walk():
@@ -503,8 +545,8 @@ def test_walk_overwrites_only_a_new_surrogate_array():
 
 def test_walk_memory_in_sample_lengths():
     # traced peak of one walk over the linear-ode p = 3 mesh, in float arrays of the sample
-    # length: |g~| overwrites g~, and a growth of the order partitions a sampled candidate
-    # set instead of a copy of every magnitude
+    # length: |g~| overwrites g~, and a growth of the order takes its threshold from a
+    # sorted subsample, so beyond |g~| a walk holds only masks and the order itself
     import tracemalloc
 
     from mehybrid.problems import OdeModel, ode_galerkin_system

@@ -180,6 +180,21 @@ def test_gamma_bound_examples():
         gamma_bound(-0.1, 0.1, 2)
 
 
+def test_lp_error_and_gamma_bound_reject_nan_and_an_infinite_lp_order():
+    # an error of 0.3 at every point: the mean of 0.3 ** inf would read 1.0, and NaN
+    # would pass a plain p < 1 check
+    model = CallableModel(lambda z: z)
+    off = lambda Z: Z[:, 0] + 0.3  # noqa: E731
+    assert lp_error(off, model, p=2, m=1000, seed=0) == pytest.approx(0.3, abs=1e-12)
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError, match="norm order"):
+            lp_error(off, model, p=p, m=1000, seed=0)
+    for args in ((math.nan, 0.1, 2), (0.1, math.nan, 2), (0.1, 0.1, math.nan)):
+        with pytest.raises(ValueError):
+            gamma_bound(*args)
+    assert gamma_bound(0.3, 0.01, math.inf) == 0.3
+
+
 def test_me_surrogate_value_does_not_depend_on_the_batch():
     # order 7 on seven uneven elements; a shuffled batch longer than one evaluation chunk
     rng = np.random.default_rng(21)
