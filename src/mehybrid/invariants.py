@@ -13,7 +13,7 @@ from . import problems as prob
 from .estimator import HybridConfig, iterative_hybrid, mc_estimate
 from .polybasis import basis_matrix, gauss_legendre, multi_index_set, triple_products
 from .randomspace import Decomposition, Element, check_partition, sample_uniform, split_element
-from .refine import PolynomialOde, _batched_rhs, dynamic_indicator, rk4_integrate
+from .refine import PolynomialOde, _galerkin_rhs, dynamic_indicator, rk4_integrate
 from .surrogate import CallableModel, gamma_bound, lp_error, tensor_grid
 
 __all__ = ["TOLERANCES", "CHECKS"]
@@ -23,6 +23,7 @@ TOLERANCES = {
     "quadrature-exactness": 1e-13,    # relative error of the even moments
     "partition-of-unity": 1e-12,      # |sum of element probabilities - 1|
     "linear-closure": 1e-10,          # Q of a linear system
+    "galerkin-energy": 1e-13,         # |sum u . f(u)| / sum |u . f(u)| of the projected three-mode system
     "ko-conservation": 1e-8,          # drift of y1 y2 from its initial value
     "ko-symmetry": 1e-10,             # |y1(xi) - y1(-xi)|
     "burgers-residuals": 1e-12,       # residual norm of the transition-layer solve
@@ -89,11 +90,24 @@ def check_linear_closure() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10):
         c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, (), np.empty_like(c))()
-        red = _batched_rhs(system, c[:, :, :4], dense, (), np.empty_like(c[:, :, :4]))()
+        full = _galerkin_rhs(system, c, dense, ())
+        red = _galerkin_rhs(system, c[:, :, :4], dense, ())
         q, _ = dynamic_indicator(full, red, c, multi_index_set(1, 3))
         worst = max(worst, float(q[0]))
     return worst < TOLERANCES["linear-closure"], f"max Q {worst:.2e}"
+
+
+def check_galerkin_energy() -> tuple[bool, str]:
+    """The three-mode right-hand side has y . f(y) = 0 and the triple products are exact,
+    so the projected slope of every element is orthogonal to its mode coefficients."""
+    system = prob.ko_galerkin_system()
+    rng = np.random.default_rng(4)
+    worst = 0.0
+    for n in (3, 5, 7):
+        c = rng.normal(size=(8, 3, n + 1))
+        prod = (c * _galerkin_rhs(system, c, triple_products(1, n), ())).reshape(len(c), -1)
+        worst = max(worst, float(np.max(np.abs(prod.sum(axis=1)) / np.abs(prod).sum(axis=1))))
+    return worst < TOLERANCES["galerkin-energy"], f"max relative energy rate {worst:.2e}"
 
 
 def check_ko_invariants() -> tuple[bool, str]:
@@ -146,6 +160,7 @@ CHECKS = (
     ("partition-of-unity", check_partition_of_unity),
     ("hybrid-exhaustion", check_hybrid_exhaustion),
     ("linear-closure", check_linear_closure),
+    ("galerkin-energy", check_galerkin_energy),
     ("ko-invariants", check_ko_invariants),
     ("burgers-residuals", check_burgers_residuals),
     ("rk4-order", check_rk4_order),

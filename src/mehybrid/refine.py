@@ -244,45 +244,96 @@ def _require_polynomial(system) -> PolynomialOde:
     return system
 
 
-def _batched_rhs(
-    system: PolynomialOde,
-    src: np.ndarray,
-    dense: np.ndarray,
-    fields: Sequence[np.ndarray],
-    dst: np.ndarray,
-) -> Callable[[], np.ndarray]:
-    """Binds the projected right-hand side to a batch of mode coefficients ``src``
-    (M, n_state, n) and an output ``dst`` shaped like it; ``fields`` holds the
-    projected field of each field_linear term, in term order.
+def _quadratic_operator(system: PolynomialOde, dense: np.ndarray, n: int) -> np.ndarray | None:
+    """The quadratic terms at ``n`` modes as one (S n, (S n)^2) matrix, S = n_state, or None
+    if there are none.
+
+    Row (a, j) and column (b, l, var, k) hold the sum of c * E[k, j, l] over the
+    terms (var, c, a, b), with E = ``dense`` the triple products.  An element's
+    flattened state u times this matrix, read as an (S n, S n) matrix A(u), gives
+    the quadratic part of its slope as u A(u).
+    """
+    if not system.quadratic:
+        return None
+    s = system.n_state
+    op = np.zeros((s, n, s, n, s, n))
+    e_jlk = dense[:n, :n, :n].transpose(1, 2, 0)
+    for var, c, a, b in system.quadratic:
+        op[a, :, b, :, var, :] += c * e_jlk
+    return op.reshape(s * n, (s * n) ** 2)
+
+
+def _linear_operator(system: PolynomialOde, dense: np.ndarray, fields: Sequence[np.ndarray],
+                     n: int) -> np.ndarray | None:
+    """The linear and field_linear terms at ``n`` modes as one (S n, S n) matrix L per
+    element, whose linear part of the slope is u L, or None if there are neither.
+
+    ``fields`` holds the projected field, (M, modes), of each field_linear term in
+    term order; the result is (M, S n, S n), or (1, S n, S n) for every element
+    alike when there are no field terms.  A linear term (var, c, i) adds c to the
+    diagonal of block (i, var); a field term (var, fn, c, i) with field f adds
+    c * sum_j E[k, j, l] f[j] at row (i, l), column (var, k).  Raises ValueError
+    unless there is one field per field_linear term.
+    """
+    if len(fields) != len(system.field_linear):
+        raise ValueError(f"need one projected field per field_linear term: "
+                         f"{len(system.field_linear)} terms, {len(fields)} fields")
+    if not (system.linear or system.field_linear):
+        return None
+    s = system.n_state
+    op = np.zeros((fields[0].shape[0] if fields else 1, s, n, s, n))
+    for var, c, i in system.linear:
+        op[:, i, :, var, :] += c * np.eye(n)
+    for (var, _, c, i), f in zip(system.field_linear, fields):
+        op[:, i, :, var, :] += c * np.einsum("kjl,ej->elk", dense[:n, : f.shape[1], :n], f)
+    return op.reshape(op.shape[0], s * n, s * n)
+
+
+def _batched_rhs(quad: np.ndarray | None, lin: np.ndarray | None,
+                 src: np.ndarray, dst: np.ndarray) -> Callable[[], np.ndarray]:
+    """Binds the projected right-hand side, given as its operators (see
+    `_quadratic_operator` and `_linear_operator`), to a batch of mode coefficients
+    ``src`` (M, n_state, n) and a C-contiguous output ``dst`` shaped like it.
 
     The returned slope reads ``src`` as it is at call time, writes the mode
-    derivatives into ``dst`` and returns it.  The row views and one (M, n)
-    scratch array are made here, once, so a call only runs the ufuncs and
-    einsums of the terms.
+    derivatives u (A(u) + L) of each element's flattened state u into ``dst`` and
+    returns it: one matmul forms every A(u), the linear operator is added to them,
+    and one batched matmul applies the sum, so a slope with one term kind makes
+    two numpy calls or, without quadratic terms, one.  ``src`` may be a
+    non-contiguous view such as a prefix of the modes; it is then flattened, by a
+    copy, at each call.  The (M, S n, S n) buffer of the A(u) is made here, once.
     """
-    n = src.shape[2]
-    tmp = np.empty((src.shape[0], n))
-    e_nnn = dense[:n, :n, :n]
-    # (target rows, coefficient, triple tensor or None, left factor, right factor), in term order
-    terms = [(dst[:, var, :], c, None, None, src[:, i, :]) for var, c, i in system.linear]
-    terms += [(dst[:, var, :], c, e_nnn, src[:, a, :], src[:, b, :]) for var, c, a, b in system.quadratic]
-    terms += [(dst[:, var, :], c, dense[:n, : f.shape[1], :n], f, src[:, i, :])
-              for (var, _, c, i), f in zip(system.field_linear, fields)]
-
-    mul = np.multiply
+    if not dst.flags.c_contiguous:
+        raise ValueError("the slope output must be C-contiguous")
+    m, s, n = dst.shape
+    out = dst.reshape(m, 1, s * n)
+    if quad is not None:
+        mat = np.empty((m, s * n, s * n))
+        mat_rows = mat.reshape(m, -1)
+    else:
+        mat = lin if lin is not None else np.zeros((1, s * n, s * n))
+    matmul, add = np.matmul, np.add
 
     def slope() -> np.ndarray:
-        dst.fill(0.0)
-        for rows, c, e, u, v in terms:
-            if e is None:
-                mul(v, c, tmp)
-            else:
-                np.einsum("ijl,ej,el->ei", e, u, v, out=tmp)
-                mul(tmp, c, tmp)
-            rows += tmp
+        flat = src.reshape(m, s * n)
+        if quad is not None:
+            matmul(flat, quad, mat_rows)
+            if lin is not None:
+                add(mat, lin, mat)
+        matmul(flat[:, None, :], mat, out)
         return dst
 
     return slope
+
+
+def _galerkin_rhs(system: PolynomialOde, coeffs: np.ndarray, dense: np.ndarray,
+                  fields: Sequence[np.ndarray]) -> np.ndarray:
+    """The projected right-hand side at the mode coefficients ``coeffs`` (M, n_state, n),
+    evaluated once into a new array; ``fields`` as in `_linear_operator`."""
+    n = coeffs.shape[2]
+    slope = _batched_rhs(_quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n),
+                         coeffs, np.empty(coeffs.shape))
+    return slope()
 
 
 def dynamic_indicator(
@@ -395,8 +446,12 @@ def _project_child_state(parent: Element, child: Element, coeffs: np.ndarray, or
     return project(lambda pts: (basis_matrix(basis, to_local_many(parent, pts)) @ coeffs.T).T, child, order)
 
 
-def _field_coeffs(system: PolynomialOde, elements: Sequence[Element], order: int) -> list[np.ndarray]:
-    return [_project_function(fn, elements, order) for _, fn, _, _ in system.field_linear]
+def _linear_operators(system: PolynomialOde, dense: np.ndarray, elements: Sequence[Element], order: int,
+                      sizes: Sequence[int]) -> list[np.ndarray | None]:
+    """The linear operator at each mode count in ``sizes``, with the fields projected
+    onto ``elements`` at ``order``."""
+    fields = [_project_function(fn, elements, order) for _, fn, _, _ in system.field_linear]
+    return [_linear_operator(system, dense, fields, n) for n in sizes]
 
 
 def adapt_dynamic(
@@ -424,25 +479,27 @@ def adapt_dynamic(
     # a reduced order of N - 1 instead of N - 2 refines the three-mode system worse.
     reduced = multi_index_set(d, max(0, cfg.N - 2))
     dense = triple_products(d, cfg.N)
+    # the operators of the full and the reduced system; the linear ones follow the mesh
+    sizes = (dense.shape[0], len(reduced))
+    quad, quad_red = (_quadratic_operator(sys_, dense, n) for n in sizes)
 
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
     next_id = 1
     coeffs = _project_function(sys_.initial, elements, cfg.N, (sys_.n_state,))
-    fields = _field_coeffs(sys_, elements, cfg.N)
+    lin, lin_red = _linear_operators(sys_, dense, elements, cfg.N, sizes)
     truncated = False
 
     t = 0.0
     while t < T - 1e-12:
         t_next = min(t + 10.0 * dt, T)
-        coeffs = rk4_integrate(lambda src, dst: _batched_rhs(sys_, src, dense, fields, dst),
-                               coeffs, t, t_next, dt)
+        coeffs = rk4_integrate(lambda src, dst: _batched_rhs(quad, lin, src, dst), coeffs, t, t_next, dt)
         t = t_next
         if t >= T - 1e-12:
             break
         low = coeffs[:, :, : len(reduced)]
-        full = _batched_rhs(sys_, coeffs, dense, fields, np.empty_like(coeffs))()
-        low_rhs = _batched_rhs(sys_, low, dense, fields, np.empty_like(low))()
+        full = _batched_rhs(quad, lin, coeffs, np.empty(coeffs.shape))()
+        low_rhs = _batched_rhs(quad_red, lin_red, low, np.empty(low.shape))()
         q_all, s_all = dynamic_indicator(full, low_rhs, coeffs, reduced)
         new_elements: list[Element] = []
         new_ids: list[int] = []
@@ -472,7 +529,7 @@ def adapt_dynamic(
             elements = new_elements
             ids = new_ids
             coeffs = np.stack(new_rows)
-            fields = _field_coeffs(sys_, elements, cfg.N)
+            lin, lin_red = _linear_operators(sys_, dense, elements, cfg.N, sizes)
     return Decomposition(tuple(elements)), coeffs, truncated
 
 

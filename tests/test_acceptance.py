@@ -183,6 +183,7 @@ def test_criterion_6_invariant_suites():
         "quadrature-exactness": 1e-13,
         "partition-of-unity": 1e-12,
         "linear-closure": 1e-10,
+        "galerkin-energy": 1e-13,
         "ko-conservation": 1e-8,
         "ko-symmetry": 1e-10,
         "burgers-residuals": 1e-12,
@@ -191,7 +192,8 @@ def test_criterion_6_invariant_suites():
     }
     names = [name for name, _ in invariants.CHECKS]
     assert names == ["orthonormality", "quadrature-exactness", "partition-of-unity", "hybrid-exhaustion",
-                     "linear-closure", "ko-invariants", "burgers-residuals", "rk4-order", "gamma-bound"]
+                     "linear-closure", "galerkin-energy", "ko-invariants", "burgers-residuals", "rk4-order",
+                     "gamma-bound"]
     for name, check in invariants.CHECKS:
         ok, detail = check()
         assert ok, f"{name}: {detail}"

@@ -14,7 +14,10 @@ from mehybrid.refine import (
     RefinementEvent,
     THETA2,
     _batched_rhs,
+    _galerkin_rhs,
+    _linear_operator,
     _project_child_state,
+    _quadratic_operator,
     adapt_dynamic,
     adapt_static,
     dynamic_indicator,
@@ -163,7 +166,7 @@ def test_batched_rhs_linear_is_coefficientwise():
         n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), linear=((0, -1.0, 0),)
     )
     c = np.array([[[0.4, -0.2, 0.1, 0.05]]])
-    assert np.allclose(_batched_rhs(system, c, triple_products(1, 3), {}, np.empty_like(c))(), -c, atol=1e-15)
+    assert np.allclose(_galerkin_rhs(system, c, triple_products(1, 3), ()), -c, atol=1e-15)
 
 
 def test_batched_rhs_quadratic_example():
@@ -171,8 +174,63 @@ def test_batched_rhs_quadratic_example():
         n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), quadratic=((0, 1.0, 0, 0),)
     )
     c = np.array([[[1.0, 0.0]]])
-    dc = _batched_rhs(system, c, triple_products(1, 1), {}, np.empty_like(c))()
+    dc = _galerkin_rhs(system, c, triple_products(1, 1), ())
     assert np.allclose(dc, [[[1.0, 0.0]]], atol=1e-14)
+
+
+def reference_rhs(system, src, dense, fields):
+    """The projected right-hand side term by term, one einsum per quadratic and field term."""
+    n = src.shape[2]
+    out = np.zeros(src.shape)
+    for var, c, i in system.linear:
+        out[:, var] += c * src[:, i]
+    for var, c, a, b in system.quadratic:
+        out[:, var] += c * np.einsum("kjl,ej,el->ek", dense[:n, :n, :n], src[:, a], src[:, b])
+    for (var, _, c, i), f in zip(system.field_linear, fields):
+        out[:, var] += c * np.einsum("kjl,ej,el->ek", dense[:n, : f.shape[1], :n], f, src[:, i])
+    return out
+
+
+def all_term_kinds(d):
+    return PolynomialOde(
+        n_state=2,
+        dim=d,
+        initial=lambda pts: np.ones((2, pts.shape[0])),
+        linear=((0, -1.0, 1), (1, 0.5, 0), (1, 0.25, 1)),
+        quadratic=((1, 0.7, 0, 1), (0, -0.2, 1, 1), (0, 1.3, 0, 0)),
+        field_linear=((0, lambda pts: pts[:, 0], -1.5, 0), (1, lambda pts: pts[:, 0] ** 2, 0.4, 1)),
+    )
+
+
+@pytest.mark.parametrize("prefix", [False, True], ids=["full", "prefix"])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_contracted_slope_matches_per_term_reference(d, m, prefix):
+    system = all_term_kinds(d)
+    dense = triple_products(d, 4)
+    n_full = dense.shape[0]
+    rng = np.random.default_rng(10 * d + m)
+    fields = [rng.normal(size=(m, n_full)), rng.normal(size=(m, n_full))]
+    src = rng.normal(size=(m, 2, n_full))
+    if prefix:  # the reduced state of adapt_dynamic: a non-contiguous view of the lower modes
+        src = src[:, :, : len(multi_index_set(d, 2))]
+        assert not src.flags.c_contiguous
+    want = reference_rhs(system, src, dense, fields)
+    got = _galerkin_rhs(system, src, dense, fields)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_galerkin_rhs_needs_one_field_per_field_term():
+    # a short field list used to drop the unpaired field terms without a word
+    system = all_term_kinds(1)
+    dense = triple_products(1, 3)
+    c = np.ones((2, 2, 4))
+    for fields in ((), {}, [np.ones((2, 4))], [np.ones((2, 4))] * 3):
+        with pytest.raises(ValueError, match="one projected field per field_linear term"):
+            _galerkin_rhs(system, c, dense, fields)
+    with pytest.raises(ValueError, match="one projected field per field_linear term"):
+        _galerkin_rhs(ko_galerkin_system(), np.ones((1, 3, 4)), dense, [np.ones((1, 4))])
 
 
 def test_adapt_dynamic_rejects_bad_input():
@@ -252,8 +310,8 @@ def test_dynamic_indicator_linear_closure():
     rng = np.random.default_rng(2)
     for _ in range(5):
         c = rng.normal(size=(1, 2, 6))
-        full = _batched_rhs(system, c, dense, {}, np.empty_like(c))()
-        red = _batched_rhs(system, c[:, :, :4], dense, {}, np.empty_like(c[:, :, :4]))()
+        full = _galerkin_rhs(system, c, dense, ())
+        red = _galerkin_rhs(system, c[:, :, :4], dense, ())
         q, _ = dynamic_indicator(full, red, c, multi_index_set(1, 3))
         assert q[0] < 1e-10
 
@@ -263,9 +321,8 @@ def test_dynamic_indicator_ko_transfers_energy():
     rcfg = cfg(theta1=math.inf, N=5)
     dec, coeffs, _ = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
     dense = triple_products(1, 5)
-    full = _batched_rhs(system, coeffs, dense, (), np.empty_like(coeffs))()
-    c_red = coeffs[:, :, :4]
-    red = _batched_rhs(system, c_red, dense, (), np.empty_like(c_red))()
+    full = _galerkin_rhs(system, coeffs, dense, ())
+    red = _galerkin_rhs(system, coeffs[:, :, :4], dense, ())
     q, s = dynamic_indicator(full, red, coeffs, multi_index_set(1, 3))
     assert q[0] > 1e-4
     assert s[0, 0] >= 0.0
@@ -273,27 +330,46 @@ def test_dynamic_indicator_ko_transfers_energy():
 
 def test_bound_slope_reads_its_source_live():
     # every term kind, on a batch of three elements; the slope is bound once and the
-    # source is then overwritten in place, as rk4_integrate overwrites its stage state
-    system = PolynomialOde(
-        n_state=2,
-        dim=1,
-        initial=lambda pts: np.ones((2, pts.shape[0])),
-        linear=((0, -1.0, 1), (1, 0.5, 0)),
-        quadratic=((1, 0.7, 0, 1), (0, -0.2, 1, 1)),
-        field_linear=((0, lambda pts: pts[:, 0], -1.5, 0), (1, lambda pts: pts[:, 0] ** 2, 0.4, 1)),
-    )
+    # source is then overwritten in place, as rk4_integrate overwrites its stage state;
+    # at n = 4 the source is a non-contiguous view of the first modes, like adapt_dynamic's
+    # reduced state
+    system = all_term_kinds(1)
     dense = triple_products(1, 5)
     rng = np.random.default_rng(8)
     fields = [rng.normal(size=(3, 6)), rng.normal(size=(3, 6))]
-    src = rng.normal(size=(3, 2, 6))
-    dst = np.empty_like(src)
-    slope = _batched_rhs(system, src, dense, fields, dst)
-    slope()
-    for _ in range(3):
-        src[...] = rng.normal(size=src.shape)
-        fresh = _batched_rhs(system, src.copy(), dense, fields, np.empty_like(src))()
-        assert slope() is dst
-        assert np.array_equal(dst, fresh)
+    for n in (6, 4):
+        state = rng.normal(size=(3, 2, 6))
+        src = state[:, :, :n]
+        dst = np.empty(src.shape)
+        ops = _quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n)
+        slope = _batched_rhs(*ops, src, dst)
+        slope()
+        for _ in range(3):
+            state[...] = rng.normal(size=state.shape)
+            fresh = _galerkin_rhs(system, src.copy(), dense, fields)
+            assert slope() is dst
+            assert np.array_equal(dst, fresh)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _batched_rhs(*ops, src, np.empty((3, 2, 2 * n))[:, :, ::2])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ko_galerkin_slope_conserves_energy(d):
+    # y . f(y) = 0 for the three-mode right-hand side and the triple products are exact,
+    # so each element's projected slope is orthogonal to its coefficients
+    quadratic = ko_galerkin_system().quadratic
+    system = PolynomialOde(n_state=3, dim=d, initial=lambda pts: np.ones((3, pts.shape[0])), quadratic=quadratic)
+    # one coupling with the wrong sign no longer conserves it
+    broken = PolynomialOde(n_state=3, dim=d, initial=system.initial,
+                           quadratic=((0, -1.0, 0, 2),) + quadratic[1:])
+    rng = np.random.default_rng(d)
+    for order in (3, 5, 7) if d == 1 else (2, 4):
+        dense = triple_products(d, order)
+        c = rng.normal(size=(4, 3, dense.shape[0]))
+        for sys_, ok in ((system, True), (broken, False)):
+            prod = (c * _galerkin_rhs(sys_, c, dense, ())).reshape(4, -1)
+            rate = np.abs(prod.sum(axis=1)) / np.abs(prod).sum(axis=1)
+            assert np.all(rate < 1e-13) if ok else np.all(rate > 1e-3)
 
 
 @pytest.mark.parametrize("d, n_full, n_red", [(1, 6, 4), (2, 10, 3)])
@@ -346,6 +422,40 @@ def test_adapt_dynamic_ko_element_counts_bracketed():
         assert check_partition(dec) == []
     assert counts[0] < counts[1] < counts[2]
     assert all(8 <= c <= 40 for c in counts)
+
+
+# (time, element, indicator, dims) of every split; a change of summation order in the slope
+# may move the indicators by rounding, but not the times, elements or directions
+KO3_P5_SPLITS = [
+    (3.600000000000002, 0, 0.01244292061552494, (0,)),
+    (4.999999999999998, 1, 0.028127130993137874, (0,)),
+    (4.999999999999998, 2, 0.028127130993137767, (0,)),
+    (5.799999999999995, 4, 0.040929515392564814, (0,)),
+    (5.799999999999995, 5, 0.04092951539256465, (0,)),
+    (13.09999999999997, 8, 0.08398253910964652, (0,)),
+    (13.09999999999997, 9, 0.0839825391096474, (0,)),
+    (14.199999999999966, 12, 0.1780211714302321, (0,)),
+    (14.199999999999966, 13, 0.17802117143023335, (0,)),
+]
+LINEAR_ODE_P3_SPLITS = [
+    (0.2, 0, 0.05373697475053696, (0,)),
+    (0.30000000000000004, 1, 0.1391599774150194, (0,)),
+    (0.5, 3, 0.3256192226971848, (0,)),
+    (0.7, 5, 0.47105731080750957, (0,)),
+]
+
+
+@pytest.mark.parametrize("name, system, order, theta1, T, n_elements, splits", [
+    ("ko3", ko_galerkin_system(), 5, 1e-2, 15.0, 10, KO3_P5_SPLITS),
+    ("linear-ode", ode_galerkin_system(3), 3, 0.05, 1.0, 5, LINEAR_ODE_P3_SPLITS),
+], ids=["ko3-p5", "linear-ode-p3"])
+def test_adapt_dynamic_split_sequences_are_pinned(name, system, order, theta1, T, n_elements, splits):
+    events: list[RefinementEvent] = []
+    dec, _, truncated = adapt_dynamic(system, cfg(theta1=theta1, N=order), T=T, dt=0.01, event_log=events)
+    assert len(dec) == n_elements and not truncated
+    assert [(ev.time, ev.element, ev.dims) for ev in events] == [(t, k, dims) for t, k, _, dims in splits]
+    for ev, (_, _, indicator, _) in zip(events, splits):
+        assert ev.indicator == pytest.approx(indicator, rel=1e-10, abs=0.0)
 
 
 def test_adapt_dynamic_projection_restart_consistency():
