@@ -122,6 +122,9 @@ def check_ko_invariants() -> tuple[bool, str]:
 def check_burgers_residuals() -> tuple[bool, str]:
     # 50 (delta, nu) pairs, drawn in the same stream order as 50 alternating scalar draws
     delta, nu = np.random.default_rng(13).uniform([0.0, 0.02], [0.1, 0.1], size=(50, 2)).T
+    # and a delta grid at a small and a large viscosity, where the layer meets the boundary or spreads out
+    grid = np.linspace(0.0, 0.1, 101)
+    delta, nu = np.concatenate([delta, grid, grid]), np.concatenate([nu, np.full(101, 1e-3), np.full(101, 100.0)])
     z, a = prob.burgers_transition_z(delta, nu, return_amplitude=True)
     worst = float(np.max(np.hypot(*prob._tanh_system(a, z, delta, nu))))
     return worst < TOLERANCES["burgers-residuals"], f"max residual {worst:.2e}"

@@ -331,84 +331,49 @@ def _tanh_system(a, z, delta, nu):
     return a * np.tanh(s1) - (1.0 + delta), a * np.tanh(s2) - 1.0
 
 
-def _layer_residual(a, w, delta, nu):
-    """The tanh system rewritten in (A, w) with w = exp(-A (1 - z) / nu).
-
-    tanh(s) = (1 - e^(-2s)) / (1 + e^(-2s)) turns the two equations into
-    rational expressions of w and e1 = exp(-2A/nu) / w, which keeps every
-    partial derivative O(1) where the raw (A, z) Jacobian is singular to
-    machine precision (saturated tanh).
-    """
-    e1 = np.exp(-2.0 * a / nu) / w
-    f1 = a * (1.0 - e1) / (1.0 + e1) - (1.0 + delta)
-    f2 = a * (1.0 - w) / (1.0 + w) - 1.0
-    return f1, f2
-
-
 def burgers_transition_z(delta, nu, return_amplitude: bool = False):
     """Transition-layer positions from the two-equation tanh system, elementwise.
 
     Solves A tanh[A (1 + z) / (2 nu)] = 1 + delta and
-    A tanh[A (1 - z) / (2 nu)] = 1 for (A, z) by a damped Newton iteration
-    started from (A, z) = (1, 0); ``delta`` and ``nu`` broadcast.  The
-    iteration runs in the equivalent (A, w) coordinates of `_layer_residual`
-    (steps capped componentwise and halved until the residual norm drops)
-    because the raw variables make the Jacobian numerically singular wherever
-    a tanh saturates.  Each point iterates until its own residual norm is
-    below 1e-13; every returned root satisfies the original equations with
-    residual norm below 1e-12.
+    A tanh[A (1 - z) / (2 nu)] = 1 for (A, z); ``delta`` and ``nu`` broadcast.
+    The equations give w = (A - 1) / (A + 1) and e1 = (A - 1 - delta) / (A + 1 + delta)
+    with w e1 = exp(-2A / nu), which in t = ln(A - 1 - delta) is the strictly
+    increasing scalar equation
+
+        t + ln(delta + e^t) + 2 (1 + delta + e^t) / nu - ln(2 + delta + e^t) - ln(2 + 2 delta + e^t) = 0.
+
+    Newton's method in t starts from the root with the e^t terms dropped, and
+    each point stops on its own step, so its root does not depend on its
+    batch; then z = nu / (2A) ln(w / e1).  Working in t keeps A - 1 - delta
+    resolved where it underflows (small nu).  Every returned root satisfies
+    the original equations with residual norm below 1e-12.
     """
     delta, nu = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(nu, dtype=float))
-    if np.any(delta < 0):
-        raise ValueError("boundary perturbation must be nonnegative")
-    if np.any(nu <= 0):
-        raise ValueError("viscosity must be positive")
+    if not np.all(np.isfinite(delta) & (delta >= 0)):
+        raise ValueError("boundary perturbation must be finite and nonnegative")
+    if not np.all(np.isfinite(nu) & (nu > 0)):
+        raise ValueError("viscosity must be positive and finite")
     shape = delta.shape
     delta, nu = delta.ravel(), nu.ravel()
-    a, w = np.ones_like(delta), np.exp(-1.0 / nu)
-    f1, f2 = _layer_residual(a, w, delta, nu)
-    res = np.hypot(f1, f2)
-    cap = 0.25
-    w_min, w_max = 5e-324, 1.0 - 1e-12
+    with np.errstate(divide="ignore"):
+        ln_d = np.log(delta)
+    c = np.log((2.0 + delta) * (2.0 + 2.0 * delta)) - 2.0 * (1.0 + delta) / nu
+    t = np.minimum(c - ln_d, 0.5 * c)
+    act = np.arange(t.size)
     for _ in range(100):
-        act = np.flatnonzero(~(res < 1e-13))
         if act.size == 0:
             break
-        a_k, w_k, d_k, nu_k, res_k = a[act], w[act], delta[act], nu[act], res[act]
-        e1 = np.exp(-2.0 * a_k / nu_k) / w_k
-        d1 = (1.0 + e1) ** 2
-        d2 = (1.0 + w_k) ** 2
-        j11 = (1.0 - e1) / (1.0 + e1) + (4.0 * a_k / nu_k) * e1 / d1
-        j12 = 2.0 * a_k * e1 / (w_k * d1)
-        j21 = (1.0 - w_k) / (1.0 + w_k)
-        j22 = -2.0 * a_k / d2
-        det = j11 * j22 - j12 * j21
-        if np.any(det == 0.0):
-            i = int(np.argmax(det == 0.0))
-            raise RootSolveError("singular Jacobian in the transition-layer solve",
-                                 last_iterate=(a_k[i], w_k[i]), residual=res_k[i])
-        da = np.clip((-f1[act] * j22 + f2[act] * j12) / det, -cap, cap)
-        dw = np.clip((-j11 * f2[act] + j21 * f1[act]) / det, -cap, cap)
-        # backtracking line search: points whose residual has not dropped yet retry at half the step
-        lam = 1.0
-        todo = np.arange(act.size)
-        for _ in range(60):
-            a_new = a_k[todo] + lam * da[todo]
-            w_new = np.clip(w_k[todo] + lam * dw[todo], w_min, w_max)
-            f1n, f2n = _layer_residual(a_new, w_new, d_k[todo], nu_k[todo])
-            res_new = np.hypot(f1n, f2n)
-            ok = res_new < res_k[todo]
-            done = act[todo[ok]]
-            a[done], w[done], f1[done], f2[done], res[done] = a_new[ok], w_new[ok], f1n[ok], f2n[ok], res_new[ok]
-            todo = todo[~ok]
-            if todo.size == 0:
-                break
-            lam *= 0.5
-        if todo.size:
-            i = todo[0]
-            raise RootSolveError("transition-layer line search stalled",
-                                 last_iterate=(a_k[i], w_k[i]), residual=res_k[i])
-    z = 1.0 + (nu / a) * np.log(w)
+        t_k, d_k, nu_k = t[act], delta[act], nu[act]
+        e = np.exp(t_k)
+        ln_de = np.logaddexp(ln_d[act], t_k)
+        g = t_k + ln_de + 2.0 * (1.0 + d_k + e) / nu_k - np.log(2.0 + d_k + e) - np.log(2.0 + 2.0 * d_k + e)
+        dg = 1.0 + np.exp(t_k - ln_de) + 2.0 * e / nu_k - e / (2.0 + d_k + e) - e / (2.0 + 2.0 * d_k + e)
+        step = g / dg
+        t[act] = t_k - step
+        act = act[np.abs(step) > 1e-12 * (1.0 + np.abs(t_k))]
+    e = np.exp(t)
+    a = 1.0 + delta + e
+    z = nu / (2.0 * a) * (np.logaddexp(ln_d, t) + np.log(2.0 + 2.0 * delta + e) - np.log(2.0 + delta + e) - t)
     res = np.hypot(*_tanh_system(a, z, delta, nu))
     if np.any(~(res < 1e-12)):
         i = int(np.argmax(~(res < 1e-12)))

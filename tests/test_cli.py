@@ -381,6 +381,15 @@ def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_burgers_mc_at_small_viscosity(tmp_path, capsys):
+    # at nu = 1e-3 the transition layer sits against the boundary
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="burgers", method="mc", m=2000, delta_m=None,
+                                               problem_params={"nu": 0.001})))
+    assert main(["estimate", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_exact"] == 2000
+
+
 def test_table_one_downscaled(monkeypatch):
     # one global-hybrid run per order gives both the surrogate estimate and the hybrid
     runs = []

@@ -239,7 +239,7 @@ def test_burgers_residuals_and_oracle_agreement():
     z, a = burgers_transition_z(delta, nu, return_amplitude=True)
     assert z.shape == a.shape == (1000,)
     assert np.max(np.hypot(*_tanh_system(a, z, delta, nu))) < 1e-12
-    assert np.max(np.abs(z - oracle_transition_z(delta, nu))) < 1e-9
+    assert np.max(np.abs(z - oracle_transition_z(delta, nu))) < 1e-13
 
 
 def test_burgers_monotone_and_continuous():
@@ -260,13 +260,28 @@ def test_burgers_parameter_validation():
         burgers_transition_z(np.array([0.02, -0.01, 0.05]), 0.05)
     with pytest.raises(ValueError):
         burgers_transition_z(0.01, np.array([0.05, 0.0]))
+    # a non-finite input is rejected before any solve
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="boundary perturbation"):
+            burgers_transition_z(np.array([0.02, bad]), 0.05)
+        with pytest.raises(ValueError, match="viscosity"):
+            burgers_transition_z(0.01, np.array([0.05, bad]))
 
 
-def test_burgers_unconverged_point_raises():
-    # at nu = 1e-3 the start value w = exp(-1/nu) underflows to zero, so that point's
-    # residual is not finite and its line search stalls; the whole batch fails
-    with pytest.raises(RootSolveError, match="stalled"), np.errstate(divide="ignore", invalid="ignore"):
-        burgers_transition_z(np.array([0.01, 0.05]), np.array([0.05, 1e-3]))
+def test_burgers_extreme_viscosities_solve():
+    # the layer sits against the boundary at small nu and spreads over the domain at large nu
+    grid = np.arange(0.0, 0.1 + 1e-12, 1e-4)
+    for nu in (1e-4, 1e-3, 100.0, 1e4):
+        z, a = burgers_transition_z(grid, nu, return_amplitude=True)
+        assert np.max(np.hypot(*_tanh_system(a, z, grid, nu))) < 1e-12, nu
+        assert np.all(np.diff(z) > 0.0), nu
+
+
+def test_burgers_residual_check_raises():
+    # at nu = 1e8 the prefactor nu / (2A) of z = nu / (2A) ln(w / e1) is about 3,500, so rounding
+    # in the logarithms leaves a tanh residual above 1e-12, which the final check rejects
+    with pytest.raises(RootSolveError, match="residual"):
+        burgers_transition_z(np.array([0.01, 0.05]), 1e8)
 
 
 def test_burgers_limit_state_endpoints_and_failure_interval():
