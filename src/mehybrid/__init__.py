@@ -48,7 +48,6 @@ from .refine import (
     limit_state_surrogate,
     rk4_step,
     static_indicator,
-    static_should_split,
 )
 from .surrogate import (
     GpcExpansion,

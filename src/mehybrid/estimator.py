@@ -186,7 +186,8 @@ def iterative_hybrid(model: LimitStateModel, surrogate, samples: SampleSet,
                      cfg: HybridConfig) -> tuple[Estimate, HybridTrace]:
     """Iterative hybrid estimation: replace surrogate calls by exact ones in
     blocks of delta_m, walking samples in ascending surrogate magnitude.
-    ``surrogate`` is any callable from the (m, d) sample array to m values;
+    ``surrogate`` is any callable from the (m, d) sample array to m values,
+    shape (m,), and any other shape is a ValueError before any exact call;
     the walk overwrites a new array it returns with |g~|, and copies any
     other result, such as a view of the samples, first.
 
@@ -200,6 +201,9 @@ def iterative_hybrid(model: LimitStateModel, surrogate, samples: SampleSet,
     pts = samples.points
     start = time.perf_counter()
     approx = surrogate(pts)
+    if np.shape(approx) != (pts.shape[0],):
+        raise ValueError(f"the surrogate must return shape ({pts.shape[0]},), one value per sample, "
+                         f"got {np.shape(approx)}")
     if not (isinstance(approx, np.ndarray) and approx.flags.owndata and approx.flags.writeable):
         approx = np.array(approx)
     return _hybrid_walk(model, pts, approx, cfg, None, time.perf_counter() - start)

@@ -8,7 +8,9 @@ Galerkin-projected ODE system per element and splits where the energy-rate
 mismatch Q between the full-order system and its truncation is too large
 for the element's probability mass.
 
-Both drivers bisect elements: static children are solved anew, dynamic
+Both drivers apply one split rule in passes over the mesh (`_split_pass`):
+split elements are bisected and their children take their parent's place,
+so a mesh is in bisection order.  Static children are solved anew, dynamic
 children continue from the projection of their parent's state.  Splits are
 capped by ``max_elements``; hitting the cap sets the ``truncated`` flag on
 the result instead of raising.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +35,6 @@ __all__ = [
     "RefinementEvent",
     "PolynomialOde",
     "static_indicator",
-    "static_should_split",
     "adapt_static",
     "dynamic_indicator",
     "adapt_dynamic",
@@ -153,11 +153,37 @@ def _split_dims(sensitivity: np.ndarray) -> set[int]:
     return {int(j) for j in np.flatnonzero(s >= THETA2 * s.max())}
 
 
-def static_should_split(eta: float, r: np.ndarray, prob: float, cfg: RefinementConfig) -> tuple[bool, set[int]]:
-    """Split decision eta^ALPHA * prob >= theta1 and the dimensions to bisect."""
-    if eta ** ALPHA * prob < cfg.theta1:
-        return False, set()
-    return True, _split_dims(r)
+def _split_pass(elements: Sequence[Element], ids: Sequence[int], next_id: int, cfg: RefinementConfig,
+                strength, sensitivity, indicator, t: float | None, event_log: list[RefinementEvent] | None,
+                ) -> tuple[list[Element], list[int], list[tuple[int, bool]], int, bool]:
+    """One pass of the split rule over a mesh, in mesh order.
+
+    Element k splits when ``strength[k] * prob >= cfg.theta1``, along the
+    dimensions `_split_dims` picks from ``sensitivity[k]``, unless the split
+    would grow the mesh beyond ``cfg.max_elements``.  Children take their
+    parent's place and the next ids from ``next_id``; each split is logged as
+    ``RefinementEvent(t, ids[k], indicator[k], dims)``.  Returns the new mesh,
+    its ids, the origin (parent index, is a child) of each new element, the
+    next free id and whether the cap refused a split.
+    """
+    new_elements, new_ids, origin = [], [], []
+    truncated = False
+    for k, e in enumerate(elements):
+        dims = _split_dims(sensitivity[k]) if strength[k] * e.prob >= cfg.theta1 else None
+        if dims is not None and len(new_elements) + (len(elements) - k - 1) + 2 ** len(dims) > cfg.max_elements:
+            truncated, dims = True, None
+        if dims is None:
+            parts, part_ids = [e], [ids[k]]
+        else:
+            if event_log is not None:
+                event_log.append(RefinementEvent(t, ids[k], float(indicator[k]), tuple(sorted(dims))))
+            parts = split_element(e, dims)
+            part_ids = list(range(next_id, next_id + len(parts)))
+            next_id += len(parts)
+        new_elements += parts
+        new_ids += part_ids
+        origin += [(k, dims is not None)] * len(parts)
+    return new_elements, new_ids, origin, next_id, truncated
 
 
 def adapt_static(
@@ -166,37 +192,26 @@ def adapt_static(
     q: int | None = None,
     event_log: list[RefinementEvent] | None = None,
 ) -> MultiElementSurrogate:
-    """Breadth-first static refinement driven by order-``cfg.N`` collocation
-    expansions on ``q`` Gauss nodes per dimension (see `build_collocation`).
+    """Static refinement driven by order-``cfg.N`` collocation expansions on
+    ``q`` Gauss nodes per dimension (see `build_collocation`).
 
-    Every element in the final mesh carries a freshly built expansion; each
-    split discards the parent's expansion and solves the children anew, with
-    all collocation points charged to the model's call counter.  At
-    ``theta1 = inf`` it makes one build on the whole domain.
+    Passes of the split rule (`_split_pass` with strength eta^ALPHA, direction
+    sensitivities r and indicator eta) sweep the whole mesh until one splits
+    nothing; children take their parent's place and are solved anew, with all
+    collocation points charged to the model's call counter, while an element
+    that did not split keeps its expansion.  At ``theta1 = inf`` it makes one
+    build on the whole domain.
     """
-    queue: deque[tuple[int, Element]] = deque([(0, Element.box([-1.0] * model.dim, [1.0] * model.dim))])
-    next_id = 1
-    done: list[GpcExpansion] = []
-    truncated = False
-    while queue:
-        elem_id, e = queue.popleft()
-        exp = build_collocation(model, e, cfg.N, q)
-        eta, r = static_indicator(exp)
-        split, dims = static_should_split(eta, r, e.prob, cfg)
-        if split:
-            grown = len(done) + len(queue) + 2 ** len(dims)
-            if grown > cfg.max_elements:
-                truncated = True
-                done.append(exp)
-                continue
-            for child in split_element(e, dims):
-                queue.append((next_id, child))
-                next_id += 1
-            if event_log is not None:
-                event_log.append(RefinementEvent(None, elem_id, eta, tuple(sorted(dims))))
-        else:
-            done.append(exp)
-    return MultiElementSurrogate(tuple(done), truncated)
+    exps = [build_collocation(model, Element.box([-1.0] * model.dim, [1.0] * model.dim), cfg.N, q)]
+    ids, next_id, truncated = [0], 1, False
+    while True:
+        eta, r = zip(*map(static_indicator, exps))
+        elements, ids, origin, next_id, cut = _split_pass(
+            [exp.element for exp in exps], ids, next_id, cfg, [x ** ALPHA for x in eta], r, eta, None, event_log)
+        truncated |= cut
+        if len(elements) == len(exps):
+            return MultiElementSurrogate(tuple(exps), truncated)
+        exps = [build_collocation(model, e, cfg.N, q) if child else exps[k] for e, (k, child) in zip(elements, origin)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,34 +516,12 @@ def adapt_dynamic(
         full = _batched_rhs(quad, lin, coeffs, np.empty(coeffs.shape))()
         low_rhs = _batched_rhs(quad_red, lin_red, low, np.empty(low.shape))()
         q_all, s_all = dynamic_indicator(full, low_rhs, coeffs, reduced)
-        new_elements: list[Element] = []
-        new_ids: list[int] = []
-        new_rows: list[np.ndarray] = []
-        for k, e in enumerate(elements):
-            q_val = float(q_all[k])
-            split = q_val * e.prob >= cfg.theta1
-            if split:
-                dims = _split_dims(s_all[k])
-                grown = len(new_elements) + (len(elements) - k - 1) + 2 ** len(dims)
-                if grown > cfg.max_elements:
-                    truncated = True
-                    split = False
-            if not split:
-                new_elements.append(e)
-                new_ids.append(ids[k])
-                new_rows.append(coeffs[k])
-                continue
-            if event_log is not None:
-                event_log.append(RefinementEvent(t, ids[k], q_val, tuple(sorted(dims))))
-            for child in split_element(e, dims):
-                new_elements.append(child)
-                new_ids.append(next_id)
-                next_id += 1
-                new_rows.append(_project_child_state(e, child, coeffs[k], cfg.N))
-        if len(new_elements) != len(elements):
-            elements = new_elements
-            ids = new_ids
-            coeffs = np.stack(new_rows)
+        new, ids, origin, next_id, cut = _split_pass(elements, ids, next_id, cfg, q_all, s_all, q_all, t, event_log)
+        truncated |= cut
+        if len(new) != len(elements):
+            coeffs = np.stack([_project_child_state(elements[k], e, coeffs[k], cfg.N) if child else coeffs[k]
+                               for e, (k, child) in zip(new, origin)])
+            elements = new
             lin, lin_red = _linear_operators(sys_, dense, elements, cfg.N, sizes)
     return Decomposition(tuple(elements)), coeffs, truncated
 

@@ -89,7 +89,9 @@ class LimitStateModel:
     interact, so the values do not depend on the chunking or the thread count.
     NaN is an error either way: a batch holding a NaN point raises `DomainError`
     before any call, and a NaN value raises `ModelEvaluationError` naming the
-    first such row; +-inf keeps its sign.
+    first such row; +-inf keeps its sign.  A chunk whose values are not one
+    per row, shape (rows,), raises `ModelEvaluationError` naming both shapes and
+    the chunk's first row, instead of being broadcast.
     """
 
     dim: int = 1
@@ -136,7 +138,12 @@ class LimitStateModel:
         """
 
         def run(k: int) -> None:
-            out[k * rows : (k + 1) * rows] = self._g_many(pts[k * rows : (k + 1) * rows])
+            chunk = pts[k * rows : (k + 1) * rows]
+            values = self._g_many(chunk)
+            if np.shape(values) != (len(chunk),):
+                raise ModelEvaluationError(f"the exact model returned shape {np.shape(values)} for the {len(chunk)} "
+                                           f"points from row {k * rows}, expected ({len(chunk)},)", point=chunk[0])
+            out[k * rows : (k + 1) * rows] = values
 
         n_chunks = -(-pts.shape[0] // rows)
         futures = {k: _executor().submit(contextvars.copy_context().run, run, k)
@@ -319,15 +326,19 @@ def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> 
     """Monte Carlo estimate of the L^p distance between surrogate and exact model.
 
     Diagnostic only: costs m exact-model calls on a fresh sample set that is
-    independent of any estimation samples.  The norm order p must be finite.
+    independent of any estimation samples.  The norm order p must be finite,
+    and a surrogate result of any shape but (m,) is a ValueError, raised
+    before the exact calls.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"norm order must be a finite number of at least one, got {p!r}")
     if m < 1:
         raise ValueError("sample count must be at least one")
     pts = sample_uniform(m, model.dim, seed).points
-    exact = model.evaluate_many(pts)
     approx = surrogate(pts)
+    if np.shape(approx) != (m,):
+        raise ValueError(f"the surrogate must return shape ({m},), one value per point, got {np.shape(approx)}")
+    exact = model.evaluate_many(pts)
     return float(np.mean(np.abs(exact - approx) ** p) ** (1.0 / p))
 
 

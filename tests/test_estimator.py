@@ -26,7 +26,8 @@ from mehybrid.surrogate import (
     gamma_bound,
     lp_error,
 )
-from mehybrid.problems import StepModel, step_me_exact
+from mehybrid.problems import BurgersModel, StepModel, step_me_exact
+from mehybrid.refine import RefinementConfig, adapt_static
 
 
 def const_model(value: float) -> CallableModel:
@@ -71,6 +72,23 @@ def test_nan_surrogate_value_is_an_error():
         me_lha(model, halves, samples, HybridConfig(delta_m=100))
     assert info.value.point.tolist() == first
     assert model.call_count == 0
+
+
+def test_wrong_shaped_values_are_errors():
+    # a constant model used to fill every chunk: Monte Carlo read p_f = 1.0
+    samples = sample_uniform(1000, 1, 0)
+    for wrong in (lambda z: -1.0, lambda z: np.array([-1.0])):
+        with pytest.raises(ModelEvaluationError, match="for the 1000 points from row 0, expected"):
+            mc_estimate(CallableModel(wrong), samples)
+    # a surrogate with m - 1 values walked m - 1 samples and left the last one unclassified;
+    # (m, 1), (m, 2) and scalar results failed deep inside the walk
+    model = CallableModel(lambda z: z)
+    for wrong in (lambda Z: Z[:-1, 0], lambda Z: Z, lambda Z: np.hstack([Z, Z]), lambda Z: 0.5, lambda Z: []):
+        with pytest.raises(ValueError, match=r"surrogate must return shape \(1000,\)"):
+            iterative_hybrid(model, wrong, samples, HybridConfig(delta_m=100))
+    assert model.call_count == 0
+    est, _ = iterative_hybrid(model, lambda Z: list(Z[:, 0]), samples, HybridConfig(delta_m=100))
+    assert est.p_f == mc_estimate(model, samples).p_f  # any sequence of m values is accepted
 
 
 def test_mc_estimate_step():
@@ -213,14 +231,34 @@ def test_exact_call_accounting_matches_model_counter():
 
 
 def test_me_lha_element_order_invariance():
-    samples = sample_uniform(40_000, 1, 10)
-    me = step_me_exact()
-    permuted = MultiElementSurrogate(tuple(reversed(me.expansions)))
-    cfg = HybridConfig(delta_m=900)
-    est_a, _ = me_lha(StepModel(), me, samples, cfg)
-    est_b, _ = me_lha(StepModel(), permuted, samples, cfg)
-    assert est_a.p_f == est_b.p_f
-    assert est_a.n_exact == est_b.n_exact
+    # each element's walk is its own: a permuted mesh gives the same estimate, exact calls and
+    # final trace row, and every element the same walk; the step's two elements reversed, and a
+    # Burgers p = 2 mesh (11 elements) in a random order
+    burgers = adapt_static(BurgersModel(), RefinementConfig(theta1=0.01, N=2), q=21)
+    cases = ((StepModel, step_me_exact(), sample_uniform(40_000, 1, 10), HybridConfig(delta_m=900), [1, 0]),
+             (BurgersModel, burgers, sample_uniform(20_000, 1, 7), HybridConfig(delta_m=100),
+              np.random.default_rng(3).permutation(len(burgers))))
+    for make_model, mesh, samples, cfg, perm in cases:
+        permuted = MultiElementSurrogate(tuple(mesh.expansions[k] for k in perm))
+        est_a, trace_a = me_lha(make_model(), mesh, samples, cfg)
+        est_b, trace_b = me_lha(make_model(), permuted, samples, cfg)
+        assert (est_b.p_f, est_b.n_exact, est_b.surrogate_estimate) == (est_a.p_f, est_a.n_exact,
+                                                                         est_a.surrogate_estimate)
+        last_a, last_b = trace_a.records[-1], trace_b.records[-1]
+        assert (last_b.estimate, last_b.n_exact) == (last_a.estimate, last_a.n_exact)
+
+        def walks(trace, label_of):
+            """Each element's blocks as (iteration, failure change, exact calls), keyed by mesh element."""
+            out, prev = {}, None
+            for r in trace.records:
+                fails = round(r.estimate * samples.m)
+                if r.iteration:
+                    out.setdefault(label_of(r.element), []).append((r.iteration, fails - prev[0],
+                                                                    r.n_exact - prev[1]))
+                prev = fails, r.n_exact
+            return out
+
+        assert walks(trace_b, lambda k: int(perm[k])) == walks(trace_a, int)
 
 
 def linear_mesh_surrogate() -> MultiElementSurrogate:

@@ -18,6 +18,7 @@ from mehybrid.refine import (
     _linear_operator,
     _project_child_state,
     _quadratic_operator,
+    _split_pass,
     adapt_dynamic,
     adapt_static,
     dynamic_indicator,
@@ -25,7 +26,6 @@ from mehybrid.refine import (
     rk4_integrate,
     rk4_step,
     static_indicator,
-    static_should_split,
     write_events_csv,
 )
 from mehybrid.surrogate import (
@@ -35,7 +35,7 @@ from mehybrid.surrogate import (
     eval_expansion_many,
     eval_me_surrogate_many,
 )
-from mehybrid.problems import StepModel, ko_galerkin_system, ode_galerkin_system
+from mehybrid.problems import BurgersModel, StepModel, ko_galerkin_system, ode_galerkin_system
 from mehybrid.randomspace import split_element
 
 
@@ -86,12 +86,56 @@ def test_static_indicator_scale_invariance(c, negate):
     assert np.allclose(r1, r2, rtol=1e-12)
 
 
-def test_static_should_split_examples():
-    assert static_should_split(0.0, np.array([0.0]), 0.9, cfg()) == (False, set())
-    split, dims = static_should_split(1.0, np.array([1.0]), 0.5, cfg(theta1=0.4))
-    assert split and dims == {0}
-    split, dims = static_should_split(1.0, np.array([1.0, 0.05]), 1.0, cfg(theta1=0.1))
-    assert split and dims == {0}  # second dimension falls below THETA2 * max r
+def test_split_pass_threshold_is_inclusive():
+    # strength * prob == theta1 splits, the next float below it does not
+    half = Element.box([-1.0], [0.0])  # prob 0.5
+    below = np.nextafter(0.5, 0.0)
+    for strength, splits in ((0.5, True), (below, False)):
+        elements, ids, origin, next_id, truncated = _split_pass(
+            [half], [0], 1, cfg(theta1=0.25), [strength], [np.ones(1)], [strength], None, None)
+        assert len(elements) == (2 if splits else 1) and not truncated
+        assert next_id == (3 if splits else 1)
+
+
+def test_split_pass_directions_follow_theta2():
+    square = Element.box([-1.0, -1.0], [1.0, 1.0])
+    for r, dims in (([1.0, 0.05], (0,)), ([0.05, 1.0], (1,)), ([1.0, THETA2], (0, 1)), ([0.3, 1.0], (0, 1))):
+        events: list[RefinementEvent] = []
+        elements, *_ = _split_pass([square], [0], 1, cfg(theta1=0.5), [1.0], [np.array(r)], [0.7], None, events)
+        assert events == [RefinementEvent(None, 0, 0.7, dims)]
+        assert elements == split_element(square, set(dims))
+
+
+def test_split_pass_numbers_children_in_mesh_order():
+    # elements 0 and 2 of four split: kept elements keep their ids, children take their
+    # parent's place and consecutive ids from next_id, and each split logs one event
+    mesh = [Element.box([a], [a + 0.5]) for a in (-1.0, -0.5, 0.0, 0.5)]  # prob 0.25 each
+    strength = np.array([1.0, 0.1, 2.0, 0.1])
+    events: list[RefinementEvent] = []
+    elements, ids, origin, next_id, truncated = _split_pass(
+        mesh, [3, 7, 8, 9], 10, cfg(theta1=0.25), strength, np.ones((4, 1)), 10.0 * strength, 1.5, events)
+    assert [(e.lower[0], e.upper[0]) for e in elements] == [
+        (-1.0, -0.75), (-0.75, -0.5), (-0.5, 0.0), (0.0, 0.25), (0.25, 0.5), (0.5, 1.0)]
+    assert ids == [10, 11, 7, 12, 13, 9]
+    assert origin == [(0, True), (0, True), (1, False), (2, True), (2, True), (3, False)]
+    assert next_id == 14 and not truncated
+    assert events == [RefinementEvent(1.5, 3, 10.0, (0,)), RefinementEvent(1.5, 8, 20.0, (0,))]
+    assert all(type(ev.indicator) is float for ev in events)
+
+
+def test_split_pass_refuses_splits_past_the_cap():
+    # every element wants to split, and each split grows the mesh by one: a cap of 4 on
+    # three elements admits the first split only, and a refused split logs no event
+    mesh = [Element.box([a], [a + 2.0 / 3.0]) for a in (-1.0, -1.0 / 3.0, 1.0 / 3.0)]
+    for cap, n_splits in ((3, 0), (4, 1), (5, 2), (6, 3)):
+        events: list[RefinementEvent] = []
+        elements, ids, origin, next_id, truncated = _split_pass(
+            mesh, [0, 1, 2], 3, cfg(theta1=1e-3, max_elements=cap), np.ones(3), np.ones((3, 1)), np.ones(3),
+            None, events)
+        assert len(elements) == 3 + n_splits <= cap
+        assert truncated is (n_splits < 3)
+        assert len(events) == n_splits and next_id == 3 + 2 * n_splits
+        assert [k for k, child in origin if child] == [k for k in range(n_splits) for _ in range(2)]
 
 
 def test_adapt_static_linear_model_never_splits():
@@ -122,6 +166,54 @@ def test_adapt_static_accumulates_at_offset_jump():
     assert min(widths) <= 2.0 ** -3
     assert len(events) >= 3
     assert check_partition(surr.decomposition) == []
+
+
+# (elements, exact calls, (element id, dims) of every split) of Burgers at table 5's
+# settings, theta1 = 0.01 and q = 21, for p = 2..5
+BURGERS_STATIC_SPLITS = {
+    2: (11, 441, [(0, (0,)), (1, (0,)), (2, (0,)), (3, (0,)), (4, (0,)), (5, (0,)), (7, (0,)), (8, (0,)),
+                  (13, (0,)), (17, (0,))]),
+    3: (6, 231, [(0, (0,)), (1, (0,)), (3, (0,)), (5, (0,)), (7, (0,))]),
+    4: (5, 189, [(0, (0,)), (1, (0,)), (3, (0,)), (5, (0,))]),
+    5: (5, 189, [(0, (0,)), (1, (0,)), (3, (0,)), (5, (0,))]),
+}
+
+
+@pytest.mark.parametrize("p", sorted(BURGERS_STATIC_SPLITS))
+def test_adapt_static_burgers_splits_are_pinned(p):
+    n_elements, calls, splits = BURGERS_STATIC_SPLITS[p]
+    model = BurgersModel()
+    events: list[RefinementEvent] = []
+    surr = adapt_static(model, cfg(theta1=0.01, N=p), q=21, event_log=events)
+    assert len(surr) == n_elements and not surr.truncated
+    assert model.call_count == calls
+    assert [(ev.element, ev.dims) for ev in events] == splits
+    assert check_partition(surr.decomposition) == []
+
+
+# the offset jump of test_adapt_static_accumulates_at_offset_jump: the elements, as
+# (lower, upper), and the split element ids at max_elements 2..9; the cap stops it below 6
+OFFSET_JUMP_MESHES = [
+    [(-1.0, 0.0), (0.0, 1.0)],
+    [(-1.0, 0.0), (0.0, 0.5), (0.5, 1.0)],
+    [(-1.0, 0.0), (0.0, 0.25), (0.25, 0.5), (0.5, 1.0)],
+    [(-1.0, 0.0), (0.0, 0.25), (0.25, 0.375), (0.375, 0.5), (0.5, 1.0)],
+    [(-1.0, 0.0), (0.0, 0.25), (0.25, 0.3125), (0.3125, 0.375), (0.375, 0.5), (0.5, 1.0)],
+]
+OFFSET_JUMP_SPLITS = [0, 2, 3, 6, 7]
+
+
+@pytest.mark.parametrize("cap", range(2, 10))
+def test_adapt_static_offset_jump_meshes_are_pinned(cap):
+    model = CallableModel(lambda z: np.where(z < 0.31, -1.0, 0.5))
+    events: list[RefinementEvent] = []
+    surr = adapt_static(model, cfg(theta1=1e-4, max_elements=cap), event_log=events)
+    n = min(cap, 6)
+    # bisection order: the children of a split take their parent's place
+    assert [(e.lower[0], e.upper[0]) for e in surr.decomposition] == OFFSET_JUMP_MESHES[n - 2]
+    assert [(ev.time, ev.element, ev.dims) for ev in events] == [(None, k, (0,)) for k in OFFSET_JUMP_SPLITS[: n - 1]]
+    assert all(ev.indicator == pytest.approx(0.05632335242797853, rel=1e-10, abs=0.0) for ev in events)
+    assert surr.truncated is (cap < 6)
 
 
 def test_adapt_static_respects_max_elements():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -195,6 +196,15 @@ def test_lp_error_and_gamma_bound_reject_nan_and_an_infinite_lp_order():
     assert gamma_bound(0.3, 0.01, math.inf) == 0.3
 
 
+def test_lp_error_rejects_a_wrong_shaped_surrogate():
+    # an (m, 1) result broadcast exact - approx to an (m, m) array; nothing is evaluated exactly
+    model = CallableModel(lambda z: z)
+    for wrong in (lambda Z: Z, lambda Z: Z[:-1, 0], lambda Z: 0.5, lambda Z: np.hstack([Z, Z])):
+        with pytest.raises(ValueError, match=r"surrogate must return shape \(100,\)"):
+            lp_error(wrong, model, p=2, m=100, seed=0)
+    assert model.call_count == 0
+
+
 def test_me_surrogate_value_does_not_depend_on_the_batch():
     # order 7 on seven uneven elements; a shuffled batch longer than one evaluation chunk
     rng = np.random.default_rng(21)
@@ -341,6 +351,25 @@ def test_parallel_batch_with_a_nan_chunk(workers):
     assert info.value.point.tolist() == [3500.0]
     assert model.call_count == len(pts)
     assert np.isneginf(model.evaluate_many(pts[:3500])[:10]).all()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_wrong_shaped_chunk_is_an_error(workers, n_workers):
+    # a scalar or a one-value array used to be broadcast over the chunk; the first wrong
+    # chunk is named, here the second of three EVAL_CHUNK-row chunks, a pool chunk on two threads
+    class WholeChunks(CallableModel):
+        parallel_chunk = EVAL_CHUNK
+
+    workers(n_workers)
+    pts = np.arange(3.0 * EVAL_CHUNK)[:, None]
+    for wrong in (lambda z: -1.0, lambda z: np.array([-1.0]), lambda z: z[:-1], lambda z: z[:, None]):
+        model = WholeChunks(lambda z, wrong=wrong: wrong(z) if z[0] == EVAL_CHUNK else z)
+        shape = np.shape(wrong(np.zeros(EVAL_CHUNK)))
+        message = f"shape {shape} for the {EVAL_CHUNK} points from row {EVAL_CHUNK}, expected ({EVAL_CHUNK},)"
+        with pytest.raises(ModelEvaluationError, match=re.escape(message)) as info:
+            model.evaluate_many(pts)
+        assert info.value.point.tolist() == [EVAL_CHUNK]
+    assert (surrogate._pool is None) is (n_workers == 1)
 
 
 def test_parallel_chunks_keep_the_callers_errstate(workers):
