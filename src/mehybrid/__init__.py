@@ -26,9 +26,7 @@ from .estimator import (
     relative_error,
 )
 from .polybasis import (
-    QuadratureRule,
     gauss_legendre,
-    legendre,
     multi_index_set,
     triple_products,
 )

@@ -121,8 +121,8 @@ class RunConfig:
             raise UsageError(f"field 'order' must be nonnegative, got {cfg.order}")
         if cfg.order is not None and max_order is not None and cfg.order > max_order:
             raise UsageError(f"field 'order' must be at most {max_order} for problem {cfg.problem!r}")
-        if not isinstance(cfg.seed, int) or cfg.seed < 0:
-            raise UsageError("field 'seed' must be a nonnegative integer")
+        if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
+            raise UsageError("field 'seed' must be a nonnegative integer less than 2**128")
         if cfg.m is None or cfg.m < 1:
             raise UsageError(f"field 'm' must be an integer of at least one, got {cfg.m!r}")
         if cfg.method != "mc" and cfg.delta_m > cfg.m:

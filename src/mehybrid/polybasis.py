@@ -10,16 +10,14 @@ order-N0 index set a prefix of the order-N one.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
-    "legendre",
     "legendre_rows",
     "basis_matrix",
     "gauss_legendre",
@@ -46,11 +44,6 @@ def _recurrence(nmax: int, x: np.ndarray) -> np.ndarray:
             nxt -= tmp
             nxt /= k + 1
     return rows
-
-
-def legendre(n: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized Legendre polynomial P_n at the points x (elementwise, same shape)."""
-    return _recurrence(n, x)[n].reshape(np.shape(x))
 
 
 def legendre_rows(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -82,30 +75,10 @@ def basis_matrix(indices: Sequence[tuple[int, ...]], points: np.ndarray) -> np.n
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes strictly inside (-1, 1) with positive weights summing to one."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape:
-            raise ValueError("node and weight counts differ")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.nodes.size
-
-
 @lru_cache(maxsize=None)
-def gauss_legendre(q: int) -> QuadratureRule:
-    """Gauss-Legendre rule with q nodes, weights rescaled to sum to one.
+def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule with q nodes as read-only (nodes, weights) arrays:
+    ascending nodes strictly inside (-1, 1), positive weights summing to one.
 
     Nodes are the roots of P_q found by Newton iteration on the recurrence
     (tolerance 1e-15); the rule integrates polynomials of degree <= 2q-1
@@ -116,8 +89,7 @@ def gauss_legendre(q: int) -> QuadratureRule:
     k = np.arange(q)
     x = np.cos(np.pi * (4 * k + 3) / (4 * q + 2))
     for _ in range(100):
-        p = legendre(q, x)
-        p_prev = legendre(q - 1, x)
+        p_prev, p = _recurrence(q, x)[q - 1:]
         dp = q * (x * p - p_prev) / (x * x - 1.0)
         dx = p / dp
         x = x - dx
@@ -125,23 +97,16 @@ def gauss_legendre(q: int) -> QuadratureRule:
             break
     # symmetrize so that mirrored nodes cancel exactly
     x = 0.5 * (x - x[::-1])
-    p_prev = legendre(q - 1, x)
-    dp = q * (x * legendre(q, x) - p_prev) / (x * x - 1.0)
+    p_prev, p = _recurrence(q, x)[q - 1:]
+    dp = q * (x * p - p_prev) / (x * x - 1.0)
     w = 1.0 / ((1.0 - x * x) * dp * dp)
     w = 0.5 * (w + w[::-1])
     w /= w.sum()
     order = np.argsort(x)
-    return QuadratureRule(x[order], w[order])
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to `total`, ascending tuple order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    nodes, weights = x[order], w[order]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +120,8 @@ def multi_index_set(d: int, n_max: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("dimension must be at least one")
     if n_max < 0:
         raise ValueError("maximum degree must be nonnegative")
-    return tuple(entries for deg in range(n_max + 1) for entries in _compositions(deg, d))
+    box = itertools.product(range(n_max + 1), repeat=d)
+    return tuple(sorted((idx for idx in box if sum(idx) <= n_max), key=lambda idx: (sum(idx), idx)))
 
 
 @lru_cache(maxsize=None)
@@ -168,9 +134,9 @@ def triple_products(d: int, n_max: int) -> np.ndarray:
     exactly; multi-dimensional entries are products of the per-dimension ones.
     """
     nq = max(1, math.ceil((3 * n_max + 1) / 2))
-    rule = gauss_legendre(nq)
-    rows = legendre_rows(n_max, rule.nodes)
-    one_d = np.einsum("aq,bq,cq,q->abc", rows, rows, rows, rule.weights)
+    nodes, weights = gauss_legendre(nq)
+    rows = legendre_rows(n_max, nodes)
+    one_d = np.einsum("aq,bq,cq,q->abc", rows, rows, rows, weights)
     entry_arr = np.array(multi_index_set(d, n_max), dtype=int)
     n = len(entry_arr)
     dense = np.ones((n, n, n))

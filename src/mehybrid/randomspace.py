@@ -265,8 +265,8 @@ def sample_uniform(m: int, d: int, seed: int) -> SampleSet:
         raise ValueError("sample count must be at least one")
     if d < 1:
         raise ValueError("dimension must be at least one")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be nonnegative and less than 2**128, got {seed}")
     out = np.empty((m, d))
     for chunk in range((m + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK):
         gen = np.random.Generator(np.random.Philox(key=seed ^ chunk))

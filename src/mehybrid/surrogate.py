@@ -87,6 +87,7 @@ class LimitStateModel:
     affinity mask holds more than one CPU the calling thread evaluates every
     WORKERS-th chunk while the module's pool evaluates the others.  Rows never
     interact, so the values do not depend on the chunking or the thread count.
+    Points of any shape other than (n, dim) raise `ValueError` before any call.
     NaN is an error either way: a batch holding a NaN point raises `DomainError`
     before any call, and a NaN value raises `ModelEvaluationError` naming the
     first such row; +-inf keeps its sign.  A chunk whose values are not one
@@ -108,6 +109,8 @@ class LimitStateModel:
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         start = time.perf_counter()
         pts = np.asarray(Z, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points of shape {pts.shape} given, expected (n, {self.dim})")
         if np.isnan(pts).any():
             raise DomainError("a point to evaluate is NaN")
         n = pts.shape[0]
@@ -232,12 +235,12 @@ def tensor_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference tensor Gauss grid: q^d points and matching product weights.
 
     At d = 1 the weights are the cached rule's read-only array."""
-    rule = gauss_legendre(q)
-    grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+    nodes, rule_weights = gauss_legendre(q)
+    grids = np.meshgrid(*([nodes] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    weights = rule.weights
+    weights = rule_weights
     for _ in range(d - 1):
-        weights = np.multiply.outer(weights, rule.weights)
+        weights = np.multiply.outer(weights, rule_weights)
     return pts, weights.ravel()
 
 

@@ -219,6 +219,7 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["refine.max_elements=1.5"], "max_elements"),
                        (["refine.max_elements=true"], "max_elements"),
                        (["seed=true"], "seed"), (["m=true"], "m"), (["order=true"], "order"), (["seed=1.5"], "seed"),
+                       (["seed=340282366920938463463374607431768211456"], "seed"),
                        (["m=abc"], "m"),
                        (["problem=ko3", *mc, "problem_params.T=-5"], "T"),
                        (["problem=ko3", *mc, "problem_params.T=0"], "T"),

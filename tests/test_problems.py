@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ from mehybrid.problems import (
 
 def test_step_values():
     assert StepModel().evaluate_many(np.array([[-0.5], [0.0], [0.5]])).tolist() == [-1.0, -0.5, 0.0]
+
+
+@pytest.mark.parametrize("model, points", [(OdeModel(), np.zeros((2, 2))), (StepModel(), np.zeros((1, 3))),
+                                           (OdeModel(), np.zeros(3))],
+                         ids=["ode-2-columns", "step-3-columns", "ode-1-d"])
+def test_wrong_shaped_points_are_an_error(model, points):
+    with pytest.raises(ValueError, match=re.escape(f"points of shape {points.shape} given, expected (n, 1)")):
+        model.evaluate_many(points)
+    with pytest.raises(ValueError, match=r"expected \(n, 1\)"):
+        mc_estimate(model, sample_uniform(10, 2, 3))
+    assert model.call_count == 0
 
 
 def test_nan_point_is_a_domain_error():
@@ -137,13 +149,13 @@ def test_z_legendre_coeffs():
     assert np.max(np.abs(k0[2::2])) < 1e-12
 
     # reconstruction error decreases with the order (quadrature oracle)
-    rule = gauss_legendre(128)
-    z_exact = gaussian_from_uniform(rule.nodes, -2.0, 1.0)
+    nodes, weights = gauss_legendre(128)
+    z_exact = gaussian_from_uniform(nodes, -2.0, 1.0)
     errs = []
     for p in (1, 3, 5, 9):
         kp = z_legendre_coeffs(p, -2.0, 1.0)
-        approx = basis_matrix(multi_index_set(1, p), rule.nodes[:, None]) @ kp
-        errs.append(float(np.sqrt(np.sum(rule.weights * (z_exact - approx) ** 2))))
+        approx = basis_matrix(multi_index_set(1, p), nodes[:, None]) @ kp
+        errs.append(float(np.sqrt(np.sum(weights * (z_exact - approx) ** 2))))
     assert errs == sorted(errs, reverse=True)
 
 

@@ -128,6 +128,16 @@ def test_sampling_validation():
         sample_uniform(5, 1, -3)
 
 
+def test_sampling_seed_range():
+    # Philox keys are 128-bit: the largest key still samples, the next is rejected up front
+    with pytest.raises(ValueError, match=r"less than 2\*\*128, got 340282366920938463463374607431768211456"):
+        sample_uniform(5, 1, 2**128)
+    top = sample_uniform(70_000, 2, 2**128 - 1)  # crosses a chunk boundary
+    assert top.seed == 2**128 - 1 and top.points.shape == (70_000, 2)
+    assert np.all(top.points >= -1.0) and np.all(top.points < 1.0)
+    assert np.array_equal(top.points, sample_uniform(70_000, 2, 2**128 - 1).points)
+
+
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)), max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_partition_of_unity_after_random_splits(ops):
