@@ -23,11 +23,13 @@ class RootSolveError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Time integration produced a non-finite state."""
+    """Time integration produced a non-finite state at time ``t``; ``column`` is the
+    first index along the state's last axis that holds a non-finite entry."""
 
-    def __init__(self, message: str, t=None):
+    def __init__(self, message: str, t=None, column=None):
         super().__init__(message)
         self.t = t
+        self.column = column
 
 
 class UnsupportedModelError(TypeError):

@@ -26,6 +26,7 @@ TOLERANCES = {
     "galerkin-energy": 1e-13,         # |sum u . f(u)| / sum |u . f(u)| of the projected three-mode system
     "ko-conservation": 1e-8,          # drift of y1 y2 from its initial value
     "ko-symmetry": 1e-10,             # |y1(xi) - y1(-xi)|
+    "ko-reference": 1e-11,            # max |g| deviation of KoModel from an RK4 in (y1, y2, y3)
     "burgers-residuals": 1e-12,       # residual norm of the transition-layer solve
     "rk4-order": (12.0, 20.0),        # error ratio when the step halves
     "gamma-bound": 0.05,              # accuracy target eps of the banded hybrid
@@ -119,6 +120,31 @@ def check_ko_invariants() -> tuple[bool, str]:
     return ok, f"conservation {drift:.2e}, symmetry {sym:.2e}"
 
 
+def check_ko_reference() -> tuple[bool, str]:
+    """KoModel, which integrates in (y1 + y2, y1 - y2, y3), against a plain RK4 of the
+    system as written, y1' = y1 y3, y2' = -y2 y3, y3' = y2^2 - y1^2: the same values up
+    to rounding and the same failures."""
+    xi = np.random.default_rng(10).uniform(-1.0, 1.0, size=1000)
+    model = prob.KoModel()
+    g = model.evaluate_many(xi[:, None])
+
+    def rhs(v):
+        return np.stack([v[0] * v[2], -v[1] * v[2], v[1] ** 2 - v[0] ** 2])
+
+    steps = round(model.T / model.dt)
+    y, h = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)]), model.T / steps
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ref = y[0] - model.u_d
+    worst = float(np.max(np.abs(g - ref)))
+    flips = int(np.count_nonzero((g < 0) != (ref < 0)))
+    return worst < TOLERANCES["ko-reference"] and flips == 0, f"max |dg| {worst:.2e}, {flips} sign changes"
+
+
 def check_burgers_residuals() -> tuple[bool, str]:
     # 50 (delta, nu) pairs, drawn in the same stream order as 50 alternating scalar draws
     delta, nu = np.random.default_rng(13).uniform([0.0, 0.02], [0.1, 0.1], size=(50, 2)).T
@@ -165,6 +191,7 @@ CHECKS = (
     ("linear-closure", check_linear_closure),
     ("galerkin-energy", check_galerkin_energy),
     ("ko-invariants", check_ko_invariants),
+    ("ko-reference", check_ko_reference),
     ("burgers-residuals", check_burgers_residuals),
     ("rk4-order", check_rk4_order),
     ("gamma-bound", check_gamma_bound),

@@ -251,36 +251,49 @@ def ode_galerkin_system(p: int, u0=1.0, mu=-2.0, sigma=1.0) -> PolynomialOde:
 
 
 def _ko_rhs(src: np.ndarray, dst: np.ndarray):
-    """Binds the three-mode right-hand side to a (3, n) state ``src`` and an output ``dst``.
+    """Binds the three-mode right-hand side in (a, b, c) = (y1 + y2, y1 - y2, y3) to a
+    (3, n) state ``src`` and an output ``dst``.
 
-    The returned slope writes (y1 y3, -y2 y3, y2^2 - y1^2) at the current
-    contents of ``src`` into ``dst`` without temporaries; each row is
-    bit-identical to (y1 y3, (-y2) y3, -y1^2 + y2^2).  The row views are made
-    once here, so a call runs only its four ufuncs: the squares y1^2, y2^2
-    go into the rows d2, d3 of ``dst``, d3 becomes their difference, then
-    d1 and d2 are overwritten with y1 y3 and -(y2 y3).  Outputs are passed
+    There y1' = y1 y3, y2' = -y2 y3, y3' = y2^2 - y1^2 read a' = c b, b' = c a,
+    c' = -a b, so the returned slope runs three ufuncs and no temporaries:
+    (c b, c a) into the rows d1, d2 of ``dst``, then a b into d3, negated in
+    place.  The row views are made once here; outputs are passed
     positionally, which is cheaper per call than the out= keyword.
     """
-    y3 = src[2]
-    _, d2, d3 = dst
-    y12, d12, d23 = src[:2], dst[:2], dst[1:]
-    mul, subtract, negative = np.multiply, np.subtract, np.negative
+    ba, c, a, b = src[1::-1], src[2], src[0], src[1]
+    d12, d3 = dst[:2], dst[2]
+    mul, negative = np.multiply, np.negative
 
     def slope():
-        mul(y12, y12, d23)
-        subtract(d3, d2, d3)
-        mul(y12, y3, d12)
-        negative(d2, d2)
+        mul(ba, c, d12)
+        mul(a, b, d3)
+        negative(d3, d3)
 
     return slope
 
 
+def _ko_integrate(y0: np.ndarray, T: float, dt: float) -> np.ndarray:
+    """RK4 of the three-mode system from the (3, n) state ``y0`` in (y1, y2, y3) to time T,
+    in ceil(T / dt) steps of the (a, b, c) = (y1 + y2, y1 - y2, y3) slope `_ko_rhs`;
+    returns the state in (y1, y2, y3) = ((a + b) / 2, (a - b) / 2, c).
+
+    RK4 commutes with linear changes of variables, so the result is the
+    y-coordinate RK4 up to rounding (8e-13 at most on 1e6 KO samples).
+    """
+    start = np.stack([y0[0] + y0[1], y0[0] - y0[1], y0[2]])
+    # a temporary y0, as ko_trajectory passes, is freed here rather than held through the integration
+    del y0
+    a, b, c = rk4_integrate(_ko_rhs, start, 0.0, T, dt)
+    return np.stack([(a + b) / 2.0, (a - b) / 2.0, c])
+
+
 def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
     """Integrate the three-mode system from (1, 0.1 xi, 0) in ceil(T / dt) RK4 steps;
-    returns the state (3, n) at T."""
+    returns the state at T, shaped (3,) + xi.shape (see `_ko_integrate`)."""
     xi = np.asarray(xi, dtype=float)
-    # no name holds the initial state, so it is freed once rk4_integrate has copied it
-    return rk4_integrate(_ko_rhs, np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)]), 0.0, T, dt)
+    flat = xi.reshape(-1)
+    y = _ko_integrate(np.stack([np.ones_like(flat), 0.1 * flat, np.zeros_like(flat)]), T, dt)
+    return y.reshape((3,) + xi.shape)
 
 
 def ko_limit_state(xi, T: float = 15.0, u_d: float = 0.03, dt: float = 0.01):
@@ -346,7 +359,11 @@ def burgers_transition_z(delta, nu, return_amplitude: bool = False):
     each point stops on its own step, so its root does not depend on its
     batch; then z = nu / (2A) ln(w / e1).  Working in t keeps A - 1 - delta
     resolved where it underflows (small nu).  Every returned root satisfies
-    the original equations with residual norm below 1e-12.
+    the original equations with residual norm below 1e-12, each residual
+    divided by its equation's slope in z where that slope exceeds one: a
+    layer pushed against z = 1 by a large delta makes the second equation
+    steep in z, so a z correct to the last bit leaves a residual of that
+    slope times its rounding.
     """
     delta, nu = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(nu, dtype=float))
     if not np.all(np.isfinite(delta) & (delta >= 0)):
@@ -374,7 +391,12 @@ def burgers_transition_z(delta, nu, return_amplitude: bool = False):
     e = np.exp(t)
     a = 1.0 + delta + e
     z = nu / (2.0 * a) * (np.logaddexp(ln_d, t) + np.log(2.0 + 2.0 * delta + e) - np.log(2.0 + delta + e) - t)
-    res = np.hypot(*_tanh_system(a, z, delta, nu))
+    # at the root the equations' slopes in z are (A^2 - (1 + delta)^2) / (2 nu) = e^t (A + 1 + delta) / (2 nu)
+    # and -(A^2 - 1) / (2 nu); near a boundary they amplify the rounding of z, so each residual is
+    # measured as a step in z wherever its slope exceeds one
+    r1, r2 = _tanh_system(a, z, delta, nu)
+    res = np.hypot(r1 / np.maximum(1.0, e * (a + 1.0 + delta) / (2.0 * nu)),
+                   r2 / np.maximum(1.0, (a * a - 1.0) / (2.0 * nu)))
     if np.any(~(res < 1e-12)):
         i = int(np.argmax(~(res < 1e-12)))
         raise RootSolveError(

@@ -412,13 +412,20 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
     ``bind(src, dst)`` returns a slope: a callable of no arguments that
     writes f(src) into ``dst``, reading ``src`` as it is at call time (its
     return value is ignored).  Both arrays are shaped like y.  It is called
-    twice per integration, once for the first stage of `rk4_step` and once
-    for the other three, so per-call setup such as row views belongs in
+    twice per pass over the steps, once for the first stage of `rk4_step` and
+    once for the other three, so per-call setup such as row views belongs in
     ``bind``.  The state is copied once, so the caller's ``y`` is left
     unmodified, and the three work arrays are allocated once per call.
-    Raises ValueError unless t1 > t0 and dt is a positive finite number, and
-    IntegrationError, with the time reached, at the first step that leaves a
-    non-finite state.
+    Raises ValueError unless t1 > t0 and dt is a positive finite number.
+
+    Finiteness is checked once, after the last step: a step only adds to the
+    state, so a non-finite entry stays non-finite.  That pass runs with
+    overflow and invalid-value warnings off.  A state that ends non-finite
+    is integrated again from the caller's ``y`` under the caller's error
+    state, checked after every step.  This replay raises IntegrationError at
+    the first step that leaves a non-finite state, with the time reached and,
+    for a state of at least one axis, the first index along the last axis
+    that holds a non-finite entry: for the KO exact model, the sample column.
     """
     if not t1 > t0:
         raise ValueError(f"integration interval must have t1 > t0, got [{t0!r}, {t1!r}]")
@@ -426,15 +433,32 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
         raise ValueError(f"time step must be a positive finite number, got {dt!r}")
     steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
     h = (t1 - t0) / steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _rk4_steps(bind, y, h, steps)
+    if np.isfinite(out).all():
+        return out
+    return _rk4_steps(bind, y, h, steps, t0)
+
+
+def _rk4_steps(bind: Callable, y, h: float, steps: int, t0: float | None = None) -> np.ndarray:
+    """``steps`` RK4 steps of length h from a copy of ``y``; with a start time ``t0``,
+    raises IntegrationError at the first step that leaves a non-finite state."""
     y = np.array(y, dtype=float)
     work = k1, kb, stage = tuple(np.empty_like(y) for _ in range(3))
     stages = (bind(y, k1), bind(stage, kb))
+    if t0 is None:
+        for _ in range(steps):
+            rk4_step(stages, y, h, work)
+        return y
     t = t0
     for _ in range(steps):
         rk4_step(stages, y, h, work)
         t += h
-        if not np.isfinite(y).all():
-            raise IntegrationError(f"non-finite state at t = {t:.6g}", t=t)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            column = int(np.argmax(bad.reshape(-1, y.shape[-1]).any(axis=0))) if y.ndim else None
+            where = "" if column is None else f" in column {column}"
+            raise IntegrationError(f"non-finite state at t = {t:.6g}{where}", t=t, column=column)
     return y
 
 

@@ -46,18 +46,17 @@ __all__ = [
 
 
 # Rows per `_g_many` call inside a sequential `evaluate_many` and per chunk of
-# `eval_me_surrogate_many`, measured on a 2-core Xeon VM.
-# A 65,536-row KO batch takes 5.9-6.0 s in one call and 3.2-3.9 s in 8,192-row
-# chunks (16,384 rows is no faster, 2,048 and 4,096 rows are slower), with
+# `eval_me_surrogate_many`, measured on a 2-core Xeon VM (numpy 2.4, medians of 3
+# runs).  A 65,536-row KO batch takes 3.0 s in one call and 1.6 s in 8,192-row
+# chunks (16,384 rows is no faster; 4,096 and 2,048 rows take 1.8 and 2.4 s), with
 # bit-identical values; at 8,192 rows the RK4 work arrays and state (about 0.8 MB)
 # fit the host's 2 MB per-core L2 cache.  Bulk KO batches go to both cores in
-# 16,384-row chunks (`LimitStateModel.parallel_chunk`): the benchmark's ko-mc
-# workload takes 2.34 s instead of 3.58 s (medians of 10 alternating runs).  In
-# 8,192-row chunks two threads were no faster than one (3.26 vs 3.20 s per
-# 65,536-row batch): each ufunc call is then short enough that handing the
-# interpreter lock back and forth eats the gain.  The benchmark's burgers
-# workload, whose Monte Carlo run is one 200k-row batch, peaks at 113 MB RSS
-# unchunked and 79 MB chunked; with 65,536-row surrogate chunks it peaks at 77 MB.
+# 16,384-row chunks (`LimitStateModel.parallel_chunk`): 1.06 s per 65,536-row
+# batch, against 1.32 s on two threads in 8,192-row chunks, where each ufunc call
+# is short enough that handing the interpreter lock back and forth eats much of
+# the gain.  The benchmark's burgers workload, whose Monte Carlo run is one
+# 200k-row batch, peaks at 113 MB RSS unchunked and 79 MB chunked; with
+# 65,536-row surrogate chunks it peaks at 77 MB.
 EVAL_CHUNK = 8192
 
 # Threads that share a parallel batch: the calling thread and WORKERS - 1 pool threads.

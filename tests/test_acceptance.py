@@ -186,14 +186,15 @@ def test_criterion_6_invariant_suites():
         "galerkin-energy": 1e-13,
         "ko-conservation": 1e-8,
         "ko-symmetry": 1e-10,
+        "ko-reference": 1e-11,
         "burgers-residuals": 1e-12,
         "rk4-order": (12.0, 20.0),
         "gamma-bound": 0.05,
     }
     names = [name for name, _ in invariants.CHECKS]
     assert names == ["orthonormality", "quadrature-exactness", "partition-of-unity", "hybrid-exhaustion",
-                     "linear-closure", "galerkin-energy", "ko-invariants", "burgers-residuals", "rk4-order",
-                     "gamma-bound"]
+                     "linear-closure", "galerkin-energy", "ko-invariants", "ko-reference", "burgers-residuals",
+                     "rk4-order", "gamma-bound"]
     for name, check in invariants.CHECKS:
         ok, detail = check()
         assert ok, f"{name}: {detail}"

@@ -190,26 +190,46 @@ def test_ko_conservation_and_symmetry():
 
 
 def test_ko_trajectory_matches_textbook_rk4():
-    # the in-place stepper keeps the textbook association, so it agrees bit for bit with
-    # an allocating RK4 that does not use the package's stepper; 100 rows is one hybrid
-    # block and 8,192 one evaluation chunk
-    def rhs(v):
+    # the exact model integrates in (a, b, c) = (y1 + y2, y1 - y2, y3), where the slope is
+    # (c b, c a, -a b); the in-place stepper keeps the textbook association, so it agrees
+    # bit for bit with an allocating RK4 in those variables that does not use the
+    # package's stepper; 100 rows is one hybrid block and 8,192 one evaluation chunk
+    def rk4(rhs, v, h=15.0 / 1500):
+        for _ in range(1500):
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * h * k1)
+            k3 = rhs(v + 0.5 * h * k2)
+            k4 = rhs(v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return v
+
+    def rhs_abc(v):
+        return np.stack([v[2] * v[1], v[2] * v[0], -(v[0] * v[1])])
+
+    def rhs_y(v):
         return np.stack([v[0] * v[2], -v[1] * v[2], -v[0] ** 2 + v[1] ** 2])
 
     for size in (300, 100, 8192):
         xi = np.random.default_rng(4).uniform(-1.0, 1.0, size=size)
-        y0 = np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)])
-        y, h = y0, 15.0 / 1500
-        for _ in range(1500):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        abc0 = np.stack([1.0 + 0.1 * xi, 1.0 - 0.1 * xi, np.zeros_like(xi)])
+        a, b, c = rk4(rhs_abc, abc0)
+        y = np.stack([(a + b) / 2.0, (a - b) / 2.0, c])
         assert np.array_equal(ko_trajectory(xi, 15.0, 0.01), y)
-        start = y0.copy()
-        assert np.array_equal(rk4_integrate(_ko_rhs, y0, 0.0, 15.0, 0.01), y)
-        assert np.array_equal(y0, start)
+        start = abc0.copy()
+        assert np.array_equal(rk4_integrate(_ko_rhs, abc0, 0.0, 15.0, 0.01), np.stack([a, b, c]))
+        assert np.array_equal(abc0, start)
+        # the same model as the RK4 in (y1, y2, y3) up to rounding, with the same failures
+        y_ref = rk4(rhs_y, np.stack([np.ones_like(xi), 0.1 * xi, np.zeros_like(xi)]))
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        assert np.array_equal(y[0] < 0.03, y_ref[0] < 0.03)
+
+
+def test_ko_trajectory_keeps_the_shape_of_xi():
+    # a scalar xi gives one state (3,), as the docstring promises
+    y = ko_trajectory(np.array([0.1, -0.4]), 15.0, 0.01)
+    one = ko_trajectory(0.1, 15.0, 0.01)
+    assert one.shape == (3,) and np.array_equal(one, y[:, 0])
+    assert np.array_equal(ko_trajectory(np.array([[0.1], [-0.4]]), 15.0, 0.01), y[:, :, None])
 
 
 def test_ko_rejects_bad_step():
@@ -220,9 +240,16 @@ def test_ko_rejects_bad_step():
     for bad in ({"T": -5}, {"T": 0}, {"T": "abc"}, {"T": math.inf}, {"dt": -0.01}, {"dt": 0}, {"dt": math.nan}):
         with pytest.raises(ValueError, match="positive finite"):
             KoModel(**bad)
-    # five RK4 steps of length 3 overflow the state
-    with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
+    # five RK4 steps of length 3 overflow the state: finiteness is checked once per
+    # integration, and the replay on failure reports the first step that overflowed
+    with pytest.raises(IntegrationError) as info, np.errstate(over="ignore", invalid="ignore"):
         ko_trajectory(np.array([-0.5, 0.3]), 15.0, 3.0)
+    assert info.value.t == 9.0 and info.value.column == 0
+    # at dt = 2, xi = -0.5 overflows at t = 11.25 and xi = 1 only at t = 13.125
+    with pytest.raises(IntegrationError, match=r"t = 11\.25 in column 2") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        ko_trajectory(np.array([0.0, 1.0, -0.5]), 15.0, 2.0)
+    assert info.value.t == 11.25 and info.value.column == 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +321,21 @@ def test_burgers_residual_check_raises():
     # in the logarithms leaves a tanh residual above 1e-12, which the final check rejects
     with pytest.raises(RootSolveError, match="residual"):
         burgers_transition_z(np.array([0.01, 0.05]), 1e8)
+
+
+def test_burgers_large_perturbation_evaluates():
+    # a delta of up to 100 or 1000 pushes the layer against z = 1, where the second tanh
+    # equation is steep in z (slope (A^2 - 1) / (2 nu), about 1e5 and 1e7): the residual
+    # check measures it as a step in z, so these roots pass as the small-delta ones do
+    x = np.linspace(-1.0, 1.0, 2000)[:, None]
+    for e in (100.0, 1000.0):
+        g = BurgersModel(e=e).evaluate_many(x)
+        assert np.all(np.isfinite(g)) and g[0] == pytest.approx(0.75, abs=1e-14)
+        assert np.all(np.diff(g) <= 0.0) and g[-1] == pytest.approx(-0.25, abs=1e-4)
+        delta = e * (x[:, 0] + 1.0) / 2.0
+        z, a = burgers_transition_z(delta, 0.05, return_amplitude=True)
+        r1, r2 = _tanh_system(a, z, delta, 0.05)
+        assert np.max(np.abs(r1)) < 1e-12 and 1e-12 < np.max(np.abs(r2)) < 1e-8
 
 
 def test_burgers_limit_state_endpoints_and_failure_interval():

@@ -594,7 +594,7 @@ def test_adapt_dynamic_two_dimensional_ko_matches_monte_carlo():
         return np.stack([1.0 + 0.1 * pts[:, 1], 0.1 * pts[:, 0], np.zeros(pts.shape[0])])
 
     def g(Z):
-        return rk4_integrate(problems._ko_rhs, initial(Z), 0.0, 5.0, 0.01)[0] - 0.03
+        return problems._ko_integrate(initial(Z), 5.0, 0.01)[0] - 0.03
 
     system = PolynomialOde(n_state=3, dim=2, initial=initial, quadratic=ko_galerkin_system().quadratic)
     events: list[RefinementEvent] = []
@@ -641,6 +641,39 @@ def test_rk4_integrate_rejects_bad_interval():
     for dt in (0.0, -0.01, math.inf, math.nan, "0.1", True):
         with pytest.raises(ValueError, match="time step"):
             rk4_integrate(decay, np.ones(2), 0.0, 1.0, dt)
+
+
+def test_rk4_integrate_replays_a_blow_up_step_by_step():
+    # u' = u^2 blows up at t = 1 / u(0): finiteness is checked once per integration, and on
+    # failure the replay from the caller's state names the step and the column that a check
+    # after every step finds first
+    def square(src, dst):
+        return lambda: np.multiply(src, src, dst)
+
+    u0 = np.array([[0.25, 0.5, 1.0, 0.5]])
+    start = u0.copy()
+    y, h = u0.copy(), 0.05
+    work = tuple(np.empty_like(y) for _ in range(3))
+    stages = (square(y, work[0]), square(work[2], work[1]))
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(y).all():
+            rk4_step(stages, y, h, work)
+            steps += 1
+    first = int(np.flatnonzero(~np.isfinite(y[0]))[0])
+    assert first == 2
+    with pytest.raises(IntegrationError, match=f"in column {first}") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        rk4_integrate(square, u0, 0.0, 5.0, h)
+    assert info.value.t == pytest.approx(steps * h, rel=1e-12) and info.value.column == first
+    assert np.array_equal(u0, start)
+    # the replay runs under the caller's error state, so an error raised on overflow still is
+    with pytest.raises(FloatingPointError), np.errstate(over="raise", invalid="ignore"):
+        rk4_integrate(square, u0, 0.0, 5.0, h)
+    # a scalar state names no column
+    with pytest.raises(IntegrationError) as info, np.errstate(over="ignore", invalid="ignore"):
+        rk4_integrate(square, 1.0, 0.0, 5.0, h)
+    assert info.value.column is None
 
 
 def test_refinement_config_validation():
