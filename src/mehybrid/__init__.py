@@ -48,7 +48,6 @@ from .refine import (
     static_indicator,
 )
 from .surrogate import (
-    GpcExpansion,
     LimitStateModel,
     MultiElementSurrogate,
     build_collocation,

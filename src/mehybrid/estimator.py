@@ -12,7 +12,9 @@ The walk keeps an integer count of samples currently classified as
 failing; the reported probability is that count divided by the total
 sample size.  This makes the conservation property exact: when the walk
 replaces every surrogate value by an exact one, the estimate equals the
-plain Monte Carlo estimate on the same samples bit for bit.
+plain Monte Carlo estimate on the same samples bit for bit.  Beyond the
+samples, a walk holds one float array of the sample length (the surrogate
+values, overwritten with |g~|), its order and the masks of one growth.
 """
 from __future__ import annotations
 

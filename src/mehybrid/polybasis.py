@@ -28,7 +28,9 @@ __all__ = [
 
 def _recurrence(nmax: int, x: np.ndarray) -> np.ndarray:
     """Unnormalized Legendre values P_0..P_nmax at the points of x (flattened), one row per
-    degree, by the three-term recurrence."""
+    degree, by the three-term recurrence: the module's one copy of it, written in place
+    in the textbook formula's order, so the values keep their bits.  `legendre_rows`
+    scales its rows and each Newton step of `gauss_legendre` reads its last two."""
     if nmax < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
@@ -51,7 +53,7 @@ def legendre_rows(nmax: int, x: np.ndarray) -> np.ndarray:
 
     Returns a C-ordered array of shape ``(nmax + 1, len(x))`` whose row k is
     the orthonormal polynomial of degree k evaluated at the points, so each
-    degree is one contiguous vector.
+    degree is one contiguous vector: the package's one Legendre layout.
     """
     rows = _recurrence(nmax, x)
     rows *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)[:, None]
@@ -77,7 +79,7 @@ def basis_matrix(indices: Sequence[tuple[int, ...]], points: np.ndarray) -> np.n
 
 @lru_cache(maxsize=None)
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule with q nodes as read-only (nodes, weights) arrays:
+    """Gauss-Legendre rule with q nodes as cached, read-only (nodes, weights) arrays:
     ascending nodes strictly inside (-1, 1), positive weights summing to one.
 
     Nodes are the roots of P_q found by Newton iteration on the recurrence
@@ -111,7 +113,7 @@ def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def multi_index_set(d: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """All degree tuples of total degree <= n_max in graded lexicographic order.
+    """All degree tuples of total degree <= n_max in graded lexicographic order, cached.
 
     The count is C(n_max + d, d), and the set for a lower maximum degree is
     always a prefix of the set for a higher one.

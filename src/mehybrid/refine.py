@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IntegrationError, UnsupportedModelError
 from .polybasis import basis_matrix, multi_index_set, triple_products
 from .randomspace import Decomposition, Element, split_element, to_local_many
-from .surrogate import GpcExpansion, LimitStateModel, MultiElementSurrogate, build_collocation, local_variance, project
+from .surrogate import LimitStateModel, MultiElementSurrogate, build_collocation, local_variance, project
 
 __all__ = [
     "RefinementConfig",
@@ -120,27 +120,24 @@ def write_events_csv(events: Sequence[RefinementEvent], path) -> None:
 # static criterion
 
 
-def static_indicator(exp: GpcExpansion) -> tuple[float, np.ndarray]:
-    """Variance-decay rate eta and per-dimension sensitivities r of an expansion.
+def static_indicator(coeffs: np.ndarray, order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Variance-decay rates eta (M,) and per-dimension sensitivities r (M, dim) of
+    the order-``order`` expansions in the M rows of ``coeffs``, each row on its own.
 
     eta is the top-degree share of the local variance; r_j isolates the
-    contribution of the pure degree-N term in dimension j.  Expansions with
+    contribution of the pure degree-N term in dimension j.  Rows with
     (numerically) zero variance report eta = 0, and a vanishing top-degree
     mass reports r = 0, so constants never trigger a split.
     """
-    if exp.order < 1:
+    if order < 1:
         raise ValueError("static indicator needs an expansion of order >= 1")
-    degrees = np.array([sum(idx) for idx in exp.indices])
-    c = exp.coeffs
-    sigma2 = local_variance(exp)
-    top = float(np.sum(c[degrees == exp.order] ** 2))
-    eta = 0.0 if sigma2 < 1e-14 else top / sigma2
-    d = exp.element.dim
-    r = np.zeros(d)
-    if top >= 1e-14:
-        for j in range(d):
-            axis = tuple(exp.order if k == j else 0 for k in range(d))
-            r[j] = c[exp.indices.index(axis)] ** 2 / top
+    indices = multi_index_set(dim, order)
+    c = np.asarray(coeffs, dtype=float)
+    sigma2 = local_variance(c)
+    top = np.sum(c[:, [sum(idx) == order for idx in indices]] ** 2, axis=1)
+    eta = np.divide(top, sigma2, out=np.zeros(len(c)), where=sigma2 >= 1e-14)
+    axes = [indices.index(tuple(order if k == j else 0 for k in range(dim))) for j in range(dim)]
+    r = np.divide(c[:, axes] ** 2, top[:, None], out=np.zeros((len(c), dim)), where=top[:, None] >= 1e-14)
     return eta, r
 
 
@@ -196,22 +193,24 @@ def adapt_static(
     ``q`` Gauss nodes per dimension (see `build_collocation`).
 
     Passes of the split rule (`_split_pass` with strength eta^ALPHA, direction
-    sensitivities r and indicator eta) sweep the whole mesh until one splits
-    nothing; children take their parent's place and are solved anew, with all
-    collocation points charged to the model's call counter, while an element
-    that did not split keeps its expansion.  At ``theta1 = inf`` it makes one
-    build on the whole domain.
+    sensitivities r and indicator eta, all from one `static_indicator` call)
+    sweep the whole mesh until one splits nothing; children take their
+    parent's place and are solved anew, with all collocation points charged to
+    the model's call counter, while an element that did not split keeps its
+    coefficient row.  At ``theta1 = inf`` it makes one build on the whole domain.
     """
-    exps = [build_collocation(model, Element.box([-1.0] * model.dim, [1.0] * model.dim), cfg.N, q)]
+    elements = [Element.box([-1.0] * model.dim, [1.0] * model.dim)]
+    rows = [build_collocation(model, elements[0], cfg.N, q)]
     ids, next_id, truncated = [0], 1, False
     while True:
-        eta, r = zip(*map(static_indicator, exps))
-        elements, ids, origin, next_id, cut = _split_pass(
-            [exp.element for exp in exps], ids, next_id, cfg, [x ** ALPHA for x in eta], r, eta, None, event_log)
+        eta, r = static_indicator(np.array(rows), cfg.N, model.dim)
+        strength = [x ** ALPHA for x in eta.tolist()]  # float pow: numpy's ** 0.5 is a sqrt, rounded otherwise
+        new, ids, origin, next_id, cut = _split_pass(elements, ids, next_id, cfg, strength, r, eta, None, event_log)
         truncated |= cut
-        if len(elements) == len(exps):
-            return MultiElementSurrogate(tuple(exps), truncated)
-        exps = [build_collocation(model, e, cfg.N, q) if child else exps[k] for e, (k, child) in zip(elements, origin)]
+        if len(new) == len(elements):
+            return MultiElementSurrogate(Decomposition(tuple(elements)), cfg.N, np.array(rows), truncated)
+        rows = [build_collocation(model, e, cfg.N, q) if child else rows[k] for e, (k, child) in zip(new, origin)]
+        elements = new
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +557,9 @@ def limit_state_surrogate(
     offset: float = 0.0,
     truncated: bool = False,
 ) -> MultiElementSurrogate:
-    """Surrogate for an observable of the integrated system: the (M, n_state, n_modes)
-    order-``order`` mode coefficients of one state variable with a constant shift
-    folded into the mean mode."""
+    """Surrogate on the mesh ``dec`` for an observable of the integrated system: state
+    variable ``var``'s rows of the (M, n_state, n_modes) order-``order`` mode
+    coefficients, with a constant shift folded into the mean mode."""
     c = coeffs[:, var].copy()
     c[:, 0] += offset
-    return MultiElementSurrogate(tuple(GpcExpansion(e, order, row) for e, row in zip(dec, c)), truncated)
+    return MultiElementSurrogate(dec, order, c, truncated)

@@ -1,7 +1,13 @@
 """Element-local polynomial-chaos expansions and multi-element surrogates.
 
+Every surrogate a run builds is one record, `MultiElementSurrogate`: a
+mesh, one expansion order and an (M, modes) coefficient matrix, one row per
+element; a global surrogate is the one-element case.
+
 Every expansion in the package comes from one pseudo-spectral projection,
-`project`, on a tensor Gauss grid: each coefficient is the quadrature
+`project`, on a tensor Gauss grid: collocation of the exact model, Galerkin
+initial and field data, a parent's state re-expanded on its children and the
+Gaussian rate's Legendre coefficients.  Each coefficient is the quadrature
 estimate of E[f Phi_i] over the element, which is exact whenever f
 restricted to the element is a polynomial of degree <= 2q - 1 - N.
 """
@@ -13,12 +19,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ModelEvaluationError
+from .errors import DomainError, IntegrationError, ModelEvaluationError
 from .polybasis import basis_matrix, gauss_legendre, legendre_rows, multi_index_set
 from .randomspace import (
     Decomposition,
@@ -32,7 +38,6 @@ from .randomspace import (
 __all__ = [
     "LimitStateModel",
     "CallableModel",
-    "GpcExpansion",
     "MultiElementSurrogate",
     "build_collocation",
     "project",
@@ -91,7 +96,8 @@ class LimitStateModel:
     before any call, and a NaN value raises `ModelEvaluationError` naming the
     first such row; +-inf keeps its sign.  A chunk whose values are not one
     per row, shape (rows,), raises `ModelEvaluationError` naming both shapes and
-    the chunk's first row, instead of being broadcast.
+    the chunk's first row, instead of being broadcast.  An IntegrationError
+    with a column is raised again with the column counted in the whole batch.
     """
 
     dim: int = 1
@@ -141,7 +147,14 @@ class LimitStateModel:
 
         def run(k: int) -> None:
             chunk = pts[k * rows : (k + 1) * rows]
-            values = self._g_many(chunk)
+            try:
+                values = self._g_many(chunk)
+            except IntegrationError as exc:
+                if exc.column is None:
+                    raise
+                column = exc.column + k * rows  # the row of the batch, not of the chunk
+                raise IntegrationError(f"non-finite state at t = {exc.t:.6g} in column {column}",
+                                       t=exc.t, column=column) from exc
             if np.shape(values) != (len(chunk),):
                 raise ModelEvaluationError(f"the exact model returned shape {np.shape(values)} for the {len(chunk)} "
                                            f"points from row {k * rows}, expected ({len(chunk)},)", point=chunk[0])
@@ -184,47 +197,35 @@ class CallableModel(LimitStateModel):
 
 
 @dataclass(frozen=True)
-class GpcExpansion:
-    """Orthonormal expansion of g on one element, coefficients in graded-lex order."""
-
-    element: Element
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        expected = len(multi_index_set(self.element.dim, self.order))
-        if c.shape != (expected,):
-            raise ValueError(f"expected {expected} coefficients for order {self.order}, got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def indices(self) -> tuple[tuple[int, ...], ...]:
-        return multi_index_set(self.element.dim, self.order)
-
-
-@dataclass(frozen=True)
 class MultiElementSurrogate:
-    """One expansion per element of a mesh; the mesh is their elements, in order.
+    """One order-``order`` expansion per element of a mesh: row k of ``coeffs``
+    holds element k's coefficients in graded-lex order.
 
-    A global surrogate is the one-element case.
+    ``coeffs`` is copied and made read-only, so changing the caller's array
+    afterwards leaves the surrogate unchanged; a shape other than (M, modes),
+    M elements and the order's number of modes, raises ValueError.
+    ``truncated`` records that a refinement cap stopped a split.
     """
 
-    expansions: tuple[GpcExpansion, ...]
+    decomposition: Decomposition
+    order: int
+    coeffs: np.ndarray
     truncated: bool = False
-    decomposition: Decomposition = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "expansions", tuple(self.expansions))
-        object.__setattr__(self, "decomposition", Decomposition(tuple(exp.element for exp in self.expansions)))
+        c = np.array(self.coeffs, dtype=float)
+        expected = (len(self.decomposition), len(multi_index_set(self.dim, self.order)))
+        if c.shape != expected:
+            raise ValueError(f"expected coefficients of shape {expected} (elements, modes), got {c.shape}")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def dim(self) -> int:
         return self.decomposition.dim
 
     def __len__(self) -> int:
-        return len(self.expansions)
+        return len(self.decomposition)
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         return eval_me_surrogate_many(self, Z)
@@ -254,8 +255,8 @@ def project(fn: Callable, e: Element, order: int, q: int | None = None) -> np.nd
     return (fn(to_global_many(e, ref)) * w) @ basis_matrix(multi_index_set(e.dim, order), ref)
 
 
-def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | None = None) -> GpcExpansion:
-    """Project the exact model onto the element basis using a tensor Gauss grid.
+def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | None = None) -> np.ndarray:
+    """The exact model's order-``order`` coefficients on element ``e``, projected on a tensor Gauss grid.
 
     The grid has q nodes per dimension, at least order + 1 and by default
     order + 2, which slightly over-integrates to damp aliasing; the build
@@ -273,12 +274,13 @@ def build_collocation(model: LimitStateModel, e: Element, order: int, q: int | N
                 point=nodes,
             ) from exc
 
-    return GpcExpansion(e, order, project(values, e, order, q))
+    return project(values, e, order, q)
 
 
-def eval_expansion_many(exp: GpcExpansion, Z: np.ndarray) -> np.ndarray:
-    """Expansion values at the (n, d) points Z, all inside its element."""
-    return basis_matrix(exp.indices, to_local_many(exp.element, Z)) @ exp.coeffs
+def eval_expansion_many(e: Element, order: int, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Values at the (n, d) points Z inside element ``e`` of its order-``order`` expansion
+    ``coeffs``: the single-element basis-matrix reference for `eval_me_surrogate_many`."""
+    return basis_matrix(multi_index_set(e.dim, order), to_local_many(e, Z)) @ coeffs
 
 
 def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
@@ -291,11 +293,8 @@ def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.n
     at a point does not depend on the other points of the batch.  Element
     indices are written into ``owners`` when it is given.
     """
-    order = max(exp.order for exp in s.expansions)
-    indices = multi_index_set(s.dim, order)
-    coeffs = np.zeros((len(indices), len(s)))  # column k holds element k's coefficients
-    for k, exp in enumerate(s.expansions):  # a lower order's index set is a prefix
-        coeffs[: exp.coeffs.size, k] = exp.coeffs
+    indices = multi_index_set(s.dim, s.order)
+    coeffs = s.coeffs.T  # column k holds element k's coefficients
     lower = np.array([e.lower for e in s.decomposition])
     upper = np.array([e.upper for e in s.decomposition])
     center2, width = lower + upper, upper - lower
@@ -306,7 +305,7 @@ def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.n
         if owners is not None:
             owners[start : start + EVAL_CHUNK] = k
         local = np.clip((2.0 * pts - center2[k]) / width[k], -1.0, 1.0)  # as in to_local_many
-        rows = [legendre_rows(order, local[:, j]) for j in range(s.dim)]
+        rows = [legendre_rows(s.order, local[:, j]) for j in range(s.dim)]
         acc = out[start : start + EVAL_CHUNK]
         for j, idx in enumerate(indices):
             col = rows[0][idx[0]]
@@ -319,9 +318,9 @@ def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.n
     return out
 
 
-def local_variance(exp: GpcExpansion) -> float:
-    """Variance of the expansion under the element's conditional density."""
-    return float(np.sum(exp.coeffs[1:] ** 2))
+def local_variance(coeffs: np.ndarray) -> np.ndarray:
+    """Variance under its element's density of each expansion along the last axis of ``coeffs``."""
+    return np.sum(np.asarray(coeffs)[..., 1:] ** 2, axis=-1)
 
 
 def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> float:

@@ -20,7 +20,6 @@ from mehybrid.estimator import (
     relative_error,
 )
 from mehybrid.randomspace import sample_uniform
-from mehybrid.surrogate import MultiElementSurrogate
 from mehybrid.refine import (
     RefinementConfig,
     adapt_dynamic,
@@ -56,7 +55,7 @@ def test_criterion_1_step_global_surrogates(samples_1m):
     delta_m = 1000
     mc = mc_estimate(StepModel(), samples_1m)
     for p, ref in published.items():
-        surrogate = MultiElementSurrogate((step_global_gpc(p),))
+        surrogate = step_global_gpc(p)
         direct, _ = iterative_hybrid(StepModel(), surrogate, samples_1m, HybridConfig(delta_m=1, gamma=0.0))
         band = 3.0 * mc_stddev(ref, M_FULL)
         assert abs(direct.p_f - ref) <= band, f"p={p}: direct {direct.p_f} vs {ref} (band {band})"

@@ -18,20 +18,25 @@ from mehybrid.estimator import (
     me_lha,
     relative_error,
 )
-from mehybrid.randomspace import Element, locate_many, sample_uniform
+from mehybrid.randomspace import Decomposition, Element, locate_many, sample_uniform
 from mehybrid.surrogate import (
     CallableModel,
-    GpcExpansion,
     MultiElementSurrogate,
     gamma_bound,
     lp_error,
 )
-from mehybrid.problems import BurgersModel, StepModel, step_me_exact
+from mehybrid.problems import BurgersModel, StepModel, step_global_gpc, step_me_exact
 from mehybrid.refine import RefinementConfig, adapt_static
 
 
 def const_model(value: float) -> CallableModel:
     return CallableModel(lambda z: np.full(len(z), value))
+
+
+def line_mesh(bounds, order, coeffs) -> MultiElementSurrogate:
+    """A 1-D surrogate on the elements between consecutive ``bounds``, one coefficient row each."""
+    return MultiElementSurrogate(Decomposition(tuple(Element.box([a], [b]) for a, b in zip(bounds, bounds[1:]))),
+                                 order, coeffs)
 
 
 def band(gamma: float) -> HybridConfig:
@@ -66,8 +71,7 @@ def test_nan_surrogate_value_is_an_error():
         iterative_hybrid(model, lambda Z: np.where(Z[:, 0] < 0.0, np.nan, Z[:, 0]), samples,
                          HybridConfig(delta_m=100))
     assert info.value.point.tolist() == first
-    halves = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [0.0]), 0, [np.nan]),
-                                    GpcExpansion(Element.box([0.0], [1.0]), 0, [1.0])))
+    halves = line_mesh((-1.0, 0.0, 1.0), 0, [[np.nan], [1.0]])
     with pytest.raises(ModelEvaluationError, match="surrogate returned NaN") as info:
         me_lha(model, halves, samples, HybridConfig(delta_m=100))
     assert info.value.point.tolist() == first
@@ -117,7 +121,7 @@ def test_estimate_bounds_validation():
 def test_direct_hybrid_zero_band_is_pure_surrogate():
     samples = sample_uniform(2000, 1, 1)
     model = StepModel()
-    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
+    surrogate = step_global_gpc(0)
     est, _ = iterative_hybrid(model, surrogate, samples, band(0.0))
     assert est.n_exact == 0
     assert model.call_count == 0
@@ -128,7 +132,7 @@ def test_direct_hybrid_zero_band_is_pure_surrogate():
 def test_direct_hybrid_full_band_equals_mc():
     samples = sample_uniform(3000, 1, 2)
     model = StepModel()
-    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
+    surrogate = step_global_gpc(0)
     big_gamma = float(np.max(np.abs(surrogate(samples.points)))) + 1e-9
     est, _ = iterative_hybrid(model, surrogate, samples, band(big_gamma))
     ref = mc_estimate(StepModel(), samples)
@@ -178,8 +182,7 @@ def test_iterative_hybrid_me_lha_step_counts():
 
 
 def test_me_gha_single_element_reduces_to_iterative():
-    e = Element.box([-1.0], [1.0])
-    surrogate = MultiElementSurrogate((GpcExpansion(e, 1, np.array([-0.2, 0.6])),))
+    surrogate = line_mesh((-1.0, 1.0), 1, [[-0.2, 0.6]])
     samples = sample_uniform(5000, 1, 6)
     cfg = HybridConfig(delta_m=250)
     est_a, tr_a = me_gha(StepModel(), surrogate, samples, cfg)
@@ -189,8 +192,7 @@ def test_me_gha_single_element_reduces_to_iterative():
 
 
 def test_me_lha_single_element_reduces_to_iterative():
-    e = Element.box([-1.0], [1.0])
-    surrogate = MultiElementSurrogate((GpcExpansion(e, 1, np.array([-0.2, 0.6])),))
+    surrogate = line_mesh((-1.0, 1.0), 1, [[-0.2, 0.6]])
     samples = sample_uniform(5000, 1, 7)
     cfg = HybridConfig(delta_m=250)
     est_a, _ = me_lha(StepModel(), surrogate, samples, cfg)
@@ -211,8 +213,7 @@ def test_full_replacement_limit_exact_equality():
                 model, lambda Z: -np.ones(len(Z)), samples, HybridConfig(delta_m=250)
             )
         else:
-            me = step_me_exact()
-            neg = MultiElementSurrogate(tuple(GpcExpansion(e.element, 0, np.array([-1.0])) for e in me.expansions))
+            neg = MultiElementSurrogate(step_me_exact().decomposition, 0, [[-1.0], [-1.0]])
             est, trace = me_lha(model, neg, samples, HybridConfig(delta_m=250))
         ref = mc_estimate(const_model(1.0), samples)
         assert est.p_f == ref.p_f == 0.0
@@ -239,7 +240,8 @@ def test_me_lha_element_order_invariance():
              (BurgersModel, burgers, sample_uniform(20_000, 1, 7), HybridConfig(delta_m=100),
               np.random.default_rng(3).permutation(len(burgers))))
     for make_model, mesh, samples, cfg, perm in cases:
-        permuted = MultiElementSurrogate(tuple(mesh.expansions[k] for k in perm))
+        elements = mesh.decomposition.elements
+        permuted = MultiElementSurrogate(Decomposition(tuple(elements[k] for k in perm)), mesh.order, mesh.coeffs[perm])
         est_a, trace_a = me_lha(make_model(), mesh, samples, cfg)
         est_b, trace_b = me_lha(make_model(), permuted, samples, cfg)
         assert (est_b.p_f, est_b.n_exact, est_b.surrogate_estimate) == (est_a.p_f, est_a.n_exact,
@@ -263,11 +265,10 @@ def test_me_lha_element_order_invariance():
 
 def linear_mesh_surrogate() -> MultiElementSurrogate:
     """g~(z) = z - 0.3 on four elements, except a constant -1 on the last one."""
-    expansions = []
-    for a, b in ((-1.0, -0.5), (-0.5, 0.0), (0.0, 0.5), (0.5, 1.0)):
-        coeffs = [(a + b) / 2.0 - 0.3, (b - a) / (2.0 * math.sqrt(3.0))] if b < 1.0 else [-1.0, 0.0]
-        expansions.append(GpcExpansion(Element.box([a], [b]), 1, np.array(coeffs)))
-    return MultiElementSurrogate(tuple(expansions))
+    bounds = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    coeffs = [[(a + b) / 2.0 - 0.3, (b - a) / (2.0 * math.sqrt(3.0))] if b < 1.0 else [-1.0, 0.0]
+              for a, b in zip(bounds, bounds[1:])]
+    return line_mesh(bounds, 1, coeffs)
 
 
 def test_conservation_of_count_reconstruction():
@@ -275,7 +276,7 @@ def test_conservation_of_count_reconstruction():
     # exact classes on the samples each walk evaluated, surrogate classes on all others
     samples = sample_uniform(25_000, 1, 11)
     pts = samples.points
-    line = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
+    line = step_global_gpc(0)
     mesh = linear_mesh_surrogate()
     owners = locate_many(mesh.decomposition, pts)
     cases = [
@@ -310,7 +311,7 @@ def test_conservation_of_count_reconstruction():
 def test_trace_invariants():
     samples = sample_uniform(30_000, 1, 12)
     cfg = HybridConfig(delta_m=500)
-    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
+    surrogate = step_global_gpc(0)
     est, trace = iterative_hybrid(StepModel(), surrogate, samples, cfg)
     records = trace.records
     for prev, cur in zip(records, records[1:]):
@@ -321,7 +322,7 @@ def test_trace_invariants():
 
 def test_eta_stop_tolerance():
     samples = sample_uniform(20_000, 1, 14)
-    surrogate = MultiElementSurrogate((GpcExpansion(Element.box([-1.0], [1.0]), 1, np.array([-0.5, 0.75 / math.sqrt(3)])),))
+    surrogate = step_global_gpc(0)
     # a generous tolerance stops after the first block regardless of corrections
     cfg = HybridConfig(delta_m=100, eta_stop=1.0)
     est, trace = iterative_hybrid(StepModel(), surrogate, samples, cfg)
@@ -489,10 +490,7 @@ def test_walk_order_equals_full_stable_argsort():
     assert np.array_equal(np.concatenate(model.blocks), pts[full, 0])
 
     # the same per element of the local hybrid
-    mesh = MultiElementSurrogate(
-        (GpcExpansion(Element.box([-1.0], [0.0]), 0, np.array([0.25])),
-         GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([-0.25]))),
-    )
+    mesh = line_mesh((-1.0, 0.0, 1.0), 0, [[0.25], [-0.25]])
     model = RecordingModel()
     est, _ = me_lha(model, mesh, samples, cfg)
     assert est.n_exact == samples.m
@@ -528,8 +526,7 @@ def test_band_is_a_stop_rule_of_the_walk():
     # give the fixed-band formula (count(g~ < -gamma) + exact failures on |g~| <= gamma) / m,
     # with one exact call of the walk's band, in sample order, per walk (per element under me_lha)
     levels = (0.25, 0.0, -0.25, 0.5)
-    mesh = MultiElementSurrogate(tuple(
-        GpcExpansion(Element.box([lo], [lo + 0.5]), 0, np.array([v])) for lo, v in zip((-1.0, -0.5, 0.0, 0.5), levels)))
+    mesh = line_mesh((-1.0, -0.5, 0.0, 0.5, 1.0), 0, np.array(levels)[:, None])
     samples = sample_uniform(8000, 1, 31)
     pts, m = samples.points, samples.m
     approx = mesh(pts)

@@ -9,7 +9,7 @@ from mehybrid.estimator import mc_estimate, mc_stddev
 from mehybrid.polybasis import basis_matrix, gauss_legendre, multi_index_set
 from mehybrid.randomspace import sample_uniform
 from mehybrid.refine import rk4_integrate
-from mehybrid.surrogate import EVAL_CHUNK, MultiElementSurrogate, eval_expansion_many, lp_error
+from mehybrid.surrogate import EVAL_CHUNK, lp_error
 from mehybrid.problems import (
     PROBLEMS,
     BurgersModel,
@@ -66,26 +66,27 @@ def test_step_exact_surrogate_has_zero_lp_error():
 
 def test_step_global_expansion_closed_form():
     # lowest order: -1/2 + (3/4) P1
-    exp = step_global_gpc(0)
-    assert exp.coeffs[0] == pytest.approx(-0.5, abs=1e-15)
-    assert exp.coeffs[1] == pytest.approx(0.75 / math.sqrt(3.0), abs=1e-15)
+    surr = step_global_gpc(0)
+    assert len(surr) == 1 and surr.order == 1
+    assert surr.coeffs[0, 0] == pytest.approx(-0.5, abs=1e-15)
+    assert surr.coeffs[0, 1] == pytest.approx(0.75 / math.sqrt(3.0), abs=1e-15)
 
     # higher orders match the explicit series evaluated with numpy Legendre
     x = np.linspace(-1, 1, 41)
     for p in (2, 7):
-        exp = step_global_gpc(p)
+        surr = step_global_gpc(p)
         series = np.full_like(x, -0.5)
         for n in range(p + 1):
             c = (-1) ** n * (4 * n + 3) * math.factorial(2 * n) / (
                 2 ** (2 * n + 2) * math.factorial(n + 1) * math.factorial(n)
             )
             series += c * np.polynomial.legendre.Legendre.basis(2 * n + 1)(x)
-        assert np.max(np.abs(eval_expansion_many(exp, x[:, None]) - series)) < 1e-12
+        assert np.max(np.abs(surr(x[:, None]) - series)) < 1e-12
 
 
 def test_step_global_expansion_converges_in_l2():
     model = StepModel()
-    errs = [lp_error(MultiElementSurrogate((step_global_gpc(p),)), model, p=2, m=20000, seed=1) for p in (0, 3, 7)]
+    errs = [lp_error(step_global_gpc(p), model, p=2, m=20000, seed=1) for p in (0, 3, 7)]
     assert errs[0] > errs[1] > errs[2]
 
 

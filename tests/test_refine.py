@@ -30,17 +30,12 @@ from mehybrid.refine import (
 )
 from mehybrid.surrogate import (
     CallableModel,
-    GpcExpansion,
     build_collocation,
     eval_expansion_many,
     eval_me_surrogate_many,
 )
 from mehybrid.problems import BurgersModel, StepModel, ko_galerkin_system, ode_galerkin_system
 from mehybrid.randomspace import split_element
-
-
-def line():
-    return Element.box([-1.0], [1.0])
 
 
 def cfg(**kw):
@@ -54,25 +49,36 @@ def cfg(**kw):
 
 
 def test_static_indicator_examples():
-    eta, r = static_indicator(GpcExpansion(line(), 2, np.array([5.0, 0.0, 0.0])))
-    assert eta == 0.0 and np.all(r == 0.0)
-
-    eta, r = static_indicator(GpcExpansion(line(), 2, np.array([0.0, 1.0, 1.0])))
-    assert eta == pytest.approx(0.5)
-    assert r[0] == pytest.approx(1.0)
+    # a constant row (zero variance, no warning) next to one with half its variance on top
+    eta, r = static_indicator(np.array([[5.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), 2, 1)
+    assert eta.shape == (2,) and r.shape == (2, 1)
+    assert eta[0] == 0.0 and np.all(r[0] == 0.0)
+    assert eta[1] == pytest.approx(0.5)
+    assert r[1, 0] == pytest.approx(1.0)
 
     # 2-D expansion whose only top-degree mass is the mixed (1,1) term
     idx = multi_index_set(2, 2)
     coeffs = np.zeros(len(idx))
     coeffs[idx.index((1, 1))] = 3.0
-    eta, r = static_indicator(GpcExpansion(Element.box([-1, -1], [1, 1]), 2, coeffs))
-    assert eta == pytest.approx(1.0)
+    eta, r = static_indicator(coeffs[None], 2, 2)
+    assert eta[0] == pytest.approx(1.0)
     assert np.all(r == 0.0)
+
+    # one batch over a 1-D and a 2-D mesh, each with a constant row, gives the bits of row-at-a-time calls
+    rng = np.random.default_rng(17)
+    for dim, order in ((1, 5), (2, 3)):
+        coeffs = rng.normal(size=(9, len(multi_index_set(dim, order)))) * 10.0 ** -rng.integers(0, 6, size=(9, 1))
+        coeffs[4, 1:] = 0.0
+        eta, r = static_indicator(coeffs, order, dim)
+        assert eta[4] == 0.0 and np.all(r[4] == 0.0)
+        for k in range(len(coeffs)):
+            eta_k, r_k = static_indicator(coeffs[k : k + 1], order, dim)
+            assert eta_k.tobytes() == eta[k : k + 1].tobytes() and r_k.tobytes() == r[k : k + 1].tobytes()
 
 
 def test_static_indicator_requires_order():
     with pytest.raises(ValueError):
-        static_indicator(GpcExpansion(line(), 0, np.array([1.0])))
+        static_indicator(np.array([[1.0]]), 0, 1)
 
 
 @given(st.floats(0.1, 10.0), st.booleans())
@@ -80,8 +86,8 @@ def test_static_indicator_requires_order():
 def test_static_indicator_scale_invariance(c, negate):
     scale = -c if negate else c
     base = np.array([0.3, -1.2, 0.5, 0.8])
-    e1, r1 = static_indicator(GpcExpansion(line(), 3, base))
-    e2, r2 = static_indicator(GpcExpansion(line(), 3, scale * base))
+    e1, r1 = static_indicator(base[None], 3, 1)
+    e2, r2 = static_indicator(scale * base[None], 3, 1)
     assert e1 == pytest.approx(e2, rel=1e-12)
     assert np.allclose(r1, r2, rtol=1e-12)
 
@@ -236,7 +242,7 @@ def test_adapt_static_two_dimensional_split_directions():
         assert check_partition(surr.decomposition) == []
         assert len(events) >= 2 and {ev.dims for ev in events} == {expected}
         # the first split bisects the dimensions whose r_j reaches THETA2 times the largest
-        _, r = static_indicator(build_collocation(model, square, 3))
+        _, (r,) = static_indicator(build_collocation(model, square, 3)[None], 3, 2)
         assert events[0].dims == tuple(np.flatnonzero(r >= THETA2 * r.max()))
 
 
@@ -558,14 +564,12 @@ def test_adapt_dynamic_projection_restart_consistency():
     coeffs = rng.normal(size=(2, order + 1))
     children = split_element(parent, {0})
     pts = np.linspace(-0.5, 0.25, 100, endpoint=False)[:, None]
-    parent_exps = [GpcExpansion(parent, order, coeffs[v]) for v in range(2)]
     for child in children:
         child_coeffs = _project_child_state(parent, child, coeffs, order)
         inside = (pts[:, 0] >= child.lower[0]) & (pts[:, 0] < child.upper[0])
         for v in range(2):
-            child_exp = GpcExpansion(child, order, child_coeffs[v])
-            got = eval_expansion_many(child_exp, pts[inside])
-            want = eval_expansion_many(parent_exps[v], pts[inside])
+            got = eval_expansion_many(child, order, child_coeffs[v], pts[inside])
+            want = eval_expansion_many(parent, order, coeffs[v], pts[inside])
             assert np.max(np.abs(got - want)) < 1e-9
 
 

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from mehybrid import surrogate
-from mehybrid.errors import DomainError, ModelEvaluationError
+from mehybrid.errors import DomainError, IntegrationError, ModelEvaluationError
 from mehybrid.polybasis import basis_matrix, multi_index_set
-from mehybrid.randomspace import Element, locate_many, sample_uniform
+from mehybrid.randomspace import Decomposition, Element, locate_many, sample_uniform
 from mehybrid.surrogate import (
     EVAL_CHUNK,
     CallableModel,
-    GpcExpansion,
     MultiElementSurrogate,
     build_collocation,
     eval_expansion_many,
@@ -33,27 +32,31 @@ def full_line():
     return Element.box([-1.0], [1.0])
 
 
+def global_surrogate(order, coeffs):
+    return MultiElementSurrogate(Decomposition((full_line(),)), order, [coeffs])
+
+
 def test_collocation_constant_model():
     model = CallableModel(lambda z: np.full(len(z), 4.25))
-    exp = build_collocation(model, full_line(), 3, 5)
-    assert exp.coeffs[0] == pytest.approx(4.25, abs=1e-13)
-    assert np.max(np.abs(exp.coeffs[1:])) < 1e-13
+    coeffs = build_collocation(model, full_line(), 3, 5)
+    assert coeffs[0] == pytest.approx(4.25, abs=1e-13)
+    assert np.max(np.abs(coeffs[1:])) < 1e-13
 
 
 def test_collocation_linear_model():
     model = CallableModel(lambda z: z)
-    exp = build_collocation(model, full_line(), 3, 4)
-    assert exp.coeffs[1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
-    others = [c for i, c in enumerate(exp.coeffs) if i != 1]
+    coeffs = build_collocation(model, full_line(), 3, 4)
+    assert coeffs[1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
+    others = [c for i, c in enumerate(coeffs) if i != 1]
     assert np.max(np.abs(others)) < 1e-13
     assert model.call_count == 4
 
 
 def test_collocation_step_left_element_is_constant():
     model = StepModel()
-    exp = build_collocation(model, Element.box([-1.0], [0.0]), 4)
-    assert exp.coeffs[0] == pytest.approx(-1.0, abs=1e-13)
-    assert np.max(np.abs(exp.coeffs[1:])) < 1e-13
+    coeffs = build_collocation(model, Element.box([-1.0], [0.0]), 4)
+    assert coeffs[0] == pytest.approx(-1.0, abs=1e-13)
+    assert np.max(np.abs(coeffs[1:])) < 1e-13
 
 
 def test_collocation_call_accounting_2d():
@@ -81,42 +84,54 @@ def test_collocation_propagates_model_failure():
 
 
 def test_eval_expansion_examples():
-    const = GpcExpansion(full_line(), 0, np.array([-1.0]))
-    assert eval_expansion_many(const, np.array([[0.77]]))[0] == -1.0
+    assert eval_expansion_many(full_line(), 0, np.array([-1.0]), np.array([[0.77]]))[0] == -1.0
 
-    lin = GpcExpansion(full_line(), 1, np.array([0.0, 1.0 / math.sqrt(3.0)]))
-    assert eval_expansion_many(lin, np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-14)
+    lin = np.array([0.0, 1.0 / math.sqrt(3.0)])
+    assert eval_expansion_many(full_line(), 1, lin, np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-14)
 
-    assert eval_expansion_many(step_global_gpc(0), np.array([[0.0]]))[0] == pytest.approx(-0.5, abs=1e-15)
+    step = step_global_gpc(0)
+    value = eval_expansion_many(full_line(), step.order, step.coeffs[0], np.array([[0.0]]))[0]
+    assert value == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_eval_expansion_outside_element():
-    exp = GpcExpansion(Element.box([0.0], [1.0]), 0, np.array([2.0]))
     with pytest.raises(DomainError):
-        eval_expansion_many(exp, np.array([[-0.5]]))
+        eval_expansion_many(Element.box([0.0], [1.0]), 0, np.array([2.0]), np.array([[-0.5]]))
 
 
 def test_me_surrogate_examples():
     me = step_me_exact()
     assert eval_me_surrogate_many(me, np.array([[-0.5], [0.5]])).tolist() == [-1.0, 0.0]
     # single-element surrogate behaves exactly like its expansion
-    exp = GpcExpansion(full_line(), 1, np.array([0.3, 0.9]))
-    single = MultiElementSurrogate((exp,))
+    single = global_surrogate(1, [0.3, 0.9])
     pts = sample_uniform(200, 1, 5).points
-    assert np.array_equal(eval_me_surrogate_many(single, pts), eval_expansion_many(exp, pts))
+    assert np.array_equal(eval_me_surrogate_many(single, pts), eval_expansion_many(full_line(), 1, [0.3, 0.9], pts))
 
 
 def test_me_surrogate_structure_validation():
-    with pytest.raises(ValueError, match="expected 2 coefficients for order 1"):
-        GpcExpansion(full_line(), 1, np.array([1.0]))
+    # one row per element and one column per mode, checked when the record is made
+    halves = step_me_exact().decomposition
+    for wrong in ([[1.0]], [[1.0], [2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match=r"expected coefficients of shape \(2, 1\)"):
+            MultiElementSurrogate(halves, 0, wrong)
+    with pytest.raises(ValueError, match=r"expected coefficients of shape \(1, 2\)"):
+        global_surrogate(1, [1.0])
     with pytest.raises(ValueError):
-        MultiElementSurrogate(())
+        MultiElementSurrogate(Decomposition(()), 0, np.zeros((0, 1)))
+    # the record holds a read-only copy: the caller's array stays the caller's
+    coeffs = np.array([[-1.0], [0.0]])
+    surr = MultiElementSurrogate(halves, 0, coeffs)
+    coeffs[:] = 5.0
+    assert surr.coeffs.tolist() == [[-1.0], [0.0]] and not surr.coeffs.flags.writeable
+    assert surr(np.array([[-0.5], [0.5]])).tolist() == [-1.0, 0.0]
 
 
 def test_local_variance_examples():
-    assert local_variance(GpcExpansion(full_line(), 0, np.array([7.0]))) == 0.0
-    assert local_variance(GpcExpansion(full_line(), 1, np.array([2.0, 3.0]))) == 9.0
-    assert local_variance(GpcExpansion(full_line(), 2, np.array([0.0, 1.0, 2.0]))) == 5.0
+    assert local_variance(np.array([7.0])) == 0.0
+    assert local_variance(np.array([2.0, 3.0])) == 9.0
+    assert local_variance(np.array([0.0, 1.0, 2.0])) == 5.0
+    # one variance per row of a coefficient matrix
+    assert local_variance(np.array([[7.0, 0.0, 0.0], [2.0, 3.0, 0.0], [0.0, 1.0, 2.0]])).tolist() == [0.0, 9.0, 5.0]
 
 
 def test_projection_reproduces_polynomials():
@@ -125,28 +140,26 @@ def test_projection_reproduces_polynomials():
     for d, n in ((1, 5), (2, 3)):
         e = Element.box([-1.0] * d, [1.0] * d) if d > 1 else Element.box([-0.5], [0.75])
         coeffs = rng.normal(size=len(multi_index_set(d, n)))
-        truth = GpcExpansion(e, n, coeffs)
 
-        model = CallableModel(lambda Z: eval_expansion_many(truth, np.reshape(Z, (-1, d))), dim=d)
+        model = CallableModel(lambda Z: eval_expansion_many(e, n, coeffs, np.reshape(Z, (-1, d))), dim=d)
         rebuilt = build_collocation(model, e, n)
-        assert np.max(np.abs(rebuilt.coeffs - coeffs)) < 1e-12
+        assert np.max(np.abs(rebuilt - coeffs)) < 1e-12
 
         pts = e.lower + (np.array(e.upper) - np.array(e.lower)) * rng.uniform(0, 1, size=(100, d))
-        assert np.max(np.abs(eval_expansion_many(rebuilt, pts) - eval_expansion_many(truth, pts))) < 1e-11
+        assert np.max(np.abs(eval_expansion_many(e, n, rebuilt, pts) - eval_expansion_many(e, n, coeffs, pts))) < 1e-11
 
 
 def test_parseval_variance_matches_quadrature():
     rng = np.random.default_rng(1)
     e = Element.box([-0.25], [0.5])
     coeffs = rng.normal(size=5)
-    exp = GpcExpansion(e, 4, coeffs)
     # quadrature oracle for the conditional variance over the element
     x, w = np.polynomial.legendre.leggauss(12)
     w = w / w.sum()
     pts = (e.lower[0] + e.upper[0]) / 2.0 + x * (e.upper[0] - e.lower[0]) / 2.0
-    vals = eval_expansion_many(exp, pts[:, None])
+    vals = eval_expansion_many(e, 4, coeffs, pts[:, None])
     var = float(np.sum(w * vals**2) - np.sum(w * vals) ** 2)
-    assert local_variance(exp) == pytest.approx(var, abs=1e-10)
+    assert local_variance(coeffs) == pytest.approx(var, abs=1e-10)
 
 
 def test_lp_error_examples():
@@ -155,12 +168,12 @@ def test_lp_error_examples():
     assert lp_error(me, model, p=2, m=5000, seed=3) == 0.0
 
     lin_model = CallableModel(lambda z: z)
-    zero = MultiElementSurrogate((GpcExpansion(full_line(), 0, np.array([0.0])),))
+    zero = global_surrogate(0, [0.0])
     err = lp_error(zero, lin_model, p=2, m=40000, seed=4)
     assert err == pytest.approx(math.sqrt(1.0 / 3.0), abs=0.01)
 
     # surrogate identical to the model
-    same = MultiElementSurrogate((GpcExpansion(full_line(), 1, np.array([0.0, 1.0 / math.sqrt(3.0)])),))
+    same = global_surrogate(1, [0.0, 1.0 / math.sqrt(3.0)])
     assert lp_error(same, lin_model, p=1, m=2000, seed=5) < 1e-14
 
 
@@ -209,11 +222,8 @@ def test_me_surrogate_value_does_not_depend_on_the_batch():
     # order 7 on seven uneven elements; a shuffled batch longer than one evaluation chunk
     rng = np.random.default_rng(21)
     bounds = (-1.0, -0.75, -0.5, -0.25, 0.0, 0.125, 0.5, 1.0)
-    expansions = tuple(
-        GpcExpansion(Element.box([a], [b]), 7, rng.normal(size=8) * 10.0 ** -np.arange(8))
-        for a, b in zip(bounds, bounds[1:])
-    )
-    surr = MultiElementSurrogate(expansions)
+    dec = Decomposition(tuple(Element.box([a], [b]) for a, b in zip(bounds, bounds[1:])))
+    surr = MultiElementSurrogate(dec, 7, rng.normal(size=(7, 8)) * 10.0 ** -np.arange(8))
     pts = rng.permutation(np.vstack([sample_uniform(9000, 1, 5).points, [[b] for b in bounds]]))
     owners = np.empty(len(pts), dtype=np.intp)
     batch = eval_me_surrogate_many(surr, pts, owners)
@@ -221,19 +231,16 @@ def test_me_surrogate_value_does_not_depend_on_the_batch():
     assert np.array_equal(batch, alone)
     assert np.array_equal(owners, np.searchsorted(bounds[1:-1], pts[:, 0], side="right"))
     # each value is the owning element's own expansion, up to rounding
-    for k, exp in enumerate(expansions):
+    for k, (e, coeffs) in enumerate(zip(dec, surr.coeffs)):
         rows = owners == k
-        assert np.allclose(batch[rows], eval_expansion_many(exp, pts[rows]), rtol=0.0, atol=1e-13)
+        assert np.allclose(batch[rows], eval_expansion_many(e, 7, coeffs, pts[rows]), rtol=0.0, atol=1e-13)
 
 
 def _basis_matrix_reference(surr, pts):
     # the (n, P) formulation: one basis matrix per batch, then each column
     # times its gathered coefficients, accumulated in index-set order
-    order = max(exp.order for exp in surr.expansions)
-    indices = multi_index_set(surr.dim, order)
-    coeffs = np.zeros((len(indices), len(surr)))
-    for k, exp in enumerate(surr.expansions):
-        coeffs[: exp.coeffs.size, k] = exp.coeffs
+    indices = multi_index_set(surr.dim, surr.order)
+    coeffs = surr.coeffs.T
     lower = np.array([e.lower for e in surr.decomposition])
     upper = np.array([e.upper for e in surr.decomposition])
     k = locate_many(surr.decomposition, pts)
@@ -247,24 +254,21 @@ def _basis_matrix_reference(surr, pts):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_me_surrogate_matches_basis_matrix_formula_bit_for_bit(d):
-    # mixed orders 0..7 on eight 1-D elements, 2/5/3/7 on the four 2-D quadrants;
+    # each order 0..7 on eight 1-D elements, 2/3/5/7 on the four 2-D quadrants;
     # the batch is longer than one evaluation chunk
     rng = np.random.default_rng(13)
     if d == 1:
         bounds = (-1.0, -0.75, -0.5, -0.25, 0.0, 0.125, 0.25, 0.5, 1.0)
-        elements = [Element.box([a], [b]) for a, b in zip(bounds, bounds[1:])]
+        dec = Decomposition(tuple(Element.box([a], [b]) for a, b in zip(bounds, bounds[1:])))
         orders = range(8)
     else:
-        elements = [Element.box([a, b], [a + 1.0, b + 1.0]) for a in (-1.0, 0.0) for b in (-1.0, 0.0)]
-        orders = (2, 5, 3, 7)
-    expansions = tuple(
-        GpcExpansion(e, p, rng.normal(size=len(multi_index_set(d, p))))
-        for e, p in zip(elements, orders)
-    )
-    surr = MultiElementSurrogate(expansions)
+        dec = Decomposition(tuple(Element.box([a, b], [a + 1.0, b + 1.0]) for a in (-1.0, 0.0) for b in (-1.0, 0.0)))
+        orders = (2, 3, 5, 7)
     pts = np.vstack([sample_uniform(EVAL_CHUNK + 1808, d, 3).points, np.full((1, d), -1.0), np.full((1, d), 1.0)])
-    got = eval_me_surrogate_many(surr, pts)
-    assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
+    for p in orders:
+        surr = MultiElementSurrogate(dec, p, rng.normal(size=(len(dec), len(multi_index_set(d, p)))))
+        got = eval_me_surrogate_many(surr, pts)
+        assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +374,20 @@ def test_wrong_shaped_chunk_is_an_error(workers, n_workers):
             model.evaluate_many(pts)
         assert info.value.point.tolist() == [EVAL_CHUNK]
     assert (surrogate._pool is None) is (n_workers == 1)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_integration_error_names_the_row_of_the_batch(workers, n_workers):
+    # at dt = 2, xi = -0.5 overflows and xi = 0 does not; row 20,000 is row 3,616 of its
+    # chunk, the third of 8,192 rows on one thread and the second of 16,384 rows on two
+    workers(n_workers)
+    xi = np.zeros((65_536, 1))
+    xi[20_000] = -0.5
+    with pytest.raises(IntegrationError, match=r"t = 11\.25 in column 20000$") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        KoModel(dt=2.0).evaluate_many(xi)
+    assert info.value.t == 11.25 and info.value.column == 20_000
+    assert info.value.__cause__.column == 3616
 
 
 def test_parallel_chunks_keep_the_callers_errstate(workers):
