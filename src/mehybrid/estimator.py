@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelEvaluationError
+from .errors import IntegrationError, ModelEvaluationError
 from .randomspace import SampleSet
 from .refine import _count, _real
 from .surrogate import LimitStateModel, MultiElementSurrogate, eval_me_surrogate_many
@@ -242,7 +242,8 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
     surrogate values ``approx`` took, and ``approx`` becomes |g~| in place.
     Under the band rule a walk's only block is its samples with |g~| <= gamma,
     in sample order.  A NaN in ``approx`` raises ModelEvaluationError at its
-    first sample before any exact call."""
+    first sample before any exact call.  An IntegrationError with a column,
+    raised by a block, is raised again with the column naming the sample."""
     m = pts.shape[0]
     if cfg.delta_m > m:
         raise ValueError("step size cannot exceed the sample count")
@@ -273,7 +274,15 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
                 order = _grow_order(mag_k, order, next(thresholds))
             block = order[pos:stop] if members is None else members[order[pos:stop]]
             tock = time.perf_counter()
-            exact_vals = model.evaluate_many(pts[block])
+            try:
+                exact_vals = model.evaluate_many(pts[block])
+            except IntegrationError as exc:
+                if exc.column is None:
+                    raise
+                column = int(block[exc.column])
+                where = "" if label is None else f" of element {label}"
+                raise IntegrationError(f"non-finite state at t = {exc.t:.6g} in column {column} "
+                                       f"(iteration {iteration}{where})", t=exc.t, column=column) from exc
             delta = int(np.count_nonzero(exact_vals < 0.0)) - int(np.count_nonzero(surr_neg[block]))
             order_s += tock - tick
             blocks_s += time.perf_counter() - tock

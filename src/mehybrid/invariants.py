@@ -113,9 +113,10 @@ def check_galerkin_energy() -> tuple[bool, str]:
 
 def check_ko_invariants() -> tuple[bool, str]:
     xi = np.random.default_rng(9).uniform(-1, 1, size=20)
-    y = prob.ko_trajectory(xi, 15.0, 0.01)
+    model = prob.KoModel()
+    y = prob.ko_trajectory(xi, model.T, model.dt)
     drift = float(np.max(np.abs(y[0] * y[1] - 0.1 * xi)))
-    sym = float(np.max(np.abs(y[0] - prob.ko_trajectory(-xi, 15.0, 0.01)[0])))
+    sym = float(np.max(np.abs(y[0] - prob.ko_trajectory(-xi, model.T, model.dt)[0])))
     ok = drift < TOLERANCES["ko-conservation"] and sym < TOLERANCES["ko-symmetry"]
     return ok, f"conservation {drift:.2e}, symmetry {sym:.2e}"
 

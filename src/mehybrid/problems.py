@@ -48,15 +48,12 @@ __all__ = [
     "step_me_exact",
     "gaussian_from_uniform",
     "z_legendre_coeffs",
-    "ode_limit_state",
     "OdeModel",
     "ode_galerkin_system",
-    "ko_limit_state",
     "ko_trajectory",
     "KoModel",
     "ko_galerkin_system",
     "burgers_transition_z",
-    "burgers_limit_state",
     "BurgersModel",
 ]
 
@@ -161,7 +158,7 @@ def _erfinv(x: np.ndarray) -> np.ndarray:
     return p * x
 
 
-def gaussian_from_uniform(x, mu: float = -2.0, sigma: float = 1.0):
+def gaussian_from_uniform(x, mu: float, sigma: float):
     """Map a uniform variable on (-1, 1) to a Gaussian with the given moments.
 
     Uses mu + sqrt(2) * sigma * erfinv(x), elementwise, with erfinv from
@@ -176,7 +173,7 @@ def gaussian_from_uniform(x, mu: float = -2.0, sigma: float = 1.0):
     return mu + math.sqrt(2.0) * sigma * y
 
 
-def z_legendre_coeffs(p: int, mu: float = -2.0, sigma: float = 1.0) -> np.ndarray:
+def z_legendre_coeffs(p: int, mu: float, sigma: float) -> np.ndarray:
     """Orthonormal Legendre coefficients of the Gaussian transform up to degree p.
 
     k_i = E[(mu + sqrt(2) sigma erfinv(X)) phi_i(X)] by 64-node Gauss quadrature;
@@ -191,19 +188,6 @@ def z_legendre_coeffs(p: int, mu: float = -2.0, sigma: float = 1.0) -> np.ndarra
 # linear decay ODE
 
 
-def ode_limit_state(
-    z_uniform,
-    u0: float = 1.0,
-    T: float = 1.0,
-    u_d: float = 0.5,
-    mu: float = -2.0,
-    sigma: float = 1.0,
-):
-    """u0 exp(-Z T) - u_d with Z the Gaussian image of the uniform input (closed form)."""
-    z = gaussian_from_uniform(z_uniform, mu, sigma)
-    return u0 * np.exp(-z * T) - u_d
-
-
 def _check_parameters(values: dict, positive: tuple[str, ...]) -> None:
     """ValueError unless every value is a finite number and those named in ``positive`` are > 0."""
     for name, value in values.items():
@@ -214,6 +198,8 @@ def _check_parameters(values: dict, positive: tuple[str, ...]) -> None:
 
 
 class OdeModel(LimitStateModel):
+    """u0 exp(-Z T) - u_d with Z the Gaussian image of the uniform input (closed form)."""
+
     dim = 1
 
     def __init__(self, u0=1.0, T=1.0, u_d=0.5, mu=-2.0, sigma=1.0):
@@ -223,7 +209,8 @@ class OdeModel(LimitStateModel):
         self.u0, self.T, self.u_d, self.mu, self.sigma = u0, T, u_d, mu, sigma
 
     def _g_many(self, Z):
-        return ode_limit_state(Z[:, 0], self.u0, self.T, self.u_d, self.mu, self.sigma)
+        z = gaussian_from_uniform(Z[:, 0], self.mu, self.sigma)
+        return self.u0 * np.exp(-z * self.T) - self.u_d
 
     def analytic_p_f(self) -> float:
         """Exact tail probability Prob(Z > ln(u0/u_d) / T) of the Gaussian rate."""
@@ -231,7 +218,7 @@ class OdeModel(LimitStateModel):
         return 0.5 * math.erfc((threshold - self.mu) / (self.sigma * math.sqrt(2.0)))
 
 
-def ode_galerkin_system(p: int, u0=1.0, mu=-2.0, sigma=1.0) -> PolynomialOde:
+def ode_galerkin_system(p: int, u0: float, mu: float, sigma: float) -> PolynomialOde:
     """Decay system u' = -Z_p(x) u with the rate replaced by its degree-p expansion."""
     k = z_legendre_coeffs(p, mu, sigma)
 
@@ -288,7 +275,7 @@ def _ko_integrate(y0: np.ndarray, T: float, dt: float) -> np.ndarray:
     return np.stack([(a + b) / 2.0, (a - b) / 2.0, c])
 
 
-def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
+def ko_trajectory(xi, T: float, dt: float) -> np.ndarray:
     """Integrate the three-mode system from (1, 0.1 xi, 0) in ceil(T / dt) RK4 steps;
     returns the state at T, shaped (3,) + xi.shape (see `_ko_integrate`)."""
     xi = np.asarray(xi, dtype=float)
@@ -297,12 +284,9 @@ def ko_trajectory(xi, T: float = 15.0, dt: float = 0.01) -> np.ndarray:
     return y.reshape((3,) + xi.shape)
 
 
-def ko_limit_state(xi, T: float = 15.0, u_d: float = 0.03, dt: float = 0.01):
-    """y1(T) - u_d for the three-mode system started at (1, 0.1 xi, 0)."""
-    return ko_trajectory(xi, T, dt)[0] - u_d
-
-
 class KoModel(LimitStateModel):
+    """y1(T) - u_d for the three-mode system started at (1, 0.1 xi, 0), in RK4 steps of dt."""
+
     dim = 1
     parallel_chunk = 16_384
 
@@ -312,7 +296,7 @@ class KoModel(LimitStateModel):
         self.T, self.u_d, self.dt = T, u_d, dt
 
     def _g_many(self, Z):
-        return ko_limit_state(Z[:, 0], self.T, self.u_d, self.dt)
+        return ko_trajectory(Z[:, 0], self.T, self.dt)[0] - self.u_d
 
 
 def ko_galerkin_system() -> PolynomialOde:
@@ -409,16 +393,10 @@ def burgers_transition_z(delta, nu, return_amplitude: bool = False):
     return (z, a) if return_amplitude else z
 
 
-def burgers_limit_state(x_uniform, e: float = 0.1, nu: float = 0.05, z0: float = 0.75):
-    """z0 - z(delta) with delta = e (x + 1) / 2, i.e. delta uniform on (0, e), elementwise."""
-    x = np.asarray(x_uniform, dtype=float)
-    if not np.all(np.abs(x) <= 1.0):
-        raise DomainError("input must lie in [-1, 1]")
-    delta = e * (x + 1.0) / 2.0
-    return -burgers_transition_z(delta, nu) + z0
-
-
 class BurgersModel(LimitStateModel):
+    """z0 - z(delta) with delta = e (x + 1) / 2, i.e. delta uniform on (0, e); an input
+    outside [-1, 1] is a DomainError."""
+
     dim = 1
 
     def __init__(self, e=0.1, nu=0.05, z0=0.75):
@@ -427,7 +405,11 @@ class BurgersModel(LimitStateModel):
         self.e, self.nu, self.z0 = e, nu, z0
 
     def _g_many(self, Z):
-        return burgers_limit_state(Z[:, 0], self.e, self.nu, self.z0)
+        x = Z[:, 0]
+        if not np.all(np.abs(x) <= 1.0):
+            raise DomainError("input must lie in [-1, 1]")
+        delta = self.e * (x + 1.0) / 2.0
+        return -burgers_transition_z(delta, self.nu) + self.z0
 
 
 # ---------------------------------------------------------------------------

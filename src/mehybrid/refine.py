@@ -150,21 +150,22 @@ def _split_dims(sensitivity: np.ndarray) -> set[int]:
     return {int(j) for j in np.flatnonzero(s >= THETA2 * s.max())}
 
 
-def _split_pass(elements: Sequence[Element], ids: Sequence[int], next_id: int, cfg: RefinementConfig,
+def _split_pass(elements: Sequence[Element], ids: Sequence[int], cfg: RefinementConfig,
                 strength, sensitivity, indicator, t: float | None, event_log: list[RefinementEvent] | None,
-                ) -> tuple[list[Element], list[int], list[tuple[int, bool]], int, bool]:
+                ) -> tuple[list[Element], list[int], list[tuple[int, bool]], bool]:
     """One pass of the split rule over a mesh, in mesh order.
 
     Element k splits when ``strength[k] * prob >= cfg.theta1``, along the
     dimensions `_split_dims` picks from ``sensitivity[k]``, unless the split
     would grow the mesh beyond ``cfg.max_elements``.  Children take their
-    parent's place and the next ids from ``next_id``; each split is logged as
-    ``RefinementEvent(t, ids[k], indicator[k], dims)``.  Returns the new mesh,
-    its ids, the origin (parent index, is a child) of each new element, the
-    next free id and whether the cap refused a split.
+    parent's place and consecutive ids from max(ids) + 1, which no element
+    ever held: the newest element is a leaf, and only a split removes one.
+    Each split is logged as ``RefinementEvent(t, ids[k], indicator[k], dims)``.
+    Returns the new mesh, its ids, the origin (parent index, is a child) of
+    each new element and whether the cap refused a split.
     """
     new_elements, new_ids, origin = [], [], []
-    truncated = False
+    next_id, truncated = max(ids) + 1, False
     for k, e in enumerate(elements):
         dims = _split_dims(sensitivity[k]) if strength[k] * e.prob >= cfg.theta1 else None
         if dims is not None and len(new_elements) + (len(elements) - k - 1) + 2 ** len(dims) > cfg.max_elements:
@@ -180,7 +181,7 @@ def _split_pass(elements: Sequence[Element], ids: Sequence[int], next_id: int, c
         new_elements += parts
         new_ids += part_ids
         origin += [(k, dims is not None)] * len(parts)
-    return new_elements, new_ids, origin, next_id, truncated
+    return new_elements, new_ids, origin, truncated
 
 
 def adapt_static(
@@ -201,11 +202,11 @@ def adapt_static(
     """
     elements = [Element.box([-1.0] * model.dim, [1.0] * model.dim)]
     rows = [build_collocation(model, elements[0], cfg.N, q)]
-    ids, next_id, truncated = [0], 1, False
+    ids, truncated = [0], False
     while True:
         eta, r = static_indicator(np.array(rows), cfg.N, model.dim)
         strength = [x ** ALPHA for x in eta.tolist()]  # float pow: numpy's ** 0.5 is a sqrt, rounded otherwise
-        new, ids, origin, next_id, cut = _split_pass(elements, ids, next_id, cfg, strength, r, eta, None, event_log)
+        new, ids, origin, cut = _split_pass(elements, ids, cfg, strength, r, eta, None, event_log)
         truncated |= cut
         if len(new) == len(elements):
             return MultiElementSurrogate(Decomposition(tuple(elements)), cfg.N, np.array(rows), truncated)
@@ -484,12 +485,16 @@ def _project_child_state(parent: Element, child: Element, coeffs: np.ndarray, or
     return project(lambda pts: (basis_matrix(basis, to_local_many(parent, pts)) @ coeffs.T).T, child, order)
 
 
-def _linear_operators(system: PolynomialOde, dense: np.ndarray, elements: Sequence[Element], order: int,
-                      sizes: Sequence[int]) -> list[np.ndarray | None]:
-    """The linear operator at each mode count in ``sizes``, with the fields projected
-    onto ``elements`` at ``order``."""
-    fields = [_project_function(fn, elements, order) for _, fn, _, _ in system.field_linear]
-    return [_linear_operator(system, dense, fields, n) for n in sizes]
+def _cut_modes(op: np.ndarray | None, n_state: int, n_red: int) -> np.ndarray | None:
+    """An operator of `_quadratic_operator` (2-d) or `_linear_operator` (3-d), or None, cut to
+    the first ``n_red`` modes of each (state, mode) axis pair; the index sets are nested, so
+    this is the operator built at ``n_red`` modes, entry for entry."""
+    if op is None:
+        return None
+    pair, cut = (n_state, op.shape[-2] // n_state), (slice(None), slice(n_red))
+    if op.ndim == 2:  # rows (a, j), columns (b, l, var, k)
+        return op.reshape(pair * 3)[cut * 3].reshape(n_state * n_red, -1)
+    return op.reshape((len(op),) + pair * 2)[(slice(None),) + cut * 2].reshape(len(op), n_state * n_red, -1)
 
 
 def adapt_dynamic(
@@ -517,15 +522,20 @@ def adapt_dynamic(
     # a reduced order of N - 1 instead of N - 2 refines the three-mode system worse.
     reduced = multi_index_set(d, max(0, cfg.N - 2))
     dense = triple_products(d, cfg.N)
-    # the operators of the full and the reduced system; the linear ones follow the mesh
-    sizes = (dense.shape[0], len(reduced))
-    quad, quad_red = (_quadratic_operator(sys_, dense, n) for n in sizes)
+    s, n, n_red = sys_.n_state, dense.shape[0], len(reduced)
 
+    def linear(elements: Sequence[Element]) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The full and reduced linear operators, with the fields projected onto ``elements``."""
+        fields = [_project_function(fn, elements, cfg.N) for _, fn, _, _ in sys_.field_linear]
+        lin = _linear_operator(sys_, dense, fields, n)
+        return lin, _cut_modes(lin, s, n_red)
+
+    quad = _quadratic_operator(sys_, dense, n)
+    quad_red = _cut_modes(quad, s, n_red)
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
-    next_id = 1
     coeffs = _project_function(sys_.initial, elements, cfg.N, (sys_.n_state,))
-    lin, lin_red = _linear_operators(sys_, dense, elements, cfg.N, sizes)
+    lin, lin_red = linear(elements)
     truncated = False
 
     t = 0.0
@@ -535,17 +545,17 @@ def adapt_dynamic(
         t = t_next
         if t >= T - 1e-12:
             break
-        low = coeffs[:, :, : len(reduced)]
+        low = coeffs[:, :, :n_red]
         full = _batched_rhs(quad, lin, coeffs, np.empty(coeffs.shape))()
         low_rhs = _batched_rhs(quad_red, lin_red, low, np.empty(low.shape))()
         q_all, s_all = dynamic_indicator(full, low_rhs, coeffs, reduced)
-        new, ids, origin, next_id, cut = _split_pass(elements, ids, next_id, cfg, q_all, s_all, q_all, t, event_log)
+        new, ids, origin, cut = _split_pass(elements, ids, cfg, q_all, s_all, q_all, t, event_log)
         truncated |= cut
         if len(new) != len(elements):
             coeffs = np.stack([_project_child_state(elements[k], e, coeffs[k], cfg.N) if child else coeffs[k]
                                for e, (k, child) in zip(new, origin)])
             elements = new
-            lin, lin_red = _linear_operators(sys_, dense, elements, cfg.N, sizes)
+            lin, lin_red = linear(elements)
     return Decomposition(tuple(elements)), coeffs, truncated
 
 

@@ -91,7 +91,7 @@ def test_criterion_3_linear_ode(samples_1m):
     assert abs(mc.p_f - 0.003541) <= band, "published reference must lie in the same band"
 
     for p in (3, 5, 7):
-        system = ode_galerkin_system(p)
+        system = ode_galerkin_system(p, 1.0, -2.0, 1.0)
         rcfg = RefinementConfig(theta1=0.05, N=p, max_elements=64)
         dec, coeffs, _ = adapt_dynamic(system, rcfg, T=1.0, dt=0.01)
         surrogate = limit_state_surrogate(dec, coeffs, rcfg.N, var=0, offset=-0.5)

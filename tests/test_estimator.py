@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mehybrid import surrogate as surrogate_module
-from mehybrid.errors import ModelEvaluationError
+from mehybrid.errors import IntegrationError, ModelEvaluationError
 from mehybrid.estimator import (
     ORDER_SAMPLE,
     Estimate,
@@ -18,14 +18,14 @@ from mehybrid.estimator import (
     me_lha,
     relative_error,
 )
-from mehybrid.randomspace import Decomposition, Element, locate_many, sample_uniform
+from mehybrid.randomspace import Decomposition, Element, SampleSet, locate_many, sample_uniform
 from mehybrid.surrogate import (
     CallableModel,
     MultiElementSurrogate,
     gamma_bound,
     lp_error,
 )
-from mehybrid.problems import BurgersModel, StepModel, step_global_gpc, step_me_exact
+from mehybrid.problems import BurgersModel, KoModel, StepModel, step_global_gpc, step_me_exact
 from mehybrid.refine import RefinementConfig, adapt_static
 
 
@@ -76,6 +76,27 @@ def test_nan_surrogate_value_is_an_error():
         me_lha(model, halves, samples, HybridConfig(delta_m=100))
     assert info.value.point.tolist() == first
     assert model.call_count == 0
+
+
+def test_integration_error_names_the_sample():
+    # at dt = 2, xi = -0.5 overflows and xi = 0 does not; the surrogate ranks sample 737
+    # 38th, so it is row 37 of the first block, and in the local walk the only sample of
+    # element 0
+    pts = np.zeros((1000, 1))
+    pts[737] = -0.5
+    samples = SampleSet(pts, seed=0)
+    approx = np.arange(1.0, 1001.0)
+    approx[737] = 37.5
+    with pytest.raises(IntegrationError, match=r"t = 11\.25 in column 737 \(iteration 1\)$") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        iterative_hybrid(KoModel(dt=2.0), lambda Z: approx.copy(), samples, HybridConfig(delta_m=100))
+    assert info.value.t == 11.25 and info.value.column == 737
+    assert info.value.__cause__.column == 37
+    mesh = line_mesh((-1.0, -0.25, 1.0), 0, [[1.0], [1.0]])
+    with pytest.raises(IntegrationError, match=r"in column 737 \(iteration 1 of element 0\)$") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        me_lha(KoModel(dt=2.0), mesh, samples, HybridConfig(delta_m=100))
+    assert info.value.column == 737 and info.value.__cause__.column == 0
 
 
 def test_wrong_shaped_values_are_errors():
@@ -588,7 +609,7 @@ def test_walk_memory_in_sample_lengths():
     from mehybrid.refine import RefinementConfig, adapt_dynamic, limit_state_surrogate
 
     rcfg = RefinementConfig(theta1=0.05, N=3, max_elements=64)
-    dec, coeffs, _ = adapt_dynamic(ode_galerkin_system(3), rcfg, T=1.0, dt=0.01)
+    dec, coeffs, _ = adapt_dynamic(ode_galerkin_system(3, 1.0, -2.0, 1.0), rcfg, T=1.0, dt=0.01)
     mesh = limit_state_surrogate(dec, coeffs, 3, var=0, offset=-0.5)
     samples = sample_uniform(200_000, 1, 42)
     assert len(mesh) == 5

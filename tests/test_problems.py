@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -18,11 +19,9 @@ from mehybrid.problems import (
     StepModel,
     _ko_rhs,
     _tanh_system,
-    burgers_limit_state,
     burgers_transition_z,
     gaussian_from_uniform,
     ko_trajectory,
-    ode_limit_state,
     step_global_gpc,
     step_me_exact,
     z_legendre_coeffs,
@@ -54,8 +53,6 @@ def test_nan_point_is_a_domain_error():
         with pytest.raises(DomainError):
             model.evaluate_many(np.array([[0.1], [math.nan]]))
         assert model.call_count == 0
-    with pytest.raises(DomainError):
-        burgers_limit_state(np.array([0.1, math.nan]))
 
 
 def test_step_exact_surrogate_has_zero_lp_error():
@@ -116,23 +113,23 @@ def test_transform_accuracy():
 
 def test_transform_keeps_the_input_shape():
     for scalar in (0.25, np.float64(0.25), np.asarray(0.25)):
-        z = gaussian_from_uniform(scalar)
-        assert np.ndim(z) == 0 and float(z) == gaussian_from_uniform([0.25])[0]
+        z = gaussian_from_uniform(scalar, -2.0, 1.0)
+        assert np.ndim(z) == 0 and float(z) == gaussian_from_uniform([0.25], -2.0, 1.0)[0]
     x = np.linspace(-0.999, 0.9999, 7)
-    z = gaussian_from_uniform(x)
+    z = gaussian_from_uniform(x, -2.0, 1.0)
     assert z.shape == (7,)
-    assert np.array_equal(gaussian_from_uniform(x.reshape(7, 1)), z.reshape(7, 1))
+    assert np.array_equal(gaussian_from_uniform(x.reshape(7, 1), -2.0, 1.0), z.reshape(7, 1))
 
 
 def test_transform_domain_error():
     with pytest.raises(DomainError):
-        gaussian_from_uniform(1.0)
+        gaussian_from_uniform(1.0, -2.0, 1.0)
     with pytest.raises(DomainError):
-        gaussian_from_uniform(-1.0000001)
+        gaussian_from_uniform(-1.0000001, -2.0, 1.0)
     # NaN compares false with every bound, so it must not slip through as a value inside
     for bad in (math.nan, [0.5, math.nan], math.inf):
         with pytest.raises(DomainError):
-            gaussian_from_uniform(bad)
+            gaussian_from_uniform(bad, -2.0, 1.0)
     with pytest.raises(DomainError):
         OdeModel().evaluate_many(np.array([[0.1], [math.nan]]))
 
@@ -165,7 +162,7 @@ def test_z_legendre_coeffs():
 
 
 def test_ode_limit_state_at_median():
-    assert ode_limit_state(0.0) == pytest.approx(math.exp(2.0) - 0.5, rel=1e-12)
+    assert OdeModel().evaluate_many(np.array([[0.0]]))[0] == pytest.approx(math.exp(2.0) - 0.5, rel=1e-12)
 
 
 def test_ode_analytic_tail_matches_mc():
@@ -340,18 +337,19 @@ def test_burgers_large_perturbation_evaluates():
 
 
 def test_burgers_limit_state_endpoints_and_failure_interval():
-    assert burgers_limit_state(-1.0) == pytest.approx(0.75, abs=1e-14)
+    model = BurgersModel()
+    assert model.evaluate_many(np.array([[-1.0]]))[0] == pytest.approx(0.75, abs=1e-14)
     xs = np.linspace(-1.0, 1.0, 201)
-    vals = burgers_limit_state(xs)
+    vals = model.evaluate_many(xs[:, None])
     # failure region is one upper interval of delta: signs switch exactly once
     signs = vals < 0.0
     switches = np.count_nonzero(np.diff(signs))
     assert switches == 1
     assert not signs[0] and signs[-1]
     with pytest.raises(DomainError):
-        burgers_limit_state(1.5)
+        model.evaluate_many(np.array([[1.5]]))
     with pytest.raises(DomainError):
-        burgers_limit_state(np.array([0.0, -1.2]))
+        model.evaluate_many(np.array([[0.0], [-1.2]]))
 
 
 def test_burgers_model_counts_calls():
@@ -385,6 +383,14 @@ def test_batch_equals_blocks(name):
     blocks = np.concatenate([model.evaluate_many(pts[i : i + 100]) for i in range(0, len(pts), 100)])
     assert np.array_equal(model.evaluate_many(pts), blocks)
     assert model.call_count == 2 * len(pts)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_problem_parameters_are_the_model_defaults(name):
+    # a problem's defaults are written in its model's constructor and in its spec; this ties the two
+    spec = PROBLEMS[name]
+    defaults = [(p.name, p.default) for p in inspect.signature(spec.make_model).parameters.values()]
+    assert list(spec.parameters.items()) == defaults
 
 
 def test_problem_registry_parameter_overrides():

@@ -14,9 +14,11 @@ from mehybrid.refine import (
     RefinementEvent,
     THETA2,
     _batched_rhs,
+    _cut_modes,
     _galerkin_rhs,
     _linear_operator,
     _project_child_state,
+    _project_function,
     _quadratic_operator,
     _split_pass,
     adapt_dynamic,
@@ -97,34 +99,35 @@ def test_split_pass_threshold_is_inclusive():
     half = Element.box([-1.0], [0.0])  # prob 0.5
     below = np.nextafter(0.5, 0.0)
     for strength, splits in ((0.5, True), (below, False)):
-        elements, ids, origin, next_id, truncated = _split_pass(
-            [half], [0], 1, cfg(theta1=0.25), [strength], [np.ones(1)], [strength], None, None)
+        elements, ids, origin, truncated = _split_pass(
+            [half], [0], cfg(theta1=0.25), [strength], [np.ones(1)], [strength], None, None)
         assert len(elements) == (2 if splits else 1) and not truncated
-        assert next_id == (3 if splits else 1)
+        assert ids == ([1, 2] if splits else [0])
 
 
 def test_split_pass_directions_follow_theta2():
     square = Element.box([-1.0, -1.0], [1.0, 1.0])
     for r, dims in (([1.0, 0.05], (0,)), ([0.05, 1.0], (1,)), ([1.0, THETA2], (0, 1)), ([0.3, 1.0], (0, 1))):
         events: list[RefinementEvent] = []
-        elements, *_ = _split_pass([square], [0], 1, cfg(theta1=0.5), [1.0], [np.array(r)], [0.7], None, events)
+        elements, ids, *_ = _split_pass([square], [0], cfg(theta1=0.5), [1.0], [np.array(r)], [0.7], None, events)
         assert events == [RefinementEvent(None, 0, 0.7, dims)]
         assert elements == split_element(square, set(dims))
+        assert ids == list(range(1, 1 + 2 ** len(dims)))
 
 
 def test_split_pass_numbers_children_in_mesh_order():
     # elements 0 and 2 of four split: kept elements keep their ids, children take their
-    # parent's place and consecutive ids from next_id, and each split logs one event
+    # parent's place and consecutive ids from the largest id plus one, and each split logs one event
     mesh = [Element.box([a], [a + 0.5]) for a in (-1.0, -0.5, 0.0, 0.5)]  # prob 0.25 each
     strength = np.array([1.0, 0.1, 2.0, 0.1])
     events: list[RefinementEvent] = []
-    elements, ids, origin, next_id, truncated = _split_pass(
-        mesh, [3, 7, 8, 9], 10, cfg(theta1=0.25), strength, np.ones((4, 1)), 10.0 * strength, 1.5, events)
+    elements, ids, origin, truncated = _split_pass(
+        mesh, [3, 7, 8, 9], cfg(theta1=0.25), strength, np.ones((4, 1)), 10.0 * strength, 1.5, events)
     assert [(e.lower[0], e.upper[0]) for e in elements] == [
         (-1.0, -0.75), (-0.75, -0.5), (-0.5, 0.0), (0.0, 0.25), (0.25, 0.5), (0.5, 1.0)]
     assert ids == [10, 11, 7, 12, 13, 9]
     assert origin == [(0, True), (0, True), (1, False), (2, True), (2, True), (3, False)]
-    assert next_id == 14 and not truncated
+    assert not truncated
     assert events == [RefinementEvent(1.5, 3, 10.0, (0,)), RefinementEvent(1.5, 8, 20.0, (0,))]
     assert all(type(ev.indicator) is float for ev in events)
 
@@ -135,12 +138,13 @@ def test_split_pass_refuses_splits_past_the_cap():
     mesh = [Element.box([a], [a + 2.0 / 3.0]) for a in (-1.0, -1.0 / 3.0, 1.0 / 3.0)]
     for cap, n_splits in ((3, 0), (4, 1), (5, 2), (6, 3)):
         events: list[RefinementEvent] = []
-        elements, ids, origin, next_id, truncated = _split_pass(
-            mesh, [0, 1, 2], 3, cfg(theta1=1e-3, max_elements=cap), np.ones(3), np.ones((3, 1)), np.ones(3),
+        elements, ids, origin, truncated = _split_pass(
+            mesh, [0, 1, 2], cfg(theta1=1e-3, max_elements=cap), np.ones(3), np.ones((3, 1)), np.ones(3),
             None, events)
         assert len(elements) == 3 + n_splits <= cap
         assert truncated is (n_splits < 3)
-        assert len(events) == n_splits and next_id == 3 + 2 * n_splits
+        assert len(events) == n_splits
+        assert ids == list(range(3, 3 + 2 * n_splits)) + list(range(n_splits, 3))
         assert [k for k, child in origin if child] == [k for k in range(n_splits) for _ in range(2)]
 
 
@@ -334,7 +338,7 @@ def test_galerkin_rhs_needs_one_field_per_field_term():
 def test_adapt_dynamic_rejects_bad_input():
     with pytest.raises(UnsupportedModelError):
         adapt_dynamic(lambda t, y: y, cfg(), T=1.0, dt=0.01)
-    system = ode_galerkin_system(3)
+    system = ode_galerkin_system(3, 1.0, -2.0, 1.0)
     # a nan T would skip the time loop and return the t = 0 projection; an infinite one would never end
     for T, dt in ((math.nan, 0.01), (math.inf, 0.01), (0.0, 0.01), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)):
         with pytest.raises(ValueError, match="final time and step"):
@@ -451,6 +455,22 @@ def test_bound_slope_reads_its_source_live():
             _batched_rhs(*ops, src, np.empty((3, 2, 2 * n))[:, :, ::2])
 
 
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_reduced_operators_are_cuts_of_the_full_ones(N):
+    # the index sets are nested, so adapt_dynamic cuts the reduced system's operators out of
+    # the full ones; they equal the operators built at the reduced mode count, bit for bit
+    mesh = [Element.box([-1.0 + k / 8.0], [-1.0 + (k + 1) / 8.0]) for k in range(16)]
+    for system in (ode_galerkin_system(N, 1.0, -2.0, 1.0), ko_galerkin_system(), all_term_kinds(1)):
+        dense = triple_products(1, N)
+        fields = [_project_function(fn, mesh, N) for _, fn, _, _ in system.field_linear]
+        n, n_red = dense.shape[0], len(multi_index_set(1, N - 2))
+        quad, lin = _quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n)
+        for full, reduced in ((quad, _quadratic_operator(system, dense, n_red)),
+                              (lin, _linear_operator(system, dense, fields, n_red))):
+            cut = _cut_modes(full, system.n_state, n_red)
+            assert (cut is None and reduced is None) or np.array_equal(cut, reduced)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_ko_galerkin_slope_conserves_energy(d):
     # y . f(y) = 0 for the three-mode right-hand side and the triple products are exact,
@@ -505,7 +525,7 @@ def test_adapt_dynamic_blow_up_raises():
 
 
 def test_adapt_dynamic_ode_element_count():
-    system = ode_galerkin_system(3)
+    system = ode_galerkin_system(3, 1.0, -2.0, 1.0)
     dec, _, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3), T=1.0, dt=0.01)
     assert 4 <= len(dec) <= 7
     assert check_partition(dec) == []
@@ -545,7 +565,7 @@ LINEAR_ODE_P3_SPLITS = [
 
 @pytest.mark.parametrize("name, system, order, theta1, T, n_elements, splits", [
     ("ko3", ko_galerkin_system(), 5, 1e-2, 15.0, 10, KO3_P5_SPLITS),
-    ("linear-ode", ode_galerkin_system(3), 3, 0.05, 1.0, 5, LINEAR_ODE_P3_SPLITS),
+    ("linear-ode", ode_galerkin_system(3, 1.0, -2.0, 1.0), 3, 0.05, 1.0, 5, LINEAR_ODE_P3_SPLITS),
 ], ids=["ko3-p5", "linear-ode-p3"])
 def test_adapt_dynamic_split_sequences_are_pinned(name, system, order, theta1, T, n_elements, splits):
     events: list[RefinementEvent] = []
@@ -578,7 +598,7 @@ def test_adapt_dynamic_projected_children_classify_like_exact_model():
     # must classify failures like the exact model away from a thin boundary band
     from mehybrid.problems import OdeModel
 
-    system = ode_galerkin_system(3)
+    system = ode_galerkin_system(3, 1.0, -2.0, 1.0)
     pts = sample_uniform(2000, 1, 1).points
     exact_sign = OdeModel().evaluate_many(pts) < 0
     dec, coeffs, _ = adapt_dynamic(system, cfg(theta1=0.05, N=3), T=1.0, dt=0.01)

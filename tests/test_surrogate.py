@@ -25,7 +25,7 @@ from mehybrid.surrogate import (
     local_variance,
     lp_error,
 )
-from mehybrid.problems import KoModel, StepModel, ko_limit_state, step_global_gpc, step_me_exact
+from mehybrid.problems import KoModel, StepModel, ko_trajectory, step_global_gpc, step_me_exact
 
 
 def full_line():
@@ -324,7 +324,7 @@ def test_parallel_ko_rows_equal_the_limit_state(workers):
     xi = np.random.default_rng(11).uniform(-1.0, 1.0, size=20_000)  # two 16,384-row chunks
     model = KoModel()
     got = model.evaluate_many(xi[:, None])
-    assert got.tobytes() == ko_limit_state(xi).tobytes()
+    assert got.tobytes() == (ko_trajectory(xi, 15.0, 0.01)[0] - 0.03).tobytes()
     assert model.call_count == len(xi)
 
 
