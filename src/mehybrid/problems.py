@@ -242,17 +242,19 @@ def _ko_rhs(src: np.ndarray, dst: np.ndarray):
     (3, n) state ``src`` and an output ``dst``.
 
     There y1' = y1 y3, y2' = -y2 y3, y3' = y2^2 - y1^2 read a' = c b, b' = c a,
-    c' = -a b, so the returned slope runs three ufuncs and no temporaries:
-    (c b, c a) into the rows d1, d2 of ``dst``, then a b into d3, negated in
-    place.  The row views are made once here; outputs are passed
-    positionally, which is cheaper per call than the out= keyword.
+    c' = -a b, so the returned slope runs four ufuncs on rows and makes no
+    temporaries: b c into the row d1 of ``dst``, a c into d2, a b into d3,
+    then d3 negated in place.  The row views are made once here; a row
+    multiply costs less per call than one broadcast over two rows, and
+    outputs are passed positionally, which is cheaper than the out= keyword.
     """
-    ba, c, a, b = src[1::-1], src[2], src[0], src[1]
-    d12, d3 = dst[:2], dst[2]
+    a, b, c = src
+    d1, d2, d3 = dst
     mul, negative = np.multiply, np.negative
 
     def slope():
-        mul(ba, c, d12)
+        mul(b, c, d1)
+        mul(a, c, d2)
         mul(a, b, d3)
         negative(d3, d3)
 
@@ -348,7 +350,8 @@ def burgers_transition_z(delta, nu, return_amplitude: bool = False):
     divided by its equation's slope in z where that slope exceeds one: a
     layer pushed against z = 1 by a large delta makes the second equation
     steep in z, so a z correct to the last bit leaves a residual of that
-    slope times its rounding.
+    slope times its rounding.  Otherwise RootSolveError names the first
+    failing entry of the broadcast inputs, flattened, as its column.
     """
     delta, nu = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(nu, dtype=float))
     if not np.all(np.isfinite(delta) & (delta >= 0)):
@@ -388,6 +391,7 @@ def burgers_transition_z(delta, nu, return_amplitude: bool = False):
             f"transition-layer Newton did not reach residual 1e-12 (got {res[i]:.3e})",
             last_iterate=(a[i], z[i]),
             residual=res[i],
+            column=i,
         )
     z, a = z.reshape(shape), a.reshape(shape)
     return (z, a) if return_amplitude else z

@@ -377,32 +377,36 @@ def dynamic_indicator(
     return q, s
 
 
-def rk4_step(stages, y: np.ndarray, h: float, work) -> None:
+def rk4_step(stages, y: np.ndarray, mults, work) -> None:
     """One classical fourth-order Runge-Kutta step of an autonomous system, in place on ``y``.
 
-    ``work`` holds three arrays shaped like y (k1, the slope buffer kb and
-    the stage state); ``stages`` holds the two slopes that `rk4_integrate`
-    bound to (y, k1) and (stage, kb): calling one writes the derivative at
-    its state into its buffer.  k2, k3 and k4 take turns in kb, and each is
-    folded into the running sum in k1 once its stage state is made.  The
-    update keeps the textbook association: stages y + (h/2) k, result
+    ``mults`` holds the step's four multipliers (h/2, 2, h, h/6) for a step
+    of length h.  `_rk4_steps` makes them once per integration as 0-d float64
+    arrays, which a ufunc takes for less per call than Python floats; any
+    numbers of the same values give the same result.  ``work`` holds three
+    arrays shaped like y (k1, the slope buffer kb and the stage state);
+    ``stages`` holds the two slopes that `rk4_integrate` bound to (y, k1) and
+    (stage, kb): calling one writes the derivative at its state into its
+    buffer.  k2, k3 and k4 take turns in kb, and each is folded into the
+    running sum in k1 once its stage state is made.  The update keeps the
+    textbook association: stages y + (h/2) k, result
     y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
     k1, kb, stage = work
     slope1, slopeb = stages
+    half, two, h, sixth = mults
     add, mul = np.add, np.multiply  # outputs are positional: the out= keyword costs more per call
-    half = 0.5 * h
     slope1()
     add(y, mul(k1, half, stage), stage)
     slopeb()
     add(y, mul(kb, half, stage), stage)
-    add(k1, mul(kb, 2.0, kb), k1)
+    add(k1, mul(kb, two, kb), k1)
     slopeb()
     add(y, mul(kb, h, stage), stage)
-    add(k1, mul(kb, 2.0, kb), k1)
+    add(k1, mul(kb, two, kb), k1)
     slopeb()
     add(k1, kb, k1)
-    add(y, mul(k1, h / 6.0, k1), y)
+    add(y, mul(k1, sixth, k1), y)
 
 
 def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndarray:
@@ -415,7 +419,8 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
     twice per pass over the steps, once for the first stage of `rk4_step` and
     once for the other three, so per-call setup such as row views belongs in
     ``bind``.  The state is copied once, so the caller's ``y`` is left
-    unmodified, and the three work arrays are allocated once per call.
+    unmodified, and the three work arrays and the step's multipliers (see
+    `rk4_step`) are made once per call.
     Raises ValueError unless t1 > t0 and dt is a positive finite number.
 
     Finiteness is checked once, after the last step: a step only adds to the
@@ -441,24 +446,25 @@ def rk4_integrate(bind: Callable, y, t0: float, t1: float, dt: float) -> np.ndar
 
 
 def _rk4_steps(bind: Callable, y, h: float, steps: int, t0: float | None = None) -> np.ndarray:
-    """``steps`` RK4 steps of length h from a copy of ``y``; with a start time ``t0``,
-    raises IntegrationError at the first step that leaves a non-finite state."""
+    """``steps`` RK4 steps of length h from a copy of ``y``, each one call of the module's
+    `rk4_step` with the multipliers made here once; with a start time ``t0``, raises
+    IntegrationError at the first step that leaves a non-finite state."""
     y = np.array(y, dtype=float)
     work = k1, kb, stage = tuple(np.empty_like(y) for _ in range(3))
     stages = (bind(y, k1), bind(stage, kb))
+    mults = tuple(np.array(x) for x in (0.5 * h, 2.0, h, h / 6.0))
     if t0 is None:
         for _ in range(steps):
-            rk4_step(stages, y, h, work)
+            rk4_step(stages, y, mults, work)
         return y
     t = t0
     for _ in range(steps):
-        rk4_step(stages, y, h, work)
+        rk4_step(stages, y, mults, work)
         t += h
         bad = ~np.isfinite(y)
         if bad.any():
             column = int(np.argmax(bad.reshape(-1, y.shape[-1]).any(axis=0))) if y.ndim else None
-            where = "" if column is None else f" in column {column}"
-            raise IntegrationError(f"non-finite state at t = {t:.6g}{where}", t=t, column=column)
+            raise IntegrationError(f"non-finite state at t = {t:.6g}", t=t, column=column)
     return y
 
 

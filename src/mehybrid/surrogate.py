@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, ModelEvaluationError
+from .errors import DomainError, ModelEvaluationError, _ColumnError
 from .polybasis import basis_matrix, gauss_legendre, legendre_rows, multi_index_set
 from .randomspace import (
     Decomposition,
@@ -51,13 +51,13 @@ __all__ = [
 
 
 # Rows per `_g_many` call inside a sequential `evaluate_many` and per chunk of
-# `eval_me_surrogate_many`, measured on a 2-core Xeon VM (numpy 2.4, medians of 3
-# runs).  A 65,536-row KO batch takes 3.0 s in one call and 1.6 s in 8,192-row
-# chunks (16,384 rows is no faster; 4,096 and 2,048 rows take 1.8 and 2.4 s), with
-# bit-identical values; at 8,192 rows the RK4 work arrays and state (about 0.8 MB)
-# fit the host's 2 MB per-core L2 cache.  Bulk KO batches go to both cores in
-# 16,384-row chunks (`LimitStateModel.parallel_chunk`): 1.06 s per 65,536-row
-# batch, against 1.32 s on two threads in 8,192-row chunks, where each ufunc call
+# `eval_me_surrogate_many`, measured on a 2-core Xeon VM shared with other tenants
+# (numpy 2.4, medians of 5 runs).  A 65,536-row KO batch takes 4.0 s in one call and
+# 2.0 s in 8,192-row chunks (16,384 rows is no faster; 4,096 and 2,048 rows take 2.9
+# and 3.3 s), with bit-identical values; at 8,192 rows the RK4 work arrays and state
+# (about 0.8 MB) fit a 2 MB per-core L2 cache.  Bulk KO batches go to both cores in
+# 16,384-row chunks (`LimitStateModel.parallel_chunk`): 1.45 s per 65,536-row
+# batch, against 2.2 s on two threads in 8,192-row chunks, where each ufunc call
 # is short enough that handing the interpreter lock back and forth eats much of
 # the gain.  The benchmark's burgers workload, whose Monte Carlo run is one
 # 200k-row batch, peaks at 113 MB RSS unchunked and 79 MB chunked; with
@@ -96,8 +96,9 @@ class LimitStateModel:
     before any call, and a NaN value raises `ModelEvaluationError` naming the
     first such row; +-inf keeps its sign.  A chunk whose values are not one
     per row, shape (rows,), raises `ModelEvaluationError` naming both shapes and
-    the chunk's first row, instead of being broadcast.  An IntegrationError
-    with a column is raised again with the column counted in the whole batch.
+    the chunk's first row, instead of being broadcast.  An IntegrationError or
+    RootSolveError with a column is raised again with the column counted in
+    the whole batch.
     """
 
     dim: int = 1
@@ -149,12 +150,10 @@ class LimitStateModel:
             chunk = pts[k * rows : (k + 1) * rows]
             try:
                 values = self._g_many(chunk)
-            except IntegrationError as exc:
+            except _ColumnError as exc:
                 if exc.column is None:
                     raise
-                column = exc.column + k * rows  # the row of the batch, not of the chunk
-                raise IntegrationError(f"non-finite state at t = {exc.t:.6g} in column {column}",
-                                       t=exc.t, column=column) from exc
+                raise exc.at_column(exc.column + k * rows) from exc  # the row of the batch, not of the chunk
             if np.shape(values) != (len(chunk),):
                 raise ModelEvaluationError(f"the exact model returned shape {np.shape(values)} for the {len(chunk)} "
                                            f"points from row {k * rows}, expected ({len(chunk)},)", point=chunk[0])

@@ -374,6 +374,15 @@ def test_no_run_loads_scipy():
     assert json.loads(proc.stdout) == [report["estimate"], report["n_exact"], report["n_exact_build"]]
 
 
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    # with only the source tree on the path, as in a plain checkout without an install
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "mehybrid", "--help"], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mehybrid ")
+
+
 def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(problem="ko3", method="mc", m=100, delta_m=None)))

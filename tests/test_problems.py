@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from mehybrid.errors import DomainError, IntegrationError, RootSolveError
-from mehybrid.estimator import mc_estimate, mc_stddev
+from mehybrid import problems
+from mehybrid.estimator import HybridConfig, iterative_hybrid, mc_estimate, mc_stddev
 from mehybrid.polybasis import basis_matrix, gauss_legendre, multi_index_set
-from mehybrid.randomspace import sample_uniform
+from mehybrid.randomspace import SampleSet, sample_uniform
 from mehybrid.refine import rk4_integrate
 from mehybrid.surrogate import EVAL_CHUNK, lp_error
 from mehybrid.problems import (
@@ -319,6 +320,35 @@ def test_burgers_residual_check_raises():
     # in the logarithms leaves a tanh residual above 1e-12, which the final check rejects
     with pytest.raises(RootSolveError, match="residual"):
         burgers_transition_z(np.array([0.01, 0.05]), 1e8)
+
+
+def test_root_solve_error_names_its_row(monkeypatch):
+    # one entry's residual is made to fail: the solver names its entry, a batch the row of
+    # the batch (row 12,345 is row 4,153 of the second 8,192-row chunk), and a hybrid walk
+    # the sample, which the surrogate ranks 38th, with the walk's iteration
+    x = np.linspace(-1.0, 1.0, 20_000)
+    row = 12_345
+    model = BurgersModel()
+    bad = model.e * (x[row] + 1.0) / 2.0  # the model's delta at that row
+    tanh_system = problems._tanh_system
+
+    def failing(a, z, delta, nu):
+        r1, r2 = tanh_system(a, z, delta, nu)
+        return r1 + (delta == bad), r2
+
+    monkeypatch.setattr(problems, "_tanh_system", failing)
+    with pytest.raises(RootSolveError, match=r"\(got 1\.000e\+00\) in column 2$") as info:
+        burgers_transition_z(np.array([0.01, 0.02, bad, bad]), 0.05)
+    assert info.value.column == 2 and info.value.residual == pytest.approx(1.0)
+    with pytest.raises(RootSolveError, match=r"in column 12345$") as info:
+        model.evaluate_many(x[:, None])
+    assert info.value.column == row and info.value.__cause__.column == row - EVAL_CHUNK
+    assert info.value.last_iterate == info.value.__cause__.last_iterate
+    approx = np.arange(1.0, x.size + 1.0)
+    approx[row] = 37.5
+    with pytest.raises(RootSolveError, match=r"in column 12345 \(iteration 1\)$") as info:
+        iterative_hybrid(model, lambda Z: approx.copy(), SampleSet(x[:, None], seed=0), HybridConfig(delta_m=100))
+    assert info.value.column == row and info.value.__cause__.column == 37
 
 
 def test_burgers_large_perturbation_evaluates():

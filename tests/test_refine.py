@@ -36,7 +36,8 @@ from mehybrid.surrogate import (
     eval_expansion_many,
     eval_me_surrogate_many,
 )
-from mehybrid.problems import BurgersModel, StepModel, ko_galerkin_system, ode_galerkin_system
+from mehybrid import refine
+from mehybrid.problems import BurgersModel, KoModel, StepModel, ko_galerkin_system, ode_galerkin_system
 from mehybrid.randomspace import split_element
 
 
@@ -648,7 +649,7 @@ def test_rk4_error_ratio():
         work = k1, kb, stage = tuple(np.empty_like(y) for _ in range(3))
         stages = tuple(lambda v=v, out=out: np.negative(v, out=out) for v, out in ((y, k1), (stage, kb)))
         for _ in range(round(1.0 / h)):
-            rk4_step(stages, y, h, work)
+            rk4_step(stages, y, (0.5 * h, 2.0, h, h / 6.0), work)
         return abs(float(y) - math.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)
@@ -682,7 +683,7 @@ def test_rk4_integrate_replays_a_blow_up_step_by_step():
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.isfinite(y).all():
-            rk4_step(stages, y, h, work)
+            rk4_step(stages, y, (0.5 * h, 2.0, h, h / 6.0), work)
             steps += 1
     first = int(np.flatnonzero(~np.isfinite(y[0]))[0])
     assert first == 2
@@ -698,6 +699,52 @@ def test_rk4_integrate_replays_a_blow_up_step_by_step():
     with pytest.raises(IntegrationError) as info, np.errstate(over="ignore", invalid="ignore"):
         rk4_integrate(square, 1.0, 0.0, 5.0, h)
     assert info.value.column is None
+
+
+def test_rk4_steps_go_through_the_module_rk4_step(monkeypatch):
+    # bench/tracer.py counts RK4 steps by wrapping refine.rk4_step where the module binds
+    # it, so every step must be one call through that binding: ceil((t1 - t0) / dt) for
+    # one integration, and T / dt = 1,500 for a 100-row KO block at the model's defaults
+    calls = []
+    step = refine.rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        step(*args)
+
+    monkeypatch.setattr(refine, "rk4_step", counting)
+    rk4_integrate(lambda src, dst: lambda: np.negative(src, dst), np.ones(3), 0.0, 1.0, 0.3)
+    assert len(calls) == math.ceil(1.0 / 0.3)
+    calls.clear()
+    KoModel().evaluate_many(np.linspace(-1.0, 1.0, 100)[:, None])
+    assert len(calls) == 1500
+
+
+def test_galerkin_rk4_matches_textbook_rk4():
+    # the in-place stepper with its multipliers made once per integration gives, bit for
+    # bit, an allocating textbook RK4 with Python-float multipliers on the same slope: a
+    # KO Galerkin state (M, 3, n) on four elements
+    system, n_order, h, steps = ko_galerkin_system(), 5, 0.01, 150
+    dense = triple_products(1, n_order)
+    elements = [Element.box([lo], [lo + 0.5]) for lo in (-1.0, -0.5, 0.0, 0.5)]
+    c0 = _project_function(system.initial, elements, n_order, (3,))
+    quad = _quadratic_operator(system, dense, dense.shape[0])
+
+    def rhs(v):
+        return _galerkin_rhs(system, v, dense, ())
+
+    v = c0
+    for _ in range(steps):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    start = c0.copy()
+    got = rk4_integrate(lambda src, dst: _batched_rhs(quad, None, src, dst), c0, 0.0, steps * h, h)
+    assert got.shape == (4, 3, dense.shape[0])
+    assert np.array_equal(got, v)
+    assert np.array_equal(c0, start)
 
 
 def test_refinement_config_validation():
