@@ -171,7 +171,13 @@ def _check_output_path(name: str, path: str) -> None:
 
 
 def run(cfg: RunConfig) -> dict:
-    """Execute one configured estimation and return the report dictionary."""
+    """Execute one configured estimation and return the report dictionary.
+
+    Runs in one process at the same m, dimension and seed share one sample
+    set (see ``sample_uniform``), so ``timings.sample_s`` is near zero for
+    every run after the first.  Each run still builds its own surrogate and
+    evaluates and counts its own exact calls.
+    """
     t0 = time.perf_counter()
     spec = prob.PROBLEMS[cfg.problem]
     model, hycfg, rcfg = _prepare(cfg)

@@ -8,8 +8,9 @@ chunk) is bit-exact for a given (m, d, seed).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -235,13 +236,17 @@ def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Uniform sample points on [-1, 1]^d together with the seed that made them."""
+    """Uniform sample points on [-1, 1]^d together with the seed that made them.
+
+    ``points`` is a read-only view of the given array; the caller's array keeps
+    its own flags.
+    """
 
     points: np.ndarray
     seed: int
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float)).view()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -259,7 +264,10 @@ def sample_uniform(m: int, d: int, seed: int) -> SampleSet:
 
     Philox streams keyed with ``seed ^ chunk_index`` generate 65536 samples
     each, so the same (m, d, seed) always yields the identical array and
-    chunks can be produced independently.
+    chunks can be produced independently.  The last set drawn is kept: a
+    repeated call returns that same object, shared by every caller, and its
+    points can never be made writable again.  ``sample_uniform.cache_clear``
+    drops it.
     """
     if m < 1:
         raise ValueError("sample count must be at least one")
@@ -267,13 +275,23 @@ def sample_uniform(m: int, d: int, seed: int) -> SampleSet:
         raise ValueError("dimension must be at least one")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be nonnegative and less than 2**128, got {seed}")
+    return _draw(operator.index(m), operator.index(d), operator.index(seed))
+
+
+@lru_cache(maxsize=1)
+def _draw(m: int, d: int, seed: int) -> SampleSet:
     out = np.empty((m, d))
     for chunk in range((m + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK):
         gen = np.random.Generator(np.random.Philox(key=seed ^ chunk))
         start = chunk * _SAMPLE_CHUNK
         stop = min(start + _SAMPLE_CHUNK, m)
         out[start:stop] = gen.uniform(DOMAIN_LO, DOMAIN_HI, size=(stop - start, d))
+    out.setflags(write=False)  # the set's view then cannot be made writable
     return SampleSet(out, seed)
+
+
+sample_uniform.cache_info = _draw.cache_info
+sample_uniform.cache_clear = _draw.cache_clear
 
 
 def check_partition(dec: Decomposition) -> list[str]:

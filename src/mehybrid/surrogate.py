@@ -325,10 +325,12 @@ def local_variance(coeffs: np.ndarray) -> np.ndarray:
 def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> float:
     """Monte Carlo estimate of the L^p distance between surrogate and exact model.
 
-    Diagnostic only: costs m exact-model calls on a fresh sample set that is
-    independent of any estimation samples.  The norm order p must be finite,
-    and a surrogate result of any shape but (m,) is a ValueError, raised
-    before the exact calls.
+    Diagnostic only: costs m exact-model calls on the sample set of (m, seed).
+    At a run's own seed those are the run's leading samples, and at its m the
+    very same shared set, so a check independent of the estimation samples
+    needs a seed whose chunk keys ``seed ^ chunk`` differ from the run's.  The
+    norm order p must be finite, and a surrogate result of any shape but (m,)
+    is a ValueError, raised before the exact calls.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"norm order must be a finite number of at least one, got {p!r}")

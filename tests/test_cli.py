@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mehybrid import cli, problems, surrogate
+from mehybrid import cli, problems, randomspace, surrogate
 from mehybrid.cli import RunConfig, UsageError, _prepare, _write_csv, main, run, table, validate
 from mehybrid.randomspace import sample_uniform
 
@@ -421,6 +421,38 @@ def test_table_one_downscaled(monkeypatch):
     for row in published:
         assert isinstance(row[4], float)
         assert isinstance(row[5], float)
+
+
+def test_a_table_draws_its_sample_set_once(monkeypatch):
+    # every cell of a table runs on one sample set, which the first cell draws
+    cells = []
+
+    def counting(cfg):
+        cells.append(cfg)
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run", counting)
+    sample_uniform.cache_clear()
+    table(2, {"m": 2000})
+    info = sample_uniform.cache_info()
+    assert len(cells) == 9 and (info.misses, info.hits) == (1, len(cells) - 1)
+
+
+def test_a_reused_sample_set_changes_no_report(tmp_path):
+    trace, events = tmp_path / "trace.csv", tmp_path / "events.csv"
+    cfg = RunConfig.from_dict(base_config(problem="linear-ode", method="me-lha", order=3, m=20_000, delta_m=100,
+                                          output={"trace": str(trace), "events": str(events)}))
+    sample_uniform.cache_clear()
+    outputs = []
+    for _ in range(2):  # a fresh draw, then the kept set
+        rep = run(cfg)
+        outputs.append(({k: v for k, v in rep.items() if k not in ("wall_time_s", "timings")},
+                        trace.read_bytes(), events.read_bytes()))
+    info = sample_uniform.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert outputs[0] == outputs[1]
+    kept = sample_uniform(20_000, 1, 42).points
+    assert kept.tobytes() == randomspace._draw.__wrapped__(20_000, 1, 42).points.tobytes()
 
 
 def test_table_command_writes_csv(tmp_path, capsys):

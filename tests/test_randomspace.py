@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mehybrid import randomspace
 from mehybrid.errors import DomainError
 from mehybrid.randomspace import (
     Decomposition,
     Element,
+    SampleSet,
     check_partition,
     locate_many,
     sample_uniform,
@@ -136,6 +138,64 @@ def test_sampling_seed_range():
     assert top.seed == 2**128 - 1 and top.points.shape == (70_000, 2)
     assert np.all(top.points >= -1.0) and np.all(top.points < 1.0)
     assert np.array_equal(top.points, sample_uniform(70_000, 2, 2**128 - 1).points)
+
+
+def test_drawn_set_cannot_be_made_writable():
+    # every run in a process shares a drawn set, so no caller may write into it
+    s = sample_uniform(10, 1, 0)
+    with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+        s.points.setflags(write=True)
+    with pytest.raises(ValueError, match="read-only"):
+        s.points[0, 0] = 5.0
+
+
+def test_sample_set_leaves_the_callers_array_writable():
+    a = np.zeros((5, 1))
+    s = SampleSet(a, 0)
+    a[0, 0] = 1.0  # the set holds a read-only view; the caller's array keeps its flags
+    assert a.flags.writeable and not s.points.flags.writeable
+    assert s.points[0, 0] == 1.0
+    flat = np.arange(3.0)
+    assert SampleSet(flat, 0).points.shape == (1, 3) and flat.flags.writeable
+
+
+@pytest.mark.parametrize("m", [1, 65_536, 65_537, 200_000])  # across the 65,536-row chunk edge
+def test_kept_set_equals_a_fresh_draw(m):
+    fresh = randomspace._draw.__wrapped__(m, 2, 42)
+    kept = sample_uniform(m, 2, 42)
+    assert sample_uniform(m, 2, 42) is kept
+    assert kept.points.tobytes() == fresh.points.tobytes() and kept.seed == fresh.seed == 42
+    sample_uniform.cache_clear()
+    assert sample_uniform(m, 2, 42).points.tobytes() == fresh.points.tobytes()
+
+
+def test_one_set_is_kept():
+    sample_uniform.cache_clear()
+    first = sample_uniform(100, 1, 42)
+    assert sample_uniform(100, 1, 42) is first
+    assert sample_uniform(np.int64(100), np.int32(1), np.int64(42)) is first
+    info = sample_uniform.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    for m, d, seed in ((101, 1, 42), (101, 2, 42), (101, 2, 43)):
+        other = sample_uniform(m, d, seed)
+        assert other is not first and (other.m, other.dim, other.seed) == (m, d, seed)
+        assert sample_uniform.cache_info().currsize == 1
+    sample_uniform.cache_clear()
+    again = sample_uniform(np.int64(100), 1, np.int64(42))
+    assert again is not first and again.points.tobytes() == first.points.tobytes()
+    assert type(again.seed) is int and sample_uniform(100, 1, 42) is again
+
+
+def test_invalid_draws_raise_before_the_kept_set_is_read():
+    sample_uniform(5, 1, 1)
+    before = sample_uniform.cache_info()
+    for args, message in (((0, 1, 1), "sample count must be at least one"),
+                          ((5, 0, 1), "dimension must be at least one"),
+                          ((5, 1, -3), "less than 2\\*\\*128, got -3$"),
+                          ((5, 1, 2**128), "less than 2\\*\\*128, got 3402823669")):
+        with pytest.raises(ValueError, match=message):
+            sample_uniform(*args)
+    assert sample_uniform.cache_info() == before
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)), max_size=12))
