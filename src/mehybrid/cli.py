@@ -81,9 +81,13 @@ class RunConfig:
         unknown = sorted(set(output) - set(OUTPUT_KEYS))
         if unknown:
             raise UsageError(f"unknown output key(s) {unknown}; accepted keys: {', '.join(OUTPUT_KEYS)}")
+        named: dict[str, str] = {}
         for key, path in output.items():
             if not (isinstance(path, str) and path):
                 raise UsageError(f"field 'output.{key}' must be a nonempty path, got {path!r}")
+            other = named.setdefault(os.path.realpath(path), key)
+            if other != key:
+                raise UsageError(f"fields 'output.{other}' and 'output.{key}' name the same file {path!r}")
         raw = dict(raw)
         for key in ("seed", "m", "order", "delta_m"):
             if raw.get(key) is not None:
@@ -95,7 +99,9 @@ class RunConfig:
             raise UsageError(f"unknown problem {cfg.problem!r}; choose from {sorted(prob.PROBLEMS)}")
         if cfg.method not in METHODS:
             raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
-        if cfg.delta_m is None and cfg.method != "mc":
+        # only the iterative walks read delta_m and eta_stop: direct-hybrid's band is one block
+        iterative = cfg.method not in ("mc", "direct-hybrid")
+        if cfg.delta_m is None and iterative:
             cfg.delta_m = prob.PROBLEMS[cfg.problem].defaults["delta_m"]
         splits = cfg.method in ("me-gha", "me-lha") and "theta1" in prob.PROBLEMS[cfg.problem].defaults
         if cfg.refine and not splits:
@@ -107,10 +113,9 @@ class RunConfig:
         reads_order = cfg.method != "mc" and (cfg.problem != "step" or cfg.method in GLOBAL_METHODS)
         if reads_order and cfg.order is None:
             raise UsageError("field 'order' is required for surrogate methods")
-        iterative = cfg.method not in ("mc", "direct-hybrid")
         given = {**raw, **{f"output.{key}": path for key, path in output.items()}}
         unread = {"order": not reads_order, "gamma": cfg.method != "direct-hybrid", "eta_stop": not iterative,
-                  "output.trace": cfg.method == "mc", "output.events": not splits, "delta_m": cfg.method == "mc"}
+                  "output.trace": cfg.method == "mc", "output.events": not splits, "delta_m": not iterative}
         for key, skipped in unread.items():
             if skipped and given.get(key) is not None:
                 raise UsageError(f"field {key!r} is not used by method {cfg.method!r} on problem {cfg.problem!r}")
@@ -125,7 +130,7 @@ class RunConfig:
             raise UsageError("field 'seed' must be a nonnegative integer less than 2**128")
         if cfg.m is None or cfg.m < 1:
             raise UsageError(f"field 'm' must be an integer of at least one, got {cfg.m!r}")
-        if cfg.method != "mc" and cfg.delta_m > cfg.m:
+        if iterative and cfg.delta_m > cfg.m:
             raise UsageError(f"step size delta_m = {cfg.delta_m} exceeds the sample count m = {cfg.m}")
         return cfg
 
@@ -146,10 +151,9 @@ def _prepare(cfg: RunConfig):
     the hybrid and refinement settings (None where unused).  A global run's
     refinement never splits (theta1 = inf), so its surrogate is a one-element mesh."""
     spec = prob.PROBLEMS[cfg.problem]
-    params = {**spec.parameters, **cfg.problem_params}
     refines = cfg.method != "mc" and "theta1" in spec.defaults
     try:
-        model = spec.make_model(**params)
+        model = spec.make_model(**cfg.problem_params)
         hycfg = None if cfg.method == "mc" else HybridConfig(
             delta_m=cfg.delta_m, eta_stop=cfg.eta_stop, gamma=cfg.gamma)
         rcfg = None if not refines else RefinementConfig(
@@ -205,7 +209,13 @@ def run(cfg: RunConfig) -> dict:
     timings["estimate_s"] = time.perf_counter() - clock
     timings.update(est.timings)
     timings["exact_s"] = model.exact_s
-    reference = cfg.reference if cfg.reference is not None else spec.reference_p_f
+    # the registry's reference is P_f at the problem's default parameters and at no others
+    if cfg.reference is not None:
+        reference, reference_tag = cfg.reference, "configured"
+    elif {**spec.parameters, **cfg.problem_params} == spec.parameters:
+        reference, reference_tag = spec.reference_p_f, spec.reference_tag
+    else:
+        reference, reference_tag = None, "none"
     report = {
         "problem": cfg.problem,
         "method": cfg.method,
@@ -218,8 +228,8 @@ def run(cfg: RunConfig) -> dict:
         "n_elements": 0 if surr is None else len(surr),
         "truncated": surr is not None and surr.truncated,
         "reference": reference,
-        "reference_tag": spec.reference_tag if cfg.reference is None else "configured",
-        "relative_error": relative_error(est.p_f, reference),
+        "reference_tag": reference_tag,
+        "relative_error": None if reference is None else relative_error(est.p_f, reference),
         "model_calls_total": model.call_count,
         "wall_time_s": time.perf_counter() - t0,
         "timings": timings,

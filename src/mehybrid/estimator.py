@@ -48,14 +48,17 @@ __all__ = [
 @dataclass
 class HybridConfig:
     """Walk controls: block size, stopping tolerance, and ``gamma``, which
-    replaces the net-change rule by the band |g~| <= gamma."""
+    replaces the net-change rule by the band |g~| <= gamma; the band is one
+    block, so it needs no block size."""
 
-    delta_m: int
+    delta_m: int | None
     eta_stop: float = 0.0
     gamma: float | None = None
 
     def __post_init__(self):
-        if not (_count(self.delta_m) and self.delta_m >= 1):
+        if self.delta_m is None and self.gamma is None:
+            raise ValueError("step size delta_m is required unless the band rule gamma is set")
+        if self.delta_m is not None and not (_count(self.delta_m) and self.delta_m >= 1):
             raise ValueError(f"step size delta_m must be an integer of at least one, got {self.delta_m!r}")
         if not (_real(self.eta_stop) and self.eta_stop >= 0):
             raise ValueError(f"stopping tolerance eta_stop must be a nonnegative number, got {self.eta_stop!r}")
@@ -263,7 +266,7 @@ def _hybrid_walk(model: LimitStateModel, pts: np.ndarray, approx: np.ndarray, cf
     with a column, raised by a block, is raised again with the column naming
     the sample and the message naming the walk's iteration."""
     m = pts.shape[0]
-    if cfg.delta_m > m:
+    if cfg.delta_m is not None and cfg.delta_m > m:
         raise ValueError("step size cannot exceed the sample count")
     if np.isnan(np.min(approx)):  # min propagates NaN, and needs no m-length mask
         row = int(np.argmax(np.isnan(approx)))

@@ -20,6 +20,7 @@ consume.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -452,9 +453,10 @@ def _burgers_surrogate(model, order, rcfg, event_log):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Canonical description of one benchmark: parameters, reference value, builders.
+    """Canonical description of one benchmark: model, reference value, builders.
 
-    ``make_model(**parameters)`` makes the run's one exact model.
+    ``make_model(**params)`` makes the run's one exact model; ``parameters``
+    are the defaults of its signature, at which ``reference_p_f`` holds.
     ``build_surrogate(model, order, rcfg, event_log)`` returns a
     MultiElementSurrogate; it reads any parameter it needs from ``model``
     and charges ``model`` with its exact calls.  ``rcfg`` is the run's
@@ -463,7 +465,6 @@ class ProblemSpec:
     Step builds its exact two-element surrogate when ``order`` is None.
     """
 
-    parameters: dict
     reference_p_f: float
     reference_tag: str
     make_model: Callable[..., LimitStateModel] = field(repr=False)
@@ -471,10 +472,13 @@ class ProblemSpec:
     defaults: dict = field(default_factory=dict, repr=False)
     max_order: int | None = None  # the highest order build_surrogate accepts, if it has one
 
+    @property
+    def parameters(self) -> dict:
+        return {p.name: p.default for p in inspect.signature(self.make_model).parameters.values()}
+
 
 PROBLEMS: dict[str, ProblemSpec] = {
     "step": ProblemSpec(
-        parameters={},
         reference_p_f=0.5,
         reference_tag="analytic",
         make_model=StepModel,
@@ -482,7 +486,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
         defaults={"delta_m": 1000},
     ),
     "linear-ode": ProblemSpec(
-        parameters={"u0": 1.0, "T": 1.0, "u_d": 0.5, "mu": -2.0, "sigma": 1.0},
         reference_p_f=0.003541,
         reference_tag="published",
         make_model=OdeModel,
@@ -490,7 +493,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
         defaults={"delta_m": 100, "theta1": 0.05},
     ),
     "ko3": ProblemSpec(
-        parameters={"T": 15.0, "u_d": 0.03, "dt": 0.01},
         reference_p_f=0.102651,
         reference_tag="published",
         make_model=KoModel,
@@ -498,7 +500,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
         defaults={"delta_m": 100, "theta1": 1e-4},
     ),
     "burgers": ProblemSpec(
-        parameters={"e": 0.1, "nu": 0.05, "z0": 0.75},
         reference_p_f=0.127478,
         reference_tag="published-for-uncalibrated-parameters",
         make_model=BurgersModel,

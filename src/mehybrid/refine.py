@@ -250,15 +250,6 @@ class PolynomialOde:
                 raise UnsupportedModelError(f"state variable {v} out of range")
 
 
-def _require_polynomial(system) -> PolynomialOde:
-    if not isinstance(system, PolynomialOde):
-        raise UnsupportedModelError(
-            f"cannot Galerkin-project a system of type {type(system).__name__}; "
-            "declare it as a PolynomialOde"
-        )
-    return system
-
-
 def _quadratic_operator(system: PolynomialOde, dense: np.ndarray, n: int) -> np.ndarray | None:
     """The quadratic terms at ``n`` modes as one (S n, (S n)^2) matrix, S = n_state, or None
     if there are none.
@@ -363,8 +354,10 @@ def dynamic_indicator(
     ``full_rhs`` and the mode coefficients ``coeffs`` have shape (M, n_state,
     full modes), ``reduced_rhs`` has shape (M, n_state, len(reduced)); the
     reduced state is the truncation of the full one to the graded index set
-    ``reduced``, a prefix of the full set.  Returns Q of shape (M,) and s of
-    shape (M, dim), each row depending on that element alone.
+    ``reduced``, a prefix of the full set, so the truncated system's slope is
+    the full slope at the full state with its other modes set to zero, read
+    on the first len(reduced) modes.  Returns Q of shape (M,) and s of shape
+    (M, dim), each row depending on that element alone.
     """
     n_red, dim = len(reduced), len(reduced[0])
     u_red = coeffs[:, :, :n_red]
@@ -491,18 +484,6 @@ def _project_child_state(parent: Element, child: Element, coeffs: np.ndarray, or
     return project(lambda pts: (basis_matrix(basis, to_local_many(parent, pts)) @ coeffs.T).T, child, order)
 
 
-def _cut_modes(op: np.ndarray | None, n_state: int, n_red: int) -> np.ndarray | None:
-    """An operator of `_quadratic_operator` (2-d) or `_linear_operator` (3-d), or None, cut to
-    the first ``n_red`` modes of each (state, mode) axis pair; the index sets are nested, so
-    this is the operator built at ``n_red`` modes, entry for entry."""
-    if op is None:
-        return None
-    pair, cut = (n_state, op.shape[-2] // n_state), (slice(None), slice(n_red))
-    if op.ndim == 2:  # rows (a, j), columns (b, l, var, k)
-        return op.reshape(pair * 3)[cut * 3].reshape(n_state * n_red, -1)
-    return op.reshape((len(op),) + pair * 2)[(slice(None),) + cut * 2].reshape(len(op), n_state * n_red, -1)
-
-
 def adapt_dynamic(
     system,
     cfg: RefinementConfig,
@@ -516,52 +497,60 @@ def adapt_dynamic(
     the rhs of the system truncated to order max(0, N - 2) is compared
     against the full one; elements with Q * prob >= theta1 are bisected along
     the dimensions selected by s, and the children continue from the
-    projection of the parent's state.  Returns the mesh, the (M, n_state,
-    n_modes) mode coefficients at T in mesh order, and whether
-    ``max_elements`` stopped a split.
+    projection of the parent's state.  The truncated system needs no
+    operators of its own: its index set is a prefix of the full one and every
+    term is at most quadratic, so its slope is the full slope at the state
+    whose modes past the truncation are zero, read on the truncated modes.
+    Returns the mesh, the (M, n_state, n_modes) mode coefficients at T in
+    mesh order, and whether ``max_elements`` stopped a split.
     """
-    sys_ = _require_polynomial(system)
+    if not isinstance(system, PolynomialOde):
+        raise UnsupportedModelError(
+            f"cannot Galerkin-project a system of type {type(system).__name__}; "
+            "declare it as a PolynomialOde"
+        )
     if not (_positive_finite(T) and _positive_finite(dt)):
         raise ValueError(f"final time and step must be positive finite numbers, got T = {T!r}, dt = {dt!r}")
-    d = sys_.dim
+    d = system.dim
     # Checking at every step instead of every 10 dt changes the meshes little, and
     # a reduced order of N - 1 instead of N - 2 refines the three-mode system worse.
     reduced = multi_index_set(d, max(0, cfg.N - 2))
     dense = triple_products(d, cfg.N)
-    s, n, n_red = sys_.n_state, dense.shape[0], len(reduced)
+    n, n_red = dense.shape[0], len(reduced)
 
-    def linear(elements: Sequence[Element]) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The full and reduced linear operators, with the fields projected onto ``elements``."""
-        fields = [_project_function(fn, elements, cfg.N) for _, fn, _, _ in sys_.field_linear]
-        lin = _linear_operator(sys_, dense, fields, n)
-        return lin, _cut_modes(lin, s, n_red)
+    def linear(elements: Sequence[Element]) -> np.ndarray | None:
+        """The linear operator, with the fields projected onto ``elements``."""
+        fields = [_project_function(fn, elements, cfg.N) for _, fn, _, _ in system.field_linear]
+        return _linear_operator(system, dense, fields, n)
 
-    quad = _quadratic_operator(sys_, dense, n)
-    quad_red = _cut_modes(quad, s, n_red)
+    def bind(src: np.ndarray, dst: np.ndarray) -> Callable[[], np.ndarray]:
+        return _batched_rhs(quad, lin, src, dst)
+
+    quad = _quadratic_operator(system, dense, n)
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
-    coeffs = _project_function(sys_.initial, elements, cfg.N, (sys_.n_state,))
-    lin, lin_red = linear(elements)
+    coeffs = _project_function(system.initial, elements, cfg.N, (system.n_state,))
+    lin = linear(elements)
     truncated = False
 
     t = 0.0
     while t < T - 1e-12:
         t_next = min(t + 10.0 * dt, T)
-        coeffs = rk4_integrate(lambda src, dst: _batched_rhs(quad, lin, src, dst), coeffs, t, t_next, dt)
+        coeffs = rk4_integrate(bind, coeffs, t, t_next, dt)
         t = t_next
         if t >= T - 1e-12:
             break
-        low = coeffs[:, :, :n_red]
-        full = _batched_rhs(quad, lin, coeffs, np.empty(coeffs.shape))()
-        low_rhs = _batched_rhs(quad_red, lin_red, low, np.empty(low.shape))()
-        q_all, s_all = dynamic_indicator(full, low_rhs, coeffs, reduced)
+        low = coeffs.copy()
+        low[:, :, n_red:] = 0.0
+        full, low_rhs = (bind(u, np.empty(u.shape))() for u in (coeffs, low))
+        q_all, s_all = dynamic_indicator(full, low_rhs[:, :, :n_red], coeffs, reduced)
         new, ids, origin, cut = _split_pass(elements, ids, cfg, q_all, s_all, q_all, t, event_log)
         truncated |= cut
         if len(new) != len(elements):
             coeffs = np.stack([_project_child_state(elements[k], e, coeffs[k], cfg.N) if child else coeffs[k]
                                for e, (k, child) in zip(new, origin)])
             elements = new
-            lin, lin_red = linear(elements)
+            lin = linear(elements)
     return Decomposition(tuple(elements)), coeffs, truncated
 
 

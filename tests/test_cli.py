@@ -128,7 +128,7 @@ def test_delta_m_defaults_only_where_a_walk_reads_it():
 def test_direct_hybrid_run_writes_trace(tmp_path):
     # the direct hybrid is the global walk with the band stop rule: one block, traced
     trace = tmp_path / "trace.csv"
-    rep = run(RunConfig.from_dict(base_config(method="direct-hybrid", order=2, gamma=0.05, m=20_000,
+    rep = run(RunConfig.from_dict(base_config(method="direct-hybrid", order=2, gamma=0.05, m=20_000, delta_m=None,
                                               output={"trace": str(trace)})))
     rows = [line.split(",") for line in trace.read_text().splitlines()]
     assert rows[0] == ["iteration", "estimate", "n_exact", "element"]
@@ -155,8 +155,9 @@ def test_global_surrogate_is_a_one_element_mesh(problem, order, monkeypatch):
 
     monkeypatch.setattr(surrogate, "eval_expansion_many", unused)
     for method in ("global-hybrid", "direct-hybrid"):
-        rep = run(RunConfig.from_dict(base_config(problem=problem, method=method, order=order, m=2000, delta_m=100,
-                                                  gamma=0.01 if method == "direct-hybrid" else None)))
+        band = method == "direct-hybrid"
+        rep = run(RunConfig.from_dict(base_config(problem=problem, method=method, order=order, m=2000,
+                                                  delta_m=None if band else 100, gamma=0.01 if band else None)))
         assert rep["n_elements"] == 1 and not rep["truncated"]
 
 
@@ -208,14 +209,14 @@ def test_estimate_command_usage_error(tmp_path, capsys):
     # bad values reach the model, the hybrid or refinement settings or the collocation grid;
     # each is rejected before sampling with a message that names its field
     mc = ["method=mc", "order=null", "delta_m=null"]
+    direct = ["method=direct-hybrid", "delta_m=null"]
     for sets, name in ((["problem_params.foo=1"], "foo"), (["delta_m=0"], "delta_m"), (["m=0"], "m"),
                        (["delta_m=50001"], "delta_m"), (["problem=burgers", "order=21"], "order"),
-                       (["method=direct-hybrid", "gamma=NaN"], "gamma"),
-                       (["method=direct-hybrid", "gamma=-0.1"], "gamma"),
+                       ([*direct, "gamma=NaN"], "gamma"), ([*direct, "gamma=-0.1"], "gamma"),
                        (["refine.theta1=NaN"], "theta1"), (["refine.theta1=0"], "theta1"),
                        (["refine.theta1=true"], "theta1"), (["refine.theta1=abc"], "theta1"),
                        (["eta_stop=NaN"], "eta_stop"), (["eta_stop=true"], "eta_stop"),
-                       (["method=direct-hybrid", "gamma=true"], "gamma"),
+                       ([*direct, "gamma=true"], "gamma"),
                        (["refine.max_elements=1.5"], "max_elements"),
                        (["refine.max_elements=true"], "max_elements"),
                        (["seed=true"], "seed"), (["m=true"], "m"), (["order=true"], "order"), (["seed=1.5"], "seed"),
@@ -245,7 +246,7 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["problem=ko3", "method=mc"], "order"), (["problem=step"], "order"),
                        (["problem=step", "method=me-lha"], "order"),
                        (["problem=step", "method=global-hybrid", "order=-1"], "order"),
-                       (["problem=step", "method=direct-hybrid", "gamma=0", "order=-1"], "order"),
+                       (["problem=step", *direct, "gamma=0", "order=-1"], "order"),
                        # hybrid settings of a run that does not read them
                        (["problem=ko3", *mc, "eta_stop=0.5"], "eta_stop"),
                        (["problem=ko3", *mc, "gamma=0.5"], "gamma"),
@@ -261,6 +262,7 @@ def test_estimate_command_usage_error(tmp_path, capsys):
                        (["output.trace=\"\""], "output.trace"), (["output.events=null"], "output.events"),
                        # a setting or output the run would not read or write
                        (["problem=ko3", "method=mc", "order=null", "delta_m=7"], "delta_m"),
+                       (["method=direct-hybrid", "gamma=0.1", "delta_m=7"], "delta_m"),
                        (["problem=ko3", *mc, f"output.trace={tmp_path / 't.csv'}"], "output.trace"),
                        (["problem=ko3", *mc, f"output.events={tmp_path / 'e.csv'}"], "output.events"),
                        (["method=global-hybrid", f"output.events={tmp_path / 'e.csv'}"], "output.events"),
@@ -309,6 +311,42 @@ def test_output_paths_are_checked_before_the_run(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {name} "), (args, err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], args
+
+
+def test_outputs_must_name_different_files(tmp_path, capsys, monkeypatch):
+    # two outputs at one file would overwrite each other; the paths are compared as the files
+    # they resolve to, and the clash exits 1 before any sample is drawn
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "sample_uniform", never)
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=3, m=2000, delta_m=100)))
+    out = tmp_path / "real" / "out.csv"
+    for first, second in ((("report", out), ("events", out)),
+                          (("trace", out), ("events", tmp_path / "link" / "out.csv")),
+                          (("report", out), ("trace", tmp_path / "real" / "sub" / ".." / "out.csv"))):
+        sets = [arg for key, path in (first, second) for arg in ("--set", f"output.{key}={path}")]
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(cfg_path), *sets]) == 1, sets
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: fields 'output.{first[0]}' and 'output.{second[0]}' name the same file")
+        assert not out.exists()
+    with pytest.raises(UsageError, match="same file"):
+        RunConfig.from_dict(base_config(output={key: "out.csv" for key in ("report", "trace", "events")}))
+
+
+def test_direct_hybrid_reads_no_delta_m():
+    # the band is one exact block of every sample with |g~| <= gamma, whatever the step: a step
+    # is a usage error, as on mc, none is filled in, and m may be below the walks' default step
+    raw = base_config(method="direct-hybrid", order=2, gamma=0.05, m=500, delta_m=None)
+    rep = run(RunConfig.from_dict(raw))
+    assert rep["config"]["delta_m"] is None and rep["n_exact"] > 0
+    for delta_m in (1, 7, 500):
+        with pytest.raises(UsageError, match="field 'delta_m' is not used by method 'direct-hybrid'"):
+            RunConfig.from_dict({**raw, "delta_m": delta_m})
 
 
 @pytest.mark.parametrize("problem", sorted(problems.PROBLEMS))

@@ -1,4 +1,3 @@
-import inspect
 import math
 import re
 
@@ -7,6 +6,7 @@ import pytest
 
 from mehybrid.errors import DomainError, IntegrationError, RootSolveError
 from mehybrid import problems
+from mehybrid.cli import RunConfig, run
 from mehybrid.estimator import HybridConfig, iterative_hybrid, mc_estimate, mc_stddev
 from mehybrid.polybasis import basis_matrix, gauss_legendre, multi_index_set
 from mehybrid.randomspace import SampleSet, sample_uniform
@@ -415,12 +415,28 @@ def test_batch_equals_blocks(name):
     assert model.call_count == 2 * len(pts)
 
 
+# parameters other than the defaults, at which the registry's references do not hold
+CHANGED_PARAMETERS = {"linear-ode": {"u_d": 0.9}, "ko3": {"u_d": 0.05}, "burgers": {"z0": 0.7}}
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_problem_parameters_are_the_model_defaults(name):
-    # a problem's defaults are written in its model's constructor and in its spec; this ties the two
+def test_reference_applies_only_at_the_default_parameters(name):
+    # a problem's parameters are its model's constructor defaults, and its reference holds at
+    # them alone: a run at other parameters reports no reference unless one is configured
     spec = PROBLEMS[name]
-    defaults = [(p.name, p.default) for p in inspect.signature(spec.make_model).parameters.values()]
-    assert list(spec.parameters.items()) == defaults
+    model = spec.make_model()
+    assert all(getattr(model, key) == value for key, value in spec.parameters.items())
+    base = {"problem": name, "method": "mc", "seed": 1, "m": 200}
+    for params in ({}, spec.parameters):  # nothing given, and every default restated
+        rep = run(RunConfig.from_dict({**base, "problem_params": params}))
+        assert (rep["reference"], rep["reference_tag"]) == (spec.reference_p_f, spec.reference_tag)
+        assert rep["relative_error"] == abs(rep["estimate"] - spec.reference_p_f) / spec.reference_p_f
+    if name in CHANGED_PARAMETERS:
+        changed = {**base, "problem_params": CHANGED_PARAMETERS[name]}
+        rep = run(RunConfig.from_dict(changed))
+        assert (rep["reference"], rep["reference_tag"], rep["relative_error"]) == (None, "none", None)
+        rep = run(RunConfig.from_dict({**changed, "reference": 0.5}))
+        assert (rep["reference"], rep["reference_tag"]) == (0.5, "configured")
 
 
 def test_problem_registry_parameter_overrides():

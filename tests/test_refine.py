@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from mehybrid.refine import (
     RefinementEvent,
     THETA2,
     _batched_rhs,
-    _cut_modes,
     _galerkin_rhs,
     _linear_operator,
     _project_child_state,
@@ -315,7 +316,7 @@ def test_contracted_slope_matches_per_term_reference(d, m, prefix):
     rng = np.random.default_rng(10 * d + m)
     fields = [rng.normal(size=(m, n_full)), rng.normal(size=(m, n_full))]
     src = rng.normal(size=(m, 2, n_full))
-    if prefix:  # the reduced state of adapt_dynamic: a non-contiguous view of the lower modes
+    if prefix:  # a non-contiguous view of the lower modes, as the linear-closure invariant passes
         src = src[:, :, : len(multi_index_set(d, 2))]
         assert not src.flags.c_contiguous
     want = reference_rhs(system, src, dense, fields)
@@ -434,8 +435,8 @@ def test_dynamic_indicator_ko_transfers_energy():
 def test_bound_slope_reads_its_source_live():
     # every term kind, on a batch of three elements; the slope is bound once and the
     # source is then overwritten in place, as rk4_integrate overwrites its stage state;
-    # at n = 4 the source is a non-contiguous view of the first modes, like adapt_dynamic's
-    # reduced state
+    # at n = 4 the source is a non-contiguous view of the first modes, like the reduced
+    # state of the linear-closure invariant
     system = all_term_kinds(1)
     dense = triple_products(1, 5)
     rng = np.random.default_rng(8)
@@ -456,20 +457,33 @@ def test_bound_slope_reads_its_source_live():
             _batched_rhs(*ops, src, np.empty((3, 2, 2 * n))[:, :, ::2])
 
 
-@pytest.mark.parametrize("N", [3, 5, 7])
-def test_reduced_operators_are_cuts_of_the_full_ones(N):
-    # the index sets are nested, so adapt_dynamic cuts the reduced system's operators out of
-    # the full ones; they equal the operators built at the reduced mode count, bit for bit
-    mesh = [Element.box([-1.0 + k / 8.0], [-1.0 + (k + 1) / 8.0]) for k in range(16)]
-    for system in (ode_galerkin_system(N, 1.0, -2.0, 1.0), ko_galerkin_system(), all_term_kinds(1)):
-        dense = triple_products(1, N)
+@pytest.mark.parametrize("d, N", [(1, 3), (1, 5), (1, 7), (2, 4)])
+def test_truncated_slope_is_the_full_slope_at_the_truncated_state(d, N):
+    # the index sets are nested and every term is at most quadratic, so adapt_dynamic reads the
+    # truncated system's slope off the full operators at the state with its upper modes zeroed;
+    # it equals the slope of the operators built at the reduced mode count, up to summation order
+    if d == 1:
+        mesh = [Element.box([-1.0 + k / 8.0], [-1.0 + (k + 1) / 8.0]) for k in range(16)]
+        systems = (ode_galerkin_system(N, 1.0, -2.0, 1.0), ko_galerkin_system(), all_term_kinds(1))
+    else:
+        mesh = [Element.box([-1.0 + a, -1.0 + b], [a, b]) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+        ko = PolynomialOde(n_state=3, dim=2, initial=lambda pts: np.ones((3, pts.shape[0])),
+                           quadratic=ko_galerkin_system().quadratic)
+        systems = (ko, all_term_kinds(2))
+    dense = triple_products(d, N)
+    n, n_red = dense.shape[0], len(multi_index_set(d, N - 2))
+    rng = np.random.default_rng(N)
+    for system in systems:
         fields = [_project_function(fn, mesh, N) for _, fn, _, _ in system.field_linear]
-        n, n_red = dense.shape[0], len(multi_index_set(1, N - 2))
-        quad, lin = _quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n)
-        for full, reduced in ((quad, _quadratic_operator(system, dense, n_red)),
-                              (lin, _linear_operator(system, dense, fields, n_red))):
-            cut = _cut_modes(full, system.n_state, n_red)
-            assert (cut is None and reduced is None) or np.array_equal(cut, reduced)
+        state = rng.normal(size=(len(mesh), system.n_state, n))
+        low = state.copy()
+        low[:, :, n_red:] = 0.0
+        got = _batched_rhs(_quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n),
+                           low, np.empty(low.shape))()[:, :, :n_red]
+        truncated = state[:, :, :n_red].copy()
+        want = _batched_rhs(_quadratic_operator(system, dense, n_red),
+                            _linear_operator(system, dense, fields, n_red), truncated, np.empty(truncated.shape))()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -543,36 +557,26 @@ def test_adapt_dynamic_ko_element_counts_bracketed():
     assert all(8 <= c <= 40 for c in counts)
 
 
-# (time, element, indicator, dims) of every split; a change of summation order in the slope
-# may move the indicators by rounding, but not the times, elements or directions
-KO3_P5_SPLITS = [
-    (3.600000000000002, 0, 0.01244292061552494, (0,)),
-    (4.999999999999998, 1, 0.028127130993137874, (0,)),
-    (4.999999999999998, 2, 0.028127130993137767, (0,)),
-    (5.799999999999995, 4, 0.040929515392564814, (0,)),
-    (5.799999999999995, 5, 0.04092951539256465, (0,)),
-    (13.09999999999997, 8, 0.08398253910964652, (0,)),
-    (13.09999999999997, 9, 0.0839825391096474, (0,)),
-    (14.199999999999966, 12, 0.1780211714302321, (0,)),
-    (14.199999999999966, 13, 0.17802117143023335, (0,)),
-]
-LINEAR_ODE_P3_SPLITS = [
-    (0.2, 0, 0.05373697475053696, (0,)),
-    (0.30000000000000004, 1, 0.1391599774150194, (0,)),
-    (0.5, 3, 0.3256192226971848, (0,)),
-    (0.7, 5, 0.47105731080750957, (0,)),
-]
+# (time, element, indicator, dims) of every split at dt = 0.01, for the nine ko3 cells of tables 3 and 4
+# and the three linear-ode orders of table 2, recorded while the truncated system still had
+# operators of its own; a change of summation order in the slope may move the indicators by
+# rounding, but not the times, elements or directions
+DYNAMIC_SPLITS = json.loads((Path(__file__).parent / "data" / "dynamic_splits.json").read_text())
 
 
-@pytest.mark.parametrize("name, system, order, theta1, T, n_elements, splits", [
-    ("ko3", ko_galerkin_system(), 5, 1e-2, 15.0, 10, KO3_P5_SPLITS),
-    ("linear-ode", ode_galerkin_system(3, 1.0, -2.0, 1.0), 3, 0.05, 1.0, 5, LINEAR_ODE_P3_SPLITS),
-], ids=["ko3-p5", "linear-ode-p3"])
-def test_adapt_dynamic_split_sequences_are_pinned(name, system, order, theta1, T, n_elements, splits):
+@pytest.mark.parametrize("name", list(DYNAMIC_SPLITS))
+def test_adapt_dynamic_split_sequences_are_pinned(name):
+    pinned = DYNAMIC_SPLITS[name]
+    order, splits = pinned["order"], pinned["splits"]
+    if name.startswith("ko3"):
+        system, T = ko_galerkin_system(), 15.0
+    else:
+        system, T = ode_galerkin_system(order, 1.0, -2.0, 1.0), 1.0
     events: list[RefinementEvent] = []
-    dec, _, truncated = adapt_dynamic(system, cfg(theta1=theta1, N=order), T=T, dt=0.01, event_log=events)
-    assert len(dec) == n_elements and not truncated
-    assert [(ev.time, ev.element, ev.dims) for ev in events] == [(t, k, dims) for t, k, _, dims in splits]
+    dec, _, truncated = adapt_dynamic(system, cfg(theta1=pinned["theta1"], N=order), T=T, dt=0.01,
+                                      event_log=events)
+    assert len(dec) == pinned["n_elements"] and not truncated
+    assert [(ev.time, ev.element, ev.dims) for ev in events] == [(t, k, tuple(dims)) for t, k, _, dims in splits]
     for ev, (_, _, indicator, _) in zip(events, splits):
         assert ev.indicator == pytest.approx(indicator, rel=1e-10, abs=0.0)
 
