@@ -106,11 +106,19 @@ def step_me_exact() -> MultiElementSurrogate:
 # uniform -> Gaussian transform
 
 
+def _constants(*values: float) -> tuple[np.ndarray, ...]:
+    """Read-only 0-d float64 arrays of ``values``: a ufunc reads one faster than a Python float."""
+    out = tuple(np.array(v, dtype=float) for v in values)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 # erfinv(x) = p(w) x with w = -log((1 - x)(1 + x)): M. Giles' double-precision polynomials
 # ("Approximating the erfinv function", GPU Computing Gems, 2011), highest degree first.
 # The first serves w < 6.25 in w - 3.125, the others sqrt(w) < 4 in sqrt(w) - 3.25 and
 # beyond in sqrt(w) - 5.
-_ERFINV_CENTRAL = (
+_ERFINV_CENTRAL = _constants(
     -3.6444120640178196996e-21, -1.685059138182016589e-19, 1.2858480715256400167e-18,
     1.115787767802518096e-17, -1.333171662854620906e-16, 2.0972767875968561637e-17,
     6.6376381343583238325e-15, -4.0545662729752068639e-14, -8.1519341976054721522e-14,
@@ -120,7 +128,7 @@ _ERFINV_CENTRAL = (
     0.0001867342080340571352, -0.00074070253416626697512, -0.0060336708714301490533,
     0.24015818242558961693, 1.6536545626831027356,
 )
-_ERFINV_TAIL = (
+_ERFINV_TAIL = _constants(
     2.2137376921775787049e-09, 9.0756561938885390979e-08, -2.7517406297064545428e-07,
     1.8239629214389227755e-08, 1.5027403968909827627e-06, -4.013867526981545969e-06,
     2.9234449089955446044e-06, 1.2475304481671778723e-05, -4.7318229009055733981e-05,
@@ -129,7 +137,7 @@ _ERFINV_TAIL = (
     -0.0037512085075692412107, 0.005370914553590063617, 1.0052589676941592334,
     3.0838856104922207635,
 )
-_ERFINV_FAR_TAIL = (
+_ERFINV_FAR_TAIL = _constants(
     -2.7109920616438573243e-11, -2.5556418169965252055e-10, 1.5076572693500548083e-09,
     -3.7894654401267369937e-09, 7.6157012080783393804e-09, -1.4960026627149240478e-08,
     2.9147953450901080826e-08, -6.7711997758452339498e-08, 2.2900482228026654717e-07,
@@ -139,24 +147,39 @@ _ERFINV_FAR_TAIL = (
 )
 
 
+_ONE, _CENTRAL_SHIFT, _TAIL_FROM = _constants(1.0, 3.125, 6.25)
+
+
 def _horner(coeffs, w):
-    """The polynomial with ``coeffs`` (highest degree first) at ``w``, by Horner's rule."""
-    p = coeffs[0] * w + coeffs[1]
+    """The polynomial with ``coeffs`` (highest degree first) at ``w``, by Horner's rule:
+    coeffs[0] * w + coeffs[1], then p * w + c for each further c, in one new array."""
+    mul, add = np.multiply, np.add
+    p = mul(w, coeffs[0])
+    add(p, coeffs[1], p)
     for c in coeffs[2:]:
-        p = p * w + c
+        mul(p, w, p)
+        add(p, c, p)
     return p
 
 
 def _erfinv(x: np.ndarray) -> np.ndarray:
-    """Inverse error function of a 1-d array inside (-1, 1), within a few ulps."""
-    w = -np.log((1.0 - x) * (1.0 + x))
-    p = _horner(_ERFINV_CENTRAL, w - 3.125)
-    tail = w >= 6.25
+    """Inverse error function of a 1-d array inside (-1, 1), within a few ulps.
+
+    w = -log((1 - x)(1 + x)), the central polynomial in w - 3.125 and the
+    product with x are computed in place, by the same operations in the same
+    order as their allocating forms, so the bits are theirs."""
+    w = np.subtract(_ONE, x)
+    np.multiply(w, np.add(_ONE, x), w)
+    np.log(w, w)
+    np.negative(w, w)
+    p = _horner(_ERFINV_CENTRAL, np.subtract(w, _CENTRAL_SHIFT))
+    tail = w >= _TAIL_FROM
     # |x| > 0.999 is rare, so the tail polynomials run on those entries only
     if tail.any():
         s = np.sqrt(w[tail])
         p[tail] = np.where(s < 4.0, _horner(_ERFINV_TAIL, s - 3.25), _horner(_ERFINV_FAR_TAIL, s - 5.0))
-    return p * x
+    np.multiply(p, x, p)
+    return p
 
 
 def gaussian_from_uniform(x, mu: float, sigma: float):
@@ -171,7 +194,9 @@ def gaussian_from_uniform(x, mu: float, sigma: float):
     if not np.all(np.abs(arr) < 1.0):
         raise DomainError("the transform is defined on the open interval (-1, 1)")
     y = _erfinv(arr.reshape(-1)).reshape(arr.shape)
-    return mu + math.sqrt(2.0) * sigma * y
+    np.multiply(y, math.sqrt(2.0) * sigma, y)  # mu + sqrt(2) sigma y, in place
+    np.add(y, mu, y)
+    return y[()]  # a scalar for a scalar input
 
 
 def z_legendre_coeffs(p: int, mu: float, sigma: float) -> np.ndarray:
@@ -211,7 +236,13 @@ class OdeModel(LimitStateModel):
 
     def _g_many(self, Z):
         z = gaussian_from_uniform(Z[:, 0], self.mu, self.sigma)
-        return self.u0 * np.exp(-z * self.T) - self.u_d
+        # u0 exp(-z T) - u_d, in place
+        np.negative(z, z)
+        np.multiply(z, self.T, z)
+        np.exp(z, z)
+        np.multiply(z, self.u0, z)
+        np.subtract(z, self.u_d, z)
+        return z
 
     def analytic_p_f(self) -> float:
         """Exact tail probability Prob(Z > ln(u0/u_d) / T) of the Gaussian rate."""

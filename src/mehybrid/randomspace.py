@@ -201,6 +201,12 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return b[np.concatenate(([True], b[1:] != b[:-1]))]
 
 
+def _check_in_domain(pts: np.ndarray) -> None:
+    """DomainError unless every entry of ``pts`` lies in [-1, 1]; a NaN fails too."""
+    if pts.size and not DOMAIN_LO <= pts.min() <= pts.max() <= DOMAIN_HI:
+        raise DomainError("points outside [-1,1]^d")
+
+
 def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:
     """Index of the unique element containing each row of Z, read from the mesh's cell table.
 
@@ -212,8 +218,7 @@ def locate_many(dec: Decomposition, Z: np.ndarray) -> np.ndarray:
     below x until no point moves, so it equals the search for every input.
     """
     pts = np.atleast_2d(np.asarray(Z, dtype=float))
-    if pts.size and not DOMAIN_LO <= pts.min() <= pts.max() <= DOMAIN_HI:  # a nan fails too
-        raise DomainError("points outside [-1,1]^d")
+    _check_in_domain(pts)
     breaks, owner, _ = dec.cells
     if pts.shape[1] != len(breaks):
         raise ValueError(f"points have dimension {pts.shape[1]}, the decomposition {len(breaks)}")

@@ -29,6 +29,7 @@ from .polybasis import basis_matrix, gauss_legendre, legendre_rows, multi_index_
 from .randomspace import (
     Decomposition,
     Element,
+    _check_in_domain,
     locate_many,
     sample_uniform,
     to_global_many,
@@ -285,22 +286,38 @@ def eval_expansion_many(e: Element, order: int, coeffs: np.ndarray, Z: np.ndarra
 def eval_me_surrogate_many(s: MultiElementSurrogate, Z: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
     """Values at the (n, d) points Z of each point's owning element's expansion.
 
+    Z is read as ``np.asarray(Z, dtype=float)``; any shape other than (n, d),
+    d the surrogate's dimension, raises ValueError before any work, and a
+    point that is NaN, outside [-1, 1]^d or in no element raises DomainError.
     Walks Z in chunks of EVAL_CHUNK rows: locates the chunk, maps each row to
     its element's local coordinates, evaluates the Legendre rows of every
     dimension once and sums each basis function (a product of per-degree
     rows) times its gathered coefficients in index-set order, so the value
-    at a point does not depend on the other points of the batch.  Element
-    indices are written into ``owners`` when it is given.
+    at a point does not depend on the other points of the batch.  When the
+    mesh's cell table is one cell, element 0 covers the whole domain and owns
+    every point: the chunk is then only range-checked, not located, and the
+    same sum reads element 0's scalars instead of gathering them per point,
+    with the same bits.  Element indices are written into ``owners`` when it
+    is given.
     """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != s.dim:
+        raise ValueError(f"points of shape {Z.shape} given, expected (n, {s.dim})")
     indices = multi_index_set(s.dim, s.order)
     coeffs = s.coeffs.T  # column k holds element k's coefficients
     lower = np.array([e.lower for e in s.decomposition])
     upper = np.array([e.upper for e in s.decomposition])
     center2, width = lower + upper, upper - lower
+    _, owner, _ = s.decomposition.cells
+    one_owner = owner.size == 1
     out = np.empty(Z.shape[0])
     for start in range(0, Z.shape[0], EVAL_CHUNK):
         pts = Z[start : start + EVAL_CHUNK]
-        k = locate_many(s.decomposition, pts)
+        if one_owner:
+            _check_in_domain(pts)
+            k = 0
+        else:
+            k = locate_many(s.decomposition, pts)
         if owners is not None:
             owners[start : start + EVAL_CHUNK] = k
         local = np.clip((2.0 * pts - center2[k]) / width[k], -1.0, 1.0)  # as in to_local_many

@@ -135,6 +135,44 @@ def test_transform_domain_error():
         OdeModel().evaluate_many(np.array([[0.1], [math.nan]]))
 
 
+def _allocating_gaussian(x, mu, sigma):
+    # the transform with a new array per operation, over the module's Giles tables
+    def horner(coeffs, w):
+        coeffs = [float(c) for c in coeffs]
+        p = coeffs[0] * w + coeffs[1]
+        for c in coeffs[2:]:
+            p = p * w + c
+        return p
+
+    w = -np.log((1.0 - x) * (1.0 + x))
+    p = horner(problems._ERFINV_CENTRAL, w - 3.125)
+    tail = w >= 6.25
+    s = np.sqrt(w[tail])
+    p[tail] = np.where(s < 4.0, horner(problems._ERFINV_TAIL, s - 3.25), horner(problems._ERFINV_FAR_TAIL, s - 5.0))
+    return mu + math.sqrt(2.0) * sigma * (p * x)
+
+
+def test_linear_ode_exact_values_equal_the_allocating_formula_bit_for_bit():
+    # seed 42's leading samples and +-(1 - 10^-k), which reach both tail polynomials
+    edge = 1.0 - 10.0 ** -np.arange(3, 16)
+    x = np.concatenate([sample_uniform(1_000_000, 1, 42).points[:200_000, 0], edge, -edge])
+    w = -np.log((1.0 - edge) * (1.0 + edge))
+    s = np.sqrt(w[w >= 6.25])
+    assert (s < 4.0).any() and (s >= 4.0).any()
+    # a sigma other than 1 pins the order of the scale and the shift too
+    shifted = _allocating_gaussian(x, 0.3, 0.7)
+    assert gaussian_from_uniform(x, 0.3, 0.7).tobytes() == shifted.tobytes()
+    z = _allocating_gaussian(x, -2.0, 1.0)
+    assert gaussian_from_uniform(x, -2.0, 1.0).tobytes() == z.tobytes()
+    model = OdeModel()
+    expected = model.u0 * np.exp(-z * model.T) - model.u_d
+    assert model.evaluate_many(x[:, None]).tobytes() == expected.tobytes()
+    # in hybrid blocks of 100 rows too, and the caller's points are left as they were
+    before = x.copy()
+    blocks = np.concatenate([model.evaluate_many(x[i : i + 100, None]) for i in range(0, len(x), 100)])
+    assert blocks.tobytes() == expected.tobytes() and x.tobytes() == before.tobytes()
+
+
 def test_transform_sample_mean_clt():
     pts = sample_uniform(1_000_000, 1, 17).points[:, 0]
     z = gaussian_from_uniform(pts, -2.0, 1.0)

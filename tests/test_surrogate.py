@@ -25,6 +25,7 @@ from mehybrid.surrogate import (
     local_variance,
     lp_error,
 )
+from mehybrid.estimator import HybridConfig, iterative_hybrid, me_lha
 from mehybrid.problems import KoModel, StepModel, ko_trajectory, step_global_gpc, step_me_exact
 
 
@@ -269,6 +270,58 @@ def test_me_surrogate_matches_basis_matrix_formula_bit_for_bit(d):
         surr = MultiElementSurrogate(dec, p, rng.normal(size=(len(dec), len(multi_index_set(d, p)))))
         got = eval_me_surrogate_many(surr, pts)
         assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
+
+
+def test_one_owner_mesh_matches_basis_matrix_formula_bit_for_bit():
+    # the full-domain element owns every point, so its coefficients are read as
+    # scalars instead of gathered; orders 0..7, a batch longer than one chunk
+    rng = np.random.default_rng(17)
+    pts = np.vstack([sample_uniform(EVAL_CHUNK + 1808, 1, 3).points, [[-1.0]], [[1.0]]])
+    for p in range(8):
+        surr = global_surrogate(p, rng.normal(size=p + 1))
+        owners = np.full(len(pts), 255, dtype=np.uint8)
+        got = eval_me_surrogate_many(surr, pts, owners)
+        assert got.tobytes() == _basis_matrix_reference(surr, pts).tobytes()
+        assert not owners.any()
+
+
+def test_one_owner_mesh_under_me_lha_walks_element_0():
+    samples = sample_uniform(5000, 1, 4)
+    est, trace = me_lha(StepModel(), step_global_gpc(2), samples, HybridConfig(delta_m=500))
+    assert {r.element for r in trace.records} == {0}
+    assert est.p_f == iterative_hybrid(StepModel(), step_global_gpc(2), samples, HybridConfig(delta_m=500))[0].p_f
+
+
+def test_one_owner_mesh_rejects_points_outside_the_domain():
+    surr = global_surrogate(3, [0.1, 0.2, 0.3, 0.4])
+    for bad in (-1.0000001, 1.5, math.nan, math.inf):
+        pts = np.vstack([sample_uniform(EVAL_CHUNK + 10, 1, 3).points, [[bad]]])
+        with pytest.raises(DomainError, match=r"outside \[-1,1\]\^d"):
+            eval_me_surrogate_many(surr, pts)
+
+
+def test_lone_element_short_of_the_domain_still_locates_its_points():
+    # one element, but two cells: a point left of it is in no element, not in element 0
+    surr = MultiElementSurrogate(Decomposition((Element.box([0.0], [1.0]),)), 1, [[0.5, 0.25]])
+    assert surr(np.array([[0.5]]))[0] == 0.5
+    with pytest.raises(DomainError, match="points not covered by the decomposition"):
+        surr(np.array([[0.5], [-0.5]]))
+
+
+def test_surrogate_points_must_be_shaped_n_by_dim():
+    line = global_surrogate(1, [0.3, 0.9])
+    square = MultiElementSurrogate(Decomposition((Element.box([-1.0, -1.0], [1.0, 1.0]),)), 1, [[0.3, 0.9, 0.1]])
+    halves = step_me_exact()
+    for surr, wrong in ((line, np.array([0.1])), (line, np.array([0.1, 0.2, 0.3])), (line, np.zeros((2, 2))),
+                        (line, np.zeros((1, 1, 1))), (line, 0.5), (square, np.zeros((3, 1))),
+                        (halves, np.array([-0.5, 0.5]))):
+        with pytest.raises(ValueError, match=re.escape(f"points of shape {np.shape(wrong)} given, "
+                                                       f"expected (n, {surr.dim})")):
+            surr(wrong)
+    # array-likes are read as float arrays
+    assert line([[0.5]]).tobytes() == line(np.array([[0.5]])).tobytes()
+    assert halves([[-0.5], [0.5]]).tolist() == [-1.0, 0.0]
+    assert line(np.empty((0, 1))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
