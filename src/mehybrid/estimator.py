@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ModelEvaluationError, _ColumnError
 from .randomspace import SampleSet
-from .refine import _count, _real
-from .surrogate import LimitStateModel, MultiElementSurrogate, eval_me_surrogate_many
+from .surrogate import LimitStateModel, MultiElementSurrogate, _count, _real, eval_me_surrogate_many
 
 __all__ = [
     "HybridConfig",

@@ -6,7 +6,9 @@ expansion: the share of variance carried by the top-degree coefficients
 coefficients (r_j) decide where.  The dynamic criterion integrates a
 Galerkin-projected ODE system per element and splits where the energy-rate
 mismatch Q between the full-order system and its truncation is too large
-for the element's probability mass.
+for the element's probability mass; `dynamic_indicator` forms the
+truncation itself, from the one full slope at the state with its upper modes
+zeroed, so each mesh has one set of Galerkin operators.
 
 Both drivers apply one split rule in passes over the mesh (`_split_pass`):
 split elements are bisected and their children take their parent's place,
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import IntegrationError, UnsupportedModelError
 from .polybasis import basis_matrix, multi_index_set, triple_products
 from .randomspace import Decomposition, Element, split_element, to_local_many
-from .surrogate import LimitStateModel, MultiElementSurrogate, build_collocation, local_variance, project
+from .surrogate import LimitStateModel, MultiElementSurrogate, _count, _real, build_collocation, local_variance, project
 
 __all__ = [
     "RefinementConfig",
@@ -75,16 +76,6 @@ class RefinementConfig:
             raise ValueError(f"order N must be an integer of at least one, got {self.N!r}")
         if not (_count(self.max_elements) and self.max_elements >= 1):
             raise ValueError(f"max_elements must be an integer of at least one, got {self.max_elements!r}")
-
-
-def _real(x) -> bool:
-    """True for a real number that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _count(x) -> bool:
-    """True for an integer that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _finite(x) -> bool:
@@ -250,9 +241,9 @@ class PolynomialOde:
                 raise UnsupportedModelError(f"state variable {v} out of range")
 
 
-def _quadratic_operator(system: PolynomialOde, dense: np.ndarray, n: int) -> np.ndarray | None:
-    """The quadratic terms at ``n`` modes as one (S n, (S n)^2) matrix, S = n_state, or None
-    if there are none.
+def _quadratic_operator(system: PolynomialOde, dense: np.ndarray) -> np.ndarray | None:
+    """The quadratic terms as one (S n, (S n)^2) matrix, S = n_state and n the modes of
+    ``dense``, or None if there are none.
 
     Row (a, j) and column (b, l, var, k) hold the sum of c * E[k, j, l] over the
     terms (var, c, a, b), with E = ``dense`` the triple products.  An element's
@@ -261,23 +252,22 @@ def _quadratic_operator(system: PolynomialOde, dense: np.ndarray, n: int) -> np.
     """
     if not system.quadratic:
         return None
-    s = system.n_state
+    s, n = system.n_state, dense.shape[0]
     op = np.zeros((s, n, s, n, s, n))
-    e_jlk = dense[:n, :n, :n].transpose(1, 2, 0)
+    e_jlk = dense.transpose(1, 2, 0)
     for var, c, a, b in system.quadratic:
         op[a, :, b, :, var, :] += c * e_jlk
     return op.reshape(s * n, (s * n) ** 2)
 
 
-def _linear_operator(system: PolynomialOde, dense: np.ndarray, fields: Sequence[np.ndarray],
-                     n: int) -> np.ndarray | None:
-    """The linear and field_linear terms at ``n`` modes as one (S n, S n) matrix L per
-    element, whose linear part of the slope is u L, or None if there are neither.
+def _linear_operator(system: PolynomialOde, dense: np.ndarray, fields: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The linear and field_linear terms as one (S n, S n) matrix L per element, n the modes
+    of ``dense``, whose linear part of the slope is u L, or None if there are neither.
 
-    ``fields`` holds the projected field, (M, modes), of each field_linear term in
-    term order; the result is (M, S n, S n), or (1, S n, S n) for every element
-    alike when there are no field terms.  A linear term (var, c, i) adds c to the
-    diagonal of block (i, var); a field term (var, fn, c, i) with field f adds
+    ``fields`` holds the projected field, (M, n), of each field_linear term in term
+    order; the result is (M, S n, S n), or (1, S n, S n) for every element alike
+    when there are no field terms.  A linear term (var, c, i) adds c to the diagonal
+    of block (i, var); a field term (var, fn, c, i) with field f adds
     c * sum_j E[k, j, l] f[j] at row (i, l), column (var, k).  Raises ValueError
     unless there is one field per field_linear term.
     """
@@ -286,12 +276,12 @@ def _linear_operator(system: PolynomialOde, dense: np.ndarray, fields: Sequence[
                          f"{len(system.field_linear)} terms, {len(fields)} fields")
     if not (system.linear or system.field_linear):
         return None
-    s = system.n_state
+    s, n = system.n_state, dense.shape[0]
     op = np.zeros((fields[0].shape[0] if fields else 1, s, n, s, n))
     for var, c, i in system.linear:
         op[:, i, :, var, :] += c * np.eye(n)
     for (var, _, c, i), f in zip(system.field_linear, fields):
-        op[:, i, :, var, :] += c * np.einsum("kjl,ej->elk", dense[:n, : f.shape[1], :n], f)
+        op[:, i, :, var, :] += c * np.einsum("kjl,ej->elk", dense, f)
     return op.reshape(op.shape[0], s * n, s * n)
 
 
@@ -305,9 +295,8 @@ def _batched_rhs(quad: np.ndarray | None, lin: np.ndarray | None,
     derivatives u (A(u) + L) of each element's flattened state u into ``dst`` and
     returns it: one matmul forms every A(u), the linear operator is added to them,
     and one batched matmul applies the sum, so a slope with one term kind makes
-    two numpy calls or, without quadratic terms, one.  ``src`` may be a
-    non-contiguous view such as a prefix of the modes; it is then flattened, by a
-    copy, at each call.  The (M, S n, S n) buffer of the A(u) is made here, once.
+    two numpy calls or, without quadratic terms, one.  The (M, S n, S n) buffer of
+    the A(u) is made here, once.
     """
     if not dst.flags.c_contiguous:
         raise ValueError("the slope output must be C-contiguous")
@@ -336,30 +325,31 @@ def _galerkin_rhs(system: PolynomialOde, coeffs: np.ndarray, dense: np.ndarray,
                   fields: Sequence[np.ndarray]) -> np.ndarray:
     """The projected right-hand side at the mode coefficients ``coeffs`` (M, n_state, n),
     evaluated once into a new array; ``fields`` as in `_linear_operator`."""
-    n = coeffs.shape[2]
-    slope = _batched_rhs(_quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n),
+    slope = _batched_rhs(_quadratic_operator(system, dense), _linear_operator(system, dense, fields),
                          coeffs, np.empty(coeffs.shape))
     return slope()
 
 
 def dynamic_indicator(
-    full_rhs: np.ndarray,
-    reduced_rhs: np.ndarray,
+    slope: Callable[[np.ndarray], np.ndarray],
     coeffs: np.ndarray,
     reduced: Sequence[tuple[int, ...]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy-rate mismatch Q between the full system and its truncation, plus
     the per-dimension contributions s, for a batch of M elements.
 
-    ``full_rhs`` and the mode coefficients ``coeffs`` have shape (M, n_state,
-    full modes), ``reduced_rhs`` has shape (M, n_state, len(reduced)); the
-    reduced state is the truncation of the full one to the graded index set
-    ``reduced``, a prefix of the full set, so the truncated system's slope is
-    the full slope at the full state with its other modes set to zero, read
-    on the first len(reduced) modes.  Returns Q of shape (M,) and s of shape
-    (M, dim), each row depending on that element alone.
+    ``slope(u)`` returns the full system's projected slope at mode
+    coefficients u shaped like ``coeffs``, (M, n_state, full modes).  The
+    truncated system keeps the graded index set ``reduced``, a prefix of the
+    full set, and every term is at most quadratic, so its slope is the full
+    slope at the state whose modes from len(reduced) on are zero, read on the
+    first len(reduced) modes.  Returns Q of shape (M,) and s of shape (M, dim),
+    each row depending on that element alone.
     """
     n_red, dim = len(reduced), len(reduced[0])
+    low = coeffs.copy()
+    low[:, :, n_red:] = 0.0
+    full_rhs, reduced_rhs = slope(coeffs), slope(low)[:, :, :n_red]
     u_red = coeffs[:, :, :n_red]
     q = np.sum(np.abs(2.0 * np.sum(full_rhs[:, :, :n_red] * u_red, axis=2)
                       - 2.0 * np.sum(reduced_rhs * u_red, axis=2)), axis=1)
@@ -497,12 +487,13 @@ def adapt_dynamic(
     the rhs of the system truncated to order max(0, N - 2) is compared
     against the full one; elements with Q * prob >= theta1 are bisected along
     the dimensions selected by s, and the children continue from the
-    projection of the parent's state.  The truncated system needs no
-    operators of its own: its index set is a prefix of the full one and every
-    term is at most quadratic, so its slope is the full slope at the state
-    whose modes past the truncation are zero, read on the truncated modes.
-    Returns the mesh, the (M, n_state, n_modes) mode coefficients at T in
-    mesh order, and whether ``max_elements`` stopped a split.
+    projection of the parent's state.  One slope binding serves the RK4 steps
+    and both indicator slopes (see `dynamic_indicator`), so the truncated
+    system needs no operators of its own.  Returns the mesh, the (M, n_state,
+    n_modes) mode coefficients at T in mesh order, and whether
+    ``max_elements`` stopped a split.  A non-finite Galerkin state raises
+    IntegrationError with the time reached and no column: a row of that state
+    is an element's mode, not a sample.
     """
     if not isinstance(system, PolynomialOde):
         raise UnsupportedModelError(
@@ -516,17 +507,16 @@ def adapt_dynamic(
     # a reduced order of N - 1 instead of N - 2 refines the three-mode system worse.
     reduced = multi_index_set(d, max(0, cfg.N - 2))
     dense = triple_products(d, cfg.N)
-    n, n_red = dense.shape[0], len(reduced)
 
     def linear(elements: Sequence[Element]) -> np.ndarray | None:
         """The linear operator, with the fields projected onto ``elements``."""
         fields = [_project_function(fn, elements, cfg.N) for _, fn, _, _ in system.field_linear]
-        return _linear_operator(system, dense, fields, n)
+        return _linear_operator(system, dense, fields)
 
     def bind(src: np.ndarray, dst: np.ndarray) -> Callable[[], np.ndarray]:
         return _batched_rhs(quad, lin, src, dst)
 
-    quad = _quadratic_operator(system, dense, n)
+    quad = _quadratic_operator(system, dense)
     elements = [Element.box([-1.0] * d, [1.0] * d)]
     ids = [0]
     coeffs = _project_function(system.initial, elements, cfg.N, (system.n_state,))
@@ -536,14 +526,15 @@ def adapt_dynamic(
     t = 0.0
     while t < T - 1e-12:
         t_next = min(t + 10.0 * dt, T)
-        coeffs = rk4_integrate(bind, coeffs, t, t_next, dt)
+        try:
+            coeffs = rk4_integrate(bind, coeffs, t, t_next, dt)
+        except IntegrationError as exc:
+            raise IntegrationError(f"the surrogate's Galerkin solve reached a non-finite state at t = {exc.t:.6g}",
+                                   t=exc.t) from exc
         t = t_next
         if t >= T - 1e-12:
             break
-        low = coeffs.copy()
-        low[:, :, n_red:] = 0.0
-        full, low_rhs = (bind(u, np.empty(u.shape))() for u in (coeffs, low))
-        q_all, s_all = dynamic_indicator(full, low_rhs[:, :, :n_red], coeffs, reduced)
+        q_all, s_all = dynamic_indicator(lambda u: bind(u, np.empty(u.shape))(), coeffs, reduced)
         new, ids, origin, cut = _split_pass(elements, ids, cfg, q_all, s_all, q_all, t, event_log)
         truncated |= cut
         if len(new) != len(elements):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 import time
@@ -339,6 +340,16 @@ def local_variance(coeffs: np.ndarray) -> np.ndarray:
     return np.sum(np.asarray(coeffs)[..., 1:] ** 2, axis=-1)
 
 
+def _real(x) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _count(x) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> float:
     """Monte Carlo estimate of the L^p distance between surrogate and exact model.
 
@@ -349,10 +360,10 @@ def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> 
     norm order p must be finite, and a surrogate result of any shape but (m,)
     is a ValueError, raised before the exact calls.
     """
-    if not 1 <= p < math.inf:
+    if not (_real(p) and 1 <= p < math.inf):
         raise ValueError(f"norm order must be a finite number of at least one, got {p!r}")
-    if m < 1:
-        raise ValueError("sample count must be at least one")
+    if not (_count(m) and m >= 1):
+        raise ValueError(f"sample count must be an integer of at least one, got {m!r}")
     pts = sample_uniform(m, model.dim, seed).points
     approx = surrogate(pts)
     if np.shape(approx) != (m,):
@@ -362,12 +373,13 @@ def lp_error(surrogate, model: LimitStateModel, p: float, m: int, seed: int) -> 
 
 
 def gamma_bound(eps_p: float, eps: float, p: float) -> float:
-    """Smallest admissible replacement threshold for a target accuracy eps; NaN is rejected."""
-    if not eps > 0:
-        raise ValueError("accuracy target must be positive")
-    if not eps_p >= 0:
-        raise ValueError("surrogate error must be nonnegative")
-    if not p >= 1:
-        raise ValueError("norm order must be at least one")
+    """Smallest admissible replacement threshold for a target accuracy eps; NaN, bools and
+    non-numbers are rejected."""
+    if not (_real(eps) and eps > 0):
+        raise ValueError(f"accuracy target must be a positive number, got {eps!r}")
+    if not (_real(eps_p) and eps_p >= 0):
+        raise ValueError(f"surrogate error must be a nonnegative number, got {eps_p!r}")
+    if not (_real(p) and p >= 1):
+        raise ValueError(f"norm order must be a number of at least one, got {p!r}")
     return eps_p / eps ** (1.0 / p)
 

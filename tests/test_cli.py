@@ -429,6 +429,19 @@ def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_galerkin_blow_up_names_the_surrogate_build(tmp_path, capsys):
+    # at mu = -2000 the Galerkin state of the linear-ode surrogate overflows before T; its rows are
+    # an element's modes, so the message names the build's Galerkin solve and no sample column
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(problem="linear-ode", order=3, m=1000, delta_m=None,
+                                               problem_params={"mu": -2000.0})))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["estimate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the surrogate's Galerkin solve reached a non-finite state at t = ")
+    assert "column" not in err
+
+
 def test_burgers_mc_at_small_viscosity(tmp_path, capsys):
     # at nu = 1e-3 the transition layer sits against the boundary
     cfg_path = tmp_path / "cfg.json"

@@ -306,19 +306,19 @@ def all_term_kinds(d):
     )
 
 
-@pytest.mark.parametrize("prefix", [False, True], ids=["full", "prefix"])
+@pytest.mark.parametrize("state", ["full", "truncated"])
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("d", [1, 2])
-def test_contracted_slope_matches_per_term_reference(d, m, prefix):
+def test_contracted_slope_matches_per_term_reference(d, m, state):
     system = all_term_kinds(d)
     dense = triple_products(d, 4)
     n_full = dense.shape[0]
     rng = np.random.default_rng(10 * d + m)
     fields = [rng.normal(size=(m, n_full)), rng.normal(size=(m, n_full))]
     src = rng.normal(size=(m, 2, n_full))
-    if prefix:  # a non-contiguous view of the lower modes, as the linear-closure invariant passes
-        src = src[:, :, : len(multi_index_set(d, 2))]
-        assert not src.flags.c_contiguous
+    if state == "truncated":
+        # the modes past order 2 zeroed: the state at which dynamic_indicator reads the reduced slope
+        src[:, :, len(multi_index_set(d, 2)):] = 0.0
     want = reference_rhs(system, src, dense, fields)
     got = _galerkin_rhs(system, src, dense, fields)
     assert got.shape == want.shape
@@ -399,7 +399,7 @@ def test_ko_deterministic_mode_tracks_scalar_trajectory():
 
 
 def test_dynamic_indicator_zero_state():
-    q, s = dynamic_indicator(np.zeros((1, 2, 6)), np.zeros((1, 2, 2)), np.zeros((1, 2, 6)), multi_index_set(1, 1))
+    q, s = dynamic_indicator(np.zeros_like, np.zeros((1, 2, 6)), multi_index_set(1, 1))
     assert q.tolist() == [0.0] and np.all(s == 0.0)
 
 
@@ -414,9 +414,7 @@ def test_dynamic_indicator_linear_closure():
     rng = np.random.default_rng(2)
     for _ in range(5):
         c = rng.normal(size=(1, 2, 6))
-        full = _galerkin_rhs(system, c, dense, ())
-        red = _galerkin_rhs(system, c[:, :, :4], dense, ())
-        q, _ = dynamic_indicator(full, red, c, multi_index_set(1, 3))
+        q, _ = dynamic_indicator(lambda u: _galerkin_rhs(system, u, dense, ()), c, multi_index_set(1, 3))
         assert q[0] < 1e-10
 
 
@@ -425,65 +423,91 @@ def test_dynamic_indicator_ko_transfers_energy():
     rcfg = cfg(theta1=math.inf, N=5)
     dec, coeffs, _ = adapt_dynamic(system, rcfg, T=5.0, dt=0.01)
     dense = triple_products(1, 5)
-    full = _galerkin_rhs(system, coeffs, dense, ())
-    red = _galerkin_rhs(system, coeffs[:, :, :4], dense, ())
-    q, s = dynamic_indicator(full, red, coeffs, multi_index_set(1, 3))
+    q, s = dynamic_indicator(lambda u: _galerkin_rhs(system, u, dense, ()), coeffs, multi_index_set(1, 3))
     assert q[0] > 1e-4
     assert s[0, 0] >= 0.0
 
 
 def test_bound_slope_reads_its_source_live():
     # every term kind, on a batch of three elements; the slope is bound once and the
-    # source is then overwritten in place, as rk4_integrate overwrites its stage state;
-    # at n = 4 the source is a non-contiguous view of the first modes, like the reduced
-    # state of the linear-closure invariant
+    # source is then overwritten in place, as rk4_integrate overwrites its stage state
     system = all_term_kinds(1)
     dense = triple_products(1, 5)
     rng = np.random.default_rng(8)
     fields = [rng.normal(size=(3, 6)), rng.normal(size=(3, 6))]
-    for n in (6, 4):
-        state = rng.normal(size=(3, 2, 6))
-        src = state[:, :, :n]
-        dst = np.empty(src.shape)
-        ops = _quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n)
-        slope = _batched_rhs(*ops, src, dst)
-        slope()
-        for _ in range(3):
-            state[...] = rng.normal(size=state.shape)
-            fresh = _galerkin_rhs(system, src.copy(), dense, fields)
-            assert slope() is dst
-            assert np.array_equal(dst, fresh)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _batched_rhs(*ops, src, np.empty((3, 2, 2 * n))[:, :, ::2])
+    src = rng.normal(size=(3, 2, 6))
+    dst = np.empty(src.shape)
+    ops = _quadratic_operator(system, dense), _linear_operator(system, dense, fields)
+    slope = _batched_rhs(*ops, src, dst)
+    slope()
+    for _ in range(3):
+        src[...] = rng.normal(size=src.shape)
+        fresh = _galerkin_rhs(system, src.copy(), dense, fields)
+        assert slope() is dst
+        assert np.array_equal(dst, fresh)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _batched_rhs(*ops, src, np.empty((3, 2, 12))[:, :, ::2])
+
+
+def truncation_cases(d, N):
+    """A mesh in d dimensions and the systems the truncation tests cover there: linear-ode, ko3
+    and every term kind, each with its fields projected at order N onto the mesh."""
+    ode = ode_galerkin_system(N, 1.0, -2.0, 1.0)
+    if d == 1:
+        mesh = [Element.box([-1.0 + k / 8.0], [-1.0 + (k + 1) / 8.0]) for k in range(16)]
+        systems = (ode, ko_galerkin_system(), all_term_kinds(1))
+    else:
+        mesh = [Element.box([-1.0 + a, -1.0 + b], [a, b]) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+        rate = ode.field_linear[0][1]
+        ode = PolynomialOde(n_state=1, dim=2, initial=lambda pts: np.ones((1, pts.shape[0])),
+                            field_linear=((0, lambda pts: rate(pts[:, :1]), -1.0, 0),))
+        ko = PolynomialOde(n_state=3, dim=2, initial=lambda pts: np.ones((3, pts.shape[0])),
+                           quadratic=ko_galerkin_system().quadratic)
+        systems = (ode, ko, all_term_kinds(2))
+    return mesh, [(system, [_project_function(fn, mesh, N) for _, fn, _, _ in system.field_linear])
+                  for system in systems]
 
 
 @pytest.mark.parametrize("d, N", [(1, 3), (1, 5), (1, 7), (2, 4)])
 def test_truncated_slope_is_the_full_slope_at_the_truncated_state(d, N):
-    # the index sets are nested and every term is at most quadratic, so adapt_dynamic reads the
+    # the index sets are nested and every term is at most quadratic, so dynamic_indicator reads the
     # truncated system's slope off the full operators at the state with its upper modes zeroed;
-    # it equals the slope of the operators built at the reduced mode count, up to summation order
-    if d == 1:
-        mesh = [Element.box([-1.0 + k / 8.0], [-1.0 + (k + 1) / 8.0]) for k in range(16)]
-        systems = (ode_galerkin_system(N, 1.0, -2.0, 1.0), ko_galerkin_system(), all_term_kinds(1))
-    else:
-        mesh = [Element.box([-1.0 + a, -1.0 + b], [a, b]) for a in (0.0, 1.0) for b in (0.0, 1.0)]
-        ko = PolynomialOde(n_state=3, dim=2, initial=lambda pts: np.ones((3, pts.shape[0])),
-                           quadratic=ko_galerkin_system().quadratic)
-        systems = (ko, all_term_kinds(2))
+    # it equals the truncated system's own slope, term by term at the reduced mode count, up to
+    # summation order
+    mesh, cases = truncation_cases(d, N)
     dense = triple_products(d, N)
     n, n_red = dense.shape[0], len(multi_index_set(d, N - 2))
     rng = np.random.default_rng(N)
-    for system in systems:
-        fields = [_project_function(fn, mesh, N) for _, fn, _, _ in system.field_linear]
+    for system, fields in cases:
         state = rng.normal(size=(len(mesh), system.n_state, n))
         low = state.copy()
         low[:, :, n_red:] = 0.0
-        got = _batched_rhs(_quadratic_operator(system, dense, n), _linear_operator(system, dense, fields, n),
-                           low, np.empty(low.shape))()[:, :, :n_red]
-        truncated = state[:, :, :n_red].copy()
-        want = _batched_rhs(_quadratic_operator(system, dense, n_red),
-                            _linear_operator(system, dense, fields, n_red), truncated, np.empty(truncated.shape))()
+        got = _galerkin_rhs(system, low, dense, fields)[:, :, :n_red]
+        want = reference_rhs(system, state[:, :, :n_red], dense, fields)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, N", [(1, 3), (1, 5), (2, 4)])
+def test_dynamic_indicator_matches_the_truncated_system_definition(d, N):
+    # Q and s as the refinement criterion defines them: the energy rates of the full system at
+    # the full mode count against those of the system truncated to order N - 2 at its own mode
+    # count, each slope computed term by term
+    mesh, cases = truncation_cases(d, N)
+    dense = triple_products(d, N)
+    reduced = multi_index_set(d, N - 2)
+    n, n_red = dense.shape[0], len(reduced)
+    top = [reduced.index(tuple(N - 2 if k == j else 0 for k in range(d))) for j in range(d)]
+    rng = np.random.default_rng(100 + N)
+    for system, fields in cases:
+        coeffs = rng.normal(size=(len(mesh), system.n_state, n))
+        full = reference_rhs(system, coeffs, dense, fields)
+        red = reference_rhs(system, coeffs[:, :, :n_red], dense, fields)
+        u = coeffs[:, :, :n_red]
+        q_want = np.sum(np.abs(2.0 * np.sum(full[:, :, :n_red] * u, axis=2) - 2.0 * np.sum(red * u, axis=2)), axis=1)
+        s_want = np.sum(np.abs(2.0 * full[:, :, top] * u[:, :, top] - 2.0 * red[:, :, top] * u[:, :, top]), axis=1)
+        q, s = dynamic_indicator(lambda v: _galerkin_rhs(system, v, dense, fields), coeffs, reduced)
+        assert np.max(np.abs(q - q_want)) <= 1e-12 * np.max(q_want)
+        assert np.max(np.abs(s - s_want)) <= 1e-12 * np.max(s_want)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -509,14 +533,19 @@ def test_ko_galerkin_slope_conserves_energy(d):
 def test_batched_dynamic_indicator_matches_per_element(d, n_full, n_red):
     rng = np.random.default_rng(d)
     m, n_state = 200, 3
-    full = rng.normal(size=(m, n_state, n_full))
-    red = rng.normal(size=(m, n_state, n_red))
+    weights = rng.normal(size=(m, n_state, n_full))
     coeffs = rng.normal(size=(m, n_state, n_full))
     reduced = multi_index_set(d, n_full)[:n_red]  # graded: the first n_red members are a complete lower order
-    q_all, s_all = dynamic_indicator(full, red, coeffs, reduced)
+
+    def slope(w):
+        # quadratic and mixing the modes of each element, by elementwise ufuncs whose bits do not
+        # depend on the batch
+        return lambda u: w * u * np.roll(u, 1, axis=2)
+
+    q_all, s_all = dynamic_indicator(slope(weights), coeffs, reduced)
     assert q_all.shape == (m,) and s_all.shape == (m, d)
     for k in range(m):
-        q, s = dynamic_indicator(full[k : k + 1], red[k : k + 1], coeffs[k : k + 1], reduced)
+        q, s = dynamic_indicator(slope(weights[k : k + 1]), coeffs[k : k + 1], reduced)
         assert q[0] == q_all[k]
         assert np.array_equal(s[0], s_all[k])
 
@@ -535,8 +564,14 @@ def test_adapt_dynamic_blow_up_raises():
     system = PolynomialOde(
         n_state=1, dim=1, initial=lambda pts: np.ones((1, pts.shape[0])), quadratic=((0, 1.0, 0, 0),)
     )
-    with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(IntegrationError) as info, np.errstate(over="ignore", invalid="ignore"):
         adapt_dynamic(system, cfg(theta1=1e-3, N=3), T=2.0, dt=0.01)
+    # a row of the Galerkin state is an element's mode, not a sample: the error names the solve
+    # and the time, and no column
+    err = info.value
+    assert "Galerkin solve" in str(err) and "column" not in str(err)
+    assert err.column is None and 0.5 < err.t < 2.0
+    assert isinstance(err.__cause__, IntegrationError) and err.__cause__.t == err.t
 
 
 def test_adapt_dynamic_ode_element_count():
@@ -732,7 +767,7 @@ def test_galerkin_rk4_matches_textbook_rk4():
     dense = triple_products(1, n_order)
     elements = [Element.box([lo], [lo + 0.5]) for lo in (-1.0, -0.5, 0.0, 0.5)]
     c0 = _project_function(system.initial, elements, n_order, (3,))
-    quad = _quadratic_operator(system, dense, dense.shape[0])
+    quad = _quadratic_operator(system, dense)
 
     def rhs(v):
         return _galerkin_rhs(system, v, dense, ())

@@ -197,17 +197,29 @@ def test_gamma_bound_examples():
 
 def test_lp_error_and_gamma_bound_reject_nan_and_an_infinite_lp_order():
     # an error of 0.3 at every point: the mean of 0.3 ** inf would read 1.0, and NaN
-    # would pass a plain p < 1 check
+    # would pass a plain p < 1 check; a bool read as a number (gamma_bound(0.1, 0.05, True)
+    # returned 2.0), and a string raised a bare TypeError
     model = CallableModel(lambda z: z)
     off = lambda Z: Z[:, 0] + 0.3  # noqa: E731
     assert lp_error(off, model, p=2, m=1000, seed=0) == pytest.approx(0.3, abs=1e-12)
-    for p in (math.inf, math.nan, 0.5):
+    calls = model.call_count
+    for p in (math.inf, math.nan, 0.5, True, "2", None):
         with pytest.raises(ValueError, match="norm order"):
             lp_error(off, model, p=p, m=1000, seed=0)
-    for args in ((math.nan, 0.1, 2), (0.1, math.nan, 2), (0.1, 0.1, math.nan)):
-        with pytest.raises(ValueError):
+    for m in (0, True, 100.0, "100", None):
+        with pytest.raises(ValueError, match="sample count"):
+            lp_error(off, model, p=2, m=m, seed=0)
+    assert model.call_count == calls
+    for args, message in (((math.nan, 0.1, 2), "surrogate error"), ((0.1, math.nan, 2), "accuracy target"),
+                          ((0.1, 0.1, math.nan), "norm order"), ((0.1, 0.05, True), "norm order"),
+                          ((0.1, 0.05, "2"), "norm order"), ((0.1, True, 2), "accuracy target"),
+                          ((True, 0.05, 2), "surrogate error"), (("0.1", 0.05, 2), "surrogate error")):
+        with pytest.raises(ValueError, match=message):
             gamma_bound(*args)
     assert gamma_bound(0.3, 0.01, math.inf) == 0.3
+    # numpy scalars are numbers
+    assert gamma_bound(np.float64(0.1), np.float64(0.04), np.int64(2)) == pytest.approx(0.5, abs=1e-14)
+    assert lp_error(off, model, p=np.int64(2), m=np.int64(1000), seed=0) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_lp_error_rejects_a_wrong_shaped_surrogate():

@@ -7,7 +7,9 @@ The package is imported from the checkout's ``src/`` and the run configs
 from its ``bench/workloads.py``, which is only read.  At seeds 42 and 7,
 every config of every benchmark workload is run through ``mehybrid.cli.run``
 in this one process, with a trace CSV where the method writes one and an
-events CSV where it refines.  The manifest holds, per run, the sha256 of
+events CSV where it refines, and so are the runs the workloads leave out
+(``EXTRA``): ko3 ``me-lha`` at the ko-gha settings and one ``direct-hybrid``
+per problem.  The manifest holds, per run, the sha256 of
 
 * the report without ``wall_time_s``, ``timings`` and ``config``, the fields
   that hold wall-clock times and output paths, as sorted JSON;
@@ -15,10 +17,10 @@ events CSV where it refines.  The manifest holds, per run, the sha256 of
 
 and the sha256 of the stdout of ``mehybrid table 1``, ``2`` and ``5`` at the
 seed.  ``--m`` sets every run's and every table's sample count, for quick
-checks; by default each workload runs at its benchmark m and each table at
-the paper's.  Two checkouts made the same outputs when their manifests
-compare equal: ``--compare`` prints every entry and field that differs and
-exits 1 if any does, 0 otherwise.
+checks; by default each workload runs at its benchmark m, each extra run at
+the m of its config and each table at the paper's.  Two checkouts made the
+same outputs when their manifests compare equal: ``--compare`` prints every
+entry and field that differs and exits 1 if any does, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -42,6 +44,19 @@ SEEDS = (42, 7)
 TABLES = (1, 2, 5)
 # report fields that hold wall-clock times, or the config with its output paths
 UNHASHED = ("wall_time_s", "timings", "config")
+# Runs no benchmark workload makes, keyed like a workload; each gamma gives a nonempty band at the
+# seeds (the global ko3 surrogate at p = 5 stays above 0.23 in |g~|, so its band is about 16,000
+# of the 1e6 samples at 0.231).
+EXTRA = {
+    "ko-lha": [{"problem": "ko3", "method": "me-lha", "m": 1_000_000, "order": p, "delta_m": 100,
+                "refine": {"theta1": 1e-4}} for p in (3, 5)],
+    "direct-hybrid": [
+        {"problem": "linear-ode", "method": "direct-hybrid", "m": 1_000_000, "order": 3, "gamma": 0.01},
+        {"problem": "ko3", "method": "direct-hybrid", "m": 1_000_000, "order": 5, "gamma": 0.231},
+        {"problem": "burgers", "method": "direct-hybrid", "m": 200_000, "order": 2, "gamma": 0.01},
+        {"problem": "step", "method": "direct-hybrid", "m": 1_000_000, "order": 3, "gamma": 0.01},
+    ],
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -74,13 +89,17 @@ def table_entry(n: int, seed: int, m: int | None) -> dict:
 
 
 def manifest(m: int | None) -> dict:
-    """Every entry of the manifest, keyed ``workload/seed/index`` and ``table N/seed``."""
+    """Every entry of the manifest, keyed ``workload/seed/index`` (``EXTRA``'s names too) and
+    ``table N/seed``."""
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
-            for workload in workloads.WORKLOADS:
-                for i, raw in enumerate(workloads.configs(workload, seed, m)):
-                    entries[f"{workload}/{seed}/{i}"] = run_entry(raw, Path(tmp))
+            runs = {workload: workloads.configs(workload, seed, m) for workload in workloads.WORKLOADS}
+            runs.update({name: [{**raw, "seed": seed, **({} if m is None else {"m": m})} for raw in extra]
+                         for name, extra in EXTRA.items()})
+            for name, raws in runs.items():
+                for i, raw in enumerate(raws):
+                    entries[f"{name}/{seed}/{i}"] = run_entry(raw, Path(tmp))
             for n in TABLES:
                 entries[f"table {n}/{seed}"] = table_entry(n, seed, m)
     return {"seeds": list(SEEDS), "m": m, "entries": entries}
